@@ -1,8 +1,10 @@
 """Stiffness and mass assembly for uniform maximum-continuity B-spline
 spaces on [0, 1] (and tensor squares on the unit square).
 
-Element loops run in extended precision (numpy longdouble) with any
-quadrature rule from the quadrature module; homogeneous Dirichlet
+Quadrature runs in extended precision (numpy longdouble) with any rule
+from the quadrature module, on a basis table of all elements at once; the
+band entries are summed element by element, nodes in rule order, so they
+are bitwise those of a scalar element loop.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need; dense and coordinate exports are provided for
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from igadmm.quadrature import QuadratureRule, optimal_blend
-from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
+from igadmm.splines import BSplineSpace, basis_table
 
 
 @dataclass(frozen=True)
@@ -93,32 +95,26 @@ def _mp_repr(x) -> str:
 def _assemble_full(space: BSplineSpace, rule: QuadratureRule, form: str) -> np.ndarray:
     """Full (no boundary condition) band array for one bilinear form.
 
-    Open knot vectors modify the basis near the boundary, so the local
-    matrix is recomputed per element; the mesh sizes are small enough that
-    nothing is gained by caching the interior one.
+    Open knot vectors modify the basis near the boundary, so every element
+    gets its own basis table; the mesh sizes are small enough that nothing
+    is gained by caching the interior local matrix.
     """
     p, N = space.p, space.N
-    h = np.longdouble(1) / N
     nodes, weights = _rule_points_longdouble(rule)
-    derivative = form == "stiffness"
+    _, table = basis_table(space, nodes, derivative=form == "stiffness")
     # derivatives are physical (1/h lives in the basis), so both forms only
     # pick up the Jacobian h from dx
-    scale = h
-    n_full = space.dim_full
-    bands = np.zeros((p + 1, n_full), dtype=np.longdouble)
-    for e in range(N):
-        for x, w in zip(nodes, weights):
-            t = (e + x) * h
-            # pin the span: endpoint nodes must see this element's pieces
-            if derivative:
-                first, v = nonzero_basis_derivatives(space, t, element=e)
-            else:
-                first, v = nonzero_basis(space, t, element=e)
-            contrib = (w * scale) * np.outer(v, v)
-            for a in range(p + 1):
-                i = first + a
-                for b in range(a, p + 1):
-                    bands[b - a, i] += contrib[a, b]
+    wh = weights * (np.longdouble(1) / N)
+    bands = np.zeros((p + 1, space.dim_full), dtype=np.longdouble)
+    # bands[d, e + a] collects element e's products of functions e + a and
+    # e + a + d.  Looping a downwards and then over the nodes adds into each
+    # entry element by element, nodes in rule order: the order of a scalar
+    # element loop, so the sums are rounded identically.
+    for d in range(p + 1):
+        for a in range(p - d, -1, -1):
+            contrib = wh * (table[:, :, a] * table[:, :, a + d])
+            for k in range(len(wh)):
+                bands[d, a: a + N] += contrib[:, k]
     return bands
 
 

@@ -345,18 +345,28 @@ def _emit_study(table, rates, args, dimension: int) -> int:
     return 0
 
 
+class UsageError(ValueError):
+    """Invalid command line input, rejected before any computation (exit 2)."""
+
+
+def _study_lists(args) -> tuple[list[int], list[int]]:
+    meshes, modes = _int_list(args.meshes), _int_list(args.modes)
+    if len(meshes) < 2 or min(meshes) < 2:
+        raise UsageError(f"--meshes needs two or more element counts >= 2: {args.meshes!r}")
+    if not modes or min(modes) < 1:
+        raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
+    return meshes, modes
+
+
 def _cmd_study_1d(args) -> int:
     table, rates = run_study_1d(
-        args.p, _int_list(args.meshes), _int_list(args.modes),
-        _str_list(args.rules), energy=args.energy,
+        args.p, *_study_lists(args), _str_list(args.rules), energy=args.energy,
     )
     return _emit_study(table, rates, args, 1)
 
 
 def _cmd_study_2d(args) -> int:
-    table, rates = run_study_2d(
-        args.p, _int_list(args.meshes), _int_list(args.modes), _str_list(args.rules)
-    )
+    table, rates = run_study_2d(args.p, *_study_lists(args), _str_list(args.rules))
     rc = _emit_study(table, rates, args, 2)
     if args.verify_kron:
         dev = kron_cross_check(args.p, args.verify_kron, _str_list(args.rules)[0])
@@ -525,6 +535,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ makes interior Gram rows expressible through cardinal-spline values.
 
 All evaluation routines are generic over the scalar type of the point:
 ``fractions.Fraction`` input gives exact rational output, ``float`` or
-``numpy.longdouble`` input stays in that arithmetic.
+``numpy.longdouble`` input stays in that arithmetic.  ``basis_table``
+evaluates the basis at quadrature nodes of all elements at once, through
+the same recurrences and so bitwise equal to the scalar routines.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,10 +57,6 @@ class BSplineSpace:
         object.__setattr__(self, "knots", tuple(knot_vector(self.p, self.N)))
 
     @property
-    def h(self) -> Fraction:
-        return Fraction(1, self.N)
-
-    @property
     def dim_full(self) -> int:
         return self.N + self.p
 
@@ -76,30 +75,61 @@ class BSplineSpace:
         """Knot sequence coerced to the arithmetic of the sample point x."""
         if isinstance(x, Fraction) or isinstance(x, int):
             return self.knots
-        if isinstance(x, np.longdouble):
-            return _knots_longdouble(self.p, self.N)
-        return _knots_float(self.p, self.N)
+        return _knots_in(self.p, self.N, isinstance(x, np.longdouble))
 
 
-_KNOT_CACHE: dict[tuple[int, int, str], tuple] = {}
+@lru_cache(maxsize=None)
+def _knots_in(p: int, N: int, longdouble: bool):
+    if not longdouble:
+        return tuple(float(t) for t in knot_vector(p, N))
+    knots = np.array([np.longdouble(t.numerator) / np.longdouble(t.denominator)
+                      for t in knot_vector(p, N)])
+    knots.setflags(write=False)
+    return knots
 
 
-def _knots_float(p: int, N: int) -> tuple[float, ...]:
-    key = (p, N, "f8")
-    if key not in _KNOT_CACHE:
-        _KNOT_CACHE[key] = tuple(float(t) for t in knot_vector(p, N))
-    return _KNOT_CACHE[key]
+def _triangular(knots, x, mu, degree: int) -> list:
+    """Triangular Cox-de Boor scheme: the degree+1 B-splines of that degree
+    that are nonzero on the knot span [knots[mu], knots[mu+1]].
+
+    x may be a Fraction, float or longdouble scalar, or a longdouble array
+    with mu an integer array broadcasting against it (one span per row);
+    each array entry runs exactly the rounding steps of the scalar call.
+    """
+    vals = [x - x + 1]  # multiplicative unit in the arithmetic of x
+    left = [None] * (degree + 1)
+    right = [None] * (degree + 1)
+    for q in range(1, degree + 1):
+        left[q] = x - knots[mu + 1 - q]
+        right[q] = knots[mu + q] - x
+        saved = 0
+        for r in range(q):
+            temp = vals[r] / (right[r + 1] + left[q - r])
+            vals[r] = saved + right[r + 1] * temp
+            saved = left[q - r] * temp
+        vals.append(saved)
+    return vals
 
 
-def _knots_longdouble(p: int, N: int) -> tuple:
-    key = (p, N, "f16")
-    if key not in _KNOT_CACHE:
-        one = np.longdouble(1)
-        _KNOT_CACHE[key] = tuple(
-            np.longdouble(t.numerator) / (np.longdouble(t.denominator) * one)
-            for t in knot_vector(p, N)
-        )
-    return _KNOT_CACHE[key]
+def _derivatives(knots, x, mu, p: int) -> list:
+    """First derivatives of the p+1 degree-p B-splines nonzero on span mu.
+
+    Degree reduction: B'_j = p B_j^{p-1} / (t_{j+p} - t_j)
+    - p B_{j+1}^{p-1} / (t_{j+p+1} - t_{j+1}), dropping the lower-degree
+    functions that vanish on the span.  Every remaining denominator covers
+    the span itself, so none is zero.  Same arithmetic genericity as
+    ``_triangular``.
+    """
+    lower = _triangular(knots, x, mu, p - 1)
+    derivs = []
+    for a in range(p + 1):
+        acc = 0
+        if a > 0:
+            acc = acc + p * lower[a - 1] / (knots[mu + a] - knots[mu - p + a])
+        if a < p:
+            acc = acc - p * lower[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
+        derivs.append(acc)
+    return derivs
 
 
 def nonzero_basis(space: BSplineSpace, x, element: int | None = None):
@@ -117,72 +147,36 @@ def nonzero_basis(space: BSplineSpace, x, element: int | None = None):
     p = 1).
     """
     p = space.p
-    knots = space.knots_as(x)
     mu = p + (space.element_index(x) if element is None else element)
-    vals = [x - x + 1]  # multiplicative unit in the arithmetic of x
-    left = [None] * (p + 1)
-    right = [None] * (p + 1)
-    for q in range(1, p + 1):
-        left[q] = x - knots[mu + 1 - q]
-        right[q] = knots[mu + q] - x
-        saved = 0
-        for r in range(q):
-            temp = vals[r] / (right[r + 1] + left[q - r])
-            vals[r] = saved + right[r + 1] * temp
-            saved = left[q - r] * temp
-        vals.append(saved)
-    return mu - p, vals
+    return mu - p, _triangular(space.knots_as(x), x, mu, p)
 
 
 def nonzero_basis_derivatives(space: BSplineSpace, x, element: int | None = None):
     """First derivatives of the basis functions that may be nonzero at x.
 
     Same indexing convention (and element pinning) as ``nonzero_basis``.
-    Uses the degree-reduction identity, dropping terms whose knot-difference
-    denominator vanishes (those correspond to degree p-1 functions with
-    empty support).
     """
     p = space.p
-    knots = space.knots_as(x)
     mu = p + (space.element_index(x) if element is None else element)
-    if p == 1:
-        lower_first, lower = mu, [x - x + 1]
-    else:
-        lower_first, lower = _nonzero_basis_of_degree(space, x, p - 1, element)
-    derivs = []
-    for j in range(mu - p, mu + 1):
-        acc = 0
-        i = j - lower_first
-        if 0 <= i < len(lower):
-            den = knots[j + p] - knots[j]
-            if den != 0:
-                acc = acc + p * lower[i] / den
-        i = j + 1 - lower_first
-        if 0 <= i < len(lower):
-            den = knots[j + p + 1] - knots[j + 1]
-            if den != 0:
-                acc = acc - p * lower[i] / den
-        derivs.append(acc)
-    return mu - p, derivs
+    return mu - p, _derivatives(space.knots_as(x), x, mu, p)
 
 
-def _nonzero_basis_of_degree(space: BSplineSpace, x, q: int, element: int | None = None):
-    """Triangular scheme at reduced degree q on the same knot vector."""
-    knots = space.knots_as(x)
-    mu = space.p + (space.element_index(x) if element is None else element)
-    vals = [x - x + 1]
-    left = [None] * (q + 1)
-    right = [None] * (q + 1)
-    for d in range(1, q + 1):
-        left[d] = x - knots[mu + 1 - d]
-        right[d] = knots[mu + d] - x
-        saved = 0
-        for r in range(d):
-            temp = vals[r] / (right[r + 1] + left[d - r])
-            vals[r] = saved + right[r + 1] * temp
-            saved = left[d - r] * temp
-        vals.append(saved)
-    return mu - q, vals
+def basis_table(space: BSplineSpace, nodes, derivative: bool = False):
+    """Element-pinned basis values (or first derivatives) at the reference
+    nodes of every element, in longdouble.
+
+    Returns ``(t, table)``: t[e, k] = (e + nodes[k]) h is the physical point
+    and table[e, k, a] is basis function e + a (full numbering) there,
+    evaluated on element e's pieces.  Each entry is bitwise equal to
+    ``nonzero_basis`` / ``nonzero_basis_derivatives`` at t[e, k] with
+    ``element=e``: the recurrences are the same, vectorized over elements.
+    """
+    p, N = space.p, space.N
+    elements = np.arange(N)[:, None]
+    t = (elements + np.asarray(nodes, dtype=np.longdouble)) * (np.longdouble(1) / N)
+    rows = (_derivatives if derivative else _triangular)(
+        _knots_in(p, N, True), t, p + elements, p)
+    return t, np.stack(rows, axis=-1)
 
 
 def eval_basis(space: BSplineSpace, j: int, x):
@@ -190,17 +184,6 @@ def eval_basis(space: BSplineSpace, j: int, x):
     if not 0 <= j < space.dim_full:
         raise ValueError(f"basis index {j} out of range 0..{space.dim_full - 1}")
     first, vals = nonzero_basis(space, x)
-    i = j - first
-    if 0 <= i < len(vals):
-        return vals[i]
-    return 0 * x
-
-
-def eval_basis_derivative(space: BSplineSpace, j: int, x):
-    """First derivative of basis function j at x in [0, 1]."""
-    if not 0 <= j < space.dim_full:
-        raise ValueError(f"basis index {j} out of range 0..{space.dim_full - 1}")
-    first, vals = nonzero_basis_derivatives(space, x)
     i = j - first
     if 0 <= i < len(vals):
         return vals[i]

@@ -7,12 +7,20 @@ from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
+    _assemble_full,
+    _rule_points_longdouble,
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
     write_coo,
 )
-from igadmm.quadrature import dmm_rule, gauss_legendre
+from igadmm.quadrature import (
+    dmm_rule,
+    gauss_legendre,
+    gauss_lobatto,
+    gauss_radau,
+    optimal_blend,
+)
 from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
 
 
@@ -87,6 +95,36 @@ def test_mass_and_stiffness_are_positive_definite(p):
     np.linalg.cholesky(pair.stiffness.to_dense(float))
     dmm = assemble_1d_dmm(BSplineSpace(p, 12))
     np.linalg.cholesky(dmm.mass.to_dense(float))
+
+
+def _assemble_full_by_scalar_loop(space, rule, form):
+    """Reference band array: one scalar basis evaluation per element and
+    node, each local outer product added into the bands as it comes."""
+    p, N = space.p, space.N
+    h = np.longdouble(1) / N
+    nodes, weights = _rule_points_longdouble(rule)
+    evaluate = nonzero_basis_derivatives if form == "stiffness" else nonzero_basis
+    bands = np.zeros((p + 1, space.dim_full), dtype=np.longdouble)
+    for e in range(N):
+        for x, w in zip(nodes, weights):
+            first, v = evaluate(space, (e + x) * h, element=e)
+            contrib = (w * h) * np.outer(v, v)
+            for a in range(p + 1):
+                for b in range(a, p + 1):
+                    bands[b - a, first + a] += contrib[a, b]
+    return bands
+
+
+@pytest.mark.parametrize("form", ["mass", "stiffness"])
+@pytest.mark.parametrize("N", [2, 3, 5, 17])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_band_assembly_is_bitwise_the_scalar_element_loop(p, N, form):
+    space = BSplineSpace(p, N)
+    for rule in (gauss_legendre(p + 1), gauss_lobatto(p + 1), gauss_radau(p + 1),
+                 optimal_blend(p, "gl")):
+        got = _assemble_full(space, rule, form)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, _assemble_full_by_scalar_loop(space, rule, form)), rule.label
 
 
 def test_reduced_dimensions():

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -100,6 +101,39 @@ def test_error_exit_codes(capsys):
         main(["nosuchcommand"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["study-1d", "study-2d"])
+@pytest.mark.parametrize("bad", [
+    ["--modes", "0"],
+    ["--modes", "1,-2"],
+    ["--meshes", "64"],
+    ["--meshes", "1,8"],
+    ["--meshes", "8,0"],
+])
+def test_bad_study_inputs_are_usage_errors(capsys, command, bad):
+    rc, out, err = _run(capsys, [command, "-p", "2", "--rules", "gauss"] + bad)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("study1d_p2_energy.txt",
+     ["study-1d", "-p", "2", "--energy", "--meshes", "8,16,32", "--rules", "gauss,radau,dmm"]),
+    ("study1d_p3_energy_json.txt",
+     ["study-1d", "-p", "3", "--energy", "--meshes", "16,32,64", "--rules", "gauss,dmm",
+      "--json", "-"]),
+    ("study2d_p2_kron.txt",
+     ["study-2d", "-p", "2", "--meshes", "4,8,16", "--rules", "dmm", "--verify-kron", "8"]),
+])
+def test_study_outputs_match_golden_files(capsys, name, argv):
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv,kind", [

@@ -8,10 +8,14 @@ import pytest
 
 from igadmm.assembly import assemble_1d
 from igadmm.eigensolve import (
+    PI_LD,
+    _SQRT2_LD,
     ErrorRow,
     ErrorTable,
     PairingError,
     Spectrum,
+    _cross_rule_points,
+    _exact_forms,
     convergence_rate,
     energy_error,
     exact_spectrum,
@@ -20,8 +24,8 @@ from igadmm.eigensolve import (
     relative_ev_errors,
     tensor_spectrum_2d,
 )
-from igadmm.quadrature import gauss_legendre
-from igadmm.splines import BSplineSpace, nonzero_basis_derivatives
+from igadmm.quadrature import gauss_legendre, gauss_radau
+from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
 
 
 def test_exact_spectra():
@@ -121,6 +125,48 @@ def test_energy_error_equals_direct_integration():
             diff = overlap_sign * uh_prime(e, x) - amp * jpi * math.cos(jpi * t)
             acc += w * h * diff * diff
     assert abs(got - math.sqrt(acc)) < 1e-10 * got
+
+
+def _energy_error_by_scalar_loop(pair, spectrum, mode):
+    """Reference energy error: scalar basis evaluations, one point at a
+    time, accumulated in element-then-node order."""
+    space = pair.space
+    K_exact, M_exact = _exact_forms(space)
+    v = spectrum.vectors[:, mode - 1].astype(np.longdouble)
+    v = v / np.sqrt(v @ M_exact.matvec(v))
+    p, N = space.p, space.N
+    h = np.longdouble(1) / N
+    nodes, weights = _cross_rule_points(p)
+    jpi = mode * PI_LD
+    c_full = np.zeros(space.dim_full, dtype=np.longdouble)
+    c_full[1:-1] = v
+    cross = np.longdouble(0)
+    overlap = np.longdouble(0)
+    for e in range(N):
+        for x, w in zip(nodes, weights):
+            t = (e + x) * h
+            first, der = nonzero_basis_derivatives(space, t, element=e)
+            uh_prime = np.dot(c_full[first: first + p + 1], der)
+            first, val = nonzero_basis(space, t, element=e)
+            uh = np.dot(c_full[first: first + p + 1], val)
+            cross += w * h * (_SQRT2_LD * jpi * np.cos(jpi * t)) * uh_prime
+            overlap += w * h * (_SQRT2_LD * np.sin(jpi * t)) * uh
+    if overlap < 0:
+        cross = -cross
+        v = -v
+    val = jpi ** 2 - 2 * cross + v @ K_exact.matvec(v)
+    return float(np.sqrt(max(val, np.longdouble(0))))
+
+
+@pytest.mark.parametrize("N", [3, 8, 32])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_energy_error_is_bitwise_the_scalar_loop(p, N):
+    space = BSplineSpace(p, N)
+    pair = assemble_1d(space, gauss_radau(p + 1))
+    spectrum = generalized_eig(pair.stiffness, pair.mass)
+    for mode in (1, 2, len(spectrum)):
+        assert energy_error(pair, spectrum, mode) == _energy_error_by_scalar_loop(
+            pair, spectrum, mode)
 
 
 def test_energy_error_mode_guard():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from igadmm.splines import (
     BSplineSpace,
+    basis_table,
     cardinal_derivative,
     cardinal_piece,
     cardinal_piece_derivative,
@@ -166,3 +167,29 @@ def test_derivatives_scale_with_mesh():
     space = BSplineSpace(1, 10)
     _, ders = nonzero_basis_derivatives(space, 0.55, element=5)
     assert sorted(float(d) for d in ders) == pytest.approx([-10.0, 10.0])
+
+
+# reference nodes in longdouble, endpoints included: the endpoint nodes are
+# where element pinning matters
+_TABLE_NODES = np.array([np.longdouble(0), np.longdouble(1) / 3,
+                         np.longdouble("0.788675134594812882254574390250978727823800875635063438009"),
+                         np.longdouble(1)])
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("N", [2, 3, 7, 64])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
+    space = BSplineSpace(p, N)
+    t, table = basis_table(space, _TABLE_NODES, derivative)
+    assert t.shape == (N, len(_TABLE_NODES)) and t.dtype == np.longdouble
+    assert table.shape == (N, len(_TABLE_NODES), p + 1)
+    assert table.dtype == np.longdouble
+    h = np.longdouble(1) / N
+    scalar = nonzero_basis_derivatives if derivative else nonzero_basis
+    for e in range(N):
+        for k, x in enumerate(_TABLE_NODES):
+            assert t[e, k] == (e + x) * h
+            first, vals = scalar(space, t[e, k], element=e)
+            assert first == e
+            assert np.array_equal(np.array(vals, dtype=np.longdouble), table[e, k])
