@@ -70,7 +70,9 @@ def _str_list(text: str) -> list[str]:
 
 # ---------------------------------------------------------------- rules
 
-_STUDY_RULES = ("gauss", "gp", "lobatto", "radau", "dmm")
+# every label a study's --rules accepts; _named_rule builds all but "dmm"
+_STUDY_RULES = ("gauss", "G", "gp", "lobatto", "L", "radau", "R", "dmm") + tuple(
+    f"blend:{pair}" for pair in quadrature._PAIR_NAMES)
 
 
 def _named_rule(p: int, label: str):
@@ -259,7 +261,7 @@ def run_study_1d(p: int, meshes, modes, rule_labels, energy: bool = False):
             else:
                 rule = _named_rule(p, label)
                 pair = assembly.assemble_1d(space, rule, rule)
-            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass)
+            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, max(modes))
             errs = eigensolve.relative_ev_errors(spectrum, max(modes))
             for mode in modes:
                 ef = (eigensolve.energy_error(pair, spectrum, mode)
@@ -288,7 +290,8 @@ def run_study_2d(p: int, meshes, modes, rule_labels):
             else:
                 rule = _named_rule(p, label)
                 pair = assembly.assemble_1d(space, rule, rule)
-            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass)
+            # the smallest c pairwise sums use only the 1D modes below c
+            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, max(modes))
             eigs2 = eigensolve.tensor_spectrum_2d(spectrum.eigenvalues, max(modes))
             exact2 = eigensolve.exact_spectrum_2d(max(modes))
             errs = eigensolve.relative_ev_errors(eigs2, max(modes), exact2)
@@ -314,8 +317,8 @@ def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
         rule = _named_rule(p, label)
         pair2 = assembly.assemble_2d(space, rule, rule)
         pair1 = assembly.assemble_1d(space, rule, rule)
-    spec2 = eigensolve.generalized_eig(pair2.stiffness, pair2.mass)
-    spec1 = eigensolve.generalized_eig(pair1.stiffness, pair1.mass)
+    spec2 = eigensolve.generalized_eig(pair2.stiffness, pair2.mass, count)
+    spec1 = eigensolve.generalized_eig(pair1.stiffness, pair1.mass, count)
     tens = eigensolve.tensor_spectrum_2d(spec1.eigenvalues, count)
     direct = spec2.eigenvalues[:count]
     dev = max(
@@ -349,27 +352,35 @@ class UsageError(ValueError):
     """Invalid command line input, rejected before any computation (exit 2)."""
 
 
-def _study_lists(args) -> tuple[list[int], list[int]]:
-    meshes, modes = _int_list(args.meshes), _int_list(args.modes)
+def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
+    """Degree, meshes, modes and rule labels of a study, checked up front."""
+    meshes, modes, rules = _int_list(args.meshes), _int_list(args.modes), _str_list(args.rules)
+    if args.p < 1:
+        raise UsageError(f"-p needs a degree >= 1: {args.p}")
     if len(meshes) < 2 or min(meshes) < 2:
         raise UsageError(f"--meshes needs two or more element counts >= 2: {args.meshes!r}")
     if not modes or min(modes) < 1:
         raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
-    return meshes, modes
+    unknown = [label for label in rules if label not in _STUDY_RULES]
+    if not rules or unknown:
+        raise UsageError(f"--rules needs labels from {', '.join(_STUDY_RULES)}: "
+                         f"{args.rules!r}")
+    return args.p, meshes, modes, rules
 
 
 def _cmd_study_1d(args) -> int:
-    table, rates = run_study_1d(
-        args.p, *_study_lists(args), _str_list(args.rules), energy=args.energy,
-    )
+    table, rates = run_study_1d(*_study_inputs(args), energy=args.energy)
     return _emit_study(table, rates, args, 1)
 
 
 def _cmd_study_2d(args) -> int:
-    table, rates = run_study_2d(args.p, *_study_lists(args), _str_list(args.rules))
+    p, meshes, modes, rules = _study_inputs(args)
+    if args.verify_kron and args.verify_kron < 2:
+        raise UsageError(f"--verify-kron needs an element count >= 2: {args.verify_kron}")
+    table, rates = run_study_2d(p, meshes, modes, rules)
     rc = _emit_study(table, rates, args, 2)
     if args.verify_kron:
-        dev = kron_cross_check(args.p, args.verify_kron, _str_list(args.rules)[0])
+        dev = kron_cross_check(p, args.verify_kron, rules[0])
         print(f"# kron-vs-tensor max rel deviation at N={args.verify_kron}: {_fmt(dev)}")
     return rc
 
@@ -381,6 +392,17 @@ def _cmd_dispersion(args) -> int:
     p = args.p
     a_row = stencils.stiffness_stencil(p).values
     b_row = _mass_row(p, args.rule)
+    chk = None
+    if args.coefficient is not None:
+        if args.coefficient not in (2 * p, 2 * p + 2):
+            raise UsageError(f"--coefficient must be 2p = {2 * p} or 2p+2 = {2 * p + 2} "
+                             f"at p={p}, got {args.coefficient}")
+        chk = dispersion.coefficient_check(p, a_row, b_row, args.coefficient)
+        if chk.predicted == 0:
+            # a dispersion-minimized row: no deviation from 0 to measure
+            hint = f"; check order 2p+2 = {2 * p + 2}" if chk.order == 2 * p else ""
+            raise UsageError(f"--rule {args.rule} has a predicted order-{chk.order} "
+                             f"coefficient of 0 at p={p}{hint}")
     import numpy as np
 
     lams = np.geomspace(args.min, args.max, args.samples)
@@ -393,8 +415,7 @@ def _cmd_dispersion(args) -> int:
         fit = dispersion.fit_order(curve.wavenumbers, curve.errors)
         lines.append(f"# fit_order {_fmt(fit)}")
     coeff = None
-    if args.coefficient is not None:
-        chk = dispersion.coefficient_check(p, a_row, b_row, args.coefficient)
+    if chk is not None:
         coeff = {
             "order": chk.order,
             "measured": _fmt(chk.measured),

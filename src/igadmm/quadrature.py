@@ -350,6 +350,7 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
     )
 
 
+@lru_cache(maxsize=None)
 def optimal_blend(p: int, pair: str = "gl") -> BlendedRule:
     """Blend of a named pair at its minimizing ratio."""
     r1, r2 = _pair_rules(p, pair)

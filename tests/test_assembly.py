@@ -8,6 +8,7 @@ from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
     _assemble_full,
+    _reduce_dirichlet,
     _rule_points_longdouble,
     assemble_1d,
     assemble_1d_dmm,
@@ -125,6 +126,16 @@ def test_band_assembly_is_bitwise_the_scalar_element_loop(p, N, form):
         got = _assemble_full(space, rule, form)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, _assemble_full_by_scalar_loop(space, rule, form)), rule.label
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_dmm_bands_from_the_cached_blend_are_those_of_a_fresh_one(p):
+    space = BSplineSpace(p, 9)
+    fresh = optimal_blend.__wrapped__(p, "gl")  # built as if uncached
+    pair = assemble_1d_dmm(space)
+    for form, got in (("stiffness", pair.stiffness), ("mass", pair.mass)):
+        want = _reduce_dirichlet(_assemble_full(space, fresh, form))
+        assert np.array_equal(got.bands, want), form
 
 
 def test_reduced_dimensions():

@@ -110,12 +110,52 @@ def test_error_exit_codes(capsys):
     ["--meshes", "64"],
     ["--meshes", "1,8"],
     ["--meshes", "8,0"],
+    ["-p", "0"],
+    ["--rules", "foo"],
+    ["--rules", "gauss,foo"],
+    ["--rules", "blend:xy"],
+    ["--rules", ","],
 ])
 def test_bad_study_inputs_are_usage_errors(capsys, command, bad):
     rc, out, err = _run(capsys, [command, "-p", "2", "--rules", "gauss"] + bad)
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kron", ["1", "-3"])
+def test_bad_kronecker_mesh_is_a_usage_error(capsys, kron):
+    rc, out, err = _run(capsys, ["study-2d", "-p", "2", "--rules", "gauss",
+                                 "--verify-kron", kron])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --verify-kron")
+
+
+def test_degenerate_blend_study_is_a_computation_error(capsys):
+    # a known label whose rule pair has no blend ratio at this degree
+    rc, out, err = _run(capsys, ["study-1d", "-p", "1", "--rules", "blend:lr"])
+    assert rc == 1
+    assert err.startswith("error:")
+
+
+def test_too_many_modes_is_a_computation_error(capsys):
+    rc, out, err = _run(capsys, ["study-1d", "-p", "2", "--meshes", "4,8",
+                                 "--modes", "9"])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: only 4 discrete modes, requested 9\n"
+
+
+@pytest.mark.parametrize("order", ["4", "5"])
+def test_dispersion_coefficient_without_a_prediction_is_a_usage_error(capsys, order):
+    # the minimized row cancels the order-4 term at p=2, and 5 is neither 2p
+    # nor 2p+2: both name the orders that can be checked
+    rc, out, err = _run(capsys, ["dispersion", "-p", "2", "--rule", "dmm",
+                                 "--coefficient", order])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "2p+2 = 6" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,6 +169,13 @@ GOLDEN = Path(__file__).parent / "golden"
       "--json", "-"]),
     ("study2d_p2_kron.txt",
      ["study-2d", "-p", "2", "--meshes", "4,8,16", "--rules", "dmm", "--verify-kron", "8"]),
+    ("tau_p123_all.txt", ["tau", "--p", "1,2,3", "--pair", "all"]),
+    ("stencil_p3_blend_gl.txt", ["stencil", "-p", "3", "--rule", "blend:gl"]),
+    ("dispersion_p2_dmm_fit_c6.txt",
+     ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"]),
+    ("study2d_p3_kron.txt",
+     ["study-2d", "-p", "3", "--meshes", "4,8,16", "--modes", "1,2,3",
+      "--rules", "gauss,radau", "--verify-kron", "6"]),
 ])
 def test_study_outputs_match_golden_files(capsys, name, argv):
     rc, out, _ = _run(capsys, argv)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from igadmm.assembly import assemble_1d
+from igadmm.assembly import assemble_1d, assemble_1d_dmm, assemble_2d
 from igadmm.eigensolve import (
     PI_LD,
     _SQRT2_LD,
@@ -24,7 +24,7 @@ from igadmm.eigensolve import (
     relative_ev_errors,
     tensor_spectrum_2d,
 )
-from igadmm.quadrature import gauss_legendre, gauss_radau
+from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau
 from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
 
 
@@ -70,6 +70,55 @@ def test_generalized_eig_matches_reference_on_random_pencil():
     want = np.sort(scipy.linalg.eigh(K, M, eigvals_only=True))
     got = np.asarray(generalized_eig(K, M).eigenvalues, dtype=float)
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def _study_pair(p, N, label):
+    space = BSplineSpace(p, N)
+    if label == "dmm":
+        return assemble_1d_dmm(space)
+    rule = {"gauss": gauss_legendre(p + 1), "gp": gauss_legendre(p),
+            "lobatto": gauss_lobatto(p + 1), "radau": gauss_radau(p)}[label]
+    return assemble_1d(space, rule, rule)
+
+
+def _assert_leading_modes_are_the_full_solve(K, M, counts):
+    full = generalized_eig(K, M)
+    n = len(full)
+    for count in counts:
+        part = generalized_eig(K, M, count)
+        k = min(count, n)
+        assert len(part) == k and part.vectors.shape == (n, k)
+        assert np.array_equal(part.eigenvalues, full.eigenvalues[:k]), count
+        assert np.array_equal(part.vectors, full.vectors[:, :k]), count
+
+
+@pytest.mark.parametrize("N", [4, 8, 17, 64])
+@pytest.mark.parametrize("label", ["gauss", "gp", "lobatto", "radau", "dmm"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_leading_modes_are_bitwise_those_of_the_full_solve(p, label, N):
+    pair = _study_pair(p, N, label)
+    n = pair.stiffness.n
+    _assert_leading_modes_are_the_full_solve(
+        pair.stiffness, pair.mass, (1, 3, n - 1, n, n + 5))
+
+
+def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs():
+    pair = assemble_2d(BSplineSpace(2, 8), dmm=True)
+    full = generalized_eig(pair.stiffness, pair.mass)
+    # each cut splits a pair of modes (j,k)/(k,j) equal up to roundoff, whose
+    # refined order may differ from their double order; the cut at 12 is the
+    # one kron_cross_check makes, inside the (2,4)/(4,2) pair
+    counts = (2, 9, 12, 16)
+    for count in counts:
+        below, above = (float(v) for v in full.eigenvalues[count - 1:count + 1])
+        assert abs(above - below) < 1e-12 * below, count
+    _assert_leading_modes_are_the_full_solve(pair.stiffness, pair.mass, counts)
+
+
+def test_generalized_eig_needs_a_positive_count():
+    pair = assemble_1d(BSplineSpace(2, 6), gauss_legendre(3))
+    with pytest.raises(ValueError):
+        generalized_eig(pair.stiffness, pair.mass, 0)
 
 
 def test_tensor_spectrum_is_the_pairwise_sum():

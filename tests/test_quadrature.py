@@ -213,6 +213,17 @@ def test_optimal_blend_recovers_minimized_row(p, pair):
     assert _stencil_close(row, dmm_stencil(p).values, 1e-18)
 
 
+@pytest.mark.parametrize("pair", ["gl", "pr"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_optimal_blend_is_built_once(p, pair):
+    rule = optimal_blend(p, pair)
+    assert optimal_blend(p, pair) is rule
+    fresh = optimal_blend.__wrapped__(p, pair)
+    assert fresh is not rule
+    assert (fresh.nodes, fresh.weights, fresh.tau) == (rule.nodes, rule.weights, rule.tau)
+    assert fresh.nodes_mp == rule.nodes_mp and fresh.weights_mp == rule.weights_mp
+
+
 def test_doubled_gauss_identity_in_exact_arithmetic():
     # gg blend at p = 2 has ratio 2: twice the exact row minus the p-point row
     lhs = tuple(2 * e - g for e, g in zip(EXACT_MASS[2], MASS_BY_RULE[2, "gp"]))
