@@ -160,6 +160,10 @@ def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
     return MatrixPair(space, K, M, rule.label, rule.label)
 
 
+# largest 2D unknown count assemble_2d builds dense Kronecker matrices for
+KRON_MAX_DIM = 4096
+
+
 @dataclass(frozen=True)
 class MatrixPair2D:
     """Kronecker stiffness/mass pair on the unit square (Dirichlet)."""
@@ -173,21 +177,22 @@ class MatrixPair2D:
 
 def assemble_2d(space: BSplineSpace, stiffness_rule=None, mass_rule=None,
                 dmm: bool = False,
-                max_dim: int = 4096) -> MatrixPair2D:
+                max_dim: int = KRON_MAX_DIM) -> MatrixPair2D:
     """Tensor-product assembly: K2 = K (x) M + M (x) K, M2 = M (x) M.
 
-    Dense output; max_dim guards against accidentally huge Kronecker
-    products (dim^2 entries).
+    Dense output; max_dim caps the 2D unknown count dim^2, checked before
+    any assembly, against accidentally huge Kronecker products (dim^4
+    entries per matrix).
     """
+    n = space.dim
+    if n * n > max_dim:
+        raise ValueError(f"2D dimension {n * n} exceeds limit {max_dim}")
     if dmm:
         pair = assemble_1d_dmm(space)
     else:
         if stiffness_rule is None:
             raise ValueError("need a quadrature rule unless dmm=True")
         pair = assemble_1d(space, stiffness_rule, mass_rule)
-    n = space.dim
-    if n * n > max_dim * max_dim:
-        raise ValueError(f"2D dimension {n * n} exceeds limit {max_dim * max_dim}")
     K = pair.stiffness.to_dense()
     M = pair.mass.to_dense()
     K2 = np.kron(K, M) + np.kron(M, K)

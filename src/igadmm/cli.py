@@ -13,8 +13,9 @@ Exit codes: 0 on success, 1 when a verification fails or a computation
 cannot be completed, 2 for usage errors.  All numeric output uses six
 significant digits; outputs contain no timestamps or environment details,
 so identical invocations produce byte-identical files.  A JSON config file
-(--config) may pre-set any long option (keys use underscores); explicit
-command line options win.
+(--config) may pre-set any long option of any subcommand (keys use
+underscores); explicit command line options win, and any other key is a
+config error.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def _int_list(text: str) -> list[int]:
 
 def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+
+
+class UsageError(ValueError):
+    """Invalid command line input, rejected before any computation (exit 2)."""
+
+
+def _degree(p: int, flag: str = "-p") -> int:
+    if p < 1:
+        raise UsageError(f"{flag} needs a degree >= 1: {p}")
+    return p
 
 
 # ---------------------------------------------------------------- rules
@@ -152,7 +163,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stencil(args) -> int:
-    p = args.p
+    p = _degree(args.p)
     if getattr(args, "dmm", False):
         args.rule = "dmm"
     if args.rule == "exact":
@@ -194,7 +205,7 @@ def _cmd_stencil(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    ps = _int_list(args.p)
+    ps = [_degree(p, "--p") for p in _int_list(args.p)]
     pairs = list(quadrature._PAIR_NAMES) if args.pair == "all" else _str_list(args.pair)
     entries = []
     for p in ps:
@@ -218,9 +229,17 @@ def _cmd_tau(args) -> int:
 
 # ---------------------------------------------------------------- rules
 
+# fewest nodes of each classical family
+_MIN_POINTS = {"gauss": 1, "lobatto": 2, "radau": 1}
+
 
 def _cmd_rules(args) -> int:
     fam = args.family
+    if fam not in _MIN_POINTS:
+        _degree(args.p)
+    elif args.points < _MIN_POINTS[fam]:
+        raise UsageError(f"--points needs at least {_MIN_POINTS[fam]} for --family {fam}: "
+                         f"{args.points}")
     if fam == "gauss":
         rule = quadrature.gauss_legendre(args.points)
     elif fam == "lobatto":
@@ -348,15 +367,10 @@ def _emit_study(table, rates, args, dimension: int) -> int:
     return 0
 
 
-class UsageError(ValueError):
-    """Invalid command line input, rejected before any computation (exit 2)."""
-
-
 def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
     """Degree, meshes, modes and rule labels of a study, checked up front."""
     meshes, modes, rules = _int_list(args.meshes), _int_list(args.modes), _str_list(args.rules)
-    if args.p < 1:
-        raise UsageError(f"-p needs a degree >= 1: {args.p}")
+    _degree(args.p)
     if len(meshes) < 2 or min(meshes) < 2:
         raise UsageError(f"--meshes needs two or more element counts >= 2: {args.meshes!r}")
     if not modes or min(modes) < 1:
@@ -377,6 +391,9 @@ def _cmd_study_2d(args) -> int:
     p, meshes, modes, rules = _study_inputs(args)
     if args.verify_kron and args.verify_kron < 2:
         raise UsageError(f"--verify-kron needs an element count >= 2: {args.verify_kron}")
+    if args.verify_kron and BSplineSpace(p, args.verify_kron).dim ** 2 > assembly.KRON_MAX_DIM:
+        raise UsageError(f"--verify-kron {args.verify_kron} gives more than "
+                         f"{assembly.KRON_MAX_DIM} 2D unknowns at p={p}")
     table, rates = run_study_2d(p, meshes, modes, rules)
     rc = _emit_study(table, rates, args, 2)
     if args.verify_kron:
@@ -389,7 +406,13 @@ def _cmd_study_2d(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    p = args.p
+    p = _degree(args.p)
+    if not (args.min > 0 and args.max > 0):
+        raise UsageError(f"--min and --max need wavenumbers > 0: {args.min}, {args.max}")
+    least = 2 if args.fit else 1
+    if args.samples < least:
+        raise UsageError(f"--samples needs at least {least}{' with --fit' * args.fit}: "
+                         f"{args.samples}")
     a_row = stencils.stiffness_stencil(p).values
     b_row = _mass_row(p, args.rule)
     chk = None
@@ -450,8 +473,25 @@ def _cmd_dispersion(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that records the destinations of its long options,
+    the keys a --config file may set."""
+
+    def __init__(self, *args, **kwargs):
+        self.config_keys = set()  # before super(), which adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if (action.default is not argparse.SUPPRESS
+                and any(flag.startswith("--") for flag in action.option_strings)):
+            self.config_keys.add(action.dest)
+        return action
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The root parser and the parser of each subcommand."""
+    parser = _Parser(
         prog="igadmm",
         description="Dispersion-minimized and blended quadratures for "
                     "B-spline discretizations of the Laplace eigenproblem.",
@@ -533,26 +573,41 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json")
     q.set_defaults(func=_cmd_dispersion)
 
-    return parser
+    return parser, list(sub.choices.values())
+
+
+def _load_config(path, commands) -> dict:
+    """Option defaults from a JSON config; every key must be a long option
+    of some subcommand, spelled with underscores."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    known = set().union(*(command.config_keys for command in commands))
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise UsageError(f"config {path}: unknown key(s) {', '.join(unknown)}")
+    return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config:
-        with open(known.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            print("config must be a JSON object", file=sys.stderr)
+        try:
+            cfg = _load_config(known.config, commands)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        # subparsers re-apply their own defaults over the namespace, so the
-        # config must be pushed into each of them, not just the root parser
-        parser.set_defaults(**cfg)
-        for action in parser._subparsers._group_actions:
-            for sp in action.choices.values():
-                sp.set_defaults(**cfg)
+        # each subparser applies its own defaults over the namespace, so the
+        # config goes into every one of them
+        for command in commands:
+            command.set_defaults(**cfg)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

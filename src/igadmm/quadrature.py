@@ -8,6 +8,13 @@ high-precision copies ride along privately and feed every stencil, blend
 ratio, and expansion coefficient computed here, which is what makes the
 1e-12-ish tolerances downstream comfortable.
 
+A rule induces its interior stiffness and mass rows through its moments
+alone: entry k of a row is the rule applied on one knot span to a fixed
+polynomial, the sum of the products of cardinal-spline pieces at offset
+k.  Those polynomials are tabulated once per degree with exact integer
+coefficients in the centred variable u = 2x - 1, so a row costs one set
+of moments of u and a dot product per offset.
+
 Alongside the three classical families (Legendre, Lobatto, left-endpoint
 Radau) the module builds the degree-specific minimizing rules: tiny node
 sets, one per sign of the square root, that have no polynomial exactness
@@ -27,7 +34,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 from igadmm.dispersion import error_expansion
-from igadmm.splines import cardinal_piece, cardinal_piece_derivative
 from igadmm.stencils import Stencil, dispersion_moment, stiffness_stencil
 
 _DPS = 40
@@ -244,23 +250,60 @@ def quadrature_stiffness_stencil(p: int, rule: QuadratureRule,
     return _stencil_from_rule(p, rule, "stiffness")
 
 
+@lru_cache(maxsize=None)
+def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Span integrands of the induced rows as exact integer polynomials.
+
+    Row k holds the coefficients, lowest degree first, of (p! 2^p)^2 Q_k
+    in u = 2x - 1, where Q_k(x) is the sum over e = k..p of piece e times
+    piece e - k of the cardinal spline on one span x in [0, 1] (of its
+    first derivative in x for kind "stiffness").  The pieces come from
+    p! B(e + x) = sum_{i <= e} (-1)^i C(p+1, i) (x + e - i)^p, so in u
+    2^p p! B(e + x) = sum_{i <= e} (-1)^i C(p+1, i) (u + 1 + 2(e - i))^p.
+    Each piece is a closed polynomial on its span.
+    """
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {p}")
+    # the x-derivative of (u + c)^p is 2p (u + c)^(p-1) since dx = du / 2
+    deg, scale = (p, 1) if kind == "mass" else (p - 1, 2 * p)
+    pieces = []
+    for e in range(p + 1):
+        coeffs = [0] * (deg + 1)
+        for i in range(e + 1):
+            s = (-1) ** i * scale * math.comb(p + 1, i)
+            c = 1 + 2 * (e - i)
+            for j in range(deg + 1):
+                coeffs[j] += s * math.comb(deg, j) * c ** (deg - j)
+        pieces.append(coeffs)
+    rows = []
+    for k in range(p + 1):
+        q = [0] * (2 * deg + 1)
+        for e in range(k, p + 1):
+            for a, fa in enumerate(pieces[e]):
+                for b, fb in enumerate(pieces[e - k]):
+                    q[a + b] += fa * fb
+        rows.append(tuple(q))
+    return tuple(rows)
+
+
 def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
-    # Entry k integrates the product of the spline with its k-translate
-    # element by element; piece-indexed evaluation keeps endpoint nodes on
-    # the integrand of their own element (the p = 1 derivative jumps).
-    piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
+    # Entry k applies the rule on one span to the exact polynomial Q_k of
+    # _piece_products, so the rule enters only through its moments of
+    # u = 2x - 1 (centred: monomials in x lose digits to cancellation).
+    # The pieces are closed on the span, which keeps endpoint nodes on the
+    # integrand of their own span (the p = 1 derivative jumps).
+    table = _piece_products(p, kind)
     with mp.workdps(_DPS + 15):
         pairs = rule._mp_pairs()
-        # table[l][e]: piece e of the spline at node l mapped into element e
-        table = [[piece(p, e, e + x) for e in range(p + 1)] for x, _ in pairs]
-        vals = []
-        for k in range(p + 1):
-            acc = mp.mpf(0)
-            for (x, w), row in zip(pairs, table):
-                for e in range(k, p + 1):
-                    acc += w * row[e] * row[e - k]
-            vals.append(acc)
-    return Stencil(p, kind, tuple(vals))
+        us = [2 * x - 1 for x, _ in pairs]
+        terms = [w for _, w in pairs]
+        moments = []
+        for _ in range(len(table[0])):
+            moments.append(mp.fsum(terms))
+            terms = [t * u for t, u in zip(terms, us)]
+        den = (math.factorial(p) * 2 ** p) ** 2
+        vals = tuple(mp.fdot(row, moments) / den for row in table)
+    return Stencil(p, kind, vals)
 
 
 def optimal_tau(p: int, b_first, b_second):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
+from igadmm import assembly
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
@@ -210,9 +211,27 @@ def test_2d_guards_and_labels():
         assemble_2d(space)
     with pytest.raises(ValueError):
         assemble_2d(space, gauss_legendre(3), max_dim=3)
+    # max_dim caps the 2D unknown count: dim 4 gives 16
+    with pytest.raises(ValueError, match="2D dimension 16 exceeds limit 15"):
+        assemble_2d(space, gauss_legendre(3), max_dim=15)
+    assert assemble_2d(space, gauss_legendre(3), max_dim=16).mass.shape == (16, 16)
     pair = assemble_2d(space, dmm=True)
     assert pair.stiffness_rule.startswith("blend")
     assert pair.stiffness.shape == (16, 16)
+
+
+def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
+    # 80 elements at p = 2: 6400 unknowns, over KRON_MAX_DIM = 4096
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the size check")
+
+    monkeypatch.setattr(assembly, "assemble_1d", no_assembly)
+    monkeypatch.setattr(assembly, "assemble_1d_dmm", no_assembly)
+    space = BSplineSpace(2, 80)
+    with pytest.raises(ValueError, match="2D dimension 6400 exceeds limit 4096"):
+        assemble_2d(space, gauss_legendre(3))
+    with pytest.raises(ValueError, match="exceeds limit"):
+        assemble_2d(space, dmm=True)
 
 
 def test_coo_round_trip(tmp_path):

@@ -123,13 +123,39 @@ def test_bad_study_inputs_are_usage_errors(capsys, command, bad):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kron", ["1", "-3"])
+@pytest.mark.parametrize("kron", ["1", "-3", "80", "64"])
 def test_bad_kronecker_mesh_is_a_usage_error(capsys, kron):
-    rc, out, err = _run(capsys, ["study-2d", "-p", "2", "--rules", "gauss",
+    # 80 elements at p = 2 give 6400 2D unknowns and 64 at p = 3 give 4225,
+    # both over assembly.KRON_MAX_DIM = 4096; the check comes before any solve
+    p = "3" if kron == "64" else "2"
+    rc, out, err = _run(capsys, ["study-2d", "-p", p, "--rules", "gauss",
                                  "--verify-kron", kron])
     assert rc == 2
     assert out == ""
     assert err.startswith("error: --verify-kron")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--p", "0"],
+    ["tau", "--p", "2,0"],
+    ["stencil", "-p", "0"],
+    ["stencil", "-p", "0", "--rule", "gauss"],
+    ["dispersion", "-p", "0"],
+    ["dispersion", "-p", "2", "--min", "0"],
+    ["dispersion", "-p", "2", "--max", "-1"],
+    ["dispersion", "-p", "2", "--samples", "0"],
+    ["dispersion", "-p", "2", "--samples", "1", "--fit"],
+    ["rules", "--family", "gauss", "--points", "0"],
+    ["rules", "--family", "lobatto", "--points", "1"],
+    ["rules", "--family", "radau", "--points", "0"],
+    ["rules", "--family", "blend", "-p", "0"],
+    ["rules", "--family", "dmm", "-p", "0"],
+])
+def test_bad_degrees_and_samplings_are_usage_errors(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_degenerate_blend_study_is_a_computation_error(capsys):
@@ -176,6 +202,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ("study2d_p3_kron.txt",
      ["study-2d", "-p", "3", "--meshes", "4,8,16", "--modes", "1,2,3",
       "--rules", "gauss,radau", "--verify-kron", "6"]),
+    ("tau_p78_all.txt", ["tau", "--p", "7,8", "--pair", "all"]),
+    ("stencil_p6_stiffness_blend_pr.txt",
+     ["stencil", "-p", "6", "--form", "stiffness", "--rule", "blend:pr"]),
+    ("rules_blend_p3_gl.txt", ["rules", "--family", "blend", "-p", "3", "--pair", "gl"]),
+    ("verify_p4_fg6.txt", ["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"]),
 ])
 def test_study_outputs_match_golden_files(capsys, name, argv):
     rc, out, _ = _run(capsys, argv)
@@ -275,6 +306,40 @@ def test_config_defaults_and_override(tmp_path, capsys):
     rc, _, err = _run(capsys, ["--config", str(bad), "stencil", "-p", "2"])
     assert rc == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("content,word", [
+    ('{"p_mx": 3}', "p_mx"),
+    ('{"rule": "dmm", "func": null}', "func"),
+    ('{"config": "other.json"}', "config"),
+    ("{not json", "config"),
+])
+def test_bad_config_is_a_usage_error(tmp_path, capsys, content, word):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    rc, out, err = _run(capsys, ["--config", str(cfg), "stencil", "-p", "2"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and word in err
+
+
+def test_missing_config_is_a_usage_error(tmp_path, capsys):
+    rc, out, err = _run(capsys, ["--config", str(tmp_path / "none.json"), "tau"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: config")
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
+    # one file may serve several subcommands: keys of another one are unused
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"p_max": 2, "fg_p_max": 3, "fg_m_max": 3,
+                               "meshes": "8,16", "verify_kron": 4}))
+    rc, out, _ = _run(capsys, ["--config", str(cfg), "verify"])
+    assert rc == 0
+    _, want, _ = _run(capsys, ["verify", "--p-max", "2", "--fg-p-max", "3",
+                               "--fg-m-max", "3"])
+    assert out == want
 
 
 def test_console_entry_point():

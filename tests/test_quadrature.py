@@ -1,7 +1,9 @@
 """Quadrature families, induced mass rows, blend ratios, triple blends."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,15 @@ from expected_values import (
     MINRULE_FORMS,
     TRIPLE_SYSTEMS,
 )
+from igadmm.assembly import _rule_points_longdouble
 from igadmm.dmm import dmm_stencil
 from igadmm.quadrature import (
+    _DPS,
+    _PAIR_NAMES,
     DegenerateBlendError,
     QuadratureRule,
+    _pair_rules,
+    _piece_products,
     blend,
     dmm_rule,
     gauss_legendre,
@@ -33,6 +40,8 @@ from igadmm.quadrature import (
     tau_for_pair,
     triple_blend_check,
 )
+from igadmm.splines import cardinal_piece, cardinal_piece_derivative
+from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
 
 FAMILIES = [
     (gauss_legendre, 1, lambda m: 2 * m - 1),
@@ -246,3 +255,102 @@ def test_triple_blend_rejects_duplicate_rules():
         triple_blend_check(
             2, gauss_legendre(3), gauss_legendre(3), gauss_radau(2)
         )
+
+
+# ---------------------------------------------------------------- induced rows
+
+
+def _reference_row(p, rule, kind):
+    """Induced row by the per-node route: at every node, every one of the
+    p + 1 span pieces from a full Cox-de Boor triangle."""
+    piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
+    with mp.workdps(_DPS + 15):
+        pairs = rule._mp_pairs()
+        table = [[piece(p, e, e + x) for e in range(p + 1)] for x, _ in pairs]
+        vals = []
+        for k in range(p + 1):
+            acc = mp.mpf(0)
+            for (x, w), row in zip(pairs, table):
+                for e in range(k, p + 1):
+                    acc += w * row[e] * row[e - k]
+            vals.append(acc)
+    return tuple(vals)
+
+
+def _induced_row(p, rule, kind):
+    make = quadrature_mass_stencil if kind == "mass" else quadrature_stiffness_stencil
+    return make(p, rule, require_exactness=False).values
+
+
+def _rel_gap(row, ref):
+    # entrywise relative; absolute where the reference entry is 0 (p = 1
+    # mass rows of rules with nodes only at the span ends)
+    with mp.workdps(80):
+        ref = [r if isinstance(r, mp.mpf) else mp.mpf(r.numerator) / r.denominator
+               for r in ref]
+        return max(abs(a - b) / (abs(b) or 1) for a, b in zip(row, ref))
+
+
+def _blend_pairs(p):
+    return [pair for pair in _PAIR_NAMES if (p, pair) not in DEGENERATE_PAIRS]
+
+
+def _rules_for(p):
+    rules = [gauss_legendre(p), gauss_legendre(p + 1), gauss_lobatto(p + 1),
+             gauss_radau(p)]
+    rules += [optimal_blend(p, pair) for pair in _blend_pairs(p)]
+    if p <= 3:
+        rules += [dmm_rule(p, 1), dmm_rule(p, -1)]
+    return rules
+
+
+@pytest.mark.parametrize("kind", ["mass", "stiffness"])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_induced_rows_match_the_per_node_route(p, kind):
+    for rule in _rules_for(p):
+        gap = _rel_gap(_induced_row(p, rule, kind), _reference_row(p, rule, kind))
+        assert gap < 1e-45, (rule.label, mp.nstr(gap, 3))
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_exact_rules_induce_the_exact_rows(p):
+    for rule in (gauss_legendre(p + 1), gauss_lobatto(p + 2), gauss_radau(p + 1)):
+        for kind, exact in (("mass", mass_stencil(p)), ("stiffness", stiffness_stencil(p))):
+            gap = _rel_gap(_induced_row(p, rule, kind), exact.values)
+            assert gap < 1e-48, (rule.label, kind, mp.nstr(gap, 3))
+
+
+@pytest.mark.parametrize("kind", ["mass", "stiffness"])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_piece_products_are_the_cardinal_piece_products(p, kind):
+    # both sides are polynomials of degree <= 2p on the span: agreeing at
+    # 2p + 2 rational points, the span's ends included, they are equal
+    piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
+    den = (math.factorial(p) * 2 ** p) ** 2
+    table = _piece_products(p, kind)
+    assert len(table) == p + 1
+    for j in range(2 * p + 2):
+        x = Fraction(j, 2 * p + 1)
+        u = 2 * x - 1
+        for k, row in enumerate(table):
+            got = sum(c * u ** i for i, c in enumerate(row)) / den
+            want = sum(piece(p, e, e + x) * piece(p, e - k, e - k + x)
+                       for e in range(k, p + 1))
+            assert got == want, (k, x)
+
+
+def test_induced_rows_need_a_positive_degree():
+    with pytest.raises(ValueError):
+        quadrature_mass_stencil(0, gauss_legendre(1))
+    with pytest.raises(ValueError):
+        quadrature_stiffness_stencil(0, gauss_lobatto(2), require_exactness=False)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_blend_points_are_those_from_reference_rows(p):
+    for pair in _blend_pairs(p):
+        r1, r2 = _pair_rules(p, pair)
+        b1, b2 = (Stencil(p, "mass", _reference_row(p, r, "mass")) for r in (r1, r2))
+        want = _rule_points_longdouble(blend(r1, r2, optimal_tau(p, b1, b2)))
+        got = _rule_points_longdouble(optimal_blend(p, pair))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), pair
