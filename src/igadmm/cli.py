@@ -15,7 +15,8 @@ significant digits; outputs contain no timestamps or environment details,
 so identical invocations produce byte-identical files.  A JSON config file
 (--config) may pre-set any long option of any subcommand (keys use
 underscores); explicit command line options win, and any other key is a
-config error.
+config error, as is a value the option of the subcommand run would not
+take from the command line.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ def _degree(p: int, flag: str = "-p") -> int:
 # every label a study's --rules accepts; _named_rule builds all but "dmm"
 _STUDY_RULES = ("gauss", "G", "gp", "lobatto", "L", "radau", "R", "dmm") + tuple(
     f"blend:{pair}" for pair in quadrature._PAIR_NAMES)
+# every row label stencil --rule and dispersion --rule accept
+_ROW_RULES = ("exact", "minrule+", "minrule-") + _STUDY_RULES
+
+
+def _known(names: list[str], accepted, flag: str, given) -> list[str]:
+    """names, if there are some and each is one of accepted."""
+    if not names or any(name not in accepted for name in names):
+        raise UsageError(f"{flag} needs names from {', '.join(accepted)}: {given!r}")
+    return names
 
 
 def _named_rule(p: int, label: str):
@@ -166,6 +176,7 @@ def _cmd_stencil(args) -> int:
     p = _degree(args.p)
     if getattr(args, "dmm", False):
         args.rule = "dmm"
+    _known([args.rule], _ROW_RULES, "--rule", args.rule)
     if args.rule == "exact":
         row = (stencils.stiffness_stencil(p) if args.form == "stiffness"
                else stencils.mass_stencil(p)).values
@@ -206,7 +217,8 @@ def _cmd_stencil(args) -> int:
 
 def _cmd_tau(args) -> int:
     ps = [_degree(p, "--p") for p in _int_list(args.p)]
-    pairs = list(quadrature._PAIR_NAMES) if args.pair == "all" else _str_list(args.pair)
+    pairs = (list(quadrature._PAIR_NAMES) if args.pair == "all"
+             else _known(_str_list(args.pair), quadrature._PAIR_NAMES, "--pair", args.pair))
     entries = []
     for p in ps:
         for pair in pairs:
@@ -237,6 +249,8 @@ def _cmd_rules(args) -> int:
     fam = args.family
     if fam not in _MIN_POINTS:
         _degree(args.p)
+        if fam == "blend":
+            _known([args.pair], quadrature._PAIR_NAMES, "--pair", args.pair)
     elif args.points < _MIN_POINTS[fam]:
         raise UsageError(f"--points needs at least {_MIN_POINTS[fam]} for --family {fam}: "
                          f"{args.points}")
@@ -375,11 +389,7 @@ def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
         raise UsageError(f"--meshes needs two or more element counts >= 2: {args.meshes!r}")
     if not modes or min(modes) < 1:
         raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
-    unknown = [label for label in rules if label not in _STUDY_RULES]
-    if not rules or unknown:
-        raise UsageError(f"--rules needs labels from {', '.join(_STUDY_RULES)}: "
-                         f"{args.rules!r}")
-    return args.p, meshes, modes, rules
+    return args.p, meshes, modes, _known(rules, _STUDY_RULES, "--rules", args.rules)
 
 
 def _cmd_study_1d(args) -> int:
@@ -407,6 +417,7 @@ def _cmd_study_2d(args) -> int:
 
 def _cmd_dispersion(args) -> int:
     p = _degree(args.p)
+    _known([args.rule], _ROW_RULES, "--rule", args.rule)
     if not (args.min > 0 and args.max > 0):
         raise UsageError(f"--min and --max need wavenumbers > 0: {args.min}, {args.max}")
     least = 2 if args.fit else 1
@@ -474,23 +485,23 @@ def _cmd_dispersion(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that records the destinations of its long options,
-    the keys a --config file may set."""
+    """Argument parser that records its long options by destination, the
+    keys a --config file may set."""
 
     def __init__(self, *args, **kwargs):
-        self.config_keys = set()  # before super(), which adds --help
+        self.config_options = {}  # before super(), which adds --help
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if (action.default is not argparse.SUPPRESS
                 and any(flag.startswith("--") for flag in action.option_strings)):
-            self.config_keys.add(action.dest)
+            self.config_options[action.dest] = action
         return action
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The root parser and the parser of each subcommand."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and the parser of each subcommand, by name."""
     parser = _Parser(
         prog="igadmm",
         description="Dispersion-minimized and blended quadratures for "
@@ -573,12 +584,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     q.add_argument("--json")
     q.set_defaults(func=_cmd_dispersion)
 
-    return parser, list(sub.choices.values())
+    return parser, dict(sub.choices)
 
 
-def _load_config(path, commands) -> dict:
-    """Option defaults from a JSON config; every key must be a long option
-    of some subcommand, spelled with underscores."""
+def _config_value(path, key: str, action, value):
+    """A config value as its option takes it from the command line."""
+    taken, ok = value, False
+    if action.nargs == 0:  # a flag such as --energy
+        ok = isinstance(value, bool)
+    elif value is None:
+        ok = action.default is None
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            taken = (action.type or str)(str(value))
+            ok = action.choices is None or taken in action.choices
+        except ValueError:
+            pass
+    if not ok:
+        raise UsageError(f"config {path}: {key} = {json.dumps(value)} is not a value of "
+                         f"--{key.replace('_', '-')}")
+    return taken
+
+
+def _load_config(path, command, commands) -> dict:
+    """Option defaults for the subcommand run from a JSON config; every key
+    must be a long option of some subcommand, spelled with underscores, and
+    a key of the subcommand run must hold a value its option takes."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -586,28 +617,30 @@ def _load_config(path, commands) -> dict:
         raise UsageError(f"config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    known = set().union(*(command.config_keys for command in commands))
+    known = set().union(*(c.config_options for c in commands))
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise UsageError(f"config {path}: unknown key(s) {', '.join(unknown)}")
-    return cfg
+    options = command.config_options
+    return {key: _config_value(path, key, options[key], value)
+            for key, value in cfg.items() if key in options}
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
     known, _ = pre.parse_known_args(argv)
-    if known.config:
+    if known.config and known.command in commands:
+        command = commands[known.command]
         try:
-            cfg = _load_config(known.config, commands)
+            cfg = _load_config(known.config, command, commands.values())
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # each subparser applies its own defaults over the namespace, so the
-        # config goes into every one of them
-        for command in commands:
-            command.set_defaults(**cfg)
+        # the subcommand's parser applies its defaults over the namespace
+        command.set_defaults(**cfg)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -92,7 +92,7 @@ def test_rules_output(capsys):
 
 def test_error_exit_codes(capsys):
     rc, _, err = _run(capsys, ["stencil", "-p", "2", "--rule", "nosuch"])
-    assert rc == 1
+    assert rc == 2
     assert err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
         main(["stencil"])  # missing required -p
@@ -156,6 +156,42 @@ def test_bad_degrees_and_samplings_are_usage_errors(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["stencil", "-p", "2", "--rule", "blend:xx"], "--rule"),
+    (["stencil", "-p", "2", "--form", "stiffness", "--rule", "nosuch"], "--rule"),
+    (["tau", "--pair", "xx"], "--pair"),
+    (["tau", "--p", "2", "--pair", "gl,xx"], "--pair"),
+    (["tau", "--pair", ","], "--pair"),
+    (["rules", "--family", "blend", "-p", "2", "--pair", "xx"], "--pair"),
+    (["dispersion", "-p", "2", "--rule", "nosuch"], "--rule"),
+    (["dispersion", "-p", "2", "--rule", "blend:xx", "--fit"], "--rule"),
+])
+def test_unknown_labels_and_pairs_are_usage_errors(capsys, argv, flag):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} needs names from")
+
+
+def test_pair_of_another_family_is_not_read(capsys):
+    # --pair belongs to --family blend; the Gauss rule ignores it
+    rc, out, _ = _run(capsys, ["rules", "--family", "gauss", "--pair", "xx"])
+    assert rc == 0
+    assert out.startswith("label=G2 ")
+
+
+def test_narrow_longdouble_fails_a_study(monkeypatch, capsys):
+    from igadmm import eigensolve
+
+    monkeypatch.setattr(eigensolve, "LONGDOUBLE_IS_WIDE", False)
+    for argv in (["study-1d", "-p", "2", "--meshes", "8,16"],
+                 ["study-2d", "-p", "2", "--meshes", "8,16", "--verify-kron", "4"]):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "longdouble" in err
 
 
 def test_degenerate_blend_study_is_a_computation_error(capsys):
@@ -339,6 +375,59 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
     assert rc == 0
     _, want, _ = _run(capsys, ["verify", "--p-max", "2", "--fg-p-max", "3",
                                "--fg-m-max", "3"])
+    assert out == want
+
+
+@pytest.mark.parametrize("content,word", [
+    ('{"p_max": 2.5}', "p_max"),
+    ('{"p_max": "three"}', "p_max"),
+    ('{"p_max": true}', "p_max"),
+    ('{"p_max": null}', "p_max"),
+    ('{"fg_p_max": [3]}', "fg_p_max"),
+    ('{"json": 1.5, "p_max": {"a": 1}}', "p_max"),
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, content, word):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    rc, out, err = _run(capsys, ["--config", str(cfg), "verify"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: config") and word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content,argv", [
+    ('{"sign": 2}', ["rules", "--family", "dmm"]),
+    ('{"form": "volume"}', ["stencil", "-p", "2"]),
+    ('{"fit": 1}', ["dispersion", "-p", "2"]),
+    ('{"min": "small"}', ["dispersion", "-p", "2"]),
+    ('{"p": "2,3"}', ["stencil", "-p", "2"]),
+])
+def test_config_values_outside_their_option_are_usage_errors(tmp_path, capsys, content, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    rc, out, err = _run(capsys, ["--config", str(cfg)] + argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: config")
+
+
+def test_config_values_are_taken_as_their_options_take_text(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    # an int for an int option, a number for a float one, a string list, a
+    # flag, and p = 2 for tau's comma-list --p as for the studies' degree
+    cfg.write_text(json.dumps({"p": 2, "meshes": "8,16", "modes": "1", "energy": True,
+                               "rules": "gauss", "min": 1, "samples": 3}))
+    rc, out, _ = _run(capsys, ["--config", str(cfg), "study-1d", "-p", "2"])
+    assert rc == 0
+    _, want, _ = _run(capsys, ["study-1d", "-p", "2", "--meshes", "8,16", "--modes", "1",
+                               "--rules", "gauss", "--energy"])
+    assert out == want
+    rc, out, _ = _run(capsys, ["--config", str(cfg), "tau", "--pair", "gl"])
+    assert rc == 0 and out.startswith("p=2 pair=gl")
+    rc, out, _ = _run(capsys, ["--config", str(cfg), "dispersion", "-p", "2", "--max", "2"])
+    assert rc == 0
+    _, want, _ = _run(capsys, ["dispersion", "-p", "2", "--min", "1", "--max", "2",
+                               "--samples", "3"])
     assert out == want
 
 

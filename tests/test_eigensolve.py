@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
+from igadmm import eigensolve
 from igadmm.assembly import assemble_1d, assemble_1d_dmm, assemble_2d
 from igadmm.eigensolve import (
     PI_LD,
@@ -121,6 +124,107 @@ def test_generalized_eig_needs_a_positive_count():
         generalized_eig(pair.stiffness, pair.mass, 0)
 
 
+def _count_solver_calls(monkeypatch):
+    """Record 'eigh' and 'eigsh' for every dense and Lanczos solve."""
+    calls = []
+    for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+        solver = getattr(module, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _dense_solve(monkeypatch, K, M, count):
+    """generalized_eig with the crossover out of reach: the dense route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolve, "_BANDED_MIN_N", 10 ** 9)
+        return generalized_eig(K, M, count)
+
+
+def _assert_same_modes(band, dense, M):
+    """Refined eigenvalues within 1e-14 relative, and each vector the dense
+    one of its mode up to sign (unit M-overlap, none with another mode)."""
+    assert len(band) == len(dense)
+    rel = np.abs(band.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+    assert float(np.max(rel)) <= 1e-14
+    overlap = band.vectors.T @ M.to_dense(np.float64) @ dense.vectors
+    assert np.allclose(np.abs(overlap), np.eye(len(band)), atol=1e-8)
+
+
+def test_band_pencils_from_the_crossover_on_take_the_lanczos_solve(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    n0 = eigensolve._BANDED_MIN_N
+    below = _study_pair(2, n0 - 1, "gauss")  # p = 2: n = N
+    above = _study_pair(2, n0, "gauss")
+    assert (below.stiffness.n, above.stiffness.n) == (n0 - 1, n0)
+    generalized_eig(below.stiffness, below.mass, 4)
+    assert calls == ["eigh"]
+    generalized_eig(above.stiffness, above.mass, 4)
+    assert calls == ["eigh", "eigsh"]
+    # a dense pencil stays dense at any order, as the Kronecker ones do
+    generalized_eig(above.stiffness.to_dense(), above.mass.to_dense(), 4)
+    assert calls == ["eigh", "eigsh", "eigh"]
+
+
+@pytest.mark.parametrize("p,N,label", [
+    (2, 256, "gauss"), (2, 512, "dmm"), (3, 256, "radau"), (3, 1024, "dmm"),
+    (4, 256, "lobatto"), (5, 300, "gp"),
+])
+def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label):
+    # six modes: three even about x = 1/2 (j odd), three odd (j even)
+    pair = _study_pair(p, N, label)
+    calls = _count_solver_calls(monkeypatch)
+    band = generalized_eig(pair.stiffness, pair.mass, 6)
+    dense = _dense_solve(monkeypatch, pair.stiffness, pair.mass, 6)
+    assert calls == ["eigsh", "eigh"]
+    _assert_same_modes(band, dense, pair.mass)
+
+
+def test_band_solves_are_repeatable():
+    a = _study_pair(3, 256, "dmm")
+    b = _study_pair(2, 400, "gauss")
+    first = generalized_eig(a.stiffness, a.mass, 4)
+    generalized_eig(b.stiffness, b.mass, 7)
+    again = generalized_eig(a.stiffness, a.mass, 4)
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    assert np.array_equal(first.vectors, again.vectors)
+
+
+@pytest.mark.parametrize("offset", [eigensolve._MARGIN + 1, eigensolve._MARGIN, 1, 0, -5])
+def test_band_pencil_counts_near_n(monkeypatch, offset):
+    # count + margin below n is still a Lanczos solve; from there on dense
+    pair = _study_pair(2, eigensolve._BANDED_MIN_N, "gauss")
+    n = pair.stiffness.n
+    calls = _count_solver_calls(monkeypatch)
+    got = generalized_eig(pair.stiffness, pair.mass, n - offset)
+    assert calls == (["eigsh"] if offset > eigensolve._MARGIN else ["eigh"])
+    assert len(got) == min(n - offset, n) and got.vectors.shape == (n, len(got))
+    _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, n - offset),
+                       pair.mass)
+
+
+def test_band_solve_grows_past_a_wide_cluster_at_the_cut(monkeypatch):
+    # a cluster width of 20 ties modes 1..4 (lambda_j ~ j^2 lambda_1) with the
+    # first, more than count + margin = 3 modes: the solve must grow once
+    monkeypatch.setattr(eigensolve, "_CUT_RTOL", 20.0)
+    pair = _study_pair(2, 256, "dmm")
+    calls = _count_solver_calls(monkeypatch)
+    got = generalized_eig(pair.stiffness, pair.mass, 1)
+    assert calls == ["eigsh", "eigsh"]
+    _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, 1), pair.mass)
+
+
+def test_generalized_eig_refuses_a_narrow_longdouble(monkeypatch):
+    monkeypatch.setattr(eigensolve, "LONGDOUBLE_IS_WIDE", False)
+    pair = _study_pair(2, 8, "gauss")
+    with pytest.raises(eigensolve.PrecisionError):
+        generalized_eig(pair.stiffness, pair.mass, 2)
+
+
 def test_tensor_spectrum_is_the_pairwise_sum():
     e = np.array([1.0, 4.0, 9.5])
     want = sorted(a + b for a in e for b in e)
@@ -142,7 +246,7 @@ def test_relative_errors_and_pairing_guard():
 
 
 def test_energy_error_equals_direct_integration():
-    # identity-based value vs brute-force integration of (u_h' - u')^2
+    # longdouble table integral vs a float brute-force integration of (u_h' - u')^2
     p, N, mode = 1, 8, 1
     space = BSplineSpace(p, N)
     pair = assemble_1d(space, gauss_legendre(p + 1))
@@ -178,9 +282,10 @@ def test_energy_error_equals_direct_integration():
 
 def _energy_error_by_scalar_loop(pair, spectrum, mode):
     """Reference energy error: scalar basis evaluations, one point at a
-    time, accumulated in element-then-node order."""
+    time, accumulated in element-then-node order; the direct integral of
+    (u' - u_h')^2 after a first pass for the sign of u_h."""
     space = pair.space
-    K_exact, M_exact = _exact_forms(space)
+    M_exact = _exact_forms(space)
     v = spectrum.vectors[:, mode - 1].astype(np.longdouble)
     v = v / np.sqrt(v @ M_exact.matvec(v))
     p, N = space.p, space.N
@@ -189,22 +294,20 @@ def _energy_error_by_scalar_loop(pair, spectrum, mode):
     jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
     c_full[1:-1] = v
-    cross = np.longdouble(0)
+    points = [(e, x, w, (e + x) * h) for e in range(N) for x, w in zip(nodes, weights)]
     overlap = np.longdouble(0)
-    for e in range(N):
-        for x, w in zip(nodes, weights):
-            t = (e + x) * h
-            first, der = nonzero_basis_derivatives(space, t, element=e)
-            uh_prime = np.dot(c_full[first: first + p + 1], der)
-            first, val = nonzero_basis(space, t, element=e)
-            uh = np.dot(c_full[first: first + p + 1], val)
-            cross += w * h * (_SQRT2_LD * jpi * np.cos(jpi * t)) * uh_prime
-            overlap += w * h * (_SQRT2_LD * np.sin(jpi * t)) * uh
-    if overlap < 0:
-        cross = -cross
-        v = -v
-    val = jpi ** 2 - 2 * cross + v @ K_exact.matvec(v)
-    return float(np.sqrt(max(val, np.longdouble(0))))
+    for e, x, w, t in points:
+        first, val = nonzero_basis(space, t, element=e)
+        uh = np.dot(c_full[first: first + p + 1], val)
+        overlap += w * h * (_SQRT2_LD * np.sin(jpi * t)) * uh
+    sign = -1 if overlap < 0 else 1
+    err2 = np.longdouble(0)
+    for e, x, w, t in points:
+        first, der = nonzero_basis_derivatives(space, t, element=e)
+        uh_prime = sign * np.dot(c_full[first: first + p + 1], der)
+        diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
+        err2 += w * h * diff * diff
+    return float(np.sqrt(err2))
 
 
 @pytest.mark.parametrize("N", [3, 8, 32])
@@ -216,6 +319,50 @@ def test_energy_error_is_bitwise_the_scalar_loop(p, N):
     for mode in (1, 2, len(spectrum)):
         assert energy_error(pair, spectrum, mode) == _energy_error_by_scalar_loop(
             pair, spectrum, mode)
+
+
+def _energy_error_mp(space, vector, mode):
+    """sqrt of the integral of (u' - u_h')^2 in 40-digit arithmetic, u_h
+    normalized in L2 and sign-aligned with sin(mode pi x), on 12 Gauss points
+    an element (exact for the mass, and far past six digits for the rest);
+    the float knots k/N are exact for N a power of two."""
+    from mpmath import mp
+
+    with mp.workdps(40):
+        c = [0] + [mp.mpf(float(x)) for x in vector] + [0]
+        pairs = gauss_legendre(12)._mp_pairs()
+        h = mp.mpf(1) / space.N
+        jpi = mode * mp.pi
+        mass = overlap = 0
+        slopes = []
+        for e in range(space.N):
+            for x, w in pairs:
+                t = (e + x) * h
+                first, val = nonzero_basis(space, t, element=e)
+                _, der = nonzero_basis_derivatives(space, t, element=e)
+                uh = mp.fsum(c[first + a] * val[a] for a in range(space.p + 1))
+                mass += w * h * uh ** 2
+                overlap += w * h * mp.sin(jpi * t) * uh
+                slopes.append((w * h, mp.sqrt(2) * jpi * mp.cos(jpi * t),
+                               mp.fsum(c[first + a] * der[a] for a in range(space.p + 1))))
+        scale = mp.sign(overlap) / mp.sqrt(mass)
+        return mp.sqrt(mp.fsum(wh * (du - scale * duh) ** 2 for wh, du, duh in slopes))
+
+
+@pytest.mark.parametrize("p,N,label,printed", [
+    # the golden cells 3,64,gauss,1 and 3,64,dmm,1 of study1d_p3_energy_json.txt
+    (3, 64, "gauss", "2.13816e-06"),
+    (3, 64, "dmm", "2.13816e-06"),
+    # the cancelling identity returned 0.0 here
+    (4, 128, "gauss", "1.03008e-09"),
+])
+def test_energy_error_matches_a_40_digit_integral(p, N, label, printed):
+    pair = _study_pair(p, N, label)
+    spectrum = generalized_eig(pair.stiffness, pair.mass, 4)
+    want = _energy_error_mp(pair.space, spectrum.vectors[:, 0], 1)
+    got = energy_error(pair, spectrum, 1)
+    assert f"{float(want):.5e}" == printed
+    assert abs(got - float(want)) <= 1e-9 * float(want)
 
 
 def test_energy_error_mode_guard():
