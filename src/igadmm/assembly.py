@@ -7,8 +7,8 @@ band entries are summed element by element, nodes in rule order, so they
 are bitwise those of a scalar element loop.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
-discretizations ever need; dense and coordinate exports are provided for
-the solver and the CLI.
+discretizations ever need; the 2D pair is the dense Kronecker product of
+a 1D pair.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _rule_points_longdouble(rule: QuadratureRule):
 
 
 def _mp_repr(x) -> str:
-    from mpmath import mp, nstr
+    from mpmath import nstr
 
     if hasattr(x, "_mpf_"):
         return nstr(x, 25)
@@ -154,10 +154,7 @@ def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
     that destroy the superconvergent eigenvalue rates.  They are therefore
     kept for stencil verification only.
     """
-    rule = optimal_blend(space.p, "gl")
-    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "stiffness")))
-    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "mass")))
-    return MatrixPair(space, K, M, rule.label, rule.label)
+    return assemble_1d(space, optimal_blend(space.p, "gl"))
 
 
 # largest 2D unknown count assemble_2d builds dense Kronecker matrices for
@@ -175,44 +172,18 @@ class MatrixPair2D:
     mass_rule: str
 
 
-def assemble_2d(space: BSplineSpace, stiffness_rule=None, mass_rule=None,
-                dmm: bool = False,
-                max_dim: int = KRON_MAX_DIM) -> MatrixPair2D:
-    """Tensor-product assembly: K2 = K (x) M + M (x) K, M2 = M (x) M.
+def assemble_2d(pair: MatrixPair, max_dim: int = KRON_MAX_DIM) -> MatrixPair2D:
+    """Tensor-product pair of a 1D pair: K2 = K (x) M + M (x) K, M2 = M (x) M.
 
     Dense output; max_dim caps the 2D unknown count dim^2, checked before
-    any assembly, against accidentally huge Kronecker products (dim^4
-    entries per matrix).
+    any Kronecker product, against accidentally huge ones (dim^4 entries
+    per matrix).
     """
-    n = space.dim
+    n = pair.stiffness.n
     if n * n > max_dim:
         raise ValueError(f"2D dimension {n * n} exceeds limit {max_dim}")
-    if dmm:
-        pair = assemble_1d_dmm(space)
-    else:
-        if stiffness_rule is None:
-            raise ValueError("need a quadrature rule unless dmm=True")
-        pair = assemble_1d(space, stiffness_rule, mass_rule)
     K = pair.stiffness.to_dense()
     M = pair.mass.to_dense()
     K2 = np.kron(K, M) + np.kron(M, K)
     M2 = np.kron(M, M)
-    return MatrixPair2D(space, K2, M2, pair.stiffness_rule, pair.mass_rule)
-
-
-def write_coo(path, matrix: SymBandMatrix, header: str = "") -> None:
-    """Write the full symmetric matrix in i j value coordinate format."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write(f"{matrix.n} {matrix.n}\n")
-        for d in range(matrix.halfband + 1):
-            for j in range(matrix.n - d):
-                v = matrix.bands[d, j]
-                if v == 0:
-                    continue
-                # Dragon4 keeps all longdouble digits and round-trips
-                s = np.format_float_scientific(v, unique=True)
-                fh.write(f"{j + d} {j} {s}\n")
-                if d:
-                    fh.write(f"{j} {j + d} {s}\n")
+    return MatrixPair2D(pair.space, K2, M2, pair.stiffness_rule, pair.mass_rule)

@@ -82,7 +82,7 @@ def _degree(p: int, flag: str = "-p") -> int:
 
 # ---------------------------------------------------------------- rules
 
-# every label a study's --rules accepts; _named_rule builds all but "dmm"
+# every label a study's --rules accepts: a rule from _rule, or "dmm"
 _STUDY_RULES = ("gauss", "G", "gp", "lobatto", "L", "radau", "R", "dmm") + tuple(
     f"blend:{pair}" for pair in quadrature._PAIR_NAMES)
 # every row label stencil --rule and dispersion --rule accept
@@ -96,8 +96,8 @@ def _known(names: list[str], accepted, flag: str, given) -> list[str]:
     return names
 
 
-def _named_rule(p: int, label: str):
-    """Quadrature rule behind a study label, or None for 'dmm'."""
+def _rule(p: int, label: str):
+    """The classical or blended quadrature rule behind a label."""
     if label in ("gauss", "G"):
         return quadrature.gauss_legendre(p + 1)
     if label == "gp":
@@ -111,16 +111,27 @@ def _named_rule(p: int, label: str):
     raise ValueError(f"unknown rule label {label!r}")
 
 
-def _mass_row(p: int, label: str):
-    """Mass row for dispersion work: exact, minimized, or rule-induced."""
-    if label == "exact":
-        return stencils.mass_stencil(p).values
+def _row(p: int, label: str, form: str):
+    """Interior row of form ("mass" or "stiffness"): exact, minimized, or
+    induced by the label's rule; "dmm" changes the mass row only."""
+    if label == "exact" or (label == "dmm" and form == "stiffness"):
+        return (stencils.stiffness_stencil(p) if form == "stiffness"
+                else stencils.mass_stencil(p)).values
     if label == "dmm":
         return dmm.dmm_stencil(p).values
+    maker = (quadrature.quadrature_stiffness_stencil if form == "stiffness"
+             else quadrature.quadrature_mass_stencil)
     if label in ("minrule+", "minrule-"):
         rule = quadrature.dmm_rule(p, 1 if label.endswith("+") else -1)
-        return quadrature.quadrature_mass_stencil(p, rule, require_exactness=False).values
-    return quadrature.quadrature_mass_stencil(p, _named_rule(p, label)).values
+        return maker(p, rule, require_exactness=False).values
+    return maker(p, _rule(p, label)).values
+
+
+def _pair(space: BSplineSpace, label: str) -> assembly.MatrixPair:
+    """Dirichlet 1D stiffness/mass pair behind a study label."""
+    if label == "dmm":
+        return assembly.assemble_1d_dmm(space)
+    return assembly.assemble_1d(space, _rule(space.p, label))
 
 
 # ---------------------------------------------------------------- verify
@@ -142,6 +153,10 @@ def run_verify(p_max: int, fg_p_max: int, fg_m_max: int):
 
 
 def _cmd_verify(args) -> int:
+    _degree(args.p_max, "--p-max")
+    for flag, value in (("--fg-p-max", args.fg_p_max), ("--fg-m-max", args.fg_m_max)):
+        if value < 2:
+            raise UsageError(f"{flag} needs a value >= 2: {value}")
     ok, suites = run_verify(args.p_max, args.fg_p_max, args.fg_m_max)
     lines = []
     for name, p, rep in suites:
@@ -177,24 +192,7 @@ def _cmd_stencil(args) -> int:
     if getattr(args, "dmm", False):
         args.rule = "dmm"
     _known([args.rule], _ROW_RULES, "--rule", args.rule)
-    if args.rule == "exact":
-        row = (stencils.stiffness_stencil(p) if args.form == "stiffness"
-               else stencils.mass_stencil(p)).values
-    elif args.rule == "dmm":
-        if args.form == "stiffness":
-            row = stencils.stiffness_stencil(p).values
-        else:
-            row = dmm.dmm_stencil(p).values
-    elif args.rule in ("minrule+", "minrule-"):
-        rule = quadrature.dmm_rule(p, 1 if args.rule.endswith("+") else -1)
-        maker = (quadrature.quadrature_stiffness_stencil
-                 if args.form == "stiffness" else quadrature.quadrature_mass_stencil)
-        row = maker(p, rule, require_exactness=False).values
-    else:
-        rule = _named_rule(p, args.rule)
-        maker = (quadrature.quadrature_stiffness_stencil
-                 if args.form == "stiffness" else quadrature.quadrature_mass_stencil)
-        row = maker(p, rule).values
+    row = _row(p, args.rule, args.form)
     entries = []
     for k, v in enumerate(row):
         frac = _fraction_str(v)
@@ -217,6 +215,8 @@ def _cmd_stencil(args) -> int:
 
 def _cmd_tau(args) -> int:
     ps = [_degree(p, "--p") for p in _int_list(args.p)]
+    if not ps:
+        raise UsageError(f"--p needs one or more degrees: {args.p!r}")
     pairs = (list(quadrature._PAIR_NAMES) if args.pair == "all"
              else _known(_str_list(args.pair), quadrature._PAIR_NAMES, "--pair", args.pair))
     entries = []
@@ -281,21 +281,28 @@ def _cmd_rules(args) -> int:
 # ---------------------------------------------------------------- studies
 
 
-def run_study_1d(p: int, meshes, modes, rule_labels, energy: bool = False):
-    """Convergence study; returns (ErrorTable, rates list)."""
+def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = False):
+    """Eigenvalue convergence study; returns (ErrorTable, rates list).
+
+    Dimension 2 takes the tensor route: the pairwise sums of the 1D
+    spectrum against the exact spectrum of the unit square.  energy adds
+    the 1D eigenfunction energy errors.
+    """
+    if energy and dimension != 1:
+        raise ValueError("energy errors are computed in 1D only")
+    count = max(modes)
+    exact = eigensolve.exact_spectrum_2d(count) if dimension == 2 else None
     rows = []
     rates = []
-    for label in rule_labels:
+    for label in labels:
         per_mode: dict[int, list[float]] = {m: [] for m in modes}
         for N in meshes:
-            space = BSplineSpace(p, N)
-            if label == "dmm":
-                pair = assembly.assemble_1d_dmm(space)
-            else:
-                rule = _named_rule(p, label)
-                pair = assembly.assemble_1d(space, rule, rule)
-            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, max(modes))
-            errs = eigensolve.relative_ev_errors(spectrum, max(modes))
+            pair = _pair(BSplineSpace(p, N), label)
+            # in 2D, the smallest count pairwise sums use only 1D modes below count
+            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, count)
+            eigs = (spectrum if dimension == 1
+                    else eigensolve.tensor_spectrum_2d(spectrum.eigenvalues, count))
+            errs = eigensolve.relative_ev_errors(eigs, count, exact)
             for mode in modes:
                 ef = (eigensolve.energy_error(pair, spectrum, mode)
                       if energy else None)
@@ -305,51 +312,15 @@ def run_study_1d(p: int, meshes, modes, rule_labels, energy: bool = False):
         for mode in modes:
             rates.append({
                 "rule": label, "mode": mode,
-                "rate": eigensolve.convergence_rate(per_mode[mode]),
-            })
-    return eigensolve.ErrorTable(tuple(rows)), rates
-
-
-def run_study_2d(p: int, meshes, modes, rule_labels):
-    """2D study through the tensor route (1D solve + pairwise sums)."""
-    rows = []
-    rates = []
-    for label in rule_labels:
-        per_mode: dict[int, list[float]] = {m: [] for m in modes}
-        for N in meshes:
-            space = BSplineSpace(p, N)
-            if label == "dmm":
-                pair = assembly.assemble_1d_dmm(space)
-            else:
-                rule = _named_rule(p, label)
-                pair = assembly.assemble_1d(space, rule, rule)
-            # the smallest c pairwise sums use only the 1D modes below c
-            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, max(modes))
-            eigs2 = eigensolve.tensor_spectrum_2d(spectrum.eigenvalues, max(modes))
-            exact2 = eigensolve.exact_spectrum_2d(max(modes))
-            errs = eigensolve.relative_ev_errors(eigs2, max(modes), exact2)
-            for mode in modes:
-                rel = float(errs[mode - 1])
-                rows.append(eigensolve.ErrorRow(p, N, label, mode, rel, None))
-                per_mode[mode].append(rel)
-        for mode in modes:
-            rates.append({
-                "rule": label, "mode": mode,
-                "rate": eigensolve.convergence_rate(per_mode[mode]),
+                "rate": eigensolve.convergence_rate(per_mode[mode], meshes),
             })
     return eigensolve.ErrorTable(tuple(rows)), rates
 
 
 def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
     """Max relative deviation between Kronecker and tensor-sum spectra."""
-    space = BSplineSpace(p, N)
-    if label == "dmm":
-        pair2 = assembly.assemble_2d(space, dmm=True)
-        pair1 = assembly.assemble_1d_dmm(space)
-    else:
-        rule = _named_rule(p, label)
-        pair2 = assembly.assemble_2d(space, rule, rule)
-        pair1 = assembly.assemble_1d(space, rule, rule)
+    pair1 = _pair(BSplineSpace(p, N), label)
+    pair2 = assembly.assemble_2d(pair1)
     spec2 = eigensolve.generalized_eig(pair2.stiffness, pair2.mass, count)
     spec1 = eigensolve.generalized_eig(pair1.stiffness, pair1.mass, count)
     tens = eigensolve.tensor_spectrum_2d(spec1.eigenvalues, count)
@@ -385,15 +356,16 @@ def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
     """Degree, meshes, modes and rule labels of a study, checked up front."""
     meshes, modes, rules = _int_list(args.meshes), _int_list(args.modes), _str_list(args.rules)
     _degree(args.p)
-    if len(meshes) < 2 or min(meshes) < 2:
-        raise UsageError(f"--meshes needs two or more element counts >= 2: {args.meshes!r}")
+    if len(meshes) < 2 or min(meshes) < 2 or any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise UsageError("--meshes needs two or more increasing element counts >= 2: "
+                         f"{args.meshes!r}")
     if not modes or min(modes) < 1:
         raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
     return args.p, meshes, modes, _known(rules, _STUDY_RULES, "--rules", args.rules)
 
 
 def _cmd_study_1d(args) -> int:
-    table, rates = run_study_1d(*_study_inputs(args), energy=args.energy)
+    table, rates = run_study(*_study_inputs(args), energy=args.energy)
     return _emit_study(table, rates, args, 1)
 
 
@@ -404,7 +376,7 @@ def _cmd_study_2d(args) -> int:
     if args.verify_kron and BSplineSpace(p, args.verify_kron).dim ** 2 > assembly.KRON_MAX_DIM:
         raise UsageError(f"--verify-kron {args.verify_kron} gives more than "
                          f"{assembly.KRON_MAX_DIM} 2D unknowns at p={p}")
-    table, rates = run_study_2d(p, meshes, modes, rules)
+    table, rates = run_study(p, meshes, modes, rules, dimension=2)
     rc = _emit_study(table, rates, args, 2)
     if args.verify_kron:
         dev = kron_cross_check(p, args.verify_kron, rules[0])
@@ -425,7 +397,7 @@ def _cmd_dispersion(args) -> int:
         raise UsageError(f"--samples needs at least {least}{' with --fit' * args.fit}: "
                          f"{args.samples}")
     a_row = stencils.stiffness_stencil(p).values
-    b_row = _mass_row(p, args.rule)
+    b_row = _row(p, args.rule, "mass")
     chk = None
     if args.coefficient is not None:
         if args.coefficient not in (2 * p, 2 * p + 2):
@@ -520,9 +492,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q = sub.add_parser("stencil", help="print a Gram row")
     q.add_argument("-p", "--p", type=int, required=True)
     q.add_argument("--form", choices=("mass", "stiffness"), default="mass")
-    q.add_argument("--rule", default="exact",
-                   help="exact, dmm, gauss, gp, lobatto, radau, blend:XY, "
-                        "minrule+, minrule-")
+    q.add_argument("--rule", default="exact", help="one of " + ", ".join(_ROW_RULES))
     q.add_argument("--dmm", action="store_true",
                    help="shorthand for --rule dmm")
     q.add_argument("--json")
@@ -550,7 +520,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q.add_argument("-p", "--p", type=int, required=True)
     q.add_argument("--meshes", default="8,16,32,64")
     q.add_argument("--modes", default="1,2,4")
-    q.add_argument("--rules", default="gauss,radau,dmm")
+    q.add_argument("--rules", default="gauss,radau,dmm",
+                   help="comma list from " + ", ".join(_STUDY_RULES))
     q.add_argument("--energy", action="store_true",
                    help="include eigenfunction energy errors")
     q.add_argument("--csv", help="CSV output path (default stdout)")
@@ -561,7 +532,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q.add_argument("-p", "--p", type=int, required=True)
     q.add_argument("--meshes", default="8,16,32,64")
     q.add_argument("--modes", default="1,2")
-    q.add_argument("--rules", default="gauss,dmm")
+    q.add_argument("--rules", default="gauss,dmm",
+                   help="comma list from " + ", ".join(_STUDY_RULES))
     q.add_argument("--verify-kron", type=int, default=0,
                    help="also assemble the Kronecker matrices at this mesh "
                         "and report the spectral deviation")
@@ -572,8 +544,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q = sub.add_parser("dispersion", help="dispersion error curve")
     q.add_argument("-p", "--p", type=int, required=True)
     q.add_argument("--rule", "--mass", dest="rule", default="exact",
-                   help="exact, dmm, G, L, R, gauss, gp, lobatto, radau, "
-                        "blend:XY, minrule+, minrule-")
+                   help="one of " + ", ".join(_ROW_RULES))
     q.add_argument("--min", type=float, default=0.05)
     q.add_argument("--max", type=float, default=0.5)
     q.add_argument("--samples", type=int, default=9)

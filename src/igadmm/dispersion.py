@@ -60,8 +60,9 @@ def _symbol(vals_mp, y):
     return acc
 
 
-def rayleigh(p: int, A, B, wavenumber) -> float:
-    """Discrete squared-frequency symbol R(y) at normalized wavenumber y."""
+def _evaluate(p: int, A, B, wavenumber, quotient) -> float:
+    """quotient(stiffness symbol, mass symbol, y) of two rows at wavenumber
+    y, in mpmath at _DPS digits; a vanishing mass symbol is a stopping band."""
     a = _values(A, p)
     b = _values(B, p)
     with mp.workdps(_DPS):
@@ -69,22 +70,23 @@ def rayleigh(p: int, A, B, wavenumber) -> float:
         den = _symbol([_to_mp(v) for v in b], y)
         if abs(den) < 1e-14:
             raise StoppingBandError(f"mass symbol ~ 0 at wavenumber {wavenumber}")
-        return float(_symbol([_to_mp(v) for v in a], y) / den)
+        return float(quotient(_symbol([_to_mp(v) for v in a], y), den, y))
+
+
+def _relative_error(num, den, y):
+    if y == 0:
+        raise ValueError("wavenumber must be nonzero")
+    return (num - y * y * den) / (y * y * den)
+
+
+def rayleigh(p: int, A, B, wavenumber) -> float:
+    """Discrete squared-frequency symbol R(y) at normalized wavenumber y."""
+    return _evaluate(p, A, B, wavenumber, lambda num, den, y: num / den)
 
 
 def dispersion_error(p: int, A, B, wavenumber) -> float:
     """Relative dispersion error (R(y) - y^2) / y^2, evaluated in mpmath."""
-    a = _values(A, p)
-    b = _values(B, p)
-    with mp.workdps(_DPS):
-        y = _to_mp(wavenumber)
-        if y == 0:
-            raise ValueError("wavenumber must be nonzero")
-        den = _symbol([_to_mp(v) for v in b], y)
-        if abs(den) < 1e-14:
-            raise StoppingBandError(f"mass symbol ~ 0 at wavenumber {wavenumber}")
-        num = _symbol([_to_mp(v) for v in a], y)
-        return float((num - y * y * den) / (y * y * den))
+    return _evaluate(p, A, B, wavenumber, _relative_error)
 
 
 @dataclass(frozen=True)
@@ -151,11 +153,6 @@ def coefficient_check(p: int, A, B, order: int, wavenumber: float = 1e-3) -> Coe
         raise ValueError(f"order must be {2 * p} or {2 * p + 2}, got {order}")
     c_lead, c_next = error_expansion(p, A, B)
     predicted = c_lead if order == 2 * p else c_next
-    with mp.workdps(_DPS):
-        a = [_to_mp(v) for v in _values(A, p)]
-        b = [_to_mp(v) for v in _values(B, p)]
-        y = _to_mp(wavenumber)
-        den = _symbol(b, y)
-        err = (_symbol(a, y) - y * y * den) / (y * y * den)
-        measured = float(err / y ** order)
+    measured = _evaluate(p, A, B, wavenumber,
+                         lambda num, den, y: _relative_error(num, den, y) / y ** order)
     return CoefficientCheck(order, measured, float(predicted))

@@ -30,7 +30,6 @@ by p = 4, N = 128, where the error is 1.03e-9.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -242,6 +241,18 @@ def _cross_rule_points(p: int):
     return _rule_points_longdouble(gauss_legendre(p + 5))
 
 
+@lru_cache(maxsize=1)
+def _energy_tables(space: BSplineSpace):
+    """Points, basis derivatives and values of the energy integral on every
+    element; a study reads several modes of one space in a row."""
+    nodes = _cross_rule_points(space.p)[0]
+    t, der = basis_table(space, nodes, derivative=True)
+    tables = (t, der, basis_table(space, nodes)[1])
+    for table in tables:
+        table.flags.writeable = False  # shared by every call on this space
+    return tables
+
+
 def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """u_h at every table point: coefficients of each element's functions
     dotted with their values, adding in basis order from 0 as np.dot does."""
@@ -267,13 +278,12 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
 
     p, N = space.p, space.N
     h = np.longdouble(1) / N
-    nodes, weights = _cross_rule_points(p)
+    weights = _cross_rule_points(p)[1]
     jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
     c_full[1:-1] = v
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
-    t, der = basis_table(space, nodes, derivative=True)
-    _, val = basis_table(space, nodes)
+    t, der, val = _energy_tables(space)
     uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
     # (u_mode, u~) in L2 for the sign and the squared error, each summed
     # one term at a time in element-then-node order: np.sum would add pairwise
@@ -324,10 +334,6 @@ class ErrorTable:
             out.append(d)
         return out
 
-    def to_json(self, fh) -> None:
-        json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     def select(self, **keys) -> list[ErrorRow]:
         return [
             r for r in self.rows
@@ -340,12 +346,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.5e}"
 
 
-def convergence_rate(errors) -> float:
-    """Average dyadic convergence rate over a mesh-halving sequence."""
+def convergence_rate(errors, meshes) -> float:
+    """Average convergence rate in the element count over a refinement
+    sequence: the mean of log(e_i / e_{i+1}) / log(N_{i+1} / N_i)."""
     e = np.asarray([float(v) for v in errors])
-    if e.size < 2:
-        raise ValueError("need at least two errors")
+    n = np.asarray([float(v) for v in meshes])
+    if e.size < 2 or n.size != e.size:
+        raise ValueError("need at least two errors, one per mesh")
     if np.any(e <= 0):
         raise ValueError("errors must be positive")
-    steps = np.log2(e[:-1] / e[1:])
+    if np.any(n[1:] <= n[:-1]):
+        raise ValueError("meshes must increase strictly")
+    steps = np.log2(e[:-1] / e[1:]) / np.log2(n[1:] / n[:-1])
     return float(np.mean(steps))

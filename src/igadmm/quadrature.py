@@ -76,7 +76,6 @@ class BlendedRule(QuadratureRule):
     """Affine combination tau * first + (1 - tau) * second of two rules."""
 
     tau: float = 0.0
-    parts: tuple[str, str] = ("", "")
 
 
 def _finish(label, exactness, nodes_mp, weights_mp) -> QuadratureRule:
@@ -389,7 +388,6 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
         nodes_mp=nodes_mp,
         weights_mp=weights_mp,
         tau=float(t),
-        parts=(rule1.label, rule2.label),
     )
 
 

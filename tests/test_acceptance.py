@@ -136,7 +136,7 @@ def test_criterion_07_convergence_1d(announce):
     details = []
     for p, want_rates, window in ((2, (4.0, 3.5, 6.0), 0.2),
                                   (3, (6.1, 6.1, 7.8), 0.3)):
-        table, rates = cli.run_study_1d(p, MESHES[p], (1,), rules)
+        table, rates = cli.run_study(p, MESHES[p], (1,), rules)
         for rule in rules:
             errs = [r.rel_ev_error for r in table.select(rule=rule, mode=1)]
             if p == 2:
@@ -159,7 +159,7 @@ def test_criterion_07_convergence_1d(announce):
 
 def test_criterion_08_convergence_2d(announce):
     t0 = time.perf_counter()
-    table, rates = cli.run_study_2d(2, MESHES[2], (1,), ("dmm",))
+    table, rates = cli.run_study(2, MESHES[2], (1,), ("dmm",), dimension=2)
     errs = [r.rel_ev_error for r in table.select(rule="dmm", mode=1)]
     worst = max(abs(got - ref) / ref
                 for got, ref in zip(errs, EV_ERRORS_2D[(2, "dmm", 1)]))
@@ -178,8 +178,8 @@ def test_criterion_09_eigenfunction_rates(announce):
     ok = True
     details = []
     for p in (2, 3):
-        table, _ = cli.run_study_1d(p, MESHES[p], (1,), ("gauss", "dmm"),
-                                    energy=True)
+        table, _ = cli.run_study(p, MESHES[p], (1,), ("gauss", "dmm"),
+                                 energy=True)
         by_rule = {}
         for rule in ("gauss", "dmm"):
             efs = [r.ef_energy_error for r in table.select(rule=rule, mode=1)]

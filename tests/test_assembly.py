@@ -14,7 +14,6 @@ from igadmm.assembly import (
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
-    write_coo,
 )
 from igadmm.quadrature import (
     dmm_rule,
@@ -199,7 +198,7 @@ def _dense_2d_by_element_loop(space, rule):
 def test_kronecker_2d_agrees_with_element_loop(p, N):
     space = BSplineSpace(p, N)
     rule = gauss_legendre(p + 1)
-    pair = assemble_2d(space, rule)
+    pair = assemble_2d(assemble_1d(space, rule))
     K2, M2 = _dense_2d_by_element_loop(space, rule)
     assert np.max(np.abs(np.asarray(pair.stiffness, dtype=float) - K2)) < 1e-11
     assert np.max(np.abs(np.asarray(pair.mass, dtype=float) - M2)) < 1e-13
@@ -207,43 +206,28 @@ def test_kronecker_2d_agrees_with_element_loop(p, N):
 
 def test_2d_guards_and_labels():
     space = BSplineSpace(2, 4)
+    pair = assemble_1d(space, gauss_legendre(3))
     with pytest.raises(ValueError):
-        assemble_2d(space)
-    with pytest.raises(ValueError):
-        assemble_2d(space, gauss_legendre(3), max_dim=3)
+        assemble_2d(pair, max_dim=3)
     # max_dim caps the 2D unknown count: dim 4 gives 16
     with pytest.raises(ValueError, match="2D dimension 16 exceeds limit 15"):
-        assemble_2d(space, gauss_legendre(3), max_dim=15)
-    assert assemble_2d(space, gauss_legendre(3), max_dim=16).mass.shape == (16, 16)
-    pair = assemble_2d(space, dmm=True)
-    assert pair.stiffness_rule.startswith("blend")
-    assert pair.stiffness.shape == (16, 16)
+        assemble_2d(pair, max_dim=15)
+    assert assemble_2d(pair, max_dim=16).mass.shape == (16, 16)
+    pair2 = assemble_2d(assemble_1d_dmm(space))
+    assert pair2.stiffness_rule.startswith("blend")
+    assert pair2.stiffness.shape == (16, 16)
 
 
 def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
     # 80 elements at p = 2: 6400 unknowns, over KRON_MAX_DIM = 4096
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("assembled before the size check")
+    pairs = (assemble_1d(BSplineSpace(2, 80), gauss_legendre(3)),
+             assemble_1d_dmm(BSplineSpace(2, 80)))
 
-    monkeypatch.setattr(assembly, "assemble_1d", no_assembly)
-    monkeypatch.setattr(assembly, "assemble_1d_dmm", no_assembly)
-    space = BSplineSpace(2, 80)
+    def no_kron(*args, **kwargs):
+        raise AssertionError("Kronecker product before the size check")
+
+    monkeypatch.setattr(assembly.np, "kron", no_kron)
     with pytest.raises(ValueError, match="2D dimension 6400 exceeds limit 4096"):
-        assemble_2d(space, gauss_legendre(3))
+        assemble_2d(pairs[0])
     with pytest.raises(ValueError, match="exceeds limit"):
-        assemble_2d(space, dmm=True)
-
-
-def test_coo_round_trip(tmp_path):
-    pair = assemble_1d(BSplineSpace(2, 6), gauss_legendre(3))
-    path = tmp_path / "mass.coo"
-    write_coo(path, pair.mass, header="mass")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# mass"
-    n, m = map(int, lines[1].split())
-    assert (n, m) == (pair.mass.n, pair.mass.n)
-    dense = np.zeros((n, n))
-    for line in lines[2:]:
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    assert np.max(np.abs(dense - pair.mass.to_dense(float))) < 1e-18
+        assemble_2d(pairs[1])

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from igadmm.cli import main
+from igadmm.cli import _ROW_RULES, _STUDY_RULES, main
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,37 @@ def test_stencil_minimizing_point_rule_labels(capsys):
     assert stiff.splitlines() == ["k=0 1", "k=1 -1/3", "k=2 -1/6"]
 
 
+@pytest.mark.parametrize("form", ["mass", "stiffness"])
+@pytest.mark.parametrize("label", _ROW_RULES)
+def test_every_row_label_prints_a_row(capsys, label, form):
+    rc, out, _ = _run(capsys, ["stencil", "-p", "2", "--rule", label, "--form", form])
+    assert rc == 0
+    assert [line.split(" ")[0] for line in out.splitlines()] == ["k=0", "k=1", "k=2"]
+
+
+def test_minimized_stiffness_row_is_the_exact_one(capsys):
+    rc, minimized, _ = _run(capsys, ["stencil", "-p", "3", "--rule", "dmm",
+                                     "--form", "stiffness"])
+    _, exact, _ = _run(capsys, ["stencil", "-p", "3", "--rule", "exact",
+                                "--form", "stiffness"])
+    assert rc == 0
+    assert minimized == exact
+
+
+@pytest.mark.parametrize("command,labels", [
+    ("stencil", _ROW_RULES),
+    ("dispersion", _ROW_RULES),
+    ("study-1d", _STUDY_RULES),
+    ("study-2d", _STUDY_RULES),
+])
+def test_help_names_every_label(capsys, command, labels):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    words = capsys.readouterr().out.replace(",", " ").split()
+    assert all(label in words for label in labels)
+
+
 def test_tau_exact_and_degenerate(capsys):
     rc, out, _ = _run(capsys, ["tau", "--p", "2", "--pair", "gl"])
     assert rc == 0
@@ -110,6 +141,8 @@ def test_error_exit_codes(capsys):
     ["--meshes", "64"],
     ["--meshes", "1,8"],
     ["--meshes", "8,0"],
+    ["--meshes", "4,4"],
+    ["--meshes", "8,4"],
     ["-p", "0"],
     ["--rules", "foo"],
     ["--rules", "gauss,foo"],
@@ -136,6 +169,11 @@ def test_bad_kronecker_mesh_is_a_usage_error(capsys, kron):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "0"],
+    ["verify", "--fg-p-max", "1"],
+    ["verify", "--fg-m-max", "1"],
+    ["tau", "--p", ""],
+    ["tau", "--p", ","],
     ["tau", "--p", "0"],
     ["tau", "--p", "2,0"],
     ["stencil", "-p", "0"],
@@ -295,6 +333,24 @@ def test_kron_check_line(capsys):
     assert rc == 0
     line = [ln for ln in out.splitlines() if ln.startswith("# kron")][0]
     assert float(line.rsplit(" ", 1)[1]) < 1e-10
+
+
+@pytest.mark.parametrize("label", _STUDY_RULES)
+def test_every_study_label_passes_the_kronecker_check(capsys, label):
+    rc, out, _ = _run(capsys, ["study-2d", "-p", "2", "--meshes", "4,8", "--modes", "1",
+                               "--rules", label, "--verify-kron", "4"])
+    assert rc == 0
+    line = [ln for ln in out.splitlines() if ln.startswith("# kron")][0]
+    assert float(line.rsplit(" ", 1)[1]) < 1e-10
+
+
+def test_study_rate_on_a_non_doubling_ladder(capsys):
+    # N grows by 1.5 per step; the Gauss eigenvalue error falls as N^-2p
+    rc, out, _ = _run(capsys, ["study-1d", "-p", "2", "--rules", "gauss", "--modes", "1",
+                               "--meshes", "8,12,18,27", "--json", "-"])
+    assert rc == 0
+    report = json.loads(out[out.index("{"):])
+    assert abs(float(report["rates"][0]["rate"]) - 4.0) < 0.1
 
 
 def test_dispersion_fit_and_alias(tmp_path, capsys):

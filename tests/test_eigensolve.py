@@ -106,7 +106,7 @@ def test_leading_modes_are_bitwise_those_of_the_full_solve(p, label, N):
 
 
 def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs():
-    pair = assemble_2d(BSplineSpace(2, 8), dmm=True)
+    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 8)))
     full = generalized_eig(pair.stiffness, pair.mass)
     # each cut splits a pair of modes (j,k)/(k,j) equal up to roundoff, whose
     # refined order may differ from their double order; the cut at 12 is the
@@ -365,6 +365,23 @@ def test_energy_error_matches_a_40_digit_integral(p, N, label, printed):
     assert abs(got - float(want)) <= 1e-9 * float(want)
 
 
+def test_energy_tables_of_the_last_space_are_reused_bitwise():
+    pairs = [assemble_1d(BSplineSpace(2, N), gauss_legendre(3)) for N in (8, 12)]
+    spectra = [generalized_eig(pair.stiffness, pair.mass, 3) for pair in pairs]
+    fresh = []
+    for pair, spectrum in zip(pairs, spectra):
+        row = []
+        for mode in (1, 2, 3):
+            eigensolve._energy_tables.cache_clear()
+            row.append(energy_error(pair, spectrum, mode))
+        fresh.append(row)
+    eigensolve._energy_tables.cache_clear()
+    for i in (0, 1, 0):  # spaces A, B, A in turn
+        assert [energy_error(pairs[i], spectra[i], mode) for mode in (1, 2, 3)] == fresh[i]
+    info = eigensolve._energy_tables.cache_info()
+    assert (info.hits, info.misses) == (6, 3)
+
+
 def test_energy_error_mode_guard():
     pair = assemble_1d(BSplineSpace(2, 6), gauss_legendre(3))
     spectrum = generalized_eig(pair.stiffness, pair.mass)
@@ -376,13 +393,27 @@ def test_energy_error_mode_guard():
 
 def test_convergence_rate_fits_dyadic_sequences():
     errs = [3.0 * 2.0 ** (-4 * k) for k in range(5)]
-    assert abs(convergence_rate(errs) - 4.0) < 1e-12
+    assert abs(convergence_rate(errs, [8, 16, 32, 64, 128]) - 4.0) < 1e-12
     mixed = [1.0, 1.0 / 8, 1.0 / 32]  # steps 3 and 2 average to 2.5
-    assert abs(convergence_rate(mixed) - 2.5) < 1e-12
+    assert abs(convergence_rate(mixed, [4, 8, 16]) - 2.5) < 1e-12
     with pytest.raises(ValueError):
-        convergence_rate([1.0])
+        convergence_rate([1.0], [8])
     with pytest.raises(ValueError):
-        convergence_rate([1.0, 0.0])
+        convergence_rate([1.0, 0.0], [8, 16])
+
+
+def test_convergence_rate_divides_by_the_mesh_ratio():
+    # N grows by 1.5 per step and the error falls as N^-4
+    meshes = [8, 12, 18, 27]
+    errs = [float(N) ** -4 for N in meshes]
+    assert abs(convergence_rate(errs, meshes) - 4.0) < 1e-12
+    # a doubling ladder divides each step by log2(2) = 1 exactly
+    dyadic = [3.1e-3, 2.2e-4, 1.3e-5]
+    steps = np.log2(np.asarray(dyadic[:-1]) / np.asarray(dyadic[1:]))
+    assert convergence_rate(dyadic, [8, 16, 32]) == float(np.mean(steps))
+    for meshes in ([8, 8], [16, 8], [8, 16, 32]):
+        with pytest.raises(ValueError):
+            convergence_rate([1.0, 0.5], meshes)
 
 
 def test_error_table_exports_and_select():
