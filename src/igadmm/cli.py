@@ -62,8 +62,11 @@ def _dump_json(obj, path) -> None:
             fh.close()
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in str(text).split(",") if tok != ""]
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated integers: {text!r}") from None
 
 
 def _str_list(text: str) -> list[str]:
@@ -214,7 +217,7 @@ def _cmd_stencil(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    ps = [_degree(p, "--p") for p in _int_list(args.p)]
+    ps = [_degree(p, "--p") for p in _int_list(args.p, "--p")]
     if not ps:
         raise UsageError(f"--p needs one or more degrees: {args.p!r}")
     pairs = (list(quadrature._PAIR_NAMES) if args.pair == "all"
@@ -318,17 +321,15 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
 
 
 def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
-    """Max relative deviation between Kronecker and tensor-sum spectra."""
+    """Max relative deviation between Kronecker and tensor-sum spectra,
+    taken in longdouble."""
     pair1 = _pair(BSplineSpace(p, N), label)
     pair2 = assembly.assemble_2d(pair1)
     spec2 = eigensolve.generalized_eig(pair2.stiffness, pair2.mass, count)
     spec1 = eigensolve.generalized_eig(pair1.stiffness, pair1.mass, count)
     tens = eigensolve.tensor_spectrum_2d(spec1.eigenvalues, count)
     direct = spec2.eigenvalues[:count]
-    dev = max(
-        abs(float(a) - float(b)) / abs(float(b)) for a, b in zip(direct, tens)
-    )
-    return dev
+    return float(max(abs(a - b) / abs(b) for a, b in zip(direct, tens)))
 
 
 def _emit_study(table, rates, args, dimension: int) -> int:
@@ -354,7 +355,8 @@ def _emit_study(table, rates, args, dimension: int) -> int:
 
 def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
     """Degree, meshes, modes and rule labels of a study, checked up front."""
-    meshes, modes, rules = _int_list(args.meshes), _int_list(args.modes), _str_list(args.rules)
+    meshes, modes = _int_list(args.meshes, "--meshes"), _int_list(args.modes, "--modes")
+    rules = _str_list(args.rules)
     _degree(args.p)
     if len(meshes) < 2 or min(meshes) < 2 or any(a >= b for a, b in zip(meshes, meshes[1:])):
         raise UsageError("--meshes needs two or more increasing element counts >= 2: "

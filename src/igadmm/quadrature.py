@@ -1,9 +1,14 @@
 """Quadrature rules on [0, 1] and the mass rows they induce.
 
-Rules are built once in high precision: scipy/numpy supply double seeds
-for the nodes, mpmath Newton iteration polishes them to 40 significant
-digits, and the weights follow from the moment (Vandermonde) system on
-the polished nodes.  The public nodes/weights attributes are floats; the
+Rules are built once in high precision.  On [-1, 1] the nodes of each
+classical family are the roots of one Legendre series of at most two
+terms: P_m for m-point Gauss-Legendre, P_{m-2} - P_m for Gauss-Lobatto
+(the endpoints and the roots of P'_{m-1}), P_{m-1} + P_m for left
+Gauss-Radau (-1 and m - 1 free nodes).  numpy's legroots of that series
+seeds the free nodes, mpmath Newton iteration on the Legendre recurrence
+polishes them to 40 significant digits, the endpoints enter exactly, and
+the weights follow from the moment (Vandermonde) system on the polished
+nodes.  The public nodes/weights attributes are floats; the
 high-precision copies ride along privately and feed every stencil, blend
 ratio, and expansion coefficient computed here, which is what makes the
 1e-12-ish tolerances downstream comfortable.
@@ -30,8 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+from numpy.polynomial.legendre import legroots
 
 from igadmm.dispersion import error_expansion
 from igadmm.stencils import Stencil, dispersion_moment, stiffness_stencil
@@ -89,16 +93,6 @@ def _finish(label, exactness, nodes_mp, weights_mp) -> QuadratureRule:
     )
 
 
-def _newton(f, df, x0, steps=60):
-    x = mp.mpf(x0)
-    for _ in range(steps):
-        dx = f(x) / df(x)
-        x -= dx
-        if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
-            break
-    return x
-
-
 def _weights_from_moments(nodes01):
     """Interpolatory weights on [0, 1]: solve the Vandermonde moment system."""
     n = len(nodes01)
@@ -112,8 +106,41 @@ def _weights_from_moments(nodes01):
     return [w[i] for i in range(n)]
 
 
-def _map_01(nodes_pm1):
-    return [(x + 1) / 2 for x in nodes_pm1]
+def _legendre_series(coeffs, x):
+    """Value and derivative of sum_k coeffs[k] P_k(x), by the recurrences
+    P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1), P'_{k+1} = P'_{k-1} + (2k+1) P_k."""
+    f = df = 0
+    p_prev, p, d_prev, d = 0, 1, 0, 0
+    for k, c in enumerate(coeffs):
+        f, df = f + c * p, df + c * d
+        p_prev, p, d_prev, d = (p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1),
+                                d, d_prev + (2 * k + 1) * p)
+    return f, df
+
+
+def _legendre_rule(label, exactness, coeffs, fixed=()) -> QuadratureRule:
+    """Rule whose nodes on [-1, 1] are the roots of a Legendre series.
+
+    The endpoints in fixed are roots of the series and enter exactly; the
+    other roots are seeded by legroots (sorted, so the fixed ones sit at
+    the ends) and polished by Newton's method.
+    """
+    seeds = legroots(coeffs)
+    seeds = seeds[int(-1 in fixed): len(seeds) - int(1 in fixed)]
+    with mp.workdps(_DPS + 15):
+        nodes = [mp.mpf(x) for x in fixed]
+        for x0 in seeds:
+            x = mp.mpf(x0)
+            for _ in range(60):
+                f, df = _legendre_series(coeffs, x)
+                dx = f / df
+                x -= dx
+                if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
+                    break
+            nodes.append(x)
+        nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
+        weights01 = _weights_from_moments(nodes01)
+    return _finish(label, exactness, nodes01, weights01)
 
 
 @lru_cache(maxsize=None)
@@ -121,22 +148,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     """m-point Gauss-Legendre rule on [0, 1]; exact through degree 2m - 1."""
     if m < 1:
         raise ValueError(f"need at least one node, got {m}")
-    with mp.workdps(_DPS + 15):
-        if m == 1:
-            nodes = [mp.mpf(0)]
-        else:
-            seeds, _ = leggauss(m)
-
-            def f(x, m=m):
-                return mp.legendre(m, x)
-
-            def df(x, m=m):
-                return m * (x * mp.legendre(m, x) - mp.legendre(m - 1, x)) / (x * x - 1)
-
-            nodes = [_newton(f, df, s) for s in seeds]
-        nodes01 = _map_01(sorted(nodes))
-        weights01 = _weights_from_moments(nodes01)
-    return _finish(f"G{m}", 2 * m - 1, nodes01, weights01)
+    return _legendre_rule(f"G{m}", 2 * m - 1, [0] * m + [1])
 
 
 @lru_cache(maxsize=None)
@@ -144,25 +156,8 @@ def gauss_lobatto(m: int) -> QuadratureRule:
     """m-point Gauss-Lobatto rule on [0, 1] with both endpoints; degree 2m - 3."""
     if m < 2:
         raise ValueError(f"need at least two nodes, got {m}")
-    with mp.workdps(_DPS + 15):
-        if m == 2:
-            nodes = [mp.mpf(-1), mp.mpf(1)]
-        else:
-            # interior nodes are the roots of P'_{m-1}, i.e. of Jacobi(1,1) deg m-2
-            seeds, _ = roots_jacobi(m - 2, 1, 1)
-            n = m - 1
-
-            def f(x, n=n):
-                return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
-
-            def df(x, n=n, f=f):
-                # Legendre ODE: (1 - x^2) P'' = 2x P' - n(n+1) P
-                return (2 * x * f(x) - n * (n + 1) * mp.legendre(n, x)) / (1 - x * x)
-
-            nodes = [mp.mpf(-1)] + [_newton(f, df, s) for s in seeds] + [mp.mpf(1)]
-        nodes01 = _map_01(sorted(nodes))
-        weights01 = _weights_from_moments(nodes01)
-    return _finish(f"L{m}", 2 * m - 3, nodes01, weights01)
+    # (2n+1)(1 - x^2) P'_n = n(n+1)(P_{n-1} - P_{n+1}) with n = m - 1
+    return _legendre_rule(f"L{m}", 2 * m - 3, [0] * (m - 2) + [1, 0, -1], (-1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -170,24 +165,8 @@ def gauss_radau(m: int) -> QuadratureRule:
     """m-point left Gauss-Radau rule on [0, 1] with node at 0; degree 2m - 2."""
     if m < 1:
         raise ValueError(f"need at least one node, got {m}")
-    with mp.workdps(_DPS + 15):
-        if m == 1:
-            nodes = [mp.mpf(-1)]
-        else:
-            # free nodes are the roots of Jacobi(0,1) of degree m-1
-            seeds, _ = roots_jacobi(m - 1, 0, 1)
-            n = m - 1
-
-            def f(x, n=n):
-                return mp.jacobi(n, 0, 1, x)
-
-            def df(x, n=n):
-                return (n + 2) * mp.jacobi(n - 1, 1, 2, x) / 2
-
-            nodes = [mp.mpf(-1)] + [_newton(f, df, s) for s in seeds]
-        nodes01 = _map_01(sorted(nodes))
-        weights01 = _weights_from_moments(nodes01)
-    return _finish(f"R{m}", 2 * m - 2, nodes01, weights01)
+    # P_{m-1} + P_m vanishes at -1 and at the m - 1 free nodes
+    return _legendre_rule(f"R{m}", 2 * m - 2, [0] * (m - 1) + [1, 1], (-1,))
 
 
 _DMM_NODE_DATA = {

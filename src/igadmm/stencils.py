@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from igadmm.splines import cardinal_value
-
 
 @dataclass(frozen=True)
 class Stencil:

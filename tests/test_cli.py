@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from igadmm import cli
 from igadmm.cli import _ROW_RULES, _STUDY_RULES, main
 
 
@@ -148,6 +149,8 @@ def test_error_exit_codes(capsys):
     ["--rules", "gauss,foo"],
     ["--rules", "blend:xy"],
     ["--rules", ","],
+    ["--meshes", "8,x"],
+    ["--modes", "1.5"],
 ])
 def test_bad_study_inputs_are_usage_errors(capsys, command, bad):
     rc, out, err = _run(capsys, [command, "-p", "2", "--rules", "gauss"] + bad)
@@ -188,12 +191,25 @@ def test_bad_kronecker_mesh_is_a_usage_error(capsys, kron):
     ["rules", "--family", "radau", "--points", "0"],
     ["rules", "--family", "blend", "-p", "0"],
     ["rules", "--family", "dmm", "-p", "0"],
+    ["tau", "--p", "two"],
 ])
 def test_bad_degrees_and_samplings_are_usage_errors(capsys, argv):
     rc, out, err = _run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["study-1d", "-p", "2", "--meshes", "8,x"], "--meshes"),
+    (["study-2d", "-p", "2", "--modes", "1.5"], "--modes"),
+    (["tau", "--p", "two"], "--p"),
+])
+def test_integer_lists_name_their_flag(capsys, argv, flag):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} needs comma-separated integers")
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -333,6 +349,12 @@ def test_kron_check_line(capsys):
     assert rc == 0
     line = [ln for ln in out.splitlines() if ln.startswith("# kron")][0]
     assert float(line.rsplit(" ", 1)[1]) < 1e-10
+
+
+def test_kron_deviation_is_taken_in_longdouble():
+    # float64 rounding of both spectra would read 1.3e-16 and exactly 0 here
+    assert cli.kron_cross_check(1, 12, "gauss") < 1e-17
+    assert cli.kron_cross_check(2, 8, "dmm") > 0
 
 
 @pytest.mark.parametrize("label", _STUDY_RULES)
@@ -494,3 +516,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "tau=13/3" in proc.stdout
+
+
+def test_import_does_not_load_scipy_special():
+    # the rule builders seed from numpy's legroots; scipy.special would add
+    # about 0.07 s to every command's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, igadmm.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
 from expected_values import (
     BLEND_RATIOS,
@@ -26,6 +28,7 @@ from igadmm.quadrature import (
     _PAIR_NAMES,
     DegenerateBlendError,
     QuadratureRule,
+    _finish,
     _pair_rules,
     _piece_products,
     blend,
@@ -39,6 +42,7 @@ from igadmm.quadrature import (
     quadrature_stiffness_stencil,
     tau_for_pair,
     triple_blend_check,
+    _weights_from_moments,
 )
 from igadmm.splines import cardinal_piece, cardinal_piece_derivative
 from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
@@ -101,6 +105,77 @@ def test_rule_validates_node_weight_pairing():
                 lambda: gauss_radau(0)):
         with pytest.raises(ValueError):
             bad()
+
+
+def _newton(f, df, x0):
+    x = mp.mpf(x0)
+    for _ in range(60):
+        dx = f(x) / df(x)
+        x -= dx
+        if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
+            break
+    return x
+
+
+def _reference_rule(family, m):
+    """The m-point rule by its own family's route: leggauss seeds and
+    mp.legendre for Gauss, roots_jacobi seeds and the Legendre ODE for the
+    roots of P'_{m-1} (Lobatto), roots_jacobi and mp.jacobi (Radau)."""
+    with mp.workdps(_DPS + 15):
+        if family == "G":
+            def f(x):
+                return mp.legendre(m, x)
+
+            def df(x):
+                return m * (x * mp.legendre(m, x) - mp.legendre(m - 1, x)) / (x * x - 1)
+
+            nodes = [_newton(f, df, s) for s in leggauss(m)[0]] if m > 1 else [mp.mpf(0)]
+            exactness = 2 * m - 1
+        elif family == "L":
+            n = m - 1
+
+            def f(x):
+                return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+
+            def df(x):
+                return (2 * x * f(x) - n * (n + 1) * mp.legendre(n, x)) / (1 - x * x)
+
+            seeds = roots_jacobi(m - 2, 1, 1)[0] if m > 2 else []
+            nodes = [mp.mpf(-1)] + [_newton(f, df, s) for s in seeds] + [mp.mpf(1)]
+            exactness = 2 * m - 3
+        else:
+            n = m - 1
+
+            def f(x):
+                return mp.jacobi(n, 0, 1, x)
+
+            def df(x):
+                return (n + 2) * mp.jacobi(n - 1, 1, 2, x) / 2
+
+            seeds = roots_jacobi(m - 1, 0, 1)[0] if m > 1 else []
+            nodes = [mp.mpf(-1)] + [_newton(f, df, s) for s in seeds]
+            exactness = 2 * m - 2
+        nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
+        return _finish(f"{family}{m}", exactness, nodes01, _weights_from_moments(nodes01))
+
+
+@pytest.mark.parametrize("family,build,mmin", [
+    ("G", gauss_legendre, 1), ("L", gauss_lobatto, 2), ("R", gauss_radau, 1)])
+def test_series_builder_matches_each_familys_own_route(family, build, mmin):
+    for m in range(mmin, 31):
+        rule, ref = build(m), _reference_rule(family, m)
+        assert (rule.label, rule.exactness) == (ref.label, ref.exactness)
+        with mp.workdps(60):
+            gap = max(abs(a - b) for a, b in zip(rule.nodes_mp, ref.nodes_mp))
+        assert len(rule.nodes_mp) == m and gap < mp.mpf(10) ** -54, (m, gap)
+        assert (rule.nodes, rule.weights) == (ref.nodes, ref.weights), m
+        got, want = _rule_points_longdouble(rule), _rule_points_longdouble(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), m
+        # the fixed endpoints enter exactly, unpolished
+        if family != "G":
+            assert rule.nodes_mp[0] == 0, m
+        if family == "L":
+            assert rule.nodes_mp[-1] == 1, m
 
 
 @pytest.mark.parametrize("p,name", sorted(MASS_BY_RULE))
