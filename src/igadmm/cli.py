@@ -10,19 +10,24 @@ Subcommands:
   dispersion  sample a dispersion error curve, fit its order
 
 Exit codes: 0 on success, 1 when a verification fails or a computation
-cannot be completed, 2 for usage errors.  All numeric output uses six
-significant digits; outputs contain no timestamps or environment details,
-so identical invocations produce byte-identical files.  A JSON config file
-(--config) may pre-set any long option of any subcommand (keys use
+cannot be completed, 2 for usage errors, among them a --csv or --json
+file in a directory that does not exist, checked before any computation.
+All numeric output uses six significant digits; outputs contain no
+timestamps or environment details, so identical invocations produce
+byte-identical files.  A JSON config file (--config, before the
+subcommand) may pre-set any long option of any subcommand (keys use
 underscores); explicit command line options win, and any other key is a
 config error, as is a value the option of the subcommand run would not
-take from the command line.
+take from the command line.  The parsers are built once per process, on
+the first call of main(), and a config never outlives its call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -599,23 +604,42 @@ def _load_config(path, command, commands) -> dict:
             for key, value in cfg.items() if key in options}
 
 
+@functools.lru_cache(maxsize=1)
+def _parsers():
+    """build_parser()'s parsers, shared by every main() call of the process."""
+    return build_parser()
+
+
+def _apply_config(args, argv, parser, commands):
+    """args parsed again over the config's defaults for the subcommand run,
+    so options given on the command line still win."""
+    command = commands[args.command]
+    cfg = _load_config(args.config, command, commands.values())
+    saved = {key: command.get_default(key) for key in cfg}
+    command.set_defaults(**cfg)
+    try:
+        return parser.parse_args(argv)
+    finally:
+        command.set_defaults(**saved)  # the next call must not see this config
+
+
+def _check_outputs(args) -> None:
+    """Every --csv and --json file must go into an existing directory."""
+    for flag in ("csv", "json"):
+        path = getattr(args, flag, None)
+        if path not in (None, "-") and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"--{flag} {path}: directory {os.path.dirname(path)} "
+                             "does not exist")
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("command", nargs="?")
-    known, _ = pre.parse_known_args(argv)
-    if known.config and known.command in commands:
-        command = commands[known.command]
-        try:
-            cfg = _load_config(known.config, command, commands.values())
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # the subcommand's parser applies its defaults over the namespace
-        command.set_defaults(**cfg)
+    parser, commands = _parsers()
+    # usage errors exit here; --config is read only before the subcommand
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _apply_config(args, argv, parser, commands)
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

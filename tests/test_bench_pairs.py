@@ -1,0 +1,52 @@
+"""The paired-benchmark summary of tools/bench_pairs.py on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_summary_counts_wins_losses_and_ties():
+    summary = bench_pairs.summarize([(1.0, 0.5), (1.2, 0.6), (0.9, 1.0), (1.1, 1.1)],
+                                    "lower")
+    parent, change = summary["parent"], summary["change"]
+    # inclusive quartiles of 0.9, 1.0, 1.1, 1.2 and of 0.5, 0.6, 1.0, 1.1
+    assert (parent["q1"], parent["median"], parent["q3"]) == pytest.approx(
+        (0.975, 1.05, 1.125))
+    assert (change["q1"], change["median"], change["q3"]) == pytest.approx(
+        (0.575, 0.8, 1.025))
+    assert parent["runs"] == [1.0, 1.2, 0.9, 1.1]
+    assert (summary["pairs"], summary["change_wins"], summary["change_losses"]) == (4, 2, 1)
+    assert summary["median_gain"] == pytest.approx(0.25)
+    assert summary["median_gain_share"] == pytest.approx(0.25 / 1.05)
+    assert summary["parent_iqr"] == pytest.approx(0.15)
+    assert summary["gain_holds"] is False  # 2 wins of 4
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_parent_iqr():
+    parent = [1.0 + 0.01 * i for i in range(10)]  # IQR 0.045
+    nine_wins = list(zip(parent, [0.8] * 9 + [1.5]))
+    summary = bench_pairs.summarize(nine_wins, "lower")
+    assert summary["change_wins"] == 9 and summary["gain_holds"] is True
+    eight_wins = list(zip(parent, [0.8] * 8 + [1.5, 1.5]))
+    assert bench_pairs.summarize(eight_wins, "lower")["gain_holds"] is False
+    narrow = [(a, a - 0.001) for a in parent]  # ten wins, gap 0.001
+    summary = bench_pairs.summarize(narrow, "lower")
+    assert summary["change_wins"] == 10 and summary["gain_holds"] is False
+    # where higher is better the same numbers are nine losses
+    summary = bench_pairs.summarize(nine_wins, "higher")
+    assert (summary["change_wins"], summary["change_losses"]) == (1, 9)
+    assert summary["median_gain"] == pytest.approx(-0.245)
+    assert summary["gain_holds"] is False
+
+
+def test_single_pair_and_seed_lists():
+    summary = bench_pairs.summarize([(2.0, 1.0)], "lower")
+    assert summary["parent"]["q1"] == summary["parent"]["q3"] == 2.0
+    assert summary["gain_holds"] is True
+    assert bench_pairs._seeds("4001-4003,4007") == [4001, 4002, 4003, 4007]

@@ -1,5 +1,6 @@
 """Command line behavior: golden lines, exit codes, JSON schema, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -507,6 +508,125 @@ def test_config_values_are_taken_as_their_options_take_text(tmp_path, capsys):
     _, want, _ = _run(capsys, ["dispersion", "-p", "2", "--min", "1", "--max", "2",
                                "--samples", "3"])
     assert out == want
+
+
+def _exit(capsys, argv):
+    """Exit code, stdout and stderr of a call, argparse's own exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_parsers_are_built_once_per_process(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parsers.cache_clear()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rule": "dmm"}))
+    for argv in (["stencil", "-p", "2"], ["--config", str(cfg), "stencil", "-p", "2"],
+                 ["stencil"]):
+        _exit(capsys, argv)
+    # the root parser and one per subcommand, no --config pre-parser
+    assert len(built) == 8 and built[0] == "igadmm"
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import argparse\n"
+         "built = []\n"
+         "init = argparse.ArgumentParser.__init__\n"
+         "argparse.ArgumentParser.__init__ = "
+         "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+         "import igadmm.cli\n"
+         "print(len(built), igadmm.cli._parsers.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_config_does_not_outlive_its_call(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rule": "dmm", "form": "stiffness"}))
+    plain = ["k=0 11/20", "k=1 13/60", "k=2 1/120"]
+    rc, out, _ = _exit(capsys, ["--config", str(cfg), "stencil", "-p", "2"])
+    assert rc == 0 and out.splitlines() != plain
+    rc, out, _ = _exit(capsys, ["stencil", "-p", "2"])
+    assert rc == 0 and out.splitlines() == plain
+    # a usage error (no -p) in a call that names a config
+    rc, out, err = _exit(capsys, ["--config", str(cfg), "stencil"])
+    assert rc == 2 and out == "" and "-p" in err
+    rc, out, _ = _exit(capsys, ["stencil", "-p", "2"])
+    assert rc == 0 and out.splitlines() == plain
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rule": "dmm", "p_max": 2}))
+    commands = ["verify", "stencil", "tau", "rules", "study-1d", "study-2d", "dispersion"]
+    asked = ([["-h"]] + [[command, "-h"] for command in commands]
+             + [["stencil"], ["nosuchcommand"], ["stencil", "-p", "2", "--bogus"],
+                ["rules", "--family", "nosuch"]])
+    others = [["--config", str(cfg), "stencil", "-p", "3"], ["tau", "--p", "2"],
+              ["--config", str(cfg), "dispersion"], ["stencil", "-p", "0"]]
+    runs = []
+    for _ in range(2):
+        for argv in others:
+            _exit(capsys, argv)
+        runs.append([_exit(capsys, argv) for argv in asked])
+    assert runs[0] == runs[1]
+    assert all(rc == 0 and out.startswith("usage: igadmm") for rc, out, _ in runs[0][:8])
+    assert all(rc == 2 and err.startswith("usage: igadmm") for rc, _, err in runs[0][8:])
+
+
+def test_config_is_read_only_before_the_subcommand(tmp_path, capsys):
+    # usage errors come from igadmm's parser, not from a private pre-parser
+    rc, out, err = _exit(capsys, ["--config"])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: igadmm ")
+    assert err.endswith("igadmm: error: argument --config: expected one argument\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rule": "dmm"}))
+    for path in (str(cfg), str(tmp_path / "none.json")):
+        rc, out, err = _exit(capsys, ["stencil", "-p", "2", "--config", path])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage: igadmm ")
+        assert err.endswith(f"igadmm: error: unrecognized arguments: --config {path}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stencil", "-p", "2", "--json", "{missing}/x.json"],
+    ["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "gauss", "--csv", "{missing}/x.csv"],
+    ["study-1d", "-p", "2", "--csv", "-", "--json", "{missing}/x.json"],
+    ["verify", "--json", "{missing}/x.json"],
+    ["dispersion", "-p", "2", "--csv", "{missing}/x.csv"],
+    ["--config", "{config}", "tau"],
+])
+def test_output_into_a_missing_directory_is_a_usage_error(monkeypatch, tmp_path, capsys,
+                                                          argv):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    for name in ("_row", "run_study", "run_verify"):
+        monkeypatch.setattr(cli, name, computed)
+    missing = tmp_path / "missing"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"json": f"{missing}/x.json"}))
+    argv = [arg.format(missing=missing, config=config) for arg in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --") and f"directory {missing} does not exist" in err
 
 
 def test_console_entry_point():
