@@ -624,10 +624,17 @@ def _apply_config(args, argv, parser, commands):
 
 
 def _check_outputs(args) -> None:
-    """Every --csv and --json file must go into an existing directory."""
+    """Every --csv and --json file must be named, not be a directory, and go
+    into an existing directory."""
     for flag in ("csv", "json"):
         path = getattr(args, flag, None)
-        if path not in (None, "-") and not os.path.isdir(os.path.dirname(path) or "."):
+        if path in (None, "-"):
+            continue
+        if not path:
+            raise UsageError(f"--{flag}: empty file name")
+        if os.path.isdir(path):
+            raise UsageError(f"--{flag} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"--{flag} {path}: directory {os.path.dirname(path)} "
                              "does not exist")
 

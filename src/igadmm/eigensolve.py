@@ -1,11 +1,12 @@
 """Generalized eigenvalue solution and error measures for the Laplace
 eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 
-Eigenpairs come from a double-precision solver: for band pencils of order
-_BANDED_MIN_N and up, shift-invert Lanczos (ARPACK through scipy's eigsh,
-shift 0) computes only the leading modes; smaller pencils and dense
-Kronecker pencils go to scipy's dense symmetric-definite eigh.  The
-leading eigenvalues a caller asks for are then refined by
+Eigenpairs come from a double-precision solver: for band and Kronecker
+pencils of order _BANDED_MIN_N and up, shift-invert Lanczos (ARPACK
+through scipy's eigsh, shift 0, on a sparse copy) computes only the
+leading modes; smaller pencils and dense arrays go to scipy's dense
+symmetric-definite eigh.  The leading eigenvalues a caller asks for are
+then refined, through the operators' longdouble products, by
 extended-precision Rayleigh quotients, which pushes the numerical noise
 floor far below the discretization errors being measured (the 1D studies
 resolve relative errors down to 1e-13).  Modes past the requested count
@@ -50,10 +51,10 @@ _SQRT2_LD = np.sqrt(np.longdouble(2))
 # degenerate 2D pairs sit ~1e-15 apart while distinct modes differ by > 5e-2
 _CUT_RTOL = 1e-8
 
-# smallest band pencil order solved by shift-invert Lanczos; below it the
-# dense eigh is faster.  One BLAS thread on a 2-vCPU x86-64 VM, p = 2, dense
-# vs Lanczos: 4.6 vs 6.1 ms at n = 128, 10 vs 6.6 ms at n = 192, 680 vs
-# 9.7 ms at n = 1024
+# smallest band or Kronecker pencil order solved by shift-invert Lanczos;
+# below it the dense eigh is faster.  One BLAS thread on a 2-vCPU x86-64
+# VM, 1D, p = 2, dense vs Lanczos: 4.6 vs 6.1 ms at n = 128, 10 vs 6.6 ms at
+# n = 192, 680 vs 9.7 ms at n = 1024
 _BANDED_MIN_N = 160
 
 # modes the Lanczos solve computes past the requested count, so that it
@@ -89,14 +90,10 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _as_operator(A):
-    """Uniform (dense_f64, matvec_longdouble) view of a matrix argument."""
-    if isinstance(A, SymBandMatrix):
-        dense = A.to_dense(dtype=np.float64)
-        return dense, A.matvec
-    arr = np.asarray(A)
-    arr_ld = arr.astype(np.longdouble)
-    return arr.astype(np.float64), lambda x: arr_ld @ x
+def _operator(A):
+    """A band or Kronecker operator as it is; a dense array as a full band
+    SymBandMatrix."""
+    return A if hasattr(A, "matvec") else SymBandMatrix.from_dense(A)
 
 
 def _cluster_top(w, count: int) -> float:
@@ -105,27 +102,19 @@ def _cluster_top(w, count: int) -> float:
     return cut + _CUT_RTOL * abs(cut)
 
 
-def _band_csc(A: SymBandMatrix):
-    """Double-precision compressed sparse column copy of a band matrix."""
-    import scipy.sparse
-
-    offsets = range(-A.halfband, A.halfband + 1)
-    bands = A.bands.astype(np.float64)
-    return scipy.sparse.diags_array([bands[abs(d), : A.n - abs(d)] for d in offsets],
-                                    offsets=offsets, format="csc")
-
-
-def _leading_band_modes(K: SymBandMatrix, M: SymBandMatrix, count: int):
+def _leading_modes(K, M, count: int):
     """Double-precision (eigenvalues, vectors) of the smallest modes of a
-    band pencil with K positive definite, through the cluster at the cut,
-    by shift-invert Lanczos at 0; (None, None) when that needs all n."""
+    band or Kronecker pencil with K positive definite, through the cluster
+    at the cut, by shift-invert Lanczos at 0; (None, None) when that needs
+    all n."""
     import scipy.sparse.linalg
 
     n = K.n
-    K_csc, M_csc = _band_csc(K), _band_csc(M)
+    K_csc, M_csc = K.to_csc(), M.to_csc()
     # a fixed start vector makes repeated solves bitwise equal; a ramp has
     # no reflection symmetry, so it is not orthogonal to the modes that are
-    # even about x = 1/2, as a constant vector would be
+    # even about x = 1/2, as a constant vector would be, nor, on the square,
+    # to those odd under swapping x and y
     v0 = np.linspace(1.0, 2.0, n)
     k = count + _MARGIN
     while k < n:
@@ -141,44 +130,45 @@ def _leading_band_modes(K: SymBandMatrix, M: SymBandMatrix, count: int):
 def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     """Solve K v = lambda M v for symmetric K and positive definite M.
 
-    Accepts SymBandMatrix or dense arrays.  Returns the count smallest modes
-    (all n when count is None or exceeds n).  Their eigenvalues are
-    recomputed as extended-precision Rayleigh quotients of the
-    double-precision eigenvectors and re-sorted; for well-separated modes
-    this restores the eigenvalues to near working precision of the
-    assembled matrices.  Refinement covers the leading count modes and every
-    later mode whose double eigenvalue lies within _CUT_RTOL of the
-    count-th: refinement moves an eigenvalue by far less than that, so no
-    mode left out could sort into the first count.
+    Accepts SymBandMatrix or KroneckerSum operators, or dense arrays.
+    Returns the count smallest modes (all n when count is None or exceeds
+    n).  Their eigenvalues are recomputed as extended-precision Rayleigh
+    quotients of the double-precision eigenvectors, through the operators'
+    longdouble matvec, and re-sorted; for well-separated modes this
+    restores the eigenvalues to near working precision of the assembled
+    matrices.  Refinement covers the leading count modes and every later
+    mode whose double eigenvalue lies within _CUT_RTOL of the count-th:
+    refinement moves an eigenvalue by far less than that, so no mode left
+    out could sort into the first count.
 
-    A band pair of order _BANDED_MIN_N or more, with K positive definite,
-    is solved for its leading modes only, by shift-invert Lanczos; all
-    other pencils, and a band pair whose leading modes would take all n,
-    by a dense eigh.  On the dense side the result is bitwise the leading
-    part of a full solve (count=None); on the Lanczos side the eigenvectors
-    carry different roundoff, so refined eigenvalues may differ from the
-    dense ones in the last digits of longdouble.
+    An operator pencil of order _BANDED_MIN_N or more, with K positive
+    definite, is solved for its leading modes only, by shift-invert
+    Lanczos; smaller ones, dense arrays at any order, and a pencil whose
+    leading modes would take all n, by a dense eigh.  On the dense side the
+    result is bitwise the leading part of a full solve (count=None); on the
+    Lanczos side the eigenvectors carry different roundoff, so refined
+    eigenvalues may differ from the dense ones in the last digits of
+    longdouble.
     """
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
                              "refined eigenvalues would sit at the float64 floor")
-    n = K.n if isinstance(K, SymBandMatrix) else np.shape(K)[0]
+    operators = hasattr(K, "matvec") and hasattr(M, "matvec")
+    K, M = _operator(K), _operator(M)
+    n = K.n
     count = n if count is None else min(count, n)
     if count < 1:
         raise ValueError(f"need at least one mode, requested {count}")
     w = None
-    if isinstance(K, SymBandMatrix) and isinstance(M, SymBandMatrix) and n >= _BANDED_MIN_N:
-        w, vecs = _leading_band_modes(K, M, count)
-        K_mv, M_mv = K.matvec, M.matvec
+    if operators and n >= _BANDED_MIN_N:
+        w, vecs = _leading_modes(K, M, count)
     if w is None:
-        K_dense, K_mv = _as_operator(K)
-        M_dense, M_mv = _as_operator(M)
-        w, vecs = scipy.linalg.eigh(K_dense, M_dense)
+        w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)
     for j in range(stop):
         v = vecs[:, j].astype(np.longdouble)
-        refined[j] = (v @ K_mv(v)) / (v @ M_mv(v))
+        refined[j] = (v @ K.matvec(v)) / (v @ M.matvec(v))
     order = np.argsort(refined, kind="stable")[:count]
     return Spectrum(refined[order], vecs[:, order])
 

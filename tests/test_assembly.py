@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
-from igadmm import assembly
+from igadmm import cli
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
@@ -200,8 +203,34 @@ def test_kronecker_2d_agrees_with_element_loop(p, N):
     rule = gauss_legendre(p + 1)
     pair = assemble_2d(assemble_1d(space, rule))
     K2, M2 = _dense_2d_by_element_loop(space, rule)
-    assert np.max(np.abs(np.asarray(pair.stiffness, dtype=float) - K2)) < 1e-11
-    assert np.max(np.abs(np.asarray(pair.mass, dtype=float) - M2)) < 1e-13
+    assert np.max(np.abs(pair.stiffness.to_dense(float) - K2)) < 1e-11
+    assert np.max(np.abs(pair.mass.to_dense(float) - M2)) < 1e-13
+
+
+@pytest.mark.parametrize("p,N", [(1, 5), (2, 4), (3, 6)])
+def test_kronecker_operator_products_and_copies_agree(p, N):
+    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(p, N)))
+    x = np.random.default_rng(7).standard_normal(pair.mass.n).astype(np.longdouble)
+    for op in (pair.stiffness, pair.mass):
+        dense = op.to_dense()
+        scale = float(np.max(np.abs(dense)))
+        assert float(np.max(np.abs(op.matvec(x) - dense @ x))) < 1e-17 * scale * op.n
+        assert np.array_equal(op.to_dense(np.float64), dense.astype(np.float64))
+        assert np.allclose(op.to_csc().toarray(), dense.astype(np.float64),
+                           rtol=0, atol=4e-16 * scale)
+    bands = sum(m.bands.nbytes for m in pair.stiffness.terms[0])
+    assert pair.stiffness.nbytes == bands and pair.mass.nbytes == bands // 2
+
+
+def test_band_matvec_takes_a_block_column_by_column():
+    A = assemble_1d_dmm(BSplineSpace(3, 9)).mass
+    X = np.random.default_rng(3).standard_normal((A.n, 4)).astype(np.longdouble)
+    Y = A.matvec(X)
+    for j in range(4):
+        assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
+    assert np.array_equal(A.to_csc().toarray(), A.to_dense(np.float64))
+    full = SymBandMatrix.from_dense(A.to_dense())
+    assert full.halfband == A.n - 1 and np.array_equal(full.to_dense(), A.to_dense())
 
 
 def test_2d_guards_and_labels():
@@ -219,15 +248,20 @@ def test_2d_guards_and_labels():
 
 
 def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
-    # 80 elements at p = 2: 6400 unknowns, over KRON_MAX_DIM = 4096
-    pairs = (assemble_1d(BSplineSpace(2, 80), gauss_legendre(3)),
-             assemble_1d_dmm(BSplineSpace(2, 80)))
+    # 130 elements at p = 2: 16900 unknowns, over KRON_MAX_DIM = 16384
+    pairs = (assemble_1d(BSplineSpace(2, 130), gauss_legendre(3)),
+             assemble_1d_dmm(BSplineSpace(2, 130)))
 
-    def no_kron(*args, **kwargs):
-        raise AssertionError("Kronecker product before the size check")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Kronecker product or solve before the size check")
 
-    monkeypatch.setattr(assembly.np, "kron", no_kron)
-    with pytest.raises(ValueError, match="2D dimension 6400 exceeds limit 4096"):
+    for module, name in ((np, "kron"), (scipy.sparse, "kron"),
+                         (scipy.sparse.linalg, "eigsh"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):
         assemble_2d(pairs[0])
     with pytest.raises(ValueError, match="exceeds limit"):
         assemble_2d(pairs[1])
+    # the cross-check assembles its 1D pair, then stops at the same guard
+    with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):
+        cli.kron_cross_check(2, 130, "dmm")

@@ -8,10 +8,12 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from igadmm import cli
+from igadmm import assembly, cli, eigensolve
 from igadmm.cli import _ROW_RULES, _STUDY_RULES, main
+from igadmm.splines import BSplineSpace
 
 
 @pytest.fixture(scope="module")
@@ -160,11 +162,11 @@ def test_bad_study_inputs_are_usage_errors(capsys, command, bad):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kron", ["1", "-3", "80", "64"])
+@pytest.mark.parametrize("kron", ["1", "-3", "129", "128"])
 def test_bad_kronecker_mesh_is_a_usage_error(capsys, kron):
-    # 80 elements at p = 2 give 6400 2D unknowns and 64 at p = 3 give 4225,
-    # both over assembly.KRON_MAX_DIM = 4096; the check comes before any solve
-    p = "3" if kron == "64" else "2"
+    # 129 elements at p = 2 and 128 at p = 3 both give 16641 2D unknowns,
+    # over assembly.KRON_MAX_DIM = 16384; the check comes before any solve
+    p = "3" if kron == "128" else "2"
     rc, out, err = _run(capsys, ["study-2d", "-p", p, "--rules", "gauss",
                                  "--verify-kron", kron])
     assert rc == 2
@@ -350,6 +352,27 @@ def test_kron_check_line(capsys):
     assert rc == 0
     line = [ln for ln in out.splitlines() if ln.startswith("# kron")][0]
     assert float(line.rsplit(" ", 1)[1]) < 1e-10
+
+
+def test_kron_cross_check_forms_no_large_dense_pencil(monkeypatch):
+    # from _BANDED_MIN_N unknowns on, the 2D pencil is only ever applied
+    # through 1D band products and solved on its sparse copy
+    n0 = eigensolve._BANDED_MIN_N
+    kron, to_dense = np.kron, assembly.KroneckerSum.to_dense
+
+    def small_kron(a, b):
+        assert np.shape(a)[0] * np.shape(b)[0] < n0, "dense Kronecker product"
+        return kron(a, b)
+
+    def small_to_dense(self, *args, **kwargs):
+        assert self.n < n0, "dense copy of a Kronecker pencil"
+        return to_dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", small_kron)
+    monkeypatch.setattr(assembly.KroneckerSum, "to_dense", small_to_dense)
+    assert 0 < cli.kron_cross_check(2, 24, "dmm") < 1e-17
+    with pytest.raises(AssertionError, match="dense"):
+        assembly.assemble_2d(cli._pair(BSplineSpace(2, 13), "dmm")).mass.to_dense()
 
 
 def test_kron_deviation_is_taken_in_longdouble():
@@ -627,6 +650,30 @@ def test_output_into_a_missing_directory_is_a_usage_error(monkeypatch, tmp_path,
     assert rc == 2
     assert out == ""
     assert err.startswith("error: --") and f"directory {missing} does not exist" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["stencil", "-p", "2", "--json", "{directory}"], "error: --json {directory}: is a directory"),
+    (["stencil", "-p", "2", "--json", ""], "error: --json: empty file name"),
+    (["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "gauss", "--csv", "{directory}"],
+     "error: --csv {directory}: is a directory"),
+    (["dispersion", "-p", "2", "--csv", ""], "error: --csv: empty file name"),
+    (["--config", "{config}", "tau"], "error: --json {directory}: is a directory"),
+])
+def test_output_to_a_directory_or_an_empty_name_is_a_usage_error(monkeypatch, tmp_path,
+                                                                 capsys, argv, message):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    for name in ("_row", "run_study", "run_verify"):
+        monkeypatch.setattr(cli, name, computed)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"json": str(tmp_path)}))
+    argv = [arg.format(directory=tmp_path, config=config) for arg in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == message.format(directory=tmp_path) + "\n"
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 """Dispersion-minimized mass rows and the exact rational solver."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -112,3 +113,29 @@ def _fact(n: int) -> int:
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m exactly, from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1."""
+    B = [Fraction(1)]
+    for j in range(1, m + 1):
+        B.append(-sum(comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return B
+
+
+def test_bernoulli_numbers():
+    B = _bernoulli(12)
+    assert B[:7] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+                     Fraction(1, 42)]
+    assert B[12] == Fraction(-691, 2730)
+
+
+def test_minimized_rows_in_closed_form():
+    # dmm - mass = gamma_p (-1)^k C(2p, p+k) with gamma_p = |B_2p| / (2p)!:
+    # the interior row of gamma_p times the Gram matrix of the p-th derivatives
+    B = _bernoulli(28)
+    for p in range(1, 15):
+        gamma = abs(B[2 * p]) / factorial(2 * p)
+        got = [d - m for d, m in zip(dmm_stencil(p).values, mass_stencil(p).values)]
+        assert got == [gamma * (-1) ** k * comb(2 * p, p + k) for k in range(p + 1)], p
+    assert abs(B[12]) / factorial(12) == Fraction(691, 1307674368000)

@@ -105,7 +105,7 @@ def test_leading_modes_are_bitwise_those_of_the_full_solve(p, label, N):
         pair.stiffness, pair.mass, (1, 3, n - 1, n, n + 5))
 
 
-def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs():
+def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs(monkeypatch):
     pair = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 8)))
     full = generalized_eig(pair.stiffness, pair.mass)
     # each cut splits a pair of modes (j,k)/(k,j) equal up to roundoff, whose
@@ -116,6 +116,21 @@ def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs():
         below, above = (float(v) for v in full.eigenvalues[count - 1:count + 1])
         assert abs(above - below) < 1e-12 * below, count
     _assert_leading_modes_are_the_full_solve(pair.stiffness, pair.mass, counts)
+    # from _BANDED_MIN_N on, the Lanczos solve must find both modes of each
+    # pair: its refined eigenvalues are the pairwise sums of the 1D ones
+    pair1 = assemble_1d_dmm(BSplineSpace(2, 16))
+    pair = assemble_2d(pair1)
+    assert pair.stiffness.n == 256 >= eigensolve._BANDED_MIN_N
+    tensor = tensor_spectrum_2d(generalized_eig(pair1.stiffness, pair1.mass).eigenvalues)
+    calls = _count_solver_calls(monkeypatch)
+    for count in counts:
+        below, above = (float(v) for v in tensor[count - 1:count + 1])
+        assert abs(above - below) < 1e-12 * below, count
+        got = generalized_eig(pair.stiffness, pair.mass, count)
+        assert len(got) == count and got.vectors.shape == (256, count)
+        rel = np.abs(got.eigenvalues - tensor[:count]) / tensor[:count]
+        assert float(np.max(rel)) < 1e-15, count
+    assert calls == ["eigsh"] * len(counts)
 
 
 def test_generalized_eig_needs_a_positive_count():
@@ -165,7 +180,7 @@ def test_band_pencils_from_the_crossover_on_take_the_lanczos_solve(monkeypatch):
     assert calls == ["eigh"]
     generalized_eig(above.stiffness, above.mass, 4)
     assert calls == ["eigh", "eigsh"]
-    # a dense pencil stays dense at any order, as the Kronecker ones do
+    # a dense pencil stays dense at any order
     generalized_eig(above.stiffness.to_dense(), above.mass.to_dense(), 4)
     assert calls == ["eigh", "eigsh", "eigh"]
 
