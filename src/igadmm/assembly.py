@@ -43,22 +43,12 @@ class SymBandMatrix:
 
     def to_dense(self, dtype=np.longdouble) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=dtype)
+        j = np.arange(self.n)
         for d in range(self.halfband + 1):
-            for j in range(self.n - d):
-                out[j + d, j] = self.bands[d, j]
-                out[j, j + d] = self.bands[d, j]
+            band = self.bands[d, : self.n - d]
+            out[j[d:], j[: self.n - d]] = band
+            out[j[: self.n - d], j[d:]] = band
         return out
-
-    @classmethod
-    def from_dense(cls, A) -> "SymBandMatrix":
-        """Full band (halfband n - 1) of a dense symmetric matrix, read from
-        its lower triangle."""
-        A = np.asarray(A, dtype=np.longdouble)
-        n = A.shape[0]
-        bands = np.zeros((n, n), dtype=np.longdouble)
-        for d in range(n):
-            bands[d, : n - d] = np.diagonal(A, -d)
-        return cls(n, n - 1, bands)
 
     def to_csc(self):
         """Double-precision compressed sparse column copy."""
@@ -79,40 +69,16 @@ class SymBandMatrix:
             y[: self.n - d] += bands[d, : self.n - d] * x[d:]
         return y
 
-    def entry(self, i: int, j: int):
-        lo, hi = min(i, j), max(i, j)
-        d = hi - lo
-        if d > self.halfband:
-            return np.longdouble(0)
-        return self.bands[d, lo]
-
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """Reduced (Dirichlet) stiffness and mass matrices for one space."""
+    """Reduced (Dirichlet) stiffness and mass matrices for one space; rule
+    labels the quadrature rule both were integrated with."""
 
     space: BSplineSpace
     stiffness: SymBandMatrix
     mass: SymBandMatrix
-    stiffness_rule: str
-    mass_rule: str
-
-
-def _rule_points_longdouble(rule: QuadratureRule):
-    # mpf -> repr string -> longdouble keeps all 18-19 usable digits
-    nodes = np.array([np.longdouble(mp_str) for mp_str in
-                      (_mp_repr(x) for x, _ in rule._mp_pairs())])
-    weights = np.array([np.longdouble(mp_str) for mp_str in
-                        (_mp_repr(w) for _, w in rule._mp_pairs())])
-    return nodes, weights
-
-
-def _mp_repr(x) -> str:
-    from mpmath import nstr
-
-    if hasattr(x, "_mpf_"):
-        return nstr(x, 25)
-    return repr(float(x))
+    rule: str
 
 
 def _assemble_full(space: BSplineSpace, rule: QuadratureRule, form: str) -> np.ndarray:
@@ -123,7 +89,7 @@ def _assemble_full(space: BSplineSpace, rule: QuadratureRule, form: str) -> np.n
     is gained by caching the interior local matrix.
     """
     p, N = space.p, space.N
-    nodes, weights = _rule_points_longdouble(rule)
+    nodes, weights = rule.as_longdouble()
     _, table = basis_table(space, nodes, derivative=form == "stiffness")
     # derivatives are physical (1/h lives in the basis), so both forms only
     # pick up the Jacobian h from dx
@@ -150,18 +116,15 @@ def _band_matrix(space: BSplineSpace, bands_reduced: np.ndarray) -> SymBandMatri
     return SymBandMatrix(space.dim, space.p, bands_reduced)
 
 
-def assemble_1d(space: BSplineSpace, stiffness_rule: QuadratureRule,
-                mass_rule: QuadratureRule | None = None) -> MatrixPair:
-    """Assemble the Dirichlet stiffness/mass pair with explicit rules.
+def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
+    """Assemble the Dirichlet stiffness/mass pair, both forms with one rule.
 
-    mass_rule defaults to the stiffness rule.  Rules may be any
-    QuadratureRule, including blends with signed weights.
+    The rule may be any QuadratureRule, including blends with signed
+    weights.
     """
-    if mass_rule is None:
-        mass_rule = stiffness_rule
-    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, stiffness_rule, "stiffness")))
-    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, mass_rule, "mass")))
-    return MatrixPair(space, K, M, stiffness_rule.label, mass_rule.label)
+    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "stiffness")))
+    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "mass")))
+    return MatrixPair(space, K, M, rule.label)
 
 
 def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
@@ -241,20 +204,19 @@ class MatrixPair2D:
     space: BSplineSpace
     stiffness: KroneckerSum
     mass: KroneckerSum
-    stiffness_rule: str
-    mass_rule: str
+    rule: str
 
 
-def assemble_2d(pair: MatrixPair, max_dim: int = KRON_MAX_DIM) -> MatrixPair2D:
+def assemble_2d(pair: MatrixPair) -> MatrixPair2D:
     """Tensor-product pair of a 1D pair: K2 = K (x) M + M (x) K, M2 = M (x) M.
 
-    Both are KroneckerSum operators over the 1D band matrices.  max_dim caps
-    the 2D unknown count dim^2, against accidentally huge pencils for the
-    eigensolver.
+    Both are KroneckerSum operators over the 1D band matrices.  KRON_MAX_DIM
+    caps the 2D unknown count dim^2, against accidentally huge pencils for
+    the eigensolver.
     """
     n = pair.stiffness.n
-    if n * n > max_dim:
-        raise ValueError(f"2D dimension {n * n} exceeds limit {max_dim}")
+    if n * n > KRON_MAX_DIM:
+        raise ValueError(f"2D dimension {n * n} exceeds limit {KRON_MAX_DIM}")
     K, M = pair.stiffness, pair.mass
     return MatrixPair2D(pair.space, KroneckerSum(((K, M), (M, K))), KroneckerSum(((M, M),)),
-                        pair.stiffness_rule, pair.mass_rule)
+                        pair.rule)

@@ -231,7 +231,7 @@ def _cmd_tau(args) -> int:
     for p in ps:
         for pair in pairs:
             try:
-                tau = quadrature.tau_for_pair(p, pair)
+                tau = quadrature.optimal_blend(p, pair).tau
             except quadrature.DegenerateBlendError:
                 entries.append({"p": p, "pair": pair, "tau": "degenerate",
                                 "tau_fraction": None})

@@ -79,11 +79,6 @@ def _relative_error(num, den, y):
     return (num - y * y * den) / (y * y * den)
 
 
-def rayleigh(p: int, A, B, wavenumber) -> float:
-    """Discrete squared-frequency symbol R(y) at normalized wavenumber y."""
-    return _evaluate(p, A, B, wavenumber, lambda num, den, y: num / den)
-
-
 def dispersion_error(p: int, A, B, wavenumber) -> float:
     """Relative dispersion error (R(y) - y^2) / y^2, evaluated in mpmath."""
     return _evaluate(p, A, B, wavenumber, _relative_error)

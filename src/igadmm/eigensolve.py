@@ -4,16 +4,16 @@ eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 Eigenpairs come from a double-precision solver: for band and Kronecker
 pencils of order _BANDED_MIN_N and up, shift-invert Lanczos (ARPACK
 through scipy's eigsh, shift 0, on a sparse copy) computes only the
-leading modes; smaller pencils and dense arrays go to scipy's dense
-symmetric-definite eigh.  The leading eigenvalues a caller asks for are
-then refined, through the operators' longdouble products, by
-extended-precision Rayleigh quotients, which pushes the numerical noise
-floor far below the discretization errors being measured (the 1D studies
-resolve relative errors down to 1e-13).  Modes past the requested count
-are refined only when their double eigenvalue ties the last requested one,
-so that a degenerate pair split by the cut sorts as a full refinement
-would sort it.  Refinement needs a longdouble wider than float64; where it
-is not (Windows, Apple ARM), generalized_eig raises PrecisionError.
+leading modes; smaller pencils go to scipy's dense symmetric-definite
+eigh.  The leading eigenvalues a caller asks for are then refined,
+through the operators' longdouble products, by extended-precision
+Rayleigh quotients, which pushes the numerical noise floor far below the
+discretization errors being measured (the 1D studies resolve relative
+errors down to 1e-13).  Modes past the requested count are refined only
+when their double eigenvalue ties the last requested one, so that a
+degenerate pair split by the cut sorts as a full refinement would sort
+it.  Refinement needs a longdouble wider than float64; where it is not
+(Windows, Apple ARM), generalized_eig raises PrecisionError.
 
 Error measures: relative eigenvalue errors against j^2 pi^2 (or
 (j^2 + k^2) pi^2 on the square), and the energy-norm eigenfunction error
@@ -38,7 +38,6 @@ import numpy as np
 import scipy.linalg
 
 from igadmm.assembly import MatrixPair, SymBandMatrix, _assemble_full, _reduce_dirichlet
-from igadmm.assembly import _rule_points_longdouble
 from igadmm.quadrature import gauss_legendre
 from igadmm.splines import BSplineSpace, basis_table
 
@@ -90,12 +89,6 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _operator(A):
-    """A band or Kronecker operator as it is; a dense array as a full band
-    SymBandMatrix."""
-    return A if hasattr(A, "matvec") else SymBandMatrix.from_dense(A)
-
-
 def _cluster_top(w, count: int) -> float:
     """Largest double eigenvalue still tied with the count-th."""
     cut = w[count - 1]
@@ -130,37 +123,33 @@ def _leading_modes(K, M, count: int):
 def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     """Solve K v = lambda M v for symmetric K and positive definite M.
 
-    Accepts SymBandMatrix or KroneckerSum operators, or dense arrays.
-    Returns the count smallest modes (all n when count is None or exceeds
-    n).  Their eigenvalues are recomputed as extended-precision Rayleigh
-    quotients of the double-precision eigenvectors, through the operators'
-    longdouble matvec, and re-sorted; for well-separated modes this
-    restores the eigenvalues to near working precision of the assembled
-    matrices.  Refinement covers the leading count modes and every later
+    K and M are SymBandMatrix or KroneckerSum operators.  Returns the count
+    smallest modes (all n when count is None or exceeds n).  Their
+    eigenvalues are recomputed as extended-precision Rayleigh quotients of
+    the double-precision eigenvectors, through the operators' longdouble
+    matvec, and re-sorted; for well-separated modes this restores the
+    eigenvalues to near working precision of the assembled matrices.  Refinement covers the leading count modes and every later
     mode whose double eigenvalue lies within _CUT_RTOL of the count-th:
     refinement moves an eigenvalue by far less than that, so no mode left
     out could sort into the first count.
 
-    An operator pencil of order _BANDED_MIN_N or more, with K positive
-    definite, is solved for its leading modes only, by shift-invert
-    Lanczos; smaller ones, dense arrays at any order, and a pencil whose
-    leading modes would take all n, by a dense eigh.  On the dense side the
-    result is bitwise the leading part of a full solve (count=None); on the
-    Lanczos side the eigenvectors carry different roundoff, so refined
-    eigenvalues may differ from the dense ones in the last digits of
-    longdouble.
+    A pencil of order _BANDED_MIN_N or more, with K positive definite, is
+    solved for its leading modes only, by shift-invert Lanczos; smaller
+    ones, and a pencil whose leading modes would take all n, by a dense
+    eigh.  On the dense side the result is bitwise the leading part of a
+    full solve (count=None); on the Lanczos side the eigenvectors carry
+    different roundoff, so refined eigenvalues may differ from the dense
+    ones in the last digits of longdouble.
     """
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
                              "refined eigenvalues would sit at the float64 floor")
-    operators = hasattr(K, "matvec") and hasattr(M, "matvec")
-    K, M = _operator(K), _operator(M)
     n = K.n
     count = n if count is None else min(count, n)
     if count < 1:
         raise ValueError(f"need at least one mode, requested {count}")
     w = None
-    if operators and n >= _BANDED_MIN_N:
+    if n >= _BANDED_MIN_N:
         w, vecs = _leading_modes(K, M, count)
     if w is None:
         w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
@@ -228,7 +217,7 @@ def _exact_forms(space: BSplineSpace) -> SymBandMatrix:
 
 @lru_cache(maxsize=None)
 def _cross_rule_points(p: int):
-    return _rule_points_longdouble(gauss_legendre(p + 5))
+    return gauss_legendre(p + 5).as_longdouble()
 
 
 @lru_cache(maxsize=1)

@@ -8,10 +8,11 @@ Gauss-Radau (-1 and m - 1 free nodes).  numpy's legroots of that series
 seeds the free nodes, mpmath Newton iteration on the Legendre recurrence
 polishes them to 40 significant digits, the endpoints enter exactly, and
 the weights follow from the moment (Vandermonde) system on the polished
-nodes.  The public nodes/weights attributes are floats; the
-high-precision copies ride along privately and feed every stencil, blend
-ratio, and expansion coefficient computed here, which is what makes the
-1e-12-ish tolerances downstream comfortable.
+nodes.  A rule holds its nodes and weights once, as mpf at the
+construction precision; they feed every stencil, blend ratio, and
+expansion coefficient computed here, which is what makes the 1e-12-ish
+tolerances downstream comfortable, and the one longdouble view that
+assembly and the energy error integrate with.
 
 A rule induces its interior stiffness and mass rows through its moments
 alone: entry k of a row is the rule applied on one knot span to a fixed
@@ -30,10 +31,11 @@ mass row through the stencil sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp
 from numpy.polynomial.legendre import legroots
 
@@ -51,46 +53,39 @@ class DegenerateBlendError(ArithmeticError):
 class QuadratureRule:
     """Nodes and weights on [0, 1] with a known polynomial exactness degree.
 
-    exactness is the highest polynomial degree integrated exactly; the
-    minimizing rules carry 0 because they are not exact beyond constants.
+    nodes and weights are mpf at the construction precision; other numbers
+    given for them are converted at that precision, not at mpmath's
+    ambient 53 bits, which would round a 40-digit node.  exactness is the
+    highest polynomial degree integrated exactly; the minimizing rules
+    carry 0 because they are not exact beyond constants.
     """
 
     label: str
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
+    nodes: tuple[mp.mpf, ...]
+    weights: tuple[mp.mpf, ...]
     exactness: int
-    nodes_mp: tuple = field(repr=False, compare=False, default=())
-    weights_mp: tuple = field(repr=False, compare=False, default=())
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise ValueError("nodes and weights must pair up")
+        with mp.workdps(_DPS + 15):
+            for name in ("nodes", "weights"):
+                values = tuple(mp.mpf(v) for v in getattr(self, name))
+                object.__setattr__(self, name, values)
 
-    def integrate(self, f) -> float:
-        return float(sum(w * f(x) for x, w in zip(self.nodes, self.weights)))
-
-    def _mp_pairs(self):
-        if self.nodes_mp:
-            return tuple(zip(self.nodes_mp, self.weights_mp))
-        return tuple((mp.mpf(x), mp.mpf(w)) for x, w in zip(self.nodes, self.weights))
+    def as_longdouble(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights as longdouble arrays; each goes through a
+        25-digit string, which keeps all 18-19 digits a longdouble holds."""
+        return tuple(np.array([np.longdouble(mp.nstr(v, 25)) for v in values])
+                     for values in (self.nodes, self.weights))
 
 
 @dataclass(frozen=True)
 class BlendedRule(QuadratureRule):
-    """Affine combination tau * first + (1 - tau) * second of two rules."""
+    """Affine combination tau * first + (1 - tau) * second of two rules;
+    tau is the mpf ratio the weights were scaled by."""
 
-    tau: float = 0.0
-
-
-def _finish(label, exactness, nodes_mp, weights_mp) -> QuadratureRule:
-    return QuadratureRule(
-        label=label,
-        nodes=tuple(float(x) for x in nodes_mp),
-        weights=tuple(float(w) for w in weights_mp),
-        exactness=exactness,
-        nodes_mp=tuple(nodes_mp),
-        weights_mp=tuple(weights_mp),
-    )
+    tau: mp.mpf
 
 
 def _weights_from_moments(nodes01):
@@ -140,7 +135,7 @@ def _legendre_rule(label, exactness, coeffs, fixed=()) -> QuadratureRule:
             nodes.append(x)
         nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
         weights01 = _weights_from_moments(nodes01)
-    return _finish(label, exactness, nodes01, weights01)
+    return QuadratureRule(label, tuple(nodes01), tuple(weights01), exactness)
 
 
 @lru_cache(maxsize=None)
@@ -194,10 +189,10 @@ def dmm_rule(p: int, sign: int = 1) -> QuadratureRule:
     fixed, (radicand, divisor), weights = _DMM_NODE_DATA[p]
     with mp.workdps(_DPS + 15):
         free = mp.mpf(1) / 2 + sign * mp.sqrt(radicand) / divisor
-        nodes_mp = ([mp.mpf(fixed)] if fixed is not None else []) + [free]
-        weights_mp = [mp.mpf(w.numerator) / w.denominator for w in weights]
+        nodes = ([mp.mpf(fixed)] if fixed is not None else []) + [free]
+        weights = [mp.mpf(w.numerator) / w.denominator for w in weights]
     tag = "+" if sign > 0 else "-"
-    return _finish(f"D{p}{tag}", 0, nodes_mp, weights_mp)
+    return QuadratureRule(f"D{p}{tag}", tuple(nodes), tuple(weights), 0)
 
 
 def _check_exactness(p: int, rule: QuadratureRule, require: bool):
@@ -272,9 +267,8 @@ def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
     # integrand of their own span (the p = 1 derivative jumps).
     table = _piece_products(p, kind)
     with mp.workdps(_DPS + 15):
-        pairs = rule._mp_pairs()
-        us = [2 * x - 1 for x, _ in pairs]
-        terms = [w for _, w in pairs]
+        us = [2 * x - 1 for x in rule.nodes]
+        terms = list(rule.weights)
         moments = []
         for _ in range(len(table[0])):
             moments.append(mp.fsum(terms))
@@ -328,19 +322,6 @@ def _pair_rules(p: int, pair: str) -> tuple[QuadratureRule, QuadratureRule]:
     return f1(), f2()
 
 
-def tau_for_pair(p: int, pair: str):
-    """Blend ratio for a named rule pair.
-
-    Pair letters: g = (p+1)-point Legendre, p = p-point Legendre,
-    l = (p+1)-point Lobatto, r = p-point Radau; e.g. "gl" blends the
-    (p+1)-point Legendre with the (p+1)-point Lobatto rule.
-    """
-    r1, r2 = _pair_rules(p, pair)
-    b1 = quadrature_mass_stencil(p, r1)
-    b2 = quadrature_mass_stencil(p, r2)
-    return optimal_tau(p, b1, b2)
-
-
 def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
     """Affine combination of two rules as a single (possibly signed) rule.
 
@@ -353,26 +334,28 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
             t = mp.mpf(tau.numerator) / tau.denominator
         else:
             t = mp.mpf(tau)
-        nodes_mp = tuple(x for x, _ in rule1._mp_pairs()) + tuple(
-            x for x, _ in rule2._mp_pairs()
-        )
-        weights_mp = tuple(t * w for _, w in rule1._mp_pairs()) + tuple(
-            (1 - t) * w for _, w in rule2._mp_pairs()
+        weights = tuple(t * w for w in rule1.weights) + tuple(
+            (1 - t) * w for w in rule2.weights
         )
     return BlendedRule(
         label=f"blend:{rule1.label}+{rule2.label}",
-        nodes=tuple(float(x) for x in nodes_mp),
-        weights=tuple(float(w) for w in weights_mp),
+        nodes=rule1.nodes + rule2.nodes,
+        weights=weights,
         exactness=min(rule1.exactness, rule2.exactness),
-        nodes_mp=nodes_mp,
-        weights_mp=weights_mp,
-        tau=float(t),
+        tau=t,
     )
 
 
 @lru_cache(maxsize=None)
 def optimal_blend(p: int, pair: str = "gl") -> BlendedRule:
-    """Blend of a named pair at its minimizing ratio."""
+    """Blend of a named pair at its minimizing ratio.
+
+    Pair letters: g = (p+1)-point Legendre, p = p-point Legendre,
+    l = (p+1)-point Lobatto, r = p-point Radau; e.g. "gl" blends the
+    (p+1)-point Legendre with the (p+1)-point Lobatto rule.  The ratio,
+    .tau, is optimal_tau's 40-digit value; DegenerateBlendError when the
+    pair has none.
+    """
     r1, r2 = _pair_rules(p, pair)
     tau = optimal_tau(
         p, quadrature_mass_stencil(p, r1), quadrature_mass_stencil(p, r2)

@@ -179,17 +179,6 @@ def basis_table(space: BSplineSpace, nodes, derivative: bool = False):
     return t, np.stack(rows, axis=-1)
 
 
-def eval_basis(space: BSplineSpace, j: int, x):
-    """Value of basis function j (full numbering) at x in [0, 1]."""
-    if not 0 <= j < space.dim_full:
-        raise ValueError(f"basis index {j} out of range 0..{space.dim_full - 1}")
-    first, vals = nonzero_basis(space, x)
-    i = j - first
-    if 0 <= i < len(vals):
-        return vals[i]
-    return 0 * x
-
-
 def cardinal_value(p: int, t):
     """Degree-p cardinal B-spline on knots 0, 1, ..., p+1 evaluated at t.
 

@@ -42,11 +42,6 @@ class Stencil:
         if len(self.values) != self.p + 1:
             raise ValueError("stencil must hold offsets 0..p")
 
-    def value(self, k: int):
-        """Entry at signed offset k, zero beyond the support."""
-        k = abs(k)
-        return self.values[k] if k <= self.p else 0 * self.values[0]
-
     def row_sum(self):
         """Sum over all offsets -p..p."""
         return self.values[0] + 2 * sum(self.values[1:])

@@ -86,11 +86,11 @@ def test_criterion_03_rule_induced_rows(announce):
 def test_criterion_04_blend_ratios(announce):
     worst = 0.0
     for (p, pair), want in sorted(BLEND_RATIOS.items()):
-        worst = max(worst, _rel_dev(quadrature.tau_for_pair(p, pair), want))
+        worst = max(worst, _rel_dev(quadrature.optimal_blend(p, pair).tau, want))
     degenerate_ok = True
     for p, pair in sorted(DEGENERATE_PAIRS):
         try:
-            quadrature.tau_for_pair(p, pair)
+            quadrature.optimal_blend(p, pair)
             degenerate_ok = False
         except quadrature.DegenerateBlendError:
             pass

@@ -7,13 +7,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
-from igadmm import cli
+from igadmm import assembly, cli
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
     _assemble_full,
     _reduce_dirichlet,
-    _rule_points_longdouble,
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
@@ -54,8 +53,8 @@ def test_interior_rows_reproduce_the_exact_stencils(p):
     h = 1.0 / N
     for i in _interior_rows(space):
         for k in range(p + 1):
-            kv = float(pair.stiffness.entry(i, i + k))
-            mv = float(pair.mass.entry(i, i + k))
+            kv = float(pair.stiffness.bands[k, i])
+            mv = float(pair.mass.bands[k, i])
             assert abs(kv - float(EXACT_STIFFNESS[p][k]) / h) < 1e-12 / h
             assert abs(mv - float(EXACT_MASS[p][k]) * h) < 1e-16
 
@@ -68,8 +67,8 @@ def test_minimized_assembly_interior_mass_rows(p):
     h = 1.0 / N
     for i in _interior_rows(space):
         for k in range(p + 1):
-            mv = float(pair.mass.entry(i, i + k))
-            kv = float(pair.stiffness.entry(i, i + k))
+            mv = float(pair.mass.bands[k, i])
+            kv = float(pair.stiffness.bands[k, i])
             assert abs(mv - float(MINIMIZED_MASS[p][k]) * h) < 1e-15
             assert abs(kv - float(EXACT_STIFFNESS[p][k]) / h) < 1e-12 / h
 
@@ -84,11 +83,10 @@ def test_point_rule_assembly_matches_blend_inside_only():
     ref = assemble_1d_dmm(space)
     for i in _interior_rows(space):
         for k in range(p + 1):
-            dm = abs(float(point.mass.entry(i, i + k) - ref.mass.entry(i, i + k)))
-            dk = abs(float(point.stiffness.entry(i, i + k)
-                           - ref.stiffness.entry(i, i + k)))
+            dm = abs(float(point.mass.bands[k, i] - ref.mass.bands[k, i]))
+            dk = abs(float(point.stiffness.bands[k, i] - ref.stiffness.bands[k, i]))
             assert dm < 1e-15 and dk < 1e-12
-    corner = abs(float(point.mass.entry(0, 0) - ref.mass.entry(0, 0)))
+    corner = abs(float(point.mass.bands[0, 0] - ref.mass.bands[0, 0]))
     assert corner > 1e-6
 
 
@@ -106,7 +104,7 @@ def _assemble_full_by_scalar_loop(space, rule, form):
     node, each local outer product added into the bands as it comes."""
     p, N = space.p, space.N
     h = np.longdouble(1) / N
-    nodes, weights = _rule_points_longdouble(rule)
+    nodes, weights = rule.as_longdouble()
     evaluate = nonzero_basis_derivatives if form == "stiffness" else nonzero_basis
     bands = np.zeros((p + 1, space.dim_full), dtype=np.longdouble)
     for e in range(N):
@@ -157,10 +155,18 @@ def test_band_storage_helpers():
     assert D[1, 0] == 1.0 and D[2, 1] == 2.0 and D[2, 0] == 0.0
     x = np.array([1.0, -2.0, 3.0])
     assert np.allclose(np.asarray(A.matvec(x), dtype=float), D @ x)
-    assert A.entry(0, 2) == 0
-    assert A.entry(2, 1) == A.entry(1, 2) == 2.0
     with pytest.raises(ValueError):
         SymBandMatrix(3, 2, bands)
+    # the dense copy is bitwise that of an entry by entry loop, in either dtype
+    for p in range(1, 6):
+        B = assemble_1d_dmm(BSplineSpace(p, 7)).mass
+        for dtype in (np.longdouble, np.float64):
+            want = np.zeros((B.n, B.n), dtype=dtype)
+            for d in range(B.halfband + 1):
+                for j in range(B.n - d):
+                    want[j + d, j] = want[j, j + d] = B.bands[d, j]
+            got = B.to_dense(dtype)
+            assert got.dtype == dtype and np.array_equal(got, want), (p, dtype)
 
 
 def _dense_2d_by_element_loop(space, rule):
@@ -229,21 +235,22 @@ def test_band_matvec_takes_a_block_column_by_column():
     for j in range(4):
         assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
     assert np.array_equal(A.to_csc().toarray(), A.to_dense(np.float64))
-    full = SymBandMatrix.from_dense(A.to_dense())
-    assert full.halfband == A.n - 1 and np.array_equal(full.to_dense(), A.to_dense())
 
 
-def test_2d_guards_and_labels():
+def test_2d_guards_and_labels(monkeypatch):
     space = BSplineSpace(2, 4)
     pair = assemble_1d(space, gauss_legendre(3))
+    monkeypatch.setattr(assembly, "KRON_MAX_DIM", 3)
     with pytest.raises(ValueError):
-        assemble_2d(pair, max_dim=3)
-    # max_dim caps the 2D unknown count: dim 4 gives 16
+        assemble_2d(pair)
+    # KRON_MAX_DIM caps the 2D unknown count: dim 4 gives 16
+    monkeypatch.setattr(assembly, "KRON_MAX_DIM", 15)
     with pytest.raises(ValueError, match="2D dimension 16 exceeds limit 15"):
-        assemble_2d(pair, max_dim=15)
-    assert assemble_2d(pair, max_dim=16).mass.shape == (16, 16)
+        assemble_2d(pair)
+    monkeypatch.setattr(assembly, "KRON_MAX_DIM", 16)
+    assert assemble_2d(pair).mass.shape == (16, 16)
     pair2 = assemble_2d(assemble_1d_dmm(space))
-    assert pair2.stiffness_rule.startswith("blend")
+    assert pair2.rule.startswith("blend")
     assert pair2.stiffness.shape == (16, 16)
 
 

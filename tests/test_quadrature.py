@@ -21,14 +21,12 @@ from expected_values import (
     MINRULE_FORMS,
     TRIPLE_SYSTEMS,
 )
-from igadmm.assembly import _rule_points_longdouble
 from igadmm.dmm import dmm_stencil
 from igadmm.quadrature import (
     _DPS,
     _PAIR_NAMES,
     DegenerateBlendError,
     QuadratureRule,
-    _finish,
     _pair_rules,
     _piece_products,
     blend,
@@ -40,7 +38,6 @@ from igadmm.quadrature import (
     optimal_tau,
     quadrature_mass_stencil,
     quadrature_stiffness_stencil,
-    tau_for_pair,
     triple_blend_check,
     _weights_from_moments,
 )
@@ -62,6 +59,10 @@ def _stencil_close(stencil, fractions, tol):
         ) < tol
 
 
+def _apply(rule, f) -> float:
+    return float(sum(w * f(x) for x, w in zip(rule.nodes, rule.weights)))
+
+
 @pytest.mark.parametrize("family,mmin,_deg", FAMILIES)
 def test_weights_sum_to_one(family, mmin, _deg):
     for m in range(mmin, 8):
@@ -74,10 +75,10 @@ def test_polynomial_exactness_is_sharp(family, mmin, deg):
         rule = family(m)
         assert rule.exactness == deg(m)
         for d in range(rule.exactness + 1):
-            err = abs(rule.integrate(lambda x, d=d: x ** d) - 1.0 / (d + 1))
+            err = abs(_apply(rule, lambda x, d=d: x ** d) - 1.0 / (d + 1))
             assert err < 1e-13, (rule.label, d, err)
         d = rule.exactness + 1
-        err = abs(rule.integrate(lambda x, d=d: x ** d) - 1.0 / (d + 1))
+        err = abs(_apply(rule, lambda x, d=d: x ** d) - 1.0 / (d + 1))
         assert err > 1e-11, (rule.label, d, err)
 
 
@@ -100,6 +101,9 @@ def test_constrained_nodes_present():
 def test_rule_validates_node_weight_pairing():
     with pytest.raises(ValueError):
         QuadratureRule("bad", (0.0, 1.0), (1.0,), 0)
+    rule = QuadratureRule("mid", (0.25, 0.75), (0.5, 0.5), 1)
+    assert all(isinstance(v, mp.mpf) for v in rule.nodes + rule.weights)
+    assert rule.nodes == (0.25, 0.75) and rule.weights == (0.5, 0.5)
     for bad in (lambda: gauss_legendre(0),
                 lambda: gauss_lobatto(1),
                 lambda: gauss_radau(0)):
@@ -156,7 +160,21 @@ def _reference_rule(family, m):
             nodes = [mp.mpf(-1)] + [_newton(f, df, s) for s in seeds]
             exactness = 2 * m - 2
         nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
-        return _finish(f"{family}{m}", exactness, nodes01, _weights_from_moments(nodes01))
+        return QuadratureRule(f"{family}{m}", tuple(nodes01),
+                              tuple(_weights_from_moments(nodes01)), exactness)
+
+
+@pytest.mark.parametrize("build", [lambda: gauss_legendre(3), lambda: optimal_blend(3, "gl")])
+def test_a_rule_rebuilt_from_its_nodes_and_weights_is_the_same_rule(build):
+    # built outside any workdps: at mpmath's ambient 53 bits the rebuilt
+    # rule would round the 40-digit nodes and weights
+    rule = build()
+    rebuilt = QuadratureRule("copy", rule.nodes, rule.weights, rule.exactness)
+    assert (rebuilt.nodes, rebuilt.weights) == (rule.nodes, rule.weights)
+    assert all(w != float(w) for w in rebuilt.weights)  # more digits than a float
+    assert _induced_row(3, rebuilt, "mass") == _induced_row(3, rule, "mass")
+    got, want = rebuilt.as_longdouble(), rule.as_longdouble()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("family,build,mmin", [
@@ -166,16 +184,17 @@ def test_series_builder_matches_each_familys_own_route(family, build, mmin):
         rule, ref = build(m), _reference_rule(family, m)
         assert (rule.label, rule.exactness) == (ref.label, ref.exactness)
         with mp.workdps(60):
-            gap = max(abs(a - b) for a, b in zip(rule.nodes_mp, ref.nodes_mp))
-        assert len(rule.nodes_mp) == m and gap < mp.mpf(10) ** -54, (m, gap)
-        assert (rule.nodes, rule.weights) == (ref.nodes, ref.weights), m
-        got, want = _rule_points_longdouble(rule), _rule_points_longdouble(ref)
+            gap = max(abs(a - b) for a, b in zip(rule.nodes, ref.nodes))
+        assert len(rule.nodes) == m and gap < mp.mpf(10) ** -54, (m, gap)
+        assert ([float(v) for v in rule.nodes + rule.weights]
+                == [float(v) for v in ref.nodes + ref.weights]), m
+        got, want = rule.as_longdouble(), ref.as_longdouble()
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), m
         # the fixed endpoints enter exactly, unpolished
         if family != "G":
-            assert rule.nodes_mp[0] == 0, m
+            assert rule.nodes[0] == 0, m
         if family == "L":
-            assert rule.nodes_mp[-1] == 1, m
+            assert rule.nodes[-1] == 1, m
 
 
 @pytest.mark.parametrize("p,name", sorted(MASS_BY_RULE))
@@ -213,8 +232,8 @@ def test_minimizing_rule_closed_form(p, sign):
     with mp.workdps(40):
         free = mp.mpf(1) / 2 + sign * mp.sqrt(radicand) / divisor
         want = ([mp.mpf(fixed)] if fixed is not None else []) + [free]
-        assert max(abs(a - b) for a, b in zip(rule.nodes_mp, want)) < mp.mpf(10) ** -38
-    assert tuple(float(w) for w in weights) == rule.weights
+        assert max(abs(a - b) for a, b in zip(rule.nodes, want)) < mp.mpf(10) ** -38
+    assert tuple(float(w) for w in weights) == tuple(float(w) for w in rule.weights)
     assert rule.exactness == 0
 
 
@@ -237,7 +256,7 @@ def test_minimizing_rule_rejects_bad_arguments():
 
 @pytest.mark.parametrize("p,pair", sorted(BLEND_RATIOS))
 def test_blend_ratios_frozen(p, pair):
-    tau = tau_for_pair(p, pair)
+    tau = optimal_blend(p, pair).tau
     want = BLEND_RATIOS[p, pair]
     with mp.workdps(40):
         assert abs(tau - mp.mpf(want.numerator) / want.denominator) < 1e-25
@@ -246,7 +265,7 @@ def test_blend_ratios_frozen(p, pair):
 @pytest.mark.parametrize("p,pair", sorted(DEGENERATE_PAIRS))
 def test_degenerate_pair_raises(p, pair):
     with pytest.raises(DegenerateBlendError):
-        tau_for_pair(p, pair)
+        optimal_blend(p, pair)
 
 
 def test_identical_rows_raise():
@@ -257,7 +276,7 @@ def test_identical_rows_raise():
 
 def test_unknown_pair_rejected():
     with pytest.raises(ValueError):
-        tau_for_pair(2, "xy")
+        optimal_blend(2, "xy")
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,8 +291,8 @@ def test_blend_is_affine_in_the_applications(tau, coeffs):
     def f(x):
         return sum(c * x ** i for i, c in enumerate(coeffs))
 
-    combined = blend(r1, r2, tau).integrate(f)
-    split = tau * r1.integrate(f) + (1 - tau) * r2.integrate(f)
+    combined = _apply(blend(r1, r2, tau), f)
+    split = tau * _apply(r1, f) + (1 - tau) * _apply(r2, f)
     assert abs(combined - split) < 1e-10 * (1 + abs(split))
 
 
@@ -305,7 +324,11 @@ def test_optimal_blend_is_built_once(p, pair):
     fresh = optimal_blend.__wrapped__(p, pair)
     assert fresh is not rule
     assert (fresh.nodes, fresh.weights, fresh.tau) == (rule.nodes, rule.weights, rule.tau)
-    assert fresh.nodes_mp == rule.nodes_mp and fresh.weights_mp == rule.weights_mp
+    # the 40-digit ratio optimal_tau returned, not a float copy
+    r1, r2 = _pair_rules(p, pair)
+    assert rule.tau == optimal_tau(p, quadrature_mass_stencil(p, r1),
+                                   quadrature_mass_stencil(p, r2))
+    assert rule.tau != float(rule.tau)
 
 
 def test_doubled_gauss_identity_in_exact_arithmetic():
@@ -340,7 +363,7 @@ def _reference_row(p, rule, kind):
     p + 1 span pieces from a full Cox-de Boor triangle."""
     piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
     with mp.workdps(_DPS + 15):
-        pairs = rule._mp_pairs()
+        pairs = tuple(zip(rule.nodes, rule.weights))
         table = [[piece(p, e, e + x) for e in range(p + 1)] for x, _ in pairs]
         vals = []
         for k in range(p + 1):
@@ -426,6 +449,6 @@ def test_blend_points_are_those_from_reference_rows(p):
     for pair in _blend_pairs(p):
         r1, r2 = _pair_rules(p, pair)
         b1, b2 = (Stencil(p, "mass", _reference_row(p, r, "mass")) for r in (r1, r2))
-        want = _rule_points_longdouble(blend(r1, r2, optimal_tau(p, b1, b2)))
-        got = _rule_points_longdouble(optimal_blend(p, pair))
+        want = blend(r1, r2, optimal_tau(p, b1, b2)).as_longdouble()
+        got = optimal_blend(p, pair).as_longdouble()
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), pair
