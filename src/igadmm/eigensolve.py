@@ -5,7 +5,9 @@ Eigenpairs come from a double-precision solver: for band and Kronecker
 pencils of order _BANDED_MIN_N and up, shift-invert Lanczos (ARPACK
 through scipy's eigsh, shift 0, on a sparse copy) computes only the
 leading modes; smaller pencils go to scipy's dense symmetric-definite
-eigh.  The leading eigenvalues a caller asks for are then refined,
+eigh.  scipy is imported at the first solve, not with this module: it
+takes about 0.3 s to import, and every command but the studies runs
+without it.  The leading eigenvalues a caller asks for are then refined,
 through the operators' longdouble products, by extended-precision
 Rayleigh quotients, which pushes the numerical noise floor far below the
 discretization errors being measured (the 1D studies resolve relative
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from igadmm.assembly import MatrixPair, SymBandMatrix, _assemble_full, _reduce_dirichlet
 from igadmm.quadrature import gauss_legendre
@@ -152,6 +153,8 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     if n >= _BANDED_MIN_N:
         w, vecs = _leading_modes(K, M, count)
     if w is None:
+        import scipy.linalg
+
         w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)

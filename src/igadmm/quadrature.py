@@ -49,15 +49,23 @@ class DegenerateBlendError(ArithmeticError):
     """The two mass rows share their leading moment: no blend ratio exists."""
 
 
+def _to_mpf(v) -> mp.mpf:
+    """v as an mpf at the working precision; mpmath takes no Fraction."""
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / v.denominator
+    return mp.mpf(v)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on [0, 1] with a known polynomial exactness degree.
 
     nodes and weights are mpf at the construction precision; other numbers
-    given for them are converted at that precision, not at mpmath's
-    ambient 53 bits, which would round a 40-digit node.  exactness is the
-    highest polynomial degree integrated exactly; the minimizing rules
-    carry 0 because they are not exact beyond constants.
+    given for them, exact Fractions included, are converted at that
+    precision, not at mpmath's ambient 53 bits, which would round a
+    40-digit node.  exactness is the highest polynomial degree integrated
+    exactly; the minimizing rules carry 0 because they are not exact
+    beyond constants.
     """
 
     label: str
@@ -70,7 +78,7 @@ class QuadratureRule:
             raise ValueError("nodes and weights must pair up")
         with mp.workdps(_DPS + 15):
             for name in ("nodes", "weights"):
-                values = tuple(mp.mpf(v) for v in getattr(self, name))
+                values = tuple(_to_mpf(v) for v in getattr(self, name))
                 object.__setattr__(self, name, values)
 
     def as_longdouble(self) -> tuple[np.ndarray, np.ndarray]:
@@ -330,10 +338,7 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
     applications; its induced mass row is the blend of the two mass rows.
     """
     with mp.workdps(_DPS + 15):
-        if isinstance(tau, Fraction):
-            t = mp.mpf(tau.numerator) / tau.denominator
-        else:
-            t = mp.mpf(tau)
+        t = _to_mpf(tau)
         weights = tuple(t * w for w in rule1.weights) + tuple(
             (1 - t) * w for w in rule2.weights
         )

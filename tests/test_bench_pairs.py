@@ -50,3 +50,12 @@ def test_single_pair_and_seed_lists():
     assert summary["parent"]["q1"] == summary["parent"]["q3"] == 2.0
     assert summary["gain_holds"] is True
     assert bench_pairs._seeds("4001-4003,4007") == [4001, 4002, 4003, 4007]
+
+
+def test_process_time_is_median_setup_plus_median_raw_pass_wall():
+    # run.py's record: set-up from probes and passes, wall_s from passes
+    record = {"samples": {"setup_s": [0.5, 0.2, 0.3],
+                          "wall_s": [1.0, 1.4, 1.2, 3.0],
+                          "cpu_s": [0.9, 1.3, 1.1, 2.9],
+                          "peak_rss_mb": [40.0, 41.0, 40.5, 40.0]}}
+    assert bench_pairs.process_s(record) == pytest.approx(0.3 + 1.3)

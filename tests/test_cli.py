@@ -695,3 +695,67 @@ def test_import_does_not_load_scipy_special():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# a fresh interpreter that imports igadmm, optionally after scipy.linalg, runs
+# the argv lists given as JSON through cli.main and prints, as JSON, the
+# scipy modules loaded after each import and after each run, and each run's
+# exit code and captured streams
+_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+if sys.argv[1] == "preload":
+    import scipy.linalg
+import igadmm
+report = {"igadmm": scipy_modules()}
+import igadmm.cli
+report["cli"] = scipy_modules()
+report["runs"] = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = igadmm.cli.main(argv)
+    report["runs"].append({"rc": rc, "out": out.getvalue(), "err": err.getvalue(),
+                           "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+def _probe(mode, jobs=()):
+    proc = subprocess.run([sys.executable, "-c", _PROBE, mode, json.dumps(list(jobs))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.linalg alone takes about 0.3 s to import; only a solve needs it
+    report = _probe("lazy")
+    assert report["igadmm"] == [] and report["cli"] == []
+
+
+def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
+    scipy_free = [["stencil", "-p", "3", "--rule", "dmm"],
+                  ["tau", "--p", "3", "--pair", "all"],
+                  ["rules", "--family", "gauss", "--points", "4"],
+                  ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
+                  ["verify", "--p-max", "3"]]
+    # pencil orders below and above eigensolve._BANDED_MIN_N: dense eigh, then
+    # shift-invert Lanczos
+    dense = ["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "8"]
+    lanczos = ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "8"]
+    assert 64 < eigensolve._BANDED_MIN_N <= 192
+    jobs = scipy_free + [dense, lanczos]
+    lazy, preload = _probe("lazy", jobs), _probe("preload", jobs)
+    *cheap, after_dense, after_lanczos = lazy["runs"]
+    assert all(run["rc"] == 0 for run in lazy["runs"])
+    assert all(run["scipy"] == [] for run in cheap)
+    assert "scipy.linalg" in after_dense["scipy"]
+    assert "scipy.sparse.linalg" not in after_dense["scipy"]
+    assert "scipy.sparse.linalg" in after_lanczos["scipy"]
+    assert "scipy.linalg" in preload["cli"]
+    assert [{k: run[k] for k in ("rc", "out", "err")} for run in lazy["runs"]] == \
+        [{k: run[k] for k in ("rc", "out", "err")} for run in preload["runs"]]

@@ -177,6 +177,20 @@ def test_a_rule_rebuilt_from_its_nodes_and_weights_is_the_same_rule(build):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_a_rule_takes_exact_rationals():
+    # the two-point rule exact for degree 1 with nodes at the thirds
+    rule = QuadratureRule("thirds", (Fraction(1, 3), Fraction(2, 3)),
+                          (Fraction(1, 2), Fraction(1, 2)), 1)
+    with mp.workdps(_DPS + 15):
+        third = mp.mpf(1) / 3
+        want = QuadratureRule("thirds", (third, 2 * third), (mp.mpf(1) / 2,) * 2, 1)
+    assert (rule.nodes, rule.weights) == (want.nodes, want.weights)
+    assert all(isinstance(v, mp.mpf) for v in rule.nodes + rule.weights)
+    assert rule.nodes[0] != float(rule.nodes[0])  # more digits than a float
+    with mp.workdps(_DPS):
+        assert mp.nstr(rule.nodes[0], _DPS) == "0." + "3" * _DPS
+
+
 @pytest.mark.parametrize("family,build,mmin", [
     ("G", gauss_legendre, 1), ("L", gauss_lobatto, 2), ("R", gauss_radau, 1)])
 def test_series_builder_matches_each_familys_own_route(family, build, mmin):
