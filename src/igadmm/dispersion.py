@@ -53,24 +53,32 @@ def _to_mp(v) -> mp.mpf:
     return mp.mpf(v)
 
 
-def _symbol(vals_mp, y):
-    acc = vals_mp[0]
-    for k in range(1, len(vals_mp)):
-        acc += 2 * vals_mp[k] * mp.cos(k * y)
-    return acc
+def _symbols(a_mp, b_mp, y):
+    """Stiffness and mass symbols at y, sharing each cos(k y)."""
+    num, den = a_mp[0], b_mp[0]
+    for k in range(1, len(a_mp)):
+        c = mp.cos(k * y)
+        num += 2 * a_mp[k] * c
+        den += 2 * b_mp[k] * c
+    return num, den
 
 
-def _evaluate(p: int, A, B, wavenumber, quotient) -> float:
-    """quotient(stiffness symbol, mass symbol, y) of two rows at wavenumber
-    y, in mpmath at _DPS digits; a vanishing mass symbol is a stopping band."""
+def _evaluate(p: int, A, B, wavenumbers, quotient) -> list[float]:
+    """quotient(stiffness symbol, mass symbol, y) of two rows at each
+    wavenumber y, in mpmath at _DPS digits; the rows are converted once.
+    A vanishing mass symbol is a stopping band."""
     a = _values(A, p)
     b = _values(B, p)
+    out = []
     with mp.workdps(_DPS):
-        y = _to_mp(wavenumber)
-        den = _symbol([_to_mp(v) for v in b], y)
-        if abs(den) < 1e-14:
-            raise StoppingBandError(f"mass symbol ~ 0 at wavenumber {wavenumber}")
-        return float(quotient(_symbol([_to_mp(v) for v in a], y), den, y))
+        a, b = [_to_mp(v) for v in a], [_to_mp(v) for v in b]
+        for wavenumber in wavenumbers:
+            y = _to_mp(wavenumber)
+            num, den = _symbols(a, b, y)
+            if abs(den) < 1e-14:
+                raise StoppingBandError(f"mass symbol ~ 0 at wavenumber {wavenumber}")
+            out.append(float(quotient(num, den, y)))
+    return out
 
 
 def _relative_error(num, den, y):
@@ -81,7 +89,7 @@ def _relative_error(num, den, y):
 
 def dispersion_error(p: int, A, B, wavenumber) -> float:
     """Relative dispersion error (R(y) - y^2) / y^2, evaluated in mpmath."""
-    return _evaluate(p, A, B, wavenumber, _relative_error)
+    return _evaluate(p, A, B, [wavenumber], _relative_error)[0]
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,9 @@ class DispersionCurve:
 
 
 def sample_curve(p: int, A, B, wavenumbers, label: str = "") -> DispersionCurve:
-    errs = tuple(dispersion_error(p, A, B, y) for y in wavenumbers)
+    """Relative dispersion errors at each wavenumber, equal to
+    dispersion_error point by point."""
+    errs = tuple(_evaluate(p, A, B, wavenumbers, _relative_error))
     return DispersionCurve(p, label, tuple(float(y) for y in wavenumbers), errs)
 
 
@@ -148,6 +158,6 @@ def coefficient_check(p: int, A, B, order: int, wavenumber: float = 1e-3) -> Coe
         raise ValueError(f"order must be {2 * p} or {2 * p + 2}, got {order}")
     c_lead, c_next = error_expansion(p, A, B)
     predicted = c_lead if order == 2 * p else c_next
-    measured = _evaluate(p, A, B, wavenumber,
-                         lambda num, den, y: _relative_error(num, den, y) / y ** order)
+    measured, = _evaluate(p, A, B, [wavenumber],
+                          lambda num, den, y: _relative_error(num, den, y) / y ** order)
     return CoefficientCheck(order, measured, float(predicted))

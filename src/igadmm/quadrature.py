@@ -267,7 +267,10 @@ def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
+    # Cached: rules are frozen and hashable, and the pairs of `tau` and the
+    # stencil and dispersion jobs ask for the same rows again.
     # Entry k applies the rule on one span to the exact polynomial Q_k of
     # _piece_products, so the rule enters only through its moments of
     # u = 2x - 1 (centred: monomials in x lose digits to cancellation).

@@ -18,11 +18,18 @@ the same recurrences and so bitwise equal to the scalar routines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+def _check_space(p: int, N: int) -> None:
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {p}")
+    if N < 2:
+        raise ValueError(f"element count must be >= 2, got {N}")
 
 
 def knot_vector(p: int, N: int) -> list[Fraction]:
@@ -31,10 +38,7 @@ def knot_vector(p: int, N: int) -> list[Fraction]:
     The boundary knots 0 and 1 are repeated p+1 times each and the N-1
     interior knots are k/N, giving a sequence of length N + 2p + 1.
     """
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    if N < 2:
-        raise ValueError(f"element count must be >= 2, got {N}")
+    _check_space(p, N)
     zero, one = Fraction(0), Fraction(1)
     interior = [Fraction(k, N) for k in range(1, N)]
     return [zero] * (p + 1) + interior + [one] * (p + 1)
@@ -51,10 +55,15 @@ class BSplineSpace:
 
     p: int
     N: int
-    knots: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "knots", tuple(knot_vector(self.p, self.N)))
+        _check_space(self.p, self.N)
+
+    @cached_property
+    def knots(self) -> tuple[Fraction, ...]:
+        """Exact rational knots, built on first use: only exact points need
+        them, the float and longdouble paths use ``_knots_in``."""
+        return tuple(knot_vector(self.p, self.N))
 
     @property
     def dim_full(self) -> int:
@@ -80,10 +89,13 @@ class BSplineSpace:
 
 @lru_cache(maxsize=None)
 def _knots_in(p: int, N: int, longdouble: bool):
+    # k / N in the target arithmetic: one correctly rounded division of
+    # two exact integers, so each knot equals the rounded Fraction k/N
     if not longdouble:
-        return tuple(float(t) for t in knot_vector(p, N))
-    knots = np.array([np.longdouble(t.numerator) / np.longdouble(t.denominator)
-                      for t in knot_vector(p, N)])
+        return (0.0,) * (p + 1) + tuple(k / N for k in range(1, N)) + (1.0,) * (p + 1)
+    interior = np.arange(1, N, dtype=np.longdouble) / np.longdouble(N)
+    knots = np.concatenate([np.zeros(p + 1, np.longdouble), interior,
+                            np.ones(p + 1, np.longdouble)])
     knots.setflags(write=False)
     return knots
 

@@ -6,7 +6,10 @@ of the derivative Gram row times h) and ``mass`` entries by 1/h, so both are
 mesh independent.  Mass entries follow a three-term recursion in the degree;
 stiffness entries are finite differences of the degree-(p-1) mass entries.
 Everything in this module is exact: values are ``fractions.Fraction`` and
-identity checks report exact rational residuals, never tolerances.
+identity checks report exact rational residuals, never tolerances.  The
+moment sums run in integers: a row is scaled to integer numerators over
+its common denominator (``integer_row``), and each moment becomes one
+``Fraction`` at the end.
 
 The verification operations cover the algebraic facts the rest of the
 package builds on: row-sum normalizations, the second-moment identities,
@@ -55,25 +58,18 @@ def mass_stencil(p: int) -> Stencil:
     B_p[k] = ((p+k+1)^2 B_{p-1}[k+1] - 2(k^2-p-p^2) B_{p-1}[k]
               + (p-k+1)^2 B_{p-1}[k-1]) / (2p(2p+1)),
     with base row [1] at degree 0 and symmetric extension B[-1] = B[1].
+    It runs on the integer numerators n over (2p+1)! = prod_q 2q(2q+1),
+    so each lift is exact without a division.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    prev = [Fraction(1)]
+    n = [1]
     for q in range(1, p + 1):
-
-        def at(k: int) -> Fraction:
-            k = abs(k)
-            return prev[k] if k < len(prev) else Fraction(0)
-
-        den = 2 * q * (2 * q + 1)
-        cur = [
-            ((q + k + 1) ** 2 * at(k + 1)
-             - 2 * (k * k - q - q * q) * at(k)
-             + (q - k + 1) ** 2 * at(k - 1)) / den
-            for k in range(q + 1)
-        ]
-        prev = cur
-    return Stencil(p, "mass", tuple(prev))
+        n = n + [0, 0]  # the degree-(q-1) row is zero at offsets q and q+1
+        n = [(q + k + 1) ** 2 * n[k + 1] - 2 * (k * k - q - q * q) * n[k]
+             + (q - k + 1) ** 2 * n[abs(k - 1)] for k in range(q + 1)]
+    den = math.factorial(2 * p + 1)
+    return Stencil(p, "mass", tuple(Fraction(v, den) for v in n))
 
 
 @lru_cache(maxsize=None)
@@ -94,14 +90,28 @@ def stiffness_stencil(p: int) -> Stencil:
     return Stencil(p, "stiffness", vals)
 
 
+def integer_row(values) -> tuple[int, list[int]]:
+    """Exact row values as (D, n) with values[k] = n[k] / D and D the least
+    common denominator; values are Fractions or ints."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _power_sum(nums, j: int) -> int:
+    """sum_{k>=1} k^{2j} nums[k] over integer numerators."""
+    return sum(k ** (2 * j) * nums[k] for k in range(1, len(nums)))
+
+
 def dispersion_moment(A: Stencil, B, m: int):
     """The coupled moment sum_{k=1..p} (k^{2m}/(2m)! A_k + k^{2m-2}/(2m-2)! B_k).
 
     This is the m-th coefficient functional of the dispersion expansion; it
     vanishes for m = 2..p with exact mass entries and for m = 2..p+1 with the
     dispersion-minimized ones.  B may be a Stencil or a plain sequence of
-    offset-0..p values; arithmetic follows the value types (exact for
-    Fractions, floating otherwise).
+    offset-0..p values.  With exact rows (Fractions or ints) both sums run
+    over integer numerators and give one Fraction; otherwise arithmetic
+    follows the value types term by term (floating for floats, the mpf
+    precision for mpf).
     """
     if m < 2:
         raise ValueError(f"moment order must be >= 2, got {m}")
@@ -109,6 +119,10 @@ def dispersion_moment(A: Stencil, B, m: int):
     b_vals = B.values if isinstance(B, Stencil) else tuple(B)
     if len(b_vals) != p + 1:
         raise ValueError("mass values must cover offsets 0..p")
+    if all(isinstance(v, (Fraction, int)) for v in A.values + b_vals):
+        (da, a), (db, b) = integer_row(A.values), integer_row(b_vals)
+        num = db * _power_sum(a, m) + 2 * m * (2 * m - 1) * da * _power_sum(b, m - 1)
+        return Fraction(num, math.factorial(2 * m) * da * db)
     ca = math.factorial(2 * m)
     cb = math.factorial(2 * m - 2)
     total = 0
@@ -185,32 +199,23 @@ def verify_ab_identity(p: int) -> IdentityReport:
     form: with C_2 = 1 and
     C_{2m} = sum_k (-1)^m k^{2m}/(2m)! A_k
              - sum_{q=1..m-1} C_{2m-2q} sum_k (-1)^q k^{2q}/(2q)! B_k,
-    every C_{2m} for m = 2..p must vanish.
+    every C_{2m} for m = 2..p must vanish.  Each power moment of either
+    row is one integer sum, computed once, so the suite costs O(p^2)
+    Fraction operations.
     """
     if p < 2:
         raise ValueError(f"degree must be >= 2, got {p}")
-    A = stiffness_stencil(p)
-    B = mass_stencil(p)
-    checks = []
-    for m in range(2, p + 1):
-        checks.append(
-            IdentityCheck("moment_identity", p, m, dispersion_moment(A, B, m))
-        )
+    da, a = integer_row(stiffness_stencil(p).values)
+    db, b = integer_row(mass_stencil(p).values)
+    # the power moments sum_k k^{2j}/(2j)! row_k, each computed once
+    sa = {j: Fraction(_power_sum(a, j), math.factorial(2 * j) * da) for j in range(2, p + 1)}
+    sb = {j: Fraction(_power_sum(b, j), math.factorial(2 * j) * db) for j in range(1, p)}
+    checks = [IdentityCheck("moment_identity", p, m, sa[m] + sb[m - 1])
+              for m in range(2, p + 1)]
     cums = {1: Fraction(1)}  # C_{2m} keyed by m
     for m in range(2, p + 1):
-        a_term = sum(
-            Fraction((-1) ** m * k ** (2 * m), math.factorial(2 * m)) * A.values[k]
-            for k in range(1, p + 1)
-        )
-        b_part = sum(
-            cums[m - q]
-            * sum(
-                Fraction((-1) ** q * k ** (2 * q), math.factorial(2 * q)) * B.values[k]
-                for k in range(1, p + 1)
-            )
-            for q in range(1, m)
-        )
-        cums[m] = a_term - b_part
+        cums[m] = (-1) ** m * sa[m] - sum(
+            cums[m - q] * (-1) ** q * sb[q] for q in range(1, m))
         checks.append(IdentityCheck("cumulant_identity", p, m, cums[m]))
     return IdentityReport(tuple(checks))
 
@@ -263,23 +268,29 @@ def fg_verify(p_max: int, m_max: int | None = None) -> IdentityReport:
     For every 2 <= m <= p <= p_max (with m additionally capped by m_max):
       2 F^q at subscript p+1 equals G^q[0] at subscript p+1, q = 1..p-2;
       4 F^{p-2} at subscript p plus G^{p-2}[1] at subscript p equals 0.
-    Residuals are exact integers.
+    Residuals are exact integers.  Each recursion runs once: the one at
+    subscript p+1 gives the centred checks of p and, run one level
+    further, the terminal check of p+1.
     """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     if m_max is None:
         m_max = p_max
     checks = []
+    terminal = {}  # m -> terminal residual of degree p, from the run at p-1
     for p in range(2, p_max + 1):
+        ahead = {}
+        q_max = p - 1 if p < p_max else p - 2
         for m in range(2, min(p, m_max) + 1):
-            for q, F, G in _fg_level(p + 1, m, p - 2):
-                if q >= 1:
-                    checks.append(
-                        IdentityCheck(f"fg_centered_q{q}", p, m, 2 * F - G[0])
-                    )
-            for q, F, G in _fg_level(p, m, p - 2):
-                if q == p - 2:
-                    checks.append(
-                        IdentityCheck("fg_terminal", p, m, 4 * F + G[1])
-                    )
+            for q, F, G in _fg_level(p + 1, m, q_max):
+                if q == p - 1:
+                    ahead[m] = 4 * F + G[1]
+                elif q >= 1:
+                    checks.append(IdentityCheck(f"fg_centered_q{q}", p, m, 2 * F - G[0]))
+            if m not in terminal:  # m = p: no run at p-1 covered it
+                for _, F, G in _fg_level(p, m, p - 2):
+                    pass
+                terminal[m] = 4 * F + G[1]
+            checks.append(IdentityCheck("fg_terminal", p, m, terminal[m]))
+        terminal = ahead
     return IdentityReport(tuple(checks))

@@ -300,6 +300,8 @@ GOLDEN = Path(__file__).parent / "golden"
      ["stencil", "-p", "6", "--form", "stiffness", "--rule", "blend:pr"]),
     ("rules_blend_p3_gl.txt", ["rules", "--family", "blend", "-p", "3", "--pair", "gl"]),
     ("verify_p4_fg6.txt", ["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"]),
+    ("verify_p12_fg20.txt",
+     ["verify", "--p-max", "12", "--fg-p-max", "20", "--fg-m-max", "20"]),
 ])
 def test_study_outputs_match_golden_files(capsys, name, argv):
     rc, out, _ = _run(capsys, argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from expected_values import LEAD_P1_EXACT_ORDER2, LEAD_P1_MINIMIZED_ORDER4
 from igadmm.assembly import assemble_1d
@@ -18,7 +19,7 @@ from igadmm.dispersion import (
 )
 from igadmm.dmm import dmm_stencil
 from igadmm.eigensolve import exact_spectrum, generalized_eig
-from igadmm.quadrature import gauss_legendre
+from igadmm.quadrature import gauss_legendre, quadrature_mass_stencil
 from igadmm.splines import BSplineSpace
 from igadmm.stencils import mass_stencil, stiffness_stencil
 
@@ -100,6 +101,37 @@ def test_fitted_slopes(p):
     assert abs(fit_order(exact.wavenumbers, exact.errors) - 2 * p) < 0.1
     assert abs(fit_order(mini.wavenumbers, mini.errors) - (2 * p + 2)) < 0.1
     assert exact.label == "exact" and len(exact.errors) == len(ys)
+
+
+def _error_per_point(A, B, y):
+    """The relative error with each row converted and each symbol summed
+    on its own, at the module's 50 digits."""
+    def symbol(vals, y):
+        vals = [mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction)
+                else mp.mpf(v) for v in vals]
+        acc = vals[0]
+        for k in range(1, len(vals)):
+            acc += 2 * vals[k] * mp.cos(k * y)
+        return acc
+
+    with mp.workdps(50):
+        y = mp.mpf(y)
+        num, den = symbol(A, y), symbol(B, y)
+        return float((num - y * y * den) / (y * y * den))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_sample_curve_equals_pointwise_errors_bitwise(p):
+    A = stiffness_stencil(p).values
+    ys = np.geomspace(0.01, 1.5, 11)
+    rows = [mass_stencil(p).values, dmm_stencil(p).values,
+            quadrature_mass_stencil(p, gauss_legendre(p + 1)).values,
+            tuple(float(v) for v in mass_stencil(p).values)]
+    for B in rows:
+        curve = sample_curve(p, A, B, ys)
+        assert curve.wavenumbers == tuple(float(y) for y in ys)
+        assert curve.errors == tuple(dispersion_error(p, A, B, y) for y in ys)
+        assert curve.errors == tuple(_error_per_point(A, B, y) for y in ys)
 
 
 def test_fit_order_guards():

@@ -108,6 +108,40 @@ def test_minimized_row_solves_its_defining_conditions():
             assert lhs == rhs
 
 
+def _fraction_gauss(matrix, rhs):
+    """Plain Fraction Gaussian elimination with a nonzero pivot."""
+    n = len(rhs)
+    M = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        for row in range(col + 1, n):
+            f = M[row][col] / M[col][col]
+            M[row] = [a - f * b for a, b in zip(M[row], M[col])]
+    x = [Fraction(0)] * n
+    for row in range(n - 1, -1, -1):
+        x[row] = (M[row][n] - sum(M[row][j] * x[j] for j in range(row + 1, n))) / M[row][row]
+    return x
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_minimized_row_equals_fraction_elimination(p):
+    # the factorial-weighted Fraction system, solved without integer scaling
+    a = stiffness_stencil(p).values
+    matrix = [[Fraction(k ** (2 * m), factorial(2 * m)) for k in range(1, p + 1)]
+              for m in range(1, p + 1)]
+    rhs = [-sum(Fraction(k ** (2 * m + 2), factorial(2 * m + 2)) * a[k]
+                for k in range(1, p + 1)) for m in range(1, p + 1)]
+    off = _fraction_gauss(matrix, rhs)
+    assert dmm_stencil(p).values == (1 - 2 * sum(off), *off)
+
+
+def test_rational_solver_takes_fraction_rows():
+    rows = [[Fraction(1, 3), Fraction(-2, 7), 1], [2, Fraction(5, 6), 0], [0, 1, Fraction(1, 9)]]
+    rhs = [Fraction(1, 2), 3, Fraction(-4, 5)]
+    assert solve_rational_system(rows, rhs) == _fraction_gauss(rows, rhs)
+
+
 def _fact(n: int) -> int:
     out = 1
     for i in range(2, n + 1):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from igadmm.splines import (
     BSplineSpace,
+    _knots_in,
     basis_table,
     cardinal_derivative,
     cardinal_piece,
@@ -28,6 +29,28 @@ def test_knot_vector_shape_and_multiplicity():
     assert knots[-(p + 1):] == [Fraction(1)] * (p + 1)
     interior = knots[p: -p]
     assert interior == [Fraction(i, N) for i in range(N + 1)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [2, 3, 7, 129, 1024])
+def test_float_knots_are_the_rounded_fractions(p, N):
+    # k / N divided in float or longdouble rounds the exact knot correctly
+    exact = knot_vector(p, N)
+    floats = _knots_in(p, N, False)
+    assert floats == tuple(float(t) for t in exact)
+    assert all(type(t) is float for t in floats)
+    longs = _knots_in(p, N, True)
+    assert longs.dtype == np.longdouble
+    assert np.array_equal(longs, [np.longdouble(t.numerator) / np.longdouble(t.denominator)
+                                  for t in exact])
+    assert BSplineSpace(p, N).knots == tuple(exact)
+
+
+def test_space_rejects_bad_degree_and_mesh():
+    with pytest.raises(ValueError):
+        BSplineSpace(0, 4)
+    with pytest.raises(ValueError):
+        BSplineSpace(2, 1)
 
 
 def test_space_dimensions():

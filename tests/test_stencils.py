@@ -1,6 +1,8 @@
 """Exact Gram stencils, moment identities, and the integer recursion."""
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from expected_values import EXACT_MASS, EXACT_STIFFNESS
+from igadmm.dmm import dmm_stencil
 from igadmm.splines import cardinal_derivative, cardinal_value
 from igadmm.stencils import (
     Stencil,
+    _fg_level,
     dispersion_moment,
     fg_verify,
     mass_stencil,
@@ -89,6 +93,51 @@ def test_integer_recursion_exact():
     assert all(c.residual == 0 for c in rep.checks)
     assert len(rep.checks) >= 400
     assert time.perf_counter() - t0 < 60
+
+
+def _fg_reference(p_max, m_max):
+    """The identities of fg_verify by two recursion runs per (p, m): to
+    level p-2 at subscript p+1 for the centred checks, to level p-2 at
+    subscript p for the terminal one."""
+    out = []
+    for p in range(2, p_max + 1):
+        for m in range(2, min(p, m_max) + 1):
+            for q, F, G in _fg_level(p + 1, m, p - 2):
+                if q >= 1:
+                    out.append((f"fg_centered_q{q}", p, m, 2 * F - G[0]))
+            for q, F, G in _fg_level(p, m, p - 2):
+                if q == p - 2:
+                    out.append(("fg_terminal", p, m, 4 * F + G[1]))
+    return out
+
+
+@pytest.mark.parametrize("p_max,m_max", [(2, 2), (6, 4), (9, 3), (3, 20), (12, 12), (20, 20)])
+def test_fg_verify_matches_the_two_run_reference(p_max, m_max):
+    got = [(c.name, c.p, c.m, c.residual) for c in fg_verify(p_max, m_max).checks]
+    want = _fg_reference(p_max, m_max)
+    assert Counter(got) == Counter(want)
+    assert all(type(r) is int for *_, r in got)
+
+
+def _moment_by_terms(A, b_vals, m):
+    return sum(Fraction(k ** (2 * m), math.factorial(2 * m)) * A.values[k]
+               + Fraction(k ** (2 * m - 2), math.factorial(2 * m - 2)) * b_vals[k]
+               for k in range(1, A.p + 1))
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_integer_moment_equals_the_fraction_term_sum(p):
+    A = stiffness_stencil(p)
+    rows = [mass_stencil(p).values, dmm_stencil(p).values,
+            tuple(k if k % 2 else Fraction(1, k + 1) for k in range(p + 1))]  # with ints
+    for b_vals in rows:
+        for m in range(2, p + 4):
+            got = dispersion_moment(A, b_vals, m)
+            assert type(got) is Fraction
+            assert got == _moment_by_terms(A, b_vals, m)
+    # the first moments that do not vanish
+    assert dispersion_moment(A, mass_stencil(p), p + 1) != 0
+    assert dispersion_moment(A, dmm_stencil(p), p + 2) != 0
 
 
 def test_dispersion_moment_mixed_types():
