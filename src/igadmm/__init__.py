@@ -10,7 +10,7 @@ runs eigenvalue/eigenfunction convergence studies.
 
 from igadmm.splines import BSplineSpace, cardinal_value, knot_vector
 from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
-from igadmm.dmm import dmm_stencil, leading_coefficient
+from igadmm.dmm import dmm_stencil
 from igadmm.quadrature import (
     QuadratureRule,
     blend,
@@ -43,7 +43,6 @@ __all__ = [
     "gauss_radau",
     "generalized_eig",
     "knot_vector",
-    "leading_coefficient",
     "mass_stencil",
     "optimal_tau",
     "quadrature_mass_stencil",

@@ -25,8 +25,10 @@ the first call of main(), and a config never outlives its call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -51,20 +53,21 @@ def _fraction_str(value) -> str | None:
     return str(rat[0])
 
 
-def _out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The file a --csv or --json path names, open for writing, or stdout,
+    left open, for None and "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _dump_json(obj, path) -> None:
-    fh, close = _out(path)
-    try:
+    with _output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -338,12 +341,8 @@ def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
 
 
 def _emit_study(table, rates, args, dimension: int) -> int:
-    fh, close = _out(args.csv)
-    try:
+    with _output(args.csv) as fh:
         table.to_csv(fh)
-    finally:
-        if close:
-            fh.close()
     if args.json is not None:
         payload = {
             "kind": "study",
@@ -368,6 +367,8 @@ def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
                          f"{args.meshes!r}")
     if not modes or min(modes) < 1:
         raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
+    if len(set(modes)) < len(modes):
+        raise UsageError(f"--modes names a mode twice: {args.modes!r}")
     return args.p, meshes, modes, _known(rules, _STUDY_RULES, "--rules", args.rules)
 
 
@@ -397,8 +398,9 @@ def _cmd_study_2d(args) -> int:
 def _cmd_dispersion(args) -> int:
     p = _degree(args.p)
     _known([args.rule], _ROW_RULES, "--rule", args.rule)
-    if not (args.min > 0 and args.max > 0):
-        raise UsageError(f"--min and --max need wavenumbers > 0: {args.min}, {args.max}")
+    if not all(0 < y < math.inf for y in (args.min, args.max)):
+        raise UsageError(f"--min and --max need finite wavenumbers > 0: "
+                         f"{args.min}, {args.max}")
     least = 2 if args.fit else 1
     if args.samples < least:
         raise UsageError(f"--samples needs at least {least}{' with --fit' * args.fit}: "
@@ -439,12 +441,8 @@ def _cmd_dispersion(args) -> int:
             f"# coefficient order={chk.order} measured={_fmt(chk.measured)} "
             f"predicted={_fmt(chk.predicted)} rel_deviation={_fmt(chk.rel_deviation)}"
         )
-    fh, close = _out(args.csv)
-    try:
+    with _output(args.csv) as fh:
         fh.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            fh.close()
     if args.json is not None:
         _dump_json({
             "kind": "dispersion",

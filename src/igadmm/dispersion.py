@@ -30,8 +30,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from igadmm.dmm import leading_coefficient
-from igadmm.stencils import Stencil
+from igadmm.stencils import Stencil, dispersion_moment
 
 _DPS = 50
 
@@ -48,6 +47,7 @@ def _values(S, p: int) -> tuple:
 
 
 def _to_mp(v) -> mp.mpf:
+    """v as an mpf at the working precision; mpmath takes no Fraction."""
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     return mp.mpf(v)
@@ -128,11 +128,10 @@ def error_expansion(p: int, A, B) -> tuple:
     not dispersion minimized.
     """
     a = Stencil(p, "stiffness", _values(A, p))
-    b_vals = _values(B, p)
-    b = Stencil(p, "mass", b_vals)
-    lead = leading_coefficient(p, a, b, 2 * p)
-    bare = leading_coefficient(p, a, b, 2 * p + 2)
-    b1 = sum(k * k * b_vals[k] for k in range(1, p + 1))
+    b = _values(B, p)
+    lead = 2 * (-1) ** (p + 1) * dispersion_moment(a, b, p + 1)
+    bare = 2 * (-1) ** p * dispersion_moment(a, b, p + 2)
+    b1 = sum(k * k * b[k] for k in range(1, p + 1))
     return lead, bare + b1 * lead
 
 

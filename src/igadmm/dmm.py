@@ -100,21 +100,3 @@ def verify_dmm_identity(p: int) -> IdentityReport:
     )
     return IdentityReport(checks)
 
-
-def leading_coefficient(p: int, A: Stencil, B, order: int) -> Fraction:
-    """Leading dispersion-error coefficient for a rational mass row.
-
-    order = 2p   : coefficient of the 2p-th power term, 2 (-1)^{p+1} times
-                   the (p+1)-th coupled moment; zero when the row is
-                   dispersion minimized.
-    order = 2p+2 : same with the (p+2)-th moment and sign flipped; the
-                   leading coefficient of a minimized row.
-
-    Exact when A and B carry Fractions.  For the full expansion
-    coefficients including lower-order feedback see the dispersion module.
-    """
-    if order == 2 * p:
-        return 2 * (-1) ** (p + 1) * dispersion_moment(A, B, p + 1)
-    if order == 2 * p + 2:
-        return 2 * (-1) ** p * dispersion_moment(A, B, p + 2)
-    raise ValueError(f"order must be {2 * p} or {2 * p + 2}, got {order}")

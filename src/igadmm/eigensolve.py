@@ -22,12 +22,14 @@ Error measures: relative eigenvalue errors against j^2 pi^2 (or
 
     |u_j - u~|_E = sqrt( integral of (u_j' - u~')^2 over [0, 1] ),
 
-integrated directly with a high-order Gauss rule on a basis table of all
-elements, summed one term at a time in element, then node order, as a
-scalar element loop would.  The integrand is a square, so nothing cancels;
-the equal identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the squared
-error as a difference of numbers of order lambda_j and loses every digit
-by p = 4, N = 128, where the error is 1.03e-9.
+integrated directly with the (p + 5)-point Gauss rule on a basis table of
+all elements, summed one term at a time in element, then node order, as a
+scalar element loop would.  The L2 norm that scales u~ to 1 and the overlap
+that fixes its sign are sums on the same table, which is exact for the
+norm, a degree-2p integrand.  The integrand is a square, so nothing
+cancels; the equal identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the
+squared error as a difference of numbers of order lambda_j and loses every
+digit by p = 4, N = 128, where the error is 1.03e-9.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from igadmm.assembly import MatrixPair, SymBandMatrix, _assemble_full, _reduce_dirichlet
+from igadmm.assembly import MatrixPair
 from igadmm.quadrature import gauss_legendre
 from igadmm.splines import BSplineSpace, basis_table
 
@@ -211,25 +213,15 @@ def relative_ev_errors(spectrum, count: int, exact: np.ndarray | None = None) ->
     return np.abs(comp - exact) / exact
 
 
-@lru_cache(maxsize=None)
-def _exact_forms(space: BSplineSpace) -> SymBandMatrix:
-    """Fully integrated reduced mass matrix: the exact L2 Gram matrix."""
-    M = _assemble_full(space, gauss_legendre(space.p + 1), "mass")
-    return SymBandMatrix(space.dim, space.p, _reduce_dirichlet(M))
-
-
-@lru_cache(maxsize=None)
-def _cross_rule_points(p: int):
-    return gauss_legendre(p + 5).as_longdouble()
-
-
 @lru_cache(maxsize=1)
 def _energy_tables(space: BSplineSpace):
-    """Points, basis derivatives and values of the energy integral on every
-    element; a study reads several modes of one space in a row."""
-    nodes = _cross_rule_points(space.p)[0]
+    """Points, weights times h, basis derivatives and values of the energy
+    integral on every element, on the (p + 5)-point Gauss rule; a study
+    reads several modes of one space in a row."""
+    nodes, weights = gauss_legendre(space.p + 5).as_longdouble()
     t, der = basis_table(space, nodes, derivative=True)
-    tables = (t, der, basis_table(space, nodes)[1])
+    wh = weights * (np.longdouble(1) / space.N)
+    tables = (t, wh, der, basis_table(space, nodes)[1])
     for table in tables:
         table.flags.writeable = False  # shared by every call on this space
     return tables
@@ -247,33 +239,29 @@ def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     """Energy-norm error of the mode-th discrete eigenfunction (1-based).
 
-    The discrete vector is renormalized in the exact L2 inner product and
-    sign-aligned with sin(mode pi x); the error is the square root of the
-    integral of (u' - u~')^2, all quadrature in extended precision.
+    The discrete function is normalized in L2 and sign-aligned with
+    sin(mode pi x); the error is the square root of the integral of
+    (u' - u~')^2.  All three integrals are sums on the energy table, in
+    extended precision.
     """
     space = pair.space
     if not 1 <= mode <= len(spectrum):
         raise PairingError(f"mode {mode} outside 1..{len(spectrum)}")
-    M_exact = _exact_forms(space)
-    v = spectrum.vectors[:, mode - 1].astype(np.longdouble)
-    v = v / np.sqrt(v @ M_exact.matvec(v))
-
     p, N = space.p, space.N
-    h = np.longdouble(1) / N
-    weights = _cross_rule_points(p)[1]
     jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
-    c_full[1:-1] = v
+    c_full[1:-1] = spectrum.vectors[:, mode - 1]
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
-    t, der, val = _energy_tables(space)
+    t, wh, der, val = _energy_tables(space)
     uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
-    # (u_mode, u~) in L2 for the sign and the squared error, each summed
-    # one term at a time in element-then-node order: np.sum would add pairwise
-    overlap = np.cumsum(weights * h * (_SQRT2_LD * np.sin(jpi * t)) * uh)[-1]
-    if overlap < 0:
-        uh_prime = -uh_prime
+    # the L2 norm of u~, its overlap with u_mode for the sign, and the
+    # squared error, each summed one term at a time in element-then-node
+    # order: np.sum would add pairwise
+    norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
+    overlap = np.cumsum(wh * (_SQRT2_LD * np.sin(jpi * t)) * uh)[-1]
+    uh_prime = uh_prime / (-norm if overlap < 0 else norm)
     diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
-    return float(np.sqrt(np.cumsum(weights * h * diff * diff)[-1]))
+    return float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
 
 
 @dataclass(frozen=True)

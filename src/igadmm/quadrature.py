@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from mpmath import mp
 from numpy.polynomial.legendre import legroots
 
-from igadmm.dispersion import error_expansion
+from igadmm.dispersion import _to_mp, error_expansion
 from igadmm.stencils import Stencil, dispersion_moment, stiffness_stencil
 
 _DPS = 40
@@ -47,13 +47,6 @@ _DPS = 40
 
 class DegenerateBlendError(ArithmeticError):
     """The two mass rows share their leading moment: no blend ratio exists."""
-
-
-def _to_mpf(v) -> mp.mpf:
-    """v as an mpf at the working precision; mpmath takes no Fraction."""
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
 
 
 @dataclass(frozen=True)
@@ -78,14 +71,22 @@ class QuadratureRule:
             raise ValueError("nodes and weights must pair up")
         with mp.workdps(_DPS + 15):
             for name in ("nodes", "weights"):
-                values = tuple(_to_mpf(v) for v in getattr(self, name))
+                values = tuple(_to_mp(v) for v in getattr(self, name))
                 object.__setattr__(self, name, values)
 
     def as_longdouble(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights as longdouble arrays; each goes through a
-        25-digit string, which keeps all 18-19 digits a longdouble holds."""
-        return tuple(np.array([np.longdouble(mp.nstr(v, 25)) for v in values])
-                     for values in (self.nodes, self.weights))
+        """Nodes and weights as read-only longdouble arrays, converted once
+        per rule; each goes through a 25-digit string, which keeps all 18-19
+        digits a longdouble holds."""
+        return self._longdouble
+
+    @cached_property
+    def _longdouble(self) -> tuple[np.ndarray, np.ndarray]:
+        arrays = tuple(np.array([np.longdouble(mp.nstr(v, 25)) for v in values])
+                       for values in (self.nodes, self.weights))
+        for array in arrays:
+            array.flags.writeable = False  # shared by every caller of the rule
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
     applications; its induced mass row is the blend of the two mass rows.
     """
     with mp.workdps(_DPS + 15):
-        t = _to_mpf(tau)
+        t = _to_mp(tau)
         weights = tuple(t * w for w in rule1.weights) + tuple(
             (1 - t) * w for w in rule2.weights
         )

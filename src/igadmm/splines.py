@@ -196,27 +196,15 @@ def cardinal_value(p: int, t):
 
     Exact rational output for int or Fraction input; float-family input is
     evaluated in its own arithmetic.  The spline is taken right-continuous,
-    so the value is 0 at t = p+1 and outside [0, p+1).
+    so the value is 0 at t = p+1 and outside [0, p+1): it is the piece of
+    the element that t opens.
     """
-    if p < 0:
-        raise ValueError(f"degree must be >= 0, got {p}")
-    exact = isinstance(t, (int, Fraction))
-    zero = Fraction(0) if exact else 0 * t
-    if t < 0 or t >= p + 1:
-        return zero
-    one = zero + 1
-    vals = [one if i <= t < i + 1 else zero for i in range(p + 1)]
-    for q in range(1, p + 1):
-        for i in range(p + 1 - q):
-            vals[i] = ((t - i) * vals[i] + (i + q + 1 - t) * vals[i + 1]) / q
-    return vals[0]
+    return cardinal_piece(p, math.floor(t), t)
 
 
 def cardinal_derivative(p: int, t):
     """First derivative of the degree-p cardinal B-spline at t (p >= 1)."""
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    return cardinal_value(p - 1, t) - cardinal_value(p - 1, t - 1)
+    return cardinal_piece_derivative(p, math.floor(t), t)
 
 
 def cardinal_piece(p: int, element: int, t):

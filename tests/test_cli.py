@@ -203,6 +203,38 @@ def test_bad_degrees_and_samplings_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["study-1d", "study-2d"])
+@pytest.mark.parametrize("modes", ["1,1", "2,1,2"])
+def test_a_repeated_mode_is_a_usage_error(capsys, command, modes):
+    # a study keys its errors by mode: a repeated mode would collect two
+    # errors per mesh, which no rate fit takes
+    rc, out, err = _run(capsys, [command, "-p", "2", "--meshes", "8,16", "--rules", "gauss",
+                                 "--modes", modes])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --modes names a mode twice: {modes!r}\n"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--max", "inf"], None),
+    (["--min", "inf", "--max", "inf"], None),
+    ([], '{"max": "inf"}'),
+    ([], '{"max": 1e999}'),
+    ([], '{"min": "Infinity"}'),
+])
+def test_an_infinite_wavenumber_is_a_usage_error(tmp_path, capsys, argv, config):
+    # an infinite bound samples inf and nan errors
+    head = []
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        head = ["--config", str(cfg)]
+    rc, out, err = _run(capsys, head + ["dispersion", "-p", "2"] + argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --min and --max need finite wavenumbers > 0")
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["study-1d", "-p", "2", "--meshes", "8,x"], "--meshes"),
     (["study-2d", "-p", "2", "--modes", "1.5"], "--modes"),

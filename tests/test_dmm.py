@@ -12,10 +12,10 @@ from expected_values import (
     LEAD_P1_MINIMIZED_ORDER4,
     MINIMIZED_MASS,
 )
+from igadmm.dispersion import error_expansion
 from igadmm.dmm import (
     SingularMatrixError,
     dmm_stencil,
-    leading_coefficient,
     solve_rational_system,
     verify_dmm_identity,
 )
@@ -44,25 +44,18 @@ def test_minimized_moments_vanish_one_order_further(p):
 
 def test_leading_coefficients_frozen():
     a1, b1, d1 = stiffness_stencil(1), mass_stencil(1), dmm_stencil(1)
-    assert leading_coefficient(1, a1, b1, 2) == LEAD_P1_EXACT_ORDER2
-    assert leading_coefficient(1, a1, d1, 4) == LEAD_P1_MINIMIZED_ORDER4
+    assert error_expansion(1, a1, b1)[0] == LEAD_P1_EXACT_ORDER2
+    assert error_expansion(1, a1, d1) == (0, LEAD_P1_MINIMIZED_ORDER4)
 
 
 def test_leading_coefficient_kills_low_order():
     # minimization zeroes the order-2p coefficient and only that one
     for p in (2, 3, 4):
         a = stiffness_stencil(p)
-        assert leading_coefficient(p, a, dmm_stencil(p), 2 * p) == 0
-        assert leading_coefficient(p, a, mass_stencil(p), 2 * p) != 0
-        assert leading_coefficient(p, a, dmm_stencil(p), 2 * p + 2) != 0
-
-
-def test_leading_coefficient_rejects_other_orders():
-    a = stiffness_stencil(2)
-    with pytest.raises(ValueError):
-        leading_coefficient(2, a, mass_stencil(2), 3)
-    with pytest.raises(ValueError):
-        leading_coefficient(2, a, mass_stencil(2), 8)
+        lead, nxt = error_expansion(p, a, dmm_stencil(p))
+        assert lead == 0
+        assert nxt != 0
+        assert error_expansion(p, a, mass_stencil(p))[0] != 0
 
 
 @settings(max_examples=50, deadline=None)

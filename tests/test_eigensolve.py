@@ -17,8 +17,6 @@ from igadmm.eigensolve import (
     ErrorTable,
     PairingError,
     Spectrum,
-    _cross_rule_points,
-    _exact_forms,
     convergence_rate,
     energy_error,
     exact_spectrum,
@@ -303,32 +301,31 @@ def test_energy_error_equals_direct_integration():
 
 
 def _energy_error_by_scalar_loop(pair, spectrum, mode):
-    """Reference energy error: scalar basis evaluations, one point at a
-    time, accumulated in element-then-node order; the direct integral of
-    (u' - u_h')^2 after a first pass for the sign of u_h."""
+    """Reference energy error: scalar basis evaluations on the (p + 5)-point
+    Gauss rule, one point at a time, accumulated in element-then-node order;
+    a first pass for the L2 norm of u_h and the sign of its overlap with
+    sin(mode pi x), then the direct integral of (u' - u_h')^2."""
     space = pair.space
-    M_exact = _exact_forms(space)
-    v = spectrum.vectors[:, mode - 1].astype(np.longdouble)
-    v = v / np.sqrt(v @ M_exact.matvec(v))
     p, N = space.p, space.N
     h = np.longdouble(1) / N
-    nodes, weights = _cross_rule_points(p)
+    nodes, weights = gauss_legendre(p + 5).as_longdouble()
     jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
-    c_full[1:-1] = v
-    points = [(e, x, w, (e + x) * h) for e in range(N) for x, w in zip(nodes, weights)]
-    overlap = np.longdouble(0)
-    for e, x, w, t in points:
+    c_full[1:-1] = spectrum.vectors[:, mode - 1]
+    points = [(e, x, w * h, (e + x) * h) for e in range(N) for x, w in zip(nodes, weights)]
+    mass = overlap = np.longdouble(0)
+    for e, x, wh, t in points:
         first, val = nonzero_basis(space, t, element=e)
         uh = np.dot(c_full[first: first + p + 1], val)
-        overlap += w * h * (_SQRT2_LD * np.sin(jpi * t)) * uh
-    sign = -1 if overlap < 0 else 1
+        mass += wh * uh * uh
+        overlap += wh * (_SQRT2_LD * np.sin(jpi * t)) * uh
+    scale = -np.sqrt(mass) if overlap < 0 else np.sqrt(mass)
     err2 = np.longdouble(0)
-    for e, x, w, t in points:
+    for e, x, wh, t in points:
         first, der = nonzero_basis_derivatives(space, t, element=e)
-        uh_prime = sign * np.dot(c_full[first: first + p + 1], der)
+        uh_prime = np.dot(c_full[first: first + p + 1], der) / scale
         diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
-        err2 += w * h * diff * diff
+        err2 += wh * diff * diff
     return float(np.sqrt(err2))
 
 

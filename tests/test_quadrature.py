@@ -177,6 +177,16 @@ def test_a_rule_rebuilt_from_its_nodes_and_weights_is_the_same_rule(build):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_the_longdouble_view_is_converted_once_and_read_only():
+    rule = gauss_legendre(8)
+    nodes, weights = rule.as_longdouble()
+    assert rule.as_longdouble()[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for view, values in ((nodes, rule.nodes), (weights, rule.weights)):
+        assert view.dtype == np.longdouble
+        assert list(view) == [np.longdouble(mp.nstr(v, 25)) for v in values]
+
+
 def test_a_rule_takes_exact_rationals():
     # the two-point rule exact for degree 1 with nodes at the thirds
     rule = QuadratureRule("thirds", (Fraction(1, 3), Fraction(2, 3)),
