@@ -2,8 +2,8 @@
 B-spline discretizations of the Laplace eigenproblem on [0, 1]^d.
 
 The package computes exact rational stiffness/mass stencils for uniform
-C^{p-1} B-spline bases, solves the dispersion-minimization system for the
-optimal mass stencil, builds classical and dispersion-minimizing quadrature
+C^{p-1} B-spline bases, the dispersion-minimized mass stencil in closed
+form, builds classical and dispersion-minimizing quadrature
 rules with their optimal blending parameters, assembles 1D/2D matrices, and
 runs eigenvalue/eigenfunction convergence studies.
 """

@@ -34,13 +34,8 @@ import sys
 from fractions import Fraction
 
 from igadmm import assembly, dispersion, dmm, eigensolve, quadrature, stencils
+from igadmm.eigensolve import _fmt
 from igadmm.splines import BSplineSpace
-
-_FMT = "{:.5e}"
-
-
-def _fmt(x) -> str:
-    return _FMT.format(float(x))
 
 
 def _fraction_str(value) -> str | None:
@@ -93,9 +88,11 @@ def _degree(p: int, flag: str = "-p") -> int:
 
 # ---------------------------------------------------------------- rules
 
+# the classical rule labels, by the quadrature letter each names
+_CLASSICAL = {"gauss": "g", "G": "g", "gp": "p", "lobatto": "l", "L": "l",
+              "radau": "r", "R": "r"}
 # every label a study's --rules accepts: a rule from _rule, or "dmm"
-_STUDY_RULES = ("gauss", "G", "gp", "lobatto", "L", "radau", "R", "dmm") + tuple(
-    f"blend:{pair}" for pair in quadrature._PAIR_NAMES)
+_STUDY_RULES = (*_CLASSICAL, "dmm", *(f"blend:{pair}" for pair in quadrature._PAIR_NAMES))
 # every row label stencil --rule and dispersion --rule accept
 _ROW_RULES = ("exact", "minrule+", "minrule-") + _STUDY_RULES
 
@@ -109,14 +106,8 @@ def _known(names: list[str], accepted, flag: str, given) -> list[str]:
 
 def _rule(p: int, label: str):
     """The classical or blended quadrature rule behind a label."""
-    if label in ("gauss", "G"):
-        return quadrature.gauss_legendre(p + 1)
-    if label == "gp":
-        return quadrature.gauss_legendre(p)
-    if label in ("lobatto", "L"):
-        return quadrature.gauss_lobatto(p + 1)
-    if label in ("radau", "R"):
-        return quadrature.gauss_radau(p)
+    if label in _CLASSICAL:
+        return quadrature.letter_rule(p, _CLASSICAL[label])
     if label.startswith("blend:"):
         return quadrature.optimal_blend(p, label.split(":", 1)[1])
     raise ValueError(f"unknown rule label {label!r}")
@@ -143,6 +134,16 @@ def _pair(space: BSplineSpace, label: str) -> assembly.MatrixPair:
     if label == "dmm":
         return assembly.assemble_1d_dmm(space)
     return assembly.assemble_1d(space, _rule(space.p, label))
+
+
+def _spectrum(pair, label: str, count: int) -> eigensolve.Spectrum:
+    """The leading modes of a 1D or 2D pair; an indefinite mass matrix is
+    reported with the label, degree and mesh behind it."""
+    try:
+        return eigensolve.generalized_eig(pair.stiffness, pair.mass, count)
+    except eigensolve.IndefiniteMassError as exc:
+        raise eigensolve.IndefiniteMassError(
+            f"{label} at p={pair.space.p}, N={pair.space.N}: {exc}") from None
 
 
 # ---------------------------------------------------------------- verify
@@ -252,28 +253,19 @@ def _cmd_tau(args) -> int:
 
 # ---------------------------------------------------------------- rules
 
-# fewest nodes of each classical family
-_MIN_POINTS = {"gauss": 1, "lobatto": 2, "radau": 1}
-
-
 def _cmd_rules(args) -> int:
     fam = args.family
-    if fam not in _MIN_POINTS:
-        _degree(args.p)
-        if fam == "blend":
-            _known([args.pair], quadrature._PAIR_NAMES, "--pair", args.pair)
-    elif args.points < _MIN_POINTS[fam]:
-        raise UsageError(f"--points needs at least {_MIN_POINTS[fam]} for --family {fam}: "
-                         f"{args.points}")
-    if fam == "gauss":
-        rule = quadrature.gauss_legendre(args.points)
-    elif fam == "lobatto":
-        rule = quadrature.gauss_lobatto(args.points)
-    elif fam == "radau":
-        rule = quadrature.gauss_radau(args.points)
+    if fam in quadrature.FAMILIES:
+        build, fewest = quadrature.FAMILIES[fam]
+        if args.points < fewest:
+            raise UsageError(f"--points needs at least {fewest} for --family {fam}: "
+                             f"{args.points}")
+        rule = build(args.points)
     elif fam == "dmm":
-        rule = quadrature.dmm_rule(args.p, args.sign)
+        rule = quadrature.dmm_rule(_degree(args.p), args.sign)
     else:  # blend
+        _degree(args.p)
+        _known([args.pair], quadrature._PAIR_NAMES, "--pair", args.pair)
         rule = quadrature.optimal_blend(args.p, args.pair)
     print(f"label={rule.label} exactness={rule.exactness}")
     for x, w in zip(rule.nodes, rule.weights):
@@ -310,7 +302,7 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
         for N in meshes:
             pair = _pair(BSplineSpace(p, N), label)
             # in 2D, the smallest count pairwise sums use only 1D modes below count
-            spectrum = eigensolve.generalized_eig(pair.stiffness, pair.mass, count)
+            spectrum = _spectrum(pair, label, count)
             eigs = (spectrum if dimension == 1
                     else eigensolve.tensor_spectrum_2d(spectrum.eigenvalues, count))
             errs = eigensolve.relative_ev_errors(eigs, count, exact)
@@ -333,8 +325,8 @@ def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
     taken in longdouble."""
     pair1 = _pair(BSplineSpace(p, N), label)
     pair2 = assembly.assemble_2d(pair1)
-    spec2 = eigensolve.generalized_eig(pair2.stiffness, pair2.mass, count)
-    spec1 = eigensolve.generalized_eig(pair1.stiffness, pair1.mass, count)
+    spec2 = _spectrum(pair2, label, count)
+    spec1 = _spectrum(pair1, label, count)
     tens = eigensolve.tensor_spectrum_2d(spec1.eigenvalues, count)
     direct = spec2.eigenvalues[:count]
     return float(max(abs(a - b) / abs(b) for a, b in zip(direct, tens)))
@@ -511,7 +503,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q.set_defaults(func=_cmd_tau)
 
     q = sub.add_parser("rules", help="print quadrature nodes and weights")
-    q.add_argument("--family", choices=("gauss", "lobatto", "radau", "dmm", "blend"),
+    q.add_argument("--family", choices=(*quadrature.FAMILIES, "dmm", "blend"),
                    required=True)
     q.add_argument("--points", type=int, default=2,
                    help="point count (gauss/lobatto/radau)")

@@ -4,90 +4,48 @@ The off-center entries of the modified mass row are chosen so that the
 coupled stiffness/mass moments vanish through order p+1 instead of p,
 which raises the dispersion accuracy from 2p to 2p+2.  The defining
 conditions form a p x p linear system with factorial-weighted power
-coefficients; its rows are scaled to integers and solved by fraction-free
-(Bareiss) elimination, and the center entry follows from the row-sum
-normalization.
+coefficients, and the center entry follows from the row-sum
+normalization.  That system has a closed-form solution: the exact Gram
+mass row plus c_2p times G_p, the interior Gram row of the p-th
+derivatives, with c_2p the exact row's own leading dispersion coefficient.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
+from igadmm.dispersion import error_expansion
 from igadmm.stencils import (
     IdentityCheck,
     IdentityReport,
     Stencil,
     dispersion_moment,
-    integer_row,
+    mass_stencil,
     stiffness_stencil,
 )
-
-
-class SingularMatrixError(ValueError):
-    """Exact elimination hit a zero pivot column."""
-
-
-def solve_rational_system(matrix, rhs) -> list[Fraction]:
-    """Solve M x = b exactly by fraction-free (Bareiss) elimination.
-
-    matrix is a square sequence of sequences, rhs a sequence; entries are
-    coerced to Fraction.  Each row of [M | b] is scaled by its common
-    denominator to integers; elimination then divides only exactly, and
-    back substitution yields x = X / d with d the last pivot, the
-    determinant up to sign.  Pivoting picks the largest-magnitude entry,
-    which for exact arithmetic only matters for avoiding zero pivots.
-    """
-    n = len(rhs)
-    M = []
-    for i in range(n):
-        _, row = integer_row([Fraction(v) for v in (*matrix[i][:n], rhs[i])])
-        g = math.gcd(*row) or 1
-        M.append([v // g for v in row])
-    prev = 1
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[pivot][col] == 0:
-            raise SingularMatrixError(f"zero pivot in column {col}")
-        M[col], M[pivot] = M[pivot], M[col]
-        top = M[col]
-        for row in range(col + 1, n):
-            r = M[row]
-            f = r[col]
-            M[row] = [0] * (col + 1) + [(r[j] * top[col] - f * top[j]) // prev
-                                        for j in range(col + 1, n + 1)]
-        prev = top[col]
-    d = prev
-    X = [0] * n
-    for row in range(n - 1, -1, -1):
-        r = M[row]
-        acc = d * r[n] - sum(r[j] * X[j] for j in range(row + 1, n))
-        X[row] = acc // r[row]
-    return [Fraction(v, d) for v in X]
 
 
 @lru_cache(maxsize=None)
 def dmm_stencil(p: int) -> Stencil:
     """Exact dispersion-minimized mass row for degree p.
 
-    Solves, for the off-center entries b_1..b_p,
-        sum_k k^{2m-2}/(2m-2)! b_k = - sum_k k^{2m}/(2m)! A_k,  m = 2..p+1,
-    the vanishing of the coupled moments, then sets the center entry from
-    the unit row sum.  Condition m is scaled by (2m)! D_A, with D_A the
-    common denominator of A = a / D_A, to the integer row
-        sum_k k^{2m-2} (2m-1) 2m D_A b_k = - sum_k k^{2m} a_k.
+    Entry k is B_k + c_2p G_p[k], with B the exact mass row, c_2p =
+    error_expansion(p, A, B)[0] for the exact stiffness row A, and
+    G_p[k] = (-1)^k C(2p, p+k).  G_p is the 2p-th central difference, so
+    its row sum and its moments sum_k k^{2m-2}/(2m-2)! G_p[k] of orders
+    m = 2..p vanish, while its order-(p+1) moment is (-1)^p/2.  Adding
+    c_2p G_p therefore keeps the unit row sum and M_2..M_p at zero and
+    cancels M_{p+1} = (-1)^{p+1} c_2p / 2, which makes the row the unique
+    solution of the p x p system
+        sum_k k^{2m-2}/(2m-2)! b_k = - sum_k k^{2m}/(2m)! A_k,  m = 2..p+1.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    da, a = integer_row(stiffness_stencil(p).values)
-    orders = range(2, p + 2)
-    matrix = [[k ** (2 * m - 2) * (2 * m - 1) * 2 * m * da for k in range(1, p + 1)]
-              for m in orders]
-    rhs = [-sum(k ** (2 * m) * a[k] for k in range(1, p + 1)) for m in orders]
-    off = solve_rational_system(matrix, rhs)
-    center = 1 - 2 * sum(off)
-    return Stencil(p, "mass", (center, *off))
+    mass = mass_stencil(p).values
+    c = error_expansion(p, stiffness_stencil(p), mass)[0]
+    return Stencil(p, "mass", tuple(mass[k] + c * (-1) ** k * comb(2 * p, p + k)
+                                    for k in range(p + 1)))
 
 
 def verify_dmm_identity(p: int) -> IdentityReport:
@@ -99,4 +57,3 @@ def verify_dmm_identity(p: int) -> IdentityReport:
         for m in range(2, p + 2)
     )
     return IdentityReport(checks)
-

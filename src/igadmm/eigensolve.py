@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from igadmm.assembly import MatrixPair
+from igadmm.assembly import MatrixPair, SymBandMatrix
 from igadmm.quadrature import gauss_legendre
 from igadmm.splines import BSplineSpace, basis_table
 
@@ -76,6 +76,10 @@ class PrecisionError(ArithmeticError):
     """numpy longdouble is no wider than float64 on this platform."""
 
 
+class IndefiniteMassError(ArithmeticError):
+    """The mass matrix of a pencil is not positive definite."""
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Sorted discrete spectrum with refined eigenvalues.
@@ -96,6 +100,19 @@ def _cluster_top(w, count: int) -> float:
     """Largest double eigenvalue still tied with the count-th."""
     cut = w[count - 1]
     return cut + _CUT_RTOL * abs(cut)
+
+
+def _require_definite(M) -> None:
+    """Raise IndefiniteMassError unless a double banded Cholesky factors M,
+    or, for a Kronecker sum, each band factor of its terms: A (x) B is
+    positive definite when A and B are."""
+    import scipy.linalg
+
+    for B in (M,) if isinstance(M, SymBandMatrix) else (B for term in M.terms for B in term):
+        try:
+            scipy.linalg.cholesky_banded(B.bands.astype(np.float64), lower=True)
+        except np.linalg.LinAlgError:
+            raise IndefiniteMassError("the mass matrix is not positive definite") from None
 
 
 def _leading_modes(K, M, count: int):
@@ -131,10 +148,12 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     eigenvalues are recomputed as extended-precision Rayleigh quotients of
     the double-precision eigenvectors, through the operators' longdouble
     matvec, and re-sorted; for well-separated modes this restores the
-    eigenvalues to near working precision of the assembled matrices.  Refinement covers the leading count modes and every later
-    mode whose double eigenvalue lies within _CUT_RTOL of the count-th:
-    refinement moves an eigenvalue by far less than that, so no mode left
-    out could sort into the first count.
+    eigenvalues to near working precision of the assembled matrices.
+
+    Refinement covers the leading count modes and every later mode whose
+    double eigenvalue lies within _CUT_RTOL of the count-th: refinement
+    moves an eigenvalue by far less than that, so no mode left out could
+    sort into the first count.
 
     A pencil of order _BANDED_MIN_N or more, with K positive definite, is
     solved for its leading modes only, by shift-invert Lanczos; smaller
@@ -142,7 +161,9 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     eigh.  On the dense side the result is bitwise the leading part of a
     full solve (count=None); on the Lanczos side the eigenvectors carry
     different roundoff, so refined eigenvalues may differ from the dense
-    ones in the last digits of longdouble.
+    ones in the last digits of longdouble.  A mass matrix that is not
+    positive definite in double precision raises IndefiniteMassError on
+    either side.
     """
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
@@ -153,11 +174,17 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
         raise ValueError(f"need at least one mode, requested {count}")
     w = None
     if n >= _BANDED_MIN_N:
+        _require_definite(M)  # ARPACK takes an indefinite M without a word
         w, vecs = _leading_modes(K, M, count)
     if w is None:
         import scipy.linalg
 
-        w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
+        try:
+            w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
+        except np.linalg.LinAlgError:
+            # eigh factors M first; tell that failure from any other
+            _require_definite(M)
+            raise
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)
     for j in range(stop):

@@ -313,25 +313,32 @@ def optimal_tau(p: int, b_first, b_second):
         return m2 / den
 
 
-_PAIR_NAMES = ("gg", "gl", "gr", "pl", "pr", "lr")
+# each classical family by name: its builder and its fewest nodes
+FAMILIES = {"gauss": (gauss_legendre, 1), "lobatto": (gauss_lobatto, 2),
+            "radau": (gauss_radau, 1)}
+
+# the classical rule each letter names at degree p, as its family and its
+# node count less p: g the (p+1)-point Legendre, p the p-point Legendre,
+# l the (p+1)-point Lobatto, r the p-point Radau
+LETTERS = {"g": ("gauss", 1), "p": ("gauss", 0), "l": ("lobatto", 1), "r": ("radau", 0)}
+
+# each blend pair by name, as the letters of its two rules; in gg the
+# second g is the p-point Legendre
+_PAIRS = {"gg": "gp", "gl": "gl", "gr": "gr", "pl": "pl", "pr": "pr", "lr": "lr"}
+_PAIR_NAMES = tuple(_PAIRS)
+
+
+def letter_rule(p: int, letter: str) -> QuadratureRule:
+    """The classical rule a letter of LETTERS names at degree p."""
+    family, extra = LETTERS[letter]
+    return FAMILIES[family][0](p + extra)
 
 
 def _pair_rules(p: int, pair: str) -> tuple[QuadratureRule, QuadratureRule]:
-    # g = (p+1)-point Legendre, then the partner: second g means the p-point
-    # Legendre; p/l/r are the p-point Legendre, (p+1)-point Lobatto, p-point
-    # Radau as first or second member
-    table = {
-        "gg": (lambda: gauss_legendre(p + 1), lambda: gauss_legendre(p)),
-        "gl": (lambda: gauss_legendre(p + 1), lambda: gauss_lobatto(p + 1)),
-        "gr": (lambda: gauss_legendre(p + 1), lambda: gauss_radau(p)),
-        "pl": (lambda: gauss_legendre(p), lambda: gauss_lobatto(p + 1)),
-        "pr": (lambda: gauss_legendre(p), lambda: gauss_radau(p)),
-        "lr": (lambda: gauss_lobatto(p + 1), lambda: gauss_radau(p)),
-    }
-    if pair not in table:
+    if pair not in _PAIRS:
         raise ValueError(f"pair must be one of {_PAIR_NAMES}, got {pair!r}")
-    f1, f2 = table[pair]
-    return f1(), f2()
+    first, second = _PAIRS[pair]
+    return letter_rule(p, first), letter_rule(p, second)
 
 
 def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
@@ -359,9 +366,8 @@ def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
 def optimal_blend(p: int, pair: str = "gl") -> BlendedRule:
     """Blend of a named pair at its minimizing ratio.
 
-    Pair letters: g = (p+1)-point Legendre, p = p-point Legendre,
-    l = (p+1)-point Lobatto, r = p-point Radau; e.g. "gl" blends the
-    (p+1)-point Legendre with the (p+1)-point Lobatto rule.  The ratio,
+    Pair letters are those of LETTERS; e.g. "gl" blends the (p+1)-point
+    Legendre with the (p+1)-point Lobatto rule.  The ratio,
     .tau, is optimal_tau's 40-digit value; DegenerateBlendError when the
     pair has none.
     """

@@ -1,6 +1,7 @@
 """The paired-benchmark summary of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,39 @@ def test_process_time_is_median_setup_plus_median_raw_pass_wall():
                           "cpu_s": [0.9, 1.3, 1.1, 2.9],
                           "peak_rss_mb": [40.0, 41.0, 40.5, 40.0]}}
     assert bench_pairs.process_s(record) == pytest.approx(0.3 + 1.3)
+
+
+def _record(correct=True, failed=0, wall=1.0):
+    metrics = {"setup_s": 0.2, "wall_s": wall, "cpu_s": wall, "peak_rss_mb": 40.0}
+    return {"correct": correct, "attempted": 10, "failed": failed, "process_s": 1.2,
+            "metrics": metrics}
+
+
+def test_a_workload_is_correct_only_when_every_run_is():
+    good = {"parent": _record(), "change": _record()}
+    assert bench_pairs.all_correct([good, good])
+    assert not bench_pairs.all_correct([good, {"parent": _record(), "change": _record(False)}])
+    # a run.py record with a failed job is not correct either way
+    assert not bench_pairs.all_correct([{"parent": _record(failed=1), "change": _record()}])
+
+
+@pytest.mark.parametrize("bad", [None, "exact-tables"])
+def test_a_run_that_is_not_correct_exits_1_after_writing_the_file(monkeypatch, tmp_path,
+                                                                  capsys, bad):
+    (tmp_path / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: "0" * 40)
+
+    def fake_run(tree, workload, seed, seconds):
+        changed = tree == str(tmp_path)
+        return _record(failed=int(changed and workload == bad), wall=0.9 if changed else 1.0)
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    rc = bench_pairs.main(["--parent", "HEAD", "--number", "7", "--seeds", "1-2",
+                           "--workload", "kron-2d", "--workload", "exact-tables"])
+    report = json.loads((tmp_path / "BENCH_7.json").read_text())
+    verdicts = {name: w["all_correct"] for name, w in report["workloads"].items()}
+    assert verdicts == {"kron-2d": True, "exact-tables": bad is None}
+    assert rc == (0 if bad is None else 1)
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert (last == "runs not correct or with failed jobs: exact-tables") == (bad is not None)

@@ -271,6 +271,12 @@ def test_pair_of_another_family_is_not_read(capsys):
     assert out.startswith("label=G2 ")
 
 
+def test_classical_labels_name_their_rules():
+    got = {label: cli._rule(3, label).label for label in _STUDY_RULES[:7]}
+    assert got == {"gauss": "G4", "G": "G4", "gp": "G3", "lobatto": "L4", "L": "L4",
+                   "radau": "R3", "R": "R3"}
+
+
 def test_narrow_longdouble_fails_a_study(monkeypatch, capsys):
     from igadmm import eigensolve
 
@@ -288,6 +294,16 @@ def test_degenerate_blend_study_is_a_computation_error(capsys):
     rc, out, err = _run(capsys, ["study-1d", "-p", "1", "--rules", "blend:lr"])
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("meshes, N", [("16,32", 16), ("256,512", 256)])
+def test_an_indefinite_mass_fails_a_study_on_either_solver_route(capsys, meshes, N):
+    # the p = 3 Legendre/Radau blend has a mass matrix with a negative
+    # eigenvalue; 16 elements take the dense solve, 256 the Lanczos one
+    rc, out, err = _run(capsys, ["study-1d", "-p", "3", "--rules", "blend:gr",
+                                 "--meshes", meshes, "--modes", "1,2"])
+    assert (rc, out) == (1, "")
+    assert err == f"error: blend:gr at p=3, N={N}: the mass matrix is not positive definite\n"
 
 
 def test_too_many_modes_is_a_computation_error(capsys):

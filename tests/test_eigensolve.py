@@ -25,7 +25,7 @@ from igadmm.eigensolve import (
     relative_ev_errors,
     tensor_spectrum_2d,
 )
-from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau
+from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau, optimal_blend
 from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
 
 
@@ -236,6 +236,29 @@ def test_band_solve_grows_past_a_wide_cluster_at_the_cut(monkeypatch):
     got = generalized_eig(pair.stiffness, pair.mass, 1)
     assert calls == ["eigsh", "eigsh"]
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, 1), pair.mass)
+
+
+@pytest.mark.parametrize("N", [16, 256])
+def test_an_indefinite_mass_is_refused_on_either_route(monkeypatch, N):
+    # 16 elements take the dense solve, 256 the Lanczos one
+    pair = assemble_1d(BSplineSpace(3, N), optimal_blend(3, "gr"))
+    calls = _count_solver_calls(monkeypatch)
+    with pytest.raises(eigensolve.IndefiniteMassError):
+        generalized_eig(pair.stiffness, pair.mass, 4)
+    assert calls == (["eigh"] if N == 16 else [])
+
+
+def test_an_indefinite_kronecker_mass_is_refused():
+    pair = assemble_2d(assemble_1d(BSplineSpace(3, 16), optimal_blend(3, "gr")))
+    assert pair.mass.n >= eigensolve._BANDED_MIN_N
+    with pytest.raises(eigensolve.IndefiniteMassError):
+        generalized_eig(pair.stiffness, pair.mass, 4)
+
+
+def test_a_definite_mass_is_factored_once_on_the_dense_route(monkeypatch):
+    pair = assemble_1d(BSplineSpace(3, 16), optimal_blend(3, "gl"))
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", None)  # any call fails
+    assert len(generalized_eig(pair.stiffness, pair.mass, 4)) == 4
 
 
 def test_generalized_eig_refuses_a_narrow_longdouble(monkeypatch):

@@ -355,6 +355,14 @@ def test_optimal_blend_is_built_once(p, pair):
     assert rule.tau != float(rule.tau)
 
 
+def test_pair_rules_follow_the_letters():
+    labels = {pair: tuple(r.label for r in _pair_rules(3, pair)) for pair in _PAIR_NAMES}
+    assert labels == {"gg": ("G4", "G3"), "gl": ("G4", "L4"), "gr": ("G4", "R3"),
+                      "pl": ("G3", "L4"), "pr": ("G3", "R3"), "lr": ("L4", "R3")}
+    with pytest.raises(ValueError, match="pair must be one of"):
+        _pair_rules(3, "gp")
+
+
 def test_doubled_gauss_identity_in_exact_arithmetic():
     # gg blend at p = 2 has ratio 2: twice the exact row minus the p-point row
     lhs = tuple(2 * e - g for e, g in zip(EXACT_MASS[2], MASS_BY_RULE[2, "gp"]))

@@ -71,6 +71,13 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     }
 
 
+def all_correct(runs: list[dict]) -> bool:
+    """Whether every run of both sides of every pair was correct with no
+    failed job."""
+    return all(pair[side]["correct"] and pair[side]["failed"] == 0
+               for pair in runs for side in ("parent", "change"))
+
+
 def _seeds(text: str) -> list[int]:
     """"4001-4010" or "4001,4003" as a list of seeds."""
     seeds = []
@@ -144,6 +151,7 @@ def main(argv=None) -> int:
                 runs.append(pair)
             workloads[workload] = {
                 "seeds": args.seeds,
+                "all_correct": all_correct(runs),
                 "metrics": {name: summarize([(r["parent"]["metrics"][name],
                                               r["change"]["metrics"][name]) for r in runs],
                                             better)
@@ -163,6 +171,10 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(path)
+    wrong = [name for name, summary in workloads.items() if not summary["all_correct"]]
+    if wrong:
+        print(f"runs not correct or with failed jobs: {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 
