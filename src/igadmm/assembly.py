@@ -9,7 +9,8 @@ conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need.  The 2D pair is a sum of Kronecker products of
 the 1D band pair, applied through the 1D band products and never formed:
-an n^2 x n^2 array exists only when a small pencil asks for it.
+an n^2 x n^2 array exists only when a small pencil asks for it, and a
+large one is copied only into the band storage of its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -50,14 +51,10 @@ class SymBandMatrix:
             out[j[: self.n - d], j[d:]] = band
         return out
 
-    def to_csc(self):
-        """Double-precision compressed sparse column copy."""
-        import scipy.sparse
-
-        offsets = range(-self.halfband, self.halfband + 1)
-        bands = self.bands.astype(np.float64)
-        return scipy.sparse.diags_array([bands[abs(d), : self.n - abs(d)] for d in offsets],
-                                        offsets=offsets, format="csc")
+    def to_bands(self) -> np.ndarray:
+        """Double-precision copy of bands: LAPACK's lower symmetric band
+        storage, half-band p."""
+        return self.bands.astype(np.float64)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x in longdouble, for a vector or an n x m block of columns."""
@@ -143,10 +140,22 @@ def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
     return assemble_1d(space, optimal_blend(space.p, "gl"))
 
 
+def _band_row(A: SymBandMatrix, d: int) -> np.ndarray:
+    """Entries (j + d, j) of A for j = 0..n-1, d of either sign, zero where
+    j + d falls outside 0..n-1."""
+    row = np.zeros(A.n, dtype=np.longdouble)
+    if d >= 0:
+        row[: A.n - d] = A.bands[d, : A.n - d]
+    else:
+        row[-d:] = A.bands[-d, : A.n + d]
+    return row
+
+
 # largest 2D unknown count assemble_2d builds a Kronecker pencil for: the
-# sparse LU of the shift-invert solve grows faster than the pencil.  At the
-# limit, N = 128 at p = 2, `study-2d --verify-kron 128` takes 3.6 s and
-# 161 MB peak RSS on a 2-vCPU x86-64 VM (one BLAS thread)
+# band Cholesky factors of the Lanczos solve, half-band p (N + p - 2) + p,
+# grow as n^1.5 in memory and n^2 in time.  At the limit, N = 128 at p = 2,
+# `study-2d -p 2 --meshes 8,16 --verify-kron 128` takes 2.3 s and 141 MB
+# peak RSS on a 2-vCPU x86-64 VM (one BLAS thread)
 KRON_MAX_DIM = 16384
 
 
@@ -188,13 +197,20 @@ class KroneckerSum:
         out = sum(np.kron(A.to_dense(), B.to_dense()) for A, B in self.terms)
         return out.astype(dtype, copy=False)
 
-    def to_csc(self):
-        """Double-precision compressed sparse column copy."""
-        import scipy.sparse
-
-        first, *rest = (scipy.sparse.kron(A.to_csc(), B.to_csc(), format="csc")
-                        for A, B in self.terms)
-        return sum(rest, first)
+    def to_bands(self) -> np.ndarray:
+        """Double-precision copy in LAPACK's lower symmetric band storage,
+        half-band p B.n + p; each entry is formed in longdouble and rounded
+        once, as in to_dense."""
+        m, p = self.terms[0][1].n, self.terms[0][1].halfband
+        out = np.zeros((p * m + p + 1, self.n))
+        # entry (c + di m + dj, c) of column c = (i, j) is the sum over the
+        # terms of A[i + di, i] B[j + dj, j]; on a coarse mesh (m <= 2p) two
+        # offsets share a band row, but never an entry
+        for di in range(p + 1):
+            for dj in range(-p if di else 0, p + 1):
+                out[di * m + dj] += sum(np.outer(_band_row(A, di), _band_row(B, dj))
+                                        for A, B in self.terms).ravel()
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,21 @@
 eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 
 Eigenpairs come from a double-precision solver: for band and Kronecker
-pencils of order _BANDED_MIN_N and up, shift-invert Lanczos (ARPACK
-through scipy's eigsh, shift 0, on a sparse copy) computes only the
-leading modes; smaller pencils go to scipy's dense symmetric-definite
-eigh.  scipy is imported at the first solve, not with this module: it
-takes about 0.3 s to import, and every command but the studies runs
-without it.  The leading eigenvalues a caller asks for are then refined,
-through the operators' longdouble products, by extended-precision
-Rayleigh quotients, which pushes the numerical noise floor far below the
-discretization errors being measured (the 1D studies resolve relative
-errors down to 1e-13).  Modes past the requested count are refined only
-when their double eigenvalue ties the last requested one, so that a
-degenerate pair split by the cut sorts as a full refinement would sort
-it.  Refinement needs a longdouble wider than float64; where it is not
-(Windows, Apple ARM), generalized_eig raises PrecisionError.
+pencils of order _BANDED_MIN_N and up, Lanczos (ARPACK through scipy's
+eigsh) computes only the leading modes, in standard form on R^T K^-1 R
+with band Cholesky factors M = R R^T and K = L L^T from LAPACK; smaller
+pencils go to scipy's dense symmetric-definite eigh.  scipy is imported
+at the first solve, not with this module: it takes about 0.3 s to
+import, and every command but the studies runs without it.  The leading
+eigenvalues a caller asks for are then refined, through the operators'
+longdouble products, by extended-precision Rayleigh quotients, which
+pushes the numerical noise floor far below the discretization errors
+being measured (the 1D studies resolve relative errors down to 1e-13).
+Modes past the requested count are refined only when their double
+eigenvalue ties the last requested one, so that a degenerate pair split
+by the cut sorts as a full refinement would sort it.  Refinement needs a
+longdouble wider than float64; where it is not (Windows, Apple ARM),
+generalized_eig raises PrecisionError.
 
 Error measures: relative eigenvalue errors against j^2 pi^2 (or
 (j^2 + k^2) pi^2 on the square), and the energy-norm eigenfunction error
@@ -53,10 +54,12 @@ _SQRT2_LD = np.sqrt(np.longdouble(2))
 # degenerate 2D pairs sit ~1e-15 apart while distinct modes differ by > 5e-2
 _CUT_RTOL = 1e-8
 
-# smallest band or Kronecker pencil order solved by shift-invert Lanczos;
-# below it the dense eigh is faster.  One BLAS thread on a 2-vCPU x86-64
-# VM, 1D, p = 2, dense vs Lanczos: 4.6 vs 6.1 ms at n = 128, 10 vs 6.6 ms at
-# n = 192, 680 vs 9.7 ms at n = 1024
+# smallest band or Kronecker pencil order solved by Lanczos.  One BLAS
+# thread on a 2-vCPU x86-64 VM, 1D, p = 2, four modes, dense vs Lanczos:
+# 3.4 vs 1.6 ms at n = 128, 5.0 vs 1.5 ms at n = 160, 7.4 vs 1.6 ms at
+# n = 192, 500 vs 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the
+# smaller pencils keep the dense solve, so that their study cells, and the
+# golden outputs that print them, stay bitwise as they are
 _BANDED_MIN_N = 160
 
 # modes the Lanczos solve computes past the requested count, so that it
@@ -102,40 +105,65 @@ def _cluster_top(w, count: int) -> float:
     return cut + _CUT_RTOL * abs(cut)
 
 
-def _require_definite(M) -> None:
-    """Raise IndefiniteMassError unless a double banded Cholesky factors M,
-    or, for a Kronecker sum, each band factor of its terms: A (x) B is
-    positive definite when A and B are."""
-    import scipy.linalg
+def _band_cholesky(A):
+    """Lower Cholesky factor of a band or Kronecker operator A in double
+    precision, in LAPACK's band storage (dpbtrf); None when A is not
+    positive definite in double precision."""
+    from scipy.linalg import lapack
 
-    for B in (M,) if isinstance(M, SymBandMatrix) else (B for term in M.terms for B in term):
-        try:
-            scipy.linalg.cholesky_banded(B.bands.astype(np.float64), lower=True)
-        except np.linalg.LinAlgError:
-            raise IndefiniteMassError("the mass matrix is not positive definite") from None
+    factor, info = lapack.dpbtrf(A.to_bands(), lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 def _leading_modes(K, M, count: int):
     """Double-precision (eigenvalues, vectors) of the smallest modes of a
-    band or Kronecker pencil with K positive definite, through the cluster
-    at the cut, by shift-invert Lanczos at 0; (None, None) when that needs
-    all n."""
+    band or Kronecker pencil, through the cluster at the cut, with vectors
+    M-normalized; (None, None) when that needs all n or K is not positive
+    definite.
+
+    With M = R R^T and K = L L^T factored once each, Lanczos runs in
+    standard form on C = R^T K^-1 R, whose eigenvalues are 1/lambda, and
+    lambda K^-1 R u maps its unit eigenvector u to the pencil's mode, of
+    unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1: one band product,
+    band solve and band product per Lanczos step.  The factor of M is also
+    the check that M is positive definite, which ARPACK would not make.
+    """
     import scipy.sparse.linalg
+    from scipy.linalg import blas, lapack
 
     n = K.n
-    K_csc, M_csc = K.to_csc(), M.to_csc()
+    k = count + _MARGIN
+    if k >= n:
+        return None, None
+    R = _band_cholesky(M)
+    if R is None:
+        raise IndefiniteMassError("the mass matrix is not positive definite")
+    L = _band_cholesky(K)
+    if L is None:
+        return None, None
+    kd = len(R) - 1
+
+    def solve_k(y):
+        return lapack.dpbtrs(L, y, lower=1, overwrite_b=1)[0]
+
+    def apply_c(x):
+        y = solve_k(blas.dtbmv(kd, R, x.ravel(), lower=1)[:, None])
+        return blas.dtbmv(kd, R, y.ravel(), lower=1, trans=1, overwrite_x=1)
+
+    C = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_c, dtype=np.float64)
     # a fixed start vector makes repeated solves bitwise equal; a ramp has
     # no reflection symmetry, so it is not orthogonal to the modes that are
     # even about x = 1/2, as a constant vector would be, nor, on the square,
     # to those odd under swapping x and y
     v0 = np.linspace(1.0, 2.0, n)
-    k = count + _MARGIN
     while k < n:
-        w, vecs = scipy.sparse.linalg.eigsh(K_csc, k, M_csc, sigma=0, v0=v0)
+        mu, u = scipy.sparse.linalg.eigsh(C, k, which="LA", v0=v0)
+        w = 1.0 / mu
         order = np.argsort(w, kind="stable")
-        w, vecs = w[order], vecs[:, order]
+        w = w[order]
         if w[-1] > _cluster_top(w, count):
-            return w, vecs
+            Ru = np.column_stack([blas.dtbmv(kd, R, u[:, j], lower=1) for j in order])
+            return w, solve_k(Ru) * w
         k *= 2
     return None, None
 
@@ -156,12 +184,13 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     sort into the first count.
 
     A pencil of order _BANDED_MIN_N or more, with K positive definite, is
-    solved for its leading modes only, by shift-invert Lanczos; smaller
-    ones, and a pencil whose leading modes would take all n, by a dense
-    eigh.  On the dense side the result is bitwise the leading part of a
-    full solve (count=None); on the Lanczos side the eigenvectors carry
-    different roundoff, so refined eigenvalues may differ from the dense
-    ones in the last digits of longdouble.  A mass matrix that is not
+    solved for its leading modes only, by Lanczos on R^T K^-1 R (M = R R^T
+    and K = L L^T, band Cholesky factors); smaller ones, a pencil whose
+    leading modes would take all n, and one whose K is not positive
+    definite, by a dense eigh.  On the dense side the result is bitwise
+    the leading part of a full solve (count=None); on the Lanczos side
+    the eigenvectors carry different roundoff, so refined eigenvalues may
+    differ from the dense ones in the last digits of longdouble.  A mass matrix that is not
     positive definite in double precision raises IndefiniteMassError on
     either side.
     """
@@ -174,7 +203,6 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
         raise ValueError(f"need at least one mode, requested {count}")
     w = None
     if n >= _BANDED_MIN_N:
-        _require_definite(M)  # ARPACK takes an indefinite M without a word
         w, vecs = _leading_modes(K, M, count)
     if w is None:
         import scipy.linalg
@@ -183,7 +211,8 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
             w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
         except np.linalg.LinAlgError:
             # eigh factors M first; tell that failure from any other
-            _require_definite(M)
+            if _band_cholesky(M) is None:
+                raise IndefiniteMassError("the mass matrix is not positive definite") from None
             raise
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
@@ -213,6 +212,18 @@ def test_kronecker_2d_agrees_with_element_loop(p, N):
     assert np.max(np.abs(pair.mass.to_dense(float) - M2)) < 1e-13
 
 
+def _dense_from_bands(ab, n):
+    """The symmetric matrix whose lower band storage is ab; as in LAPACK,
+    the entries of ab past the last row are not read."""
+    out = np.zeros((n, n))
+    for d in range(min(len(ab), n)):
+        out[np.arange(d, n), np.arange(n - d)] = ab[d, : n - d]
+        out[np.arange(n - d), np.arange(d, n)] = ab[d, : n - d]
+    return out
+
+
+# (2, 4) has 4 unknowns a side for half-band 2, so two Kronecker offsets
+# share a band row
 @pytest.mark.parametrize("p,N", [(1, 5), (2, 4), (3, 6)])
 def test_kronecker_operator_products_and_copies_agree(p, N):
     pair = assemble_2d(assemble_1d_dmm(BSplineSpace(p, N)))
@@ -222,8 +233,9 @@ def test_kronecker_operator_products_and_copies_agree(p, N):
         scale = float(np.max(np.abs(dense)))
         assert float(np.max(np.abs(op.matvec(x) - dense @ x))) < 1e-17 * scale * op.n
         assert np.array_equal(op.to_dense(np.float64), dense.astype(np.float64))
-        assert np.allclose(op.to_csc().toarray(), dense.astype(np.float64),
-                           rtol=0, atol=4e-16 * scale)
+        bands = op.to_bands()
+        assert bands.shape == (p * (N + p - 2) + p + 1, op.n)
+        assert np.array_equal(_dense_from_bands(bands, op.n), dense.astype(np.float64))
     bands = sum(m.bands.nbytes for m in pair.stiffness.terms[0])
     assert pair.stiffness.nbytes == bands and pair.mass.nbytes == bands // 2
 
@@ -234,7 +246,7 @@ def test_band_matvec_takes_a_block_column_by_column():
     Y = A.matvec(X)
     for j in range(4):
         assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
-    assert np.array_equal(A.to_csc().toarray(), A.to_dense(np.float64))
+    assert np.array_equal(_dense_from_bands(A.to_bands(), A.n), A.to_dense(np.float64))
 
 
 def test_2d_guards_and_labels(monkeypatch):
@@ -262,7 +274,7 @@ def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Kronecker product or solve before the size check")
 
-    for module, name in ((np, "kron"), (scipy.sparse, "kron"),
+    for module, name in ((np, "kron"), (assembly.KroneckerSum, "to_bands"),
                          (scipy.sparse.linalg, "eigsh"), (scipy.linalg, "eigh")):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):

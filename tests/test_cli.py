@@ -406,7 +406,7 @@ def test_kron_check_line(capsys):
 
 def test_kron_cross_check_forms_no_large_dense_pencil(monkeypatch):
     # from _BANDED_MIN_N unknowns on, the 2D pencil is only ever applied
-    # through 1D band products and solved on its sparse copy
+    # through 1D band products and solved on its band Cholesky factors
     n0 = eigensolve._BANDED_MIN_N
     kron, to_dense = np.kron, assembly.KroneckerSum.to_dense
 
@@ -794,7 +794,7 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
                   ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
                   ["verify", "--p-max", "3"]]
     # pencil orders below and above eigensolve._BANDED_MIN_N: dense eigh, then
-    # shift-invert Lanczos
+    # Lanczos
     dense = ["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "8"]
     lanczos = ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "8"]
     assert 64 < eigensolve._BANDED_MIN_N <= 192

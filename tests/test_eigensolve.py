@@ -256,9 +256,38 @@ def test_an_indefinite_kronecker_mass_is_refused():
 
 
 def test_a_definite_mass_is_factored_once_on_the_dense_route(monkeypatch):
+    # the band Cholesky that factors the Lanczos pencil also tells an
+    # indefinite mass from other dense failures; eigh alone factors M here
     pair = assemble_1d(BSplineSpace(3, 16), optimal_blend(3, "gl"))
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", None)  # any call fails
+    monkeypatch.setattr(eigensolve, "_band_cholesky", None)  # any call fails
     assert len(generalized_eig(pair.stiffness, pair.mass, 4)) == 4
+
+
+def test_an_indefinite_stiffness_from_the_crossover_on_takes_the_dense_solve(monkeypatch):
+    pair = _study_pair(3, 256, "dmm")
+    K = SymBandMatrix(pair.stiffness.n, 3, -pair.stiffness.bands)
+    assert K.n >= eigensolve._BANDED_MIN_N
+    calls = _count_solver_calls(monkeypatch)
+    got = generalized_eig(K, pair.mass, 6)
+    assert calls == ["eigh"]
+    dense = _dense_solve(monkeypatch, K, pair.mass, 6)
+    assert np.array_equal(got.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(got.vectors, dense.vectors)
+    assert float(got.eigenvalues[0]) < 0
+
+
+@pytest.mark.parametrize("p,N,two_d", [(3, 512, False), (3, 16, True)])
+def test_lanczos_vectors_are_mass_orthonormal(monkeypatch, p, N, two_d):
+    # on the square, p = 3 and N = 16 give a Kronecker pencil of order 289
+    pair = _study_pair(p, N, "dmm")
+    if two_d:
+        pair = assemble_2d(pair)
+    calls = _count_solver_calls(monkeypatch)
+    got = generalized_eig(pair.stiffness, pair.mass, 12)
+    assert calls == ["eigsh"]
+    V = got.vectors
+    gram = V.T @ pair.mass.to_dense(np.float64) @ V
+    assert np.max(np.abs(gram - np.eye(12))) <= 1e-12
 
 
 def test_generalized_eig_refuses_a_narrow_longdouble(monkeypatch):
