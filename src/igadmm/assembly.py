@@ -2,9 +2,11 @@
 spaces on [0, 1] (and tensor squares on the unit square).
 
 Quadrature runs in extended precision (numpy longdouble) with any rule
-from the quadrature module, on a basis table of all elements at once; the
-band entries are summed element by element, nodes in rule order, so they
-are bitwise those of a scalar element loop.  Homogeneous Dirichlet
+from the quadrature module, on basis tables of all elements at once: one
+table pass per rule gives the values for the mass form and the
+derivatives for the stiffness form.  The band entries are summed element
+by element, nodes in rule order, so they are bitwise those of a scalar
+element loop.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need.  The 2D pair is a sum of Kronecker products of
@@ -78,20 +80,19 @@ class MatrixPair:
     rule: str
 
 
-def _assemble_full(space: BSplineSpace, rule: QuadratureRule, form: str) -> np.ndarray:
-    """Full (no boundary condition) band array for one bilinear form.
+def _assemble_full(wh: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Full (no boundary condition) band array of one bilinear form.
 
+    wh holds the rule's weights times h, table[e, k, a] basis function
+    e + a (values for the mass form, physical derivatives for the
+    stiffness form) at node k of element e, as ``basis_table`` gives them.
     Open knot vectors modify the basis near the boundary, so every element
-    gets its own basis table; the mesh sizes are small enough that nothing
+    has its own table rows; the mesh sizes are small enough that nothing
     is gained by caching the interior local matrix.
     """
-    p, N = space.p, space.N
-    nodes, weights = rule.as_longdouble()
-    _, table = basis_table(space, nodes, derivative=form == "stiffness")
-    # derivatives are physical (1/h lives in the basis), so both forms only
-    # pick up the Jacobian h from dx
-    wh = weights * (np.longdouble(1) / N)
-    bands = np.zeros((p + 1, space.dim_full), dtype=np.longdouble)
+    N, _, width = table.shape
+    p = width - 1
+    bands = np.zeros((p + 1, N + p), dtype=np.longdouble)
     # bands[d, e + a] collects element e's products of functions e + a and
     # e + a + d.  Looping a downwards and then over the nodes adds into each
     # entry element by element, nodes in rule order: the order of a scalar
@@ -119,8 +120,13 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     The rule may be any QuadratureRule, including blends with signed
     weights.
     """
-    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "stiffness")))
-    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(space, rule, "mass")))
+    nodes, weights = rule.as_longdouble()
+    # one table pass per rule gives both forms; derivatives are physical
+    # (1/h lives in the basis), so both pick up only the Jacobian h from dx
+    _, values, derivatives = basis_table(space, nodes)
+    wh = weights * (np.longdouble(1) / space.N)
+    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, derivatives)))
+    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, values)))
     return MatrixPair(space, K, M, rule.label)
 
 
@@ -188,9 +194,13 @@ class KroneckerSum:
         return sum(held.values())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product in longdouble, for a vector or an n x m block of
+        columns; B acts on the second axis of X, swapped to the front."""
         A, B = self.terms[0]
-        X = np.asarray(x, dtype=np.longdouble).reshape(A.n, B.n)
-        return sum(B.matvec(A.matvec(X).T).T for A, B in self.terms).ravel()
+        x = np.asarray(x, dtype=np.longdouble)
+        X = x.reshape((A.n, B.n) + x.shape[1:])
+        return sum(B.matvec(A.matvec(X).swapaxes(0, 1)).swapaxes(0, 1)
+                   for A, B in self.terms).reshape(x.shape)
 
     def to_dense(self, dtype=np.longdouble) -> np.ndarray:
         """Dense copy, formed in longdouble and rounded once to dtype."""

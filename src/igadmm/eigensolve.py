@@ -9,7 +9,8 @@ pencils go to scipy's dense symmetric-definite eigh.  scipy is imported
 at the first solve, not with this module: it takes about 0.3 s to
 import, and every command but the studies runs without it.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
-longdouble products, by extended-precision Rayleigh quotients, which
+longdouble products on blocks of eigenvectors, one K V and one M V per
+block, by extended-precision Rayleigh quotients, which
 pushes the numerical noise floor far below the discretization errors
 being measured (the 1D studies resolve relative errors down to 1e-13).
 Modes past the requested count are refined only when their double
@@ -23,11 +24,13 @@ Error measures: relative eigenvalue errors against j^2 pi^2 (or
 
     |u_j - u~|_E = sqrt( integral of (u_j' - u~')^2 over [0, 1] ),
 
-integrated directly with the (p + 5)-point Gauss rule on a basis table of
-all elements, summed one term at a time in element, then node order, as a
-scalar element loop would.  The L2 norm that scales u~ to 1 and the overlap
-that fixes its sign are sums on the same table, which is exact for the
-norm, a degree-2p integrand.  The integrand is a square, so nothing
+integrated directly with the (p + 5)-point Gauss rule on the basis tables
+of all elements, summed one term at a time in element, then node order,
+as a scalar element loop would.  The L2 norm that scales u~ to 1 is a sum
+on the same table, which is exact for it, a degree-2p integrand.  The
+overlap with sin(j pi x) that fixes the sign of u~ is summed in double
+precision: only its sign is read, and it sits far from zero.  The
+integrand of the error is a square, so nothing
 cancels; the equal identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the
 squared error as a difference of numbers of order lambda_j and loses every
 digit by p = 4, N = 128, where the error is 1.03e-9.
@@ -65,6 +68,12 @@ _BANDED_MIN_N = 160
 # modes the Lanczos solve computes past the requested count, so that it
 # sees the whole cluster at the cut
 _MARGIN = 2
+
+# columns per block product of the Rayleigh refinement: K V and M V take
+# one band product per operator for the block, and a refinement of all n
+# modes of a dense-solved pencil holds three n x 64 longdouble blocks, not
+# three n x n arrays
+_REFINE_BLOCK = 64
 
 # the Rayleigh refinement needs an arithmetic wider than float64: x87
 # 80-bit on x86-64 Linux, but not on Windows or Apple ARM
@@ -175,8 +184,11 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     smallest modes (all n when count is None or exceeds n).  Their
     eigenvalues are recomputed as extended-precision Rayleigh quotients of
     the double-precision eigenvectors, through the operators' longdouble
-    matvec, and re-sorted; for well-separated modes this restores the
-    eigenvalues to near working precision of the assembled matrices.
+    matvec on blocks of _REFINE_BLOCK eigenvectors (one K V and one M V
+    per block, each quotient's two dots taken per column, so bitwise the
+    quotients of single columns), and re-sorted; for well-separated modes
+    this restores the eigenvalues to near working precision of the
+    assembled matrices.
 
     Refinement covers the leading count modes and every later mode whose
     double eigenvalue lies within _CUT_RTOL of the count-th: refinement
@@ -216,9 +228,11 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
             raise
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)
-    for j in range(stop):
-        v = vecs[:, j].astype(np.longdouble)
-        refined[j] = (v @ K.matvec(v)) / (v @ M.matvec(v))
+    for lo in range(0, stop, _REFINE_BLOCK):
+        V = vecs[:, lo: min(stop, lo + _REFINE_BLOCK)].astype(np.longdouble)
+        KV, MV = K.matvec(V), M.matvec(V)
+        for j in range(V.shape[1]):
+            refined[lo + j] = (V[:, j] @ KV[:, j]) / (V[:, j] @ MV[:, j])
     order = np.argsort(refined, kind="stable")[:count]
     return Spectrum(refined[order], vecs[:, order])
 
@@ -275,9 +289,9 @@ def _energy_tables(space: BSplineSpace):
     integral on every element, on the (p + 5)-point Gauss rule; a study
     reads several modes of one space in a row."""
     nodes, weights = gauss_legendre(space.p + 5).as_longdouble()
-    t, der = basis_table(space, nodes, derivative=True)
+    t, val, der = basis_table(space, nodes)
     wh = weights * (np.longdouble(1) / space.N)
-    tables = (t, wh, der, basis_table(space, nodes)[1])
+    tables = (t, wh, der, val)
     for table in tables:
         table.flags.writeable = False  # shared by every call on this space
     return tables
@@ -292,13 +306,25 @@ def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _overlap(t, wh, uh, mode: int) -> float:
+    """Integral of sqrt(2) sin(mode pi x) u_h on the energy table, in
+    double precision.  It only gives u_h its sign: u_h comes from an
+    M-normalized vector, so the overlap is near +-1 for the modes below N,
+    and above 0.05 for the p - 1 outlier modes at the top of the spectrum
+    on the meshes tested; double-precision roundoff, ~1e-15 of that,
+    cannot flip it."""
+    f = np.sin((mode * np.pi) * t.astype(np.float64)) * uh.astype(np.float64)
+    return float(np.sqrt(2.0) * np.sum(f @ wh.astype(np.float64)))
+
+
 def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     """Energy-norm error of the mode-th discrete eigenfunction (1-based).
 
     The discrete function is normalized in L2 and sign-aligned with
     sin(mode pi x); the error is the square root of the integral of
-    (u' - u~')^2.  All three integrals are sums on the energy table, in
-    extended precision.
+    (u' - u~')^2.  All three integrals are sums on the energy tables: the
+    norm and the error in extended precision, the overlap that gives the
+    sign in double precision (_overlap).
     """
     space = pair.space
     if not 1 <= mode <= len(spectrum):
@@ -310,12 +336,10 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
     t, wh, der, val = _energy_tables(space)
     uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
-    # the L2 norm of u~, its overlap with u_mode for the sign, and the
-    # squared error, each summed one term at a time in element-then-node
-    # order: np.sum would add pairwise
+    # the L2 norm of u~ and the squared error, each summed one term at a
+    # time in element-then-node order: np.sum would add pairwise
     norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
-    overlap = np.cumsum(wh * (_SQRT2_LD * np.sin(jpi * t)) * uh)[-1]
-    uh_prime = uh_prime / (-norm if overlap < 0 else norm)
+    uh_prime = uh_prime / (-norm if _overlap(t, wh, uh, mode) < 0 else norm)
     diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
     return float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
 

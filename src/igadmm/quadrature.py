@@ -6,13 +6,16 @@ terms: P_m for m-point Gauss-Legendre, P_{m-2} - P_m for Gauss-Lobatto
 (the endpoints and the roots of P'_{m-1}), P_{m-1} + P_m for left
 Gauss-Radau (-1 and m - 1 free nodes).  numpy's legroots of that series
 seeds the free nodes, mpmath Newton iteration on the Legendre recurrence
-polishes them to 40 significant digits, the endpoints enter exactly, and
-the weights follow from the moment (Vandermonde) system on the polished
-nodes.  A rule holds its nodes and weights once, as mpf at the
-construction precision; they feed every stencil, blend ratio, and
-expansion coefficient computed here, which is what makes the 1e-12-ish
-tolerances downstream comfortable, and the one longdouble view that
-assembly and the energy error integrate with.
+polishes them to 40 significant digits, and the endpoints enter exactly.
+Each weight is its family's closed form at the polished node, in P'_m
+for Gauss-Legendre and in P_{m-1} for Lobatto and Radau
+(Abramowitz-Stegun 25.4.29, 25.4.32, 25.4.31); no moment (Vandermonde)
+system is solved, which from m = 21 on would be the less accurate route.
+A rule holds its nodes and weights once, as mpf at the construction
+precision; they feed every stencil, blend ratio, and expansion
+coefficient computed here, which is what makes the 1e-12-ish tolerances
+downstream comfortable, and the one longdouble view that assembly and the
+energy error integrate with.
 
 A rule induces its interior stiffness and mass rows through its moments
 alone: entry k of a row is the rule applied on one knot span to a fixed
@@ -97,19 +100,6 @@ class BlendedRule(QuadratureRule):
     tau: mp.mpf
 
 
-def _weights_from_moments(nodes01):
-    """Interpolatory weights on [0, 1]: solve the Vandermonde moment system."""
-    n = len(nodes01)
-    V = mp.matrix(n, n)
-    rhs = mp.matrix(n, 1)
-    for j in range(n):
-        rhs[j] = mp.mpf(1) / (j + 1)
-        for i in range(n):
-            V[j, i] = nodes01[i] ** j
-    w = mp.lu_solve(V, rhs)
-    return [w[i] for i in range(n)]
-
-
 def _legendre_series(coeffs, x):
     """Value and derivative of sum_k coeffs[k] P_k(x), by the recurrences
     P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1), P'_{k+1} = P'_{k-1} + (2k+1) P_k."""
@@ -122,12 +112,18 @@ def _legendre_series(coeffs, x):
     return f, df
 
 
-def _legendre_rule(label, exactness, coeffs, fixed=()) -> QuadratureRule:
+def _legendre(k: int, x):
+    """P_k(x) and P'_k(x)."""
+    return _legendre_series([0] * k + [1], x)
+
+
+def _legendre_rule(label, exactness, coeffs, weight, fixed=()) -> QuadratureRule:
     """Rule whose nodes on [-1, 1] are the roots of a Legendre series.
 
     The endpoints in fixed are roots of the series and enter exactly; the
     other roots are seeded by legroots (sorted, so the fixed ones sit at
-    the ends) and polished by Newton's method.
+    the ends) and polished by Newton's method.  weight(x) is the family's
+    closed-form weight at node x on [-1, 1], halved on [0, 1].
     """
     seeds = legroots(coeffs)
     seeds = seeds[int(-1 in fixed): len(seeds) - int(1 in fixed)]
@@ -142,8 +138,9 @@ def _legendre_rule(label, exactness, coeffs, fixed=()) -> QuadratureRule:
                 if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
                     break
             nodes.append(x)
-        nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
-        weights01 = _weights_from_moments(nodes01)
+        nodes = sorted(nodes)
+        nodes01 = [(x + 1) / 2 for x in nodes]
+        weights01 = [weight(x) / 2 for x in nodes]
     return QuadratureRule(label, tuple(nodes01), tuple(weights01), exactness)
 
 
@@ -152,7 +149,9 @@ def gauss_legendre(m: int) -> QuadratureRule:
     """m-point Gauss-Legendre rule on [0, 1]; exact through degree 2m - 1."""
     if m < 1:
         raise ValueError(f"need at least one node, got {m}")
-    return _legendre_rule(f"G{m}", 2 * m - 1, [0] * m + [1])
+    # Abramowitz-Stegun 25.4.29: w = 2 / ((1 - x^2) P'_m(x)^2)
+    return _legendre_rule(f"G{m}", 2 * m - 1, [0] * m + [1],
+                          lambda x: 2 / ((1 - x * x) * _legendre(m, x)[1] ** 2))
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +159,11 @@ def gauss_lobatto(m: int) -> QuadratureRule:
     """m-point Gauss-Lobatto rule on [0, 1] with both endpoints; degree 2m - 3."""
     if m < 2:
         raise ValueError(f"need at least two nodes, got {m}")
-    # (2n+1)(1 - x^2) P'_n = n(n+1)(P_{n-1} - P_{n+1}) with n = m - 1
-    return _legendre_rule(f"L{m}", 2 * m - 3, [0] * (m - 2) + [1, 0, -1], (-1, 1))
+    # (2n+1)(1 - x^2) P'_n = n(n+1)(P_{n-1} - P_{n+1}) with n = m - 1;
+    # A-S 25.4.32: w = 2 / (n (n + 1) P_n(x)^2), 2 / (n (n + 1)) at +-1
+    n = m - 1
+    return _legendre_rule(f"L{m}", 2 * m - 3, [0] * (m - 2) + [1, 0, -1],
+                          lambda x: 2 / (n * (n + 1) * _legendre(n, x)[0] ** 2), (-1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +171,10 @@ def gauss_radau(m: int) -> QuadratureRule:
     """m-point left Gauss-Radau rule on [0, 1] with node at 0; degree 2m - 2."""
     if m < 1:
         raise ValueError(f"need at least one node, got {m}")
-    # P_{m-1} + P_m vanishes at -1 and at the m - 1 free nodes
-    return _legendre_rule(f"R{m}", 2 * m - 2, [0] * (m - 1) + [1, 1], (-1,))
+    # P_{m-1} + P_m vanishes at -1 and at the m - 1 free nodes; A-S 25.4.31:
+    # w = (1 - x) / (m^2 P_{m-1}(x)^2), which is 2 / m^2 at -1
+    return _legendre_rule(f"R{m}", 2 * m - 2, [0] * (m - 1) + [1, 1],
+                          lambda x: (1 - x) / (m * m * _legendre(m - 1, x)[0] ** 2), (-1,))
 
 
 _DMM_NODE_DATA = {

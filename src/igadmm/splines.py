@@ -10,9 +10,12 @@ makes interior Gram rows expressible through cardinal-spline values.
 
 All evaluation routines are generic over the scalar type of the point:
 ``fractions.Fraction`` input gives exact rational output, ``float`` or
-``numpy.longdouble`` input stays in that arithmetic.  ``basis_table``
-evaluates the basis at quadrature nodes of all elements at once, through
-the same recurrences and so bitwise equal to the scalar routines.
+``numpy.longdouble`` input stays in that arithmetic.  Values and first
+derivatives come from one triangular Cox-de Boor pass, the derivatives by
+degree reduction from the level below the last.  ``basis_table`` runs that
+pass at the quadrature nodes of all elements at once, so it gives both
+tables for the cost of one, each entry bitwise equal to the scalar
+routines.
 """
 
 from __future__ import annotations
@@ -100,48 +103,63 @@ def _knots_in(p: int, N: int, longdouble: bool):
     return knots
 
 
-def _triangular(knots, x, mu, degree: int) -> list:
-    """Triangular Cox-de Boor scheme: the degree+1 B-splines of that degree
-    that are nonzero on the knot span [knots[mu], knots[mu+1]].
+# elements per array pass of basis_table: the pass holds 3p work arrays of
+# this many rows at once, next to the two tables it fills
+_ELEMENT_BLOCK = 256
 
-    x may be a Fraction, float or longdouble scalar, or a longdouble array
-    with mu an integer array broadcasting against it (one span per row);
-    each array entry runs exactly the rounding steps of the scalar call.
+
+def _cox_de_boor(knots, x, mu, p: int, values, derivatives) -> None:
+    """One triangular Cox-de Boor pass for the p+1 degree-p B-splines that
+    are nonzero on the knot span [knots[mu], knots[mu+1]] and their first
+    derivatives: values[a] and derivatives[a] receive function mu - p + a.
+
+    The pass raises the degree one level at a time and reaches level p
+    through level p - 1, whose values give the derivatives by degree
+    reduction: B'_j = p B_j^{p-1} / (t_{j+p} - t_j)
+    - p B_{j+1}^{p-1} / (t_{j+p+1} - t_{j+1}), dropping the lower-degree
+    functions that vanish on the span.  Every remaining denominator covers
+    the span itself, so none is zero.
+
+    x may be a Fraction, float or longdouble scalar, with values and
+    derivatives lists of p+1 slots, or a longdouble array with mu an
+    integer array broadcasting against it (one span per row) and the
+    outputs arrays whose leading axis is the function; each array entry
+    runs exactly the rounding steps of the scalar call.  The last level is
+    written into values directly, so an array pass holds its outputs, one
+    level of values and the 2p knot distances left and right.
     """
-    vals = [x - x + 1]  # multiplicative unit in the arithmetic of x
-    left = [None] * (degree + 1)
-    right = [None] * (degree + 1)
-    for q in range(1, degree + 1):
+    vals = [x - x + 1] + [None] * p  # multiplicative unit in the arithmetic of x
+    left = [None] * (p + 1)
+    right = [None] * (p + 1)
+    for q in range(1, p + 1):
         left[q] = x - knots[mu + 1 - q]
         right[q] = knots[mu + q] - x
+        out = vals
+        if q == p:
+            for a in range(p + 1):
+                acc = 0
+                if a > 0:
+                    acc = acc + p * vals[a - 1] / (knots[mu + a] - knots[mu - p + a])
+                if a < p:
+                    acc = acc - p * vals[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
+                derivatives[a] = acc
+            out = values
         saved = 0
         for r in range(q):
             temp = vals[r] / (right[r + 1] + left[q - r])
-            vals[r] = saved + right[r + 1] * temp
+            out[r] = saved + right[r + 1] * temp
             saved = left[q - r] * temp
-        vals.append(saved)
-    return vals
+        out[q] = saved
 
 
-def _derivatives(knots, x, mu, p: int) -> list:
-    """First derivatives of the p+1 degree-p B-splines nonzero on span mu.
-
-    Degree reduction: B'_j = p B_j^{p-1} / (t_{j+p} - t_j)
-    - p B_{j+1}^{p-1} / (t_{j+p+1} - t_{j+1}), dropping the lower-degree
-    functions that vanish on the span.  Every remaining denominator covers
-    the span itself, so none is zero.  Same arithmetic genericity as
-    ``_triangular``.
-    """
-    lower = _triangular(knots, x, mu, p - 1)
-    derivs = []
-    for a in range(p + 1):
-        acc = 0
-        if a > 0:
-            acc = acc + p * lower[a - 1] / (knots[mu + a] - knots[mu - p + a])
-        if a < p:
-            acc = acc - p * lower[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
-        derivs.append(acc)
-    return derivs
+def _nonzero(space: BSplineSpace, x, element: int | None):
+    """First function index, values and derivatives of the basis functions
+    that may be nonzero at x, from one scalar pass."""
+    p = space.p
+    mu = p + (space.element_index(x) if element is None else element)
+    values, derivatives = [None] * (p + 1), [None] * (p + 1)
+    _cox_de_boor(space.knots_as(x), x, mu, p, values, derivatives)
+    return mu - p, values, derivatives
 
 
 def nonzero_basis(space: BSplineSpace, x, element: int | None = None):
@@ -158,9 +176,8 @@ def nonzero_basis(space: BSplineSpace, x, element: int | None = None):
     per-element quadrature needs (basis derivatives jump across knots when
     p = 1).
     """
-    p = space.p
-    mu = p + (space.element_index(x) if element is None else element)
-    return mu - p, _triangular(space.knots_as(x), x, mu, p)
+    first, values, _ = _nonzero(space, x, element)
+    return first, values
 
 
 def nonzero_basis_derivatives(space: BSplineSpace, x, element: int | None = None):
@@ -168,27 +185,34 @@ def nonzero_basis_derivatives(space: BSplineSpace, x, element: int | None = None
 
     Same indexing convention (and element pinning) as ``nonzero_basis``.
     """
-    p = space.p
-    mu = p + (space.element_index(x) if element is None else element)
-    return mu - p, _derivatives(space.knots_as(x), x, mu, p)
+    first, _, derivatives = _nonzero(space, x, element)
+    return first, derivatives
 
 
-def basis_table(space: BSplineSpace, nodes, derivative: bool = False):
-    """Element-pinned basis values (or first derivatives) at the reference
-    nodes of every element, in longdouble.
+def basis_table(space: BSplineSpace, nodes):
+    """Element-pinned basis values and first derivatives at the reference
+    nodes of every element, in longdouble, from one Cox-de Boor pass.
 
-    Returns ``(t, table)``: t[e, k] = (e + nodes[k]) h is the physical point
-    and table[e, k, a] is basis function e + a (full numbering) there,
-    evaluated on element e's pieces.  Each entry is bitwise equal to
-    ``nonzero_basis`` / ``nonzero_basis_derivatives`` at t[e, k] with
-    ``element=e``: the recurrences are the same, vectorized over elements.
+    Returns ``(t, values, derivatives)``: t[e, k] = (e + nodes[k]) h is the
+    physical point, and values[e, k, a] and derivatives[e, k, a] are basis
+    function e + a (full numbering) and its derivative there, evaluated on
+    element e's pieces.  Each entry is bitwise equal to ``nonzero_basis`` /
+    ``nonzero_basis_derivatives`` at t[e, k] with ``element=e``: the pass
+    is the same, vectorized over elements.
     """
     p, N = space.p, space.N
     elements = np.arange(N)[:, None]
     t = (elements + np.asarray(nodes, dtype=np.longdouble)) * (np.longdouble(1) / N)
-    rows = (_derivatives if derivative else _triangular)(
-        _knots_in(p, N, True), t, p + elements, p)
-    return t, np.stack(rows, axis=-1)
+    values = np.empty(t.shape + (p + 1,), dtype=np.longdouble)
+    derivatives = np.empty_like(values)
+    knots = _knots_in(p, N, True)
+    # blocks of elements bound the pass's work arrays; the function axis
+    # goes first, so that slot a of an output is the view [..., a]
+    for lo in range(0, N, _ELEMENT_BLOCK):
+        rows = slice(lo, lo + _ELEMENT_BLOCK)
+        _cox_de_boor(knots, t[rows], p + elements[rows], p,
+                     np.moveaxis(values[rows], -1, 0), np.moveaxis(derivatives[rows], -1, 0))
+    return t, values, derivatives
 
 
 def cardinal_value(p: int, t):

@@ -23,7 +23,7 @@ from igadmm.quadrature import (
     gauss_radau,
     optimal_blend,
 )
-from igadmm.splines import BSplineSpace, nonzero_basis, nonzero_basis_derivatives
+from igadmm.splines import BSplineSpace, basis_table, nonzero_basis, nonzero_basis_derivatives
 
 
 def _interior_rows(space):
@@ -116,6 +116,14 @@ def _assemble_full_by_scalar_loop(space, rule, form):
     return bands
 
 
+def _full_bands(space, rule, form):
+    """_assemble_full on the table of the form, from one table pass."""
+    nodes, weights = rule.as_longdouble()
+    _, values, derivatives = basis_table(space, nodes)
+    table = derivatives if form == "stiffness" else values
+    return _assemble_full(weights * (np.longdouble(1) / space.N), table)
+
+
 @pytest.mark.parametrize("form", ["mass", "stiffness"])
 @pytest.mark.parametrize("N", [2, 3, 5, 17])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -123,9 +131,13 @@ def test_band_assembly_is_bitwise_the_scalar_element_loop(p, N, form):
     space = BSplineSpace(p, N)
     for rule in (gauss_legendre(p + 1), gauss_lobatto(p + 1), gauss_radau(p + 1),
                  optimal_blend(p, "gl")):
-        got = _assemble_full(space, rule, form)
+        got = _full_bands(space, rule, form)
         assert got.dtype == np.longdouble
-        assert np.array_equal(got, _assemble_full_by_scalar_loop(space, rule, form)), rule.label
+        want = _assemble_full_by_scalar_loop(space, rule, form)
+        assert np.array_equal(got, want), rule.label
+        pair = assemble_1d(space, rule)
+        matrix = pair.stiffness if form == "stiffness" else pair.mass
+        assert np.array_equal(matrix.bands, _reduce_dirichlet(want)), rule.label
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -134,7 +146,7 @@ def test_dmm_bands_from_the_cached_blend_are_those_of_a_fresh_one(p):
     fresh = optimal_blend.__wrapped__(p, "gl")  # built as if uncached
     pair = assemble_1d_dmm(space)
     for form, got in (("stiffness", pair.stiffness), ("mass", pair.mass)):
-        want = _reduce_dirichlet(_assemble_full(space, fresh, form))
+        want = _reduce_dirichlet(_full_bands(space, fresh, form))
         assert np.array_equal(got.bands, want), form
 
 
@@ -247,6 +259,16 @@ def test_band_matvec_takes_a_block_column_by_column():
     for j in range(4):
         assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
     assert np.array_equal(_dense_from_bands(A.to_bands(), A.n), A.to_dense(np.float64))
+
+
+def test_kronecker_matvec_takes_a_block_column_by_column():
+    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(3, 6)))
+    X = np.random.default_rng(5).standard_normal((pair.mass.n, 4)).astype(np.longdouble)
+    for op in (pair.stiffness, pair.mass):
+        Y = op.matvec(X)
+        assert Y.shape == X.shape and Y.dtype == np.longdouble
+        for j in range(4):
+            assert np.array_equal(Y[:, j], op.matvec(X[:, j]))
 
 
 def test_2d_guards_and_labels(monkeypatch):

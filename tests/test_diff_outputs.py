@@ -1,0 +1,61 @@
+"""The output comparison of tools/diff_outputs.py on fixed job results."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
+diff_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(diff_outputs)
+
+_STUDY = """p,N,rule,mode,rel_ev_error,ef_energy_error
+2,8,gauss,1,3.41278e-05,1.83882e-02
+2,8,gauss,2,5.99916e-04,1.55239e-01
+# kron-vs-tensor max rel deviation at N=6: 2.81167e-19
+"""
+
+
+def _result(out="", err="", rc=0):
+    return {"rc": rc, "out": out, "err": err}
+
+
+def test_study_cells_are_read_from_the_csv_rows():
+    assert diff_outputs.cells(_STUDY) == {"2,8,gauss,1": "3.41278e-05,1.83882e-02",
+                                          "2,8,gauss,2": "5.99916e-04,1.55239e-01"}
+    assert diff_outputs.cells("a,b,c,d,e,f\n1,2,3,4,5,6\n") == {}
+
+
+def test_each_differing_job_and_moved_cell_is_listed():
+    jobs = [["same"], ["moved"], ["exit"]]
+    moved = _STUDY.replace("1.55239e-01", "1.55240e-01")
+    parent = [_result(_STUDY), _result(_STUDY), _result(err="x", rc=1)]
+    change = [_result(_STUDY), _result(moved), _result(err="y", rc=2)]
+    assert diff_outputs.compare(jobs, parent, change) == [
+        "differs (out): moved",
+        "  cell 2,8,gauss,2: 5.99916e-04,1.55239e-01 -> 5.99916e-04,1.55240e-01",
+        "differs (rc, err): exit",
+    ]
+    assert diff_outputs.compare(jobs, parent, parent) == []
+
+
+def test_jobs_run_in_process_on_this_tree():
+    jobs = [["stencil", "-p", "2", "--rule", "exact"], ["study-1d", "-p", "0"]]
+    (good, usage) = diff_outputs.collect(jobs, str(_PATH.parents[1]))
+    assert good["rc"] == 0 and good["out"] and not good["err"]
+    assert usage["rc"] == 2 and usage["err"]
+
+
+def test_exit_code_is_1_on_any_difference(monkeypatch, capsys):
+    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"], ["b"]])
+    monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
+    runs = {}
+    monkeypatch.setattr(diff_outputs, "_run_tree",
+                        lambda tree, jobs: runs[tree == diff_outputs.ROOT])
+    runs[False] = runs[True] = [_result("x"), _result(_STUDY)]
+    assert diff_outputs.main(["--parent", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 jobs against 000000000000: 0 differ, 0 study cells moved")
+    runs[True] = [_result("x"), _result(_STUDY.replace("3.41278e-05", "3.41279e-05"))]
+    assert diff_outputs.main(["--parent", "HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 jobs against 000000000000: 1 differ, 1 study cells moved")

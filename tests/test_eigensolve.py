@@ -317,6 +317,24 @@ def test_relative_errors_and_pairing_guard():
     assert np.allclose(errs2, 2e-7, rtol=1e-6)
 
 
+@pytest.mark.parametrize("p,N,kron,count", [
+    (2, 100, False, None),  # dense, all 100 modes: two refinement blocks
+    (3, 300, False, 6),  # Lanczos
+    (2, 10, True, None),  # dense Kronecker, 100 modes
+    (2, 14, True, 5),  # Lanczos Kronecker, order 196
+])
+def test_refined_eigenvalues_are_the_per_column_rayleigh_quotients(p, N, kron, count):
+    pair = assemble_1d_dmm(BSplineSpace(p, N))
+    if kron:
+        pair = assemble_2d(pair)
+    K, M = pair.stiffness, pair.mass
+    spectrum = generalized_eig(K, M, count)
+    assert len(spectrum) == (count or K.n)
+    for j, value in enumerate(spectrum.eigenvalues):
+        v = spectrum.vectors[:, j].astype(np.longdouble)
+        assert value == (v @ K.matvec(v)) / (v @ M.matvec(v)), j
+
+
 def test_energy_error_equals_direct_integration():
     # longdouble table integral vs a float brute-force integration of (u_h' - u')^2
     p, N, mode = 1, 8, 1
@@ -390,6 +408,29 @@ def test_energy_error_is_bitwise_the_scalar_loop(p, N):
     for mode in (1, 2, len(spectrum)):
         assert energy_error(pair, spectrum, mode) == _energy_error_by_scalar_loop(
             pair, spectrum, mode)
+
+
+@pytest.mark.parametrize("N", [8, 33])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_the_double_overlap_has_the_sign_of_the_longdouble_one(p, N):
+    # the sign of u_h comes from a double-precision overlap with
+    # sqrt(2) sin(mode pi x); the longdouble sum it replaces agrees on every
+    # mode.  Modes below N are paired sinusoids, |overlap| near 1; the p - 1
+    # outlier modes at the top of the spectrum overlap less, but still far
+    # above double-precision roundoff
+    space = BSplineSpace(p, N)
+    pair = assemble_1d(space, gauss_legendre(p + 1))
+    spectrum = generalized_eig(pair.stiffness, pair.mass)
+    t, wh, der, val = eigensolve._energy_tables(space)
+    for mode in range(1, len(spectrum) + 1):
+        c_full = np.zeros(space.dim_full, dtype=np.longdouble)
+        c_full[1:-1] = spectrum.vectors[:, mode - 1]
+        uh = eigensolve._element_dot(c_full[np.arange(N)[:, None] + np.arange(p + 1)], val)
+        got = eigensolve._overlap(t, wh, uh, mode)
+        want = np.cumsum(wh * (_SQRT2_LD * np.sin(mode * PI_LD * t)) * uh)[-1]
+        assert (got < 0) == (want < 0), mode
+        assert abs(got - float(want)) < 1e-13, mode
+        assert abs(got) > (0.5 if mode < N else 0.05), mode
 
 
 def _energy_error_mp(space, vector, mode):

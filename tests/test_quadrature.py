@@ -39,7 +39,6 @@ from igadmm.quadrature import (
     quadrature_mass_stencil,
     quadrature_stiffness_stencil,
     triple_blend_check,
-    _weights_from_moments,
 )
 from igadmm.splines import cardinal_piece, cardinal_piece_derivative
 from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
@@ -111,6 +110,19 @@ def test_rule_validates_node_weight_pairing():
             bad()
 
 
+def _weights_from_moments(nodes01):
+    """Interpolatory weights on [0, 1]: solve the Vandermonde moment system."""
+    n = len(nodes01)
+    V = mp.matrix(n, n)
+    rhs = mp.matrix(n, 1)
+    for j in range(n):
+        rhs[j] = mp.mpf(1) / (j + 1)
+        for i in range(n):
+            V[j, i] = nodes01[i] ** j
+    w = mp.lu_solve(V, rhs)
+    return [w[i] for i in range(n)]
+
+
 def _newton(f, df, x0):
     x = mp.mpf(x0)
     for _ in range(60):
@@ -162,6 +174,29 @@ def _reference_rule(family, m):
         nodes01 = [(x + 1) / 2 for x in sorted(nodes)]
         return QuadratureRule(f"{family}{m}", tuple(nodes01),
                               tuple(_weights_from_moments(nodes01)), exactness)
+
+
+@pytest.mark.parametrize("build,mmin", [(gauss_legendre, 1), (gauss_lobatto, 2),
+                                        (gauss_radau, 1)])
+def test_closed_form_weights_are_the_moment_solution_to_40_digits(build, mmin):
+    for m in range(mmin, 31):
+        rule = build(m)
+        with mp.workdps(_DPS + 15):
+            if m <= 20:
+                solved = _weights_from_moments(list(rule.nodes))
+                assert ([mp.nstr(w, _DPS) for w in rule.weights]
+                        == [mp.nstr(w, _DPS) for w in solved]), m
+            # every moment the rule is exact for, to the working precision;
+            # the Vandermonde solve misses these by up to 1e-44 at m = 30
+            for j in range(rule.exactness + 1):
+                got = mp.fsum(w * x ** j for w, x in zip(rule.weights, rule.nodes))
+                assert abs(got - mp.mpf(1) / (j + 1)) < mp.mpf(10) ** -54, (m, j)
+            # the endpoint weights in closed form: 1/(m(m-1)) for Lobatto,
+            # 1/m^2 for Radau
+            if build is gauss_lobatto:
+                assert abs(rule.weights[0] * m * (m - 1) - 1) < mp.mpf(10) ** -54, m
+            if build is gauss_radau:
+                assert abs(rule.weights[0] * m * m - 1) < mp.mpf(10) ** -54, m
 
 
 @pytest.mark.parametrize("build", [lambda: gauss_legendre(3), lambda: optimal_blend(3, "gl")])

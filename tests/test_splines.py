@@ -192,11 +192,14 @@ _TABLE_NODES = np.array([np.longdouble(0), np.longdouble(1) / 3,
 
 @pytest.mark.parametrize("derivative", [False, True])
 @pytest.mark.parametrize("N", [2, 3, 7, 64])
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
+    # one call gives both tables; derivative picks the one checked here
+    # against its scalar routine
     space = BSplineSpace(p, N)
-    t, table = basis_table(space, _TABLE_NODES, derivative)
+    t, values, derivatives = basis_table(space, _TABLE_NODES)
     assert t.shape == (N, len(_TABLE_NODES)) and t.dtype == np.longdouble
+    table = derivatives if derivative else values
     assert table.shape == (N, len(_TABLE_NODES), p + 1)
     assert table.dtype == np.longdouble
     h = np.longdouble(1) / N
@@ -207,3 +210,45 @@ def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
             first, vals = scalar(space, t[e, k], element=e)
             assert first == e
             assert np.array_equal(np.array(vals, dtype=np.longdouble), table[e, k])
+
+
+def _triangular(knots, x, mu, degree):
+    """Reference: the triangular scheme run from degree 0 to degree alone."""
+    vals = [x - x + 1]
+    left, right = [None] * (degree + 1), [None] * (degree + 1)
+    for q in range(1, degree + 1):
+        left[q], right[q] = x - knots[mu + 1 - q], knots[mu + q] - x
+        saved = 0
+        for r in range(q):
+            temp = vals[r] / (right[r + 1] + left[q - r])
+            vals[r] = saved + right[r + 1] * temp
+            saved = left[q - r] * temp
+        vals.append(saved)
+    return vals
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
+def test_one_pass_is_bitwise_the_two_separate_recurrences(p):
+    # values from a run to degree p, derivatives by degree reduction of a
+    # second run to degree p - 1: the one pass must round as those two do,
+    # in every arithmetic
+    space = BSplineSpace(p, 7)
+    points = (np.longdouble(0), np.longdouble(2) / 7, np.longdouble("0.61803398874989484820"),
+              np.longdouble(1), 0.3, 1.0, Fraction(3, 7), Fraction(5, 11))
+    for x in points:
+        for element in (space.element_index(x), None):
+            first, vals = nonzero_basis(space, x, element)
+            _, ders = nonzero_basis_derivatives(space, x, element)
+            knots, mu = space.knots_as(x), first + p
+            lower = _triangular(knots, x, mu, p - 1)
+            want = []
+            for a in range(p + 1):
+                acc = 0
+                if a > 0:
+                    acc = acc + p * lower[a - 1] / (knots[mu + a] - knots[mu - p + a])
+                if a < p:
+                    acc = acc - p * lower[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
+                want.append(acc)
+            assert vals == _triangular(knots, x, mu, p), x
+            assert ders == want, x
+            assert {type(v) for v in vals + ders} == {type(x)}, x

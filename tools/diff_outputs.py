@@ -1,0 +1,158 @@
+"""Byte comparison of the CLI outputs of a parent commit and the working tree.
+
+Usage, from the repository root:
+
+    python3 tools/diff_outputs.py --parent REV
+
+The parent commit is exported with ``git archive``, as tools/bench_pairs.py
+does.  In each tree one Python process, with BLAS pinned to one thread,
+imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
+job of the benchmark workloads (perfbench/workloads.py) and the fixed
+SWEEP below, capturing each job's exit code, standard output and standard
+error.  The report lists each job whose exit code, output or error
+differs, and each study cell (p, N, rule, mode) whose printed numbers
+moved.  The exit code is 1 on any difference and 0 when every byte of
+every job is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CSV_HEADER = "p,N,rule,mode,rel_ev_error,ef_energy_error"
+SWEEP_RULES = ("gauss", "radau", "dmm", "lobatto", "gp")
+
+
+def _load(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep() -> list[list[str]]:
+    """Energy studies of every degree 1..6 and study rule on tiny meshes and
+    on a ladder that crosses the dense/Lanczos switch, and a Kronecker
+    cross-check at each degree."""
+    jobs = []
+    for p in range(1, 7):
+        for rule in SWEEP_RULES:
+            for meshes, modes in (("3,4,5", "1,2"), ("8,21,55,144,233,333", "1,2,3,4,7")):
+                jobs.append(["study-1d", "-p", str(p), "--energy", "--meshes", meshes,
+                             "--rules", rule, "--modes", modes, "--json", "-"])
+        jobs.append(["study-2d", "-p", str(p), "--meshes", "4,8", "--rules", "dmm",
+                     "--modes", "1,2,4", "--verify-kron", "14", "--json", "-"])
+    return jobs
+
+
+def all_jobs() -> list[list[str]]:
+    """The benchmark workloads' jobs, in workload order, then the sweep."""
+    workloads = _load("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    jobs = [argv for name in workloads.WORKLOADS for argv in workloads.jobs_for(name)]
+    return jobs + sweep()
+
+
+def collect(jobs: list[list[str]], tree: str) -> list[dict]:
+    """Exit code, output and error of each job, run in this process on the
+    igadmm found first on sys.path; the tree's path in a traceback is
+    written as <tree>, so that the two trees' crashes compare equal."""
+    import igadmm.cli as cli
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(tree) + os.sep):
+        raise RuntimeError(f"igadmm imported from {cli.__file__}, not from {tree}")
+    results = []
+    for argv in jobs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code if isinstance(exc.code, int) else 1
+            except Exception:
+                traceback.print_exc()
+                rc = -1
+        results.append({"rc": rc, "out": out.getvalue().replace(tree, "<tree>"),
+                        "err": err.getvalue().replace(tree, "<tree>")})
+    return results
+
+
+def _export(rev: str, into: str) -> str:
+    """The full hash of rev, whose files tools/bench_pairs.py's export
+    writes into the directory's tree/."""
+    return _load("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))._export(rev, into)
+
+
+def _run_tree(tree: str, jobs: list[list[str]]) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", tree],
+                          input=json.dumps(jobs), capture_output=True, text=True, env=env,
+                          cwd=tree, check=True)
+    return json.loads(proc.stdout)
+
+
+def cells(out: str) -> dict[str, str]:
+    """Study rows of a job's output: "p,N,rule,mode" to the printed errors."""
+    rows, inside = {}, False
+    for line in out.splitlines():
+        if line == CSV_HEADER:
+            inside = True
+        elif inside and line.count(",") == 5:
+            p, N, rule, mode, rest = line.split(",", 4)
+            rows[f"{p},{N},{rule},{mode}"] = rest
+        else:
+            inside = False
+    return rows
+
+
+def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per differing job, then one per moved cell of that job."""
+    lines = []
+    for argv, a, b in zip(jobs, parent, change):
+        parts = [key for key in ("rc", "out", "err") if a[key] != b[key]]
+        if not parts:
+            continue
+        lines.append(f"differs ({', '.join(parts)}): {' '.join(argv)}")
+        old, new = cells(a["out"]), cells(b["out"])
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                lines.append(f"  cell {key}: {old.get(key)} -> {new.get(key)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="commit to compare against")
+    parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        json.dump(collect(json.load(sys.stdin), args.collect), sys.stdout)
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+    jobs = all_jobs()
+    with tempfile.TemporaryDirectory() as tmp:
+        sha = _export(args.parent, tmp)
+        parent = _run_tree(os.path.join(tmp, "tree"), jobs)
+    change = _run_tree(ROOT, jobs)
+    lines = compare(jobs, parent, change)
+    for line in lines:
+        print(line)
+    differ = sum(not line.startswith(" ") for line in lines)
+    print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, "
+          f"{len(lines) - differ} study cells moved")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
