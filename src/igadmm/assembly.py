@@ -71,13 +71,12 @@ class SymBandMatrix:
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """Reduced (Dirichlet) stiffness and mass matrices for one space; rule
-    labels the quadrature rule both were integrated with."""
+    """Reduced (Dirichlet) stiffness and mass matrices for one space: band
+    matrices on [0, 1], Kronecker sums of them on the unit square."""
 
     space: BSplineSpace
-    stiffness: SymBandMatrix
-    mass: SymBandMatrix
-    rule: str
+    stiffness: SymBandMatrix | KroneckerSum
+    mass: SymBandMatrix | KroneckerSum
 
 
 def _assemble_full(wh: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     wh = weights * (np.longdouble(1) / space.N)
     K = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, derivatives)))
     M = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, values)))
-    return MatrixPair(space, K, M, rule.label)
+    return MatrixPair(space, K, M)
 
 
 def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
@@ -223,17 +222,7 @@ class KroneckerSum:
         return out
 
 
-@dataclass(frozen=True)
-class MatrixPair2D:
-    """Kronecker stiffness/mass pair on the unit square (Dirichlet)."""
-
-    space: BSplineSpace
-    stiffness: KroneckerSum
-    mass: KroneckerSum
-    rule: str
-
-
-def assemble_2d(pair: MatrixPair) -> MatrixPair2D:
+def assemble_2d(pair: MatrixPair) -> MatrixPair:
     """Tensor-product pair of a 1D pair: K2 = K (x) M + M (x) K, M2 = M (x) M.
 
     Both are KroneckerSum operators over the 1D band matrices.  KRON_MAX_DIM
@@ -244,5 +233,4 @@ def assemble_2d(pair: MatrixPair) -> MatrixPair2D:
     if n * n > KRON_MAX_DIM:
         raise ValueError(f"2D dimension {n * n} exceeds limit {KRON_MAX_DIM}")
     K, M = pair.stiffness, pair.mass
-    return MatrixPair2D(pair.space, KroneckerSum(((K, M), (M, K))), KroneckerSum(((M, M),)),
-                        pair.rule)
+    return MatrixPair(pair.space, KroneckerSum(((K, M), (M, K))), KroneckerSum(((M, M),)))

@@ -11,8 +11,11 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification fails or a computation
 cannot be completed, 2 for usage errors, among them a --csv or --json
-file in a directory that does not exist, checked before any computation.
-All numeric output uses six significant digits; outputs contain no
+file in a directory that does not exist, or a --csv and a --json that name
+one file, checked before any computation.  Each subcommand builds one
+report, the object its --json writes, with every number formatted once,
+and renders its text (stdout, or the --csv file) from that report's
+strings.  All numeric output uses six significant digits; outputs contain no
 timestamps or environment details, so identical invocations produce
 byte-identical files.  A JSON config file (--config, before the
 subcommand) may pre-set any long option of any subcommand (keys use
@@ -31,11 +34,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from igadmm import assembly, dispersion, dmm, eigensolve, quadrature, stencils
-from igadmm.eigensolve import _fmt
 from igadmm.splines import BSplineSpace
+
+
+def _fmt(x: float) -> str:
+    """Six significant digits, scientific; deterministic across runs."""
+    return f"{float(x):.5e}"
 
 
 def _fraction_str(value) -> str | None:
@@ -59,10 +67,15 @@ def _output(path):
             yield fh
 
 
-def _dump_json(obj, path) -> None:
-    with _output(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _emit(args, lines: list[str], report: dict) -> None:
+    """A subcommand's output: its text lines to the --csv file, or to stdout
+    without one, then, with --json, its report."""
+    with _output(getattr(args, "csv", None)) as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    if args.json is not None:
+        with _output(args.json) as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -169,30 +182,17 @@ def _cmd_verify(args) -> int:
     for flag, value in (("--fg-p-max", args.fg_p_max), ("--fg-m-max", args.fg_m_max)):
         if value < 2:
             raise UsageError(f"{flag} needs a value >= 2: {value}")
-    ok, suites = run_verify(args.p_max, args.fg_p_max, args.fg_m_max)
+    _, suites = run_verify(args.p_max, args.fg_p_max, args.fg_m_max)
+    counts = [{"name": name, "p": p, "checks": len(rep.checks), "failures": len(rep.failures())}
+              for name, p, rep in suites]
+    ok = not any(suite["failures"] for suite in counts)
     lines = []
-    for name, p, rep in suites:
-        tag = f"{name}" + (f" p={p}" if p is not None else "")
-        word = "PASS" if rep.ok else "FAIL"
-        lines.append(f"{word} {tag} ({len(rep.checks)} checks)")
-    print("\n".join(lines))
-    print(f"{'PASS' if ok else 'FAIL'} total "
-          f"({sum(len(rep.checks) for _, _, rep in suites)} checks)")
-    if args.json is not None:
-        payload = {
-            "kind": "verify",
-            "ok": ok,
-            "suites": [
-                {
-                    "name": name,
-                    "p": p,
-                    "checks": len(rep.checks),
-                    "failures": len(rep.failures()),
-                }
-                for name, p, rep in suites
-            ],
-        }
-        _dump_json(payload, args.json)
+    for suite in counts:
+        tag = suite["name"] if suite["p"] is None else f"{suite['name']} p={suite['p']}"
+        lines.append(f"{'FAIL' if suite['failures'] else 'PASS'} {tag} ({suite['checks']} checks)")
+    lines.append(f"{'PASS' if ok else 'FAIL'} total "
+                 f"({sum(suite['checks'] for suite in counts)} checks)")
+    _emit(args, lines, {"kind": "verify", "ok": ok, "suites": counts})
     return 0 if ok else 1
 
 
@@ -201,24 +201,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stencil(args) -> int:
     p = _degree(args.p)
-    if getattr(args, "dmm", False):
-        args.rule = "dmm"
-    _known([args.rule], _ROW_RULES, "--rule", args.rule)
-    row = _row(p, args.rule, args.form)
-    entries = []
-    for k, v in enumerate(row):
-        frac = _fraction_str(v)
-        entries.append({"offset": k, "value": _fmt(v), "fraction": frac})
-        shown = frac if frac is not None else _fmt(v)
-        print(f"k={k} {shown}")
-    if args.json is not None:
-        _dump_json({
-            "kind": "stencil",
-            "p": p,
-            "form": args.form,
-            "rule": args.rule,
-            "entries": entries,
-        }, args.json)
+    rule = "dmm" if args.dmm else args.rule
+    _known([rule], _ROW_RULES, "--rule", rule)
+    entries = [{"offset": k, "value": _fmt(v), "fraction": _fraction_str(v)}
+               for k, v in enumerate(_row(p, rule, args.form))]
+    lines = [f"k={e['offset']} {e['fraction'] or e['value']}" for e in entries]
+    _emit(args, lines, {"kind": "stencil", "p": p, "form": args.form, "rule": rule,
+                        "entries": entries})
     return 0
 
 
@@ -236,18 +225,20 @@ def _cmd_tau(args) -> int:
         for pair in pairs:
             try:
                 tau = quadrature.optimal_blend(p, pair).tau
+                ratio = {"tau": _fmt(tau), "tau_fraction": _fraction_str(tau)}
             except quadrature.DegenerateBlendError:
-                entries.append({"p": p, "pair": pair, "tau": "degenerate",
-                                "tau_fraction": None})
-                print(f"p={p} pair={pair} degenerate")
-                continue
-            frac = _fraction_str(tau)
-            entries.append({"p": p, "pair": pair, "tau": _fmt(tau),
-                            "tau_fraction": frac})
-            shown = f"{frac} ({_fmt(tau)})" if frac else _fmt(tau)
-            print(f"p={p} pair={pair} tau={shown}")
-    if args.json is not None:
-        _dump_json({"kind": "tau", "entries": entries}, args.json)
+                ratio = {"tau": "degenerate", "tau_fraction": None}
+            entries.append({"p": p, "pair": pair, **ratio})
+    lines = []
+    for e in entries:
+        if e["tau"] == "degenerate":
+            shown = "degenerate"
+        elif e["tau_fraction"]:
+            shown = f"tau={e['tau_fraction']} ({e['tau']})"
+        else:
+            shown = f"tau={e['tau']}"
+        lines.append(f"p={e['p']} pair={e['pair']} {shown}")
+    _emit(args, lines, {"kind": "tau", "entries": entries})
     return 0
 
 
@@ -267,25 +258,32 @@ def _cmd_rules(args) -> int:
         _degree(args.p)
         _known([args.pair], quadrature._PAIR_NAMES, "--pair", args.pair)
         rule = quadrature.optimal_blend(args.p, args.pair)
-    print(f"label={rule.label} exactness={rule.exactness}")
-    for x, w in zip(rule.nodes, rule.weights):
-        print(f"node={_fmt(x)} weight={_fmt(w)}")
-    if args.json is not None:
-        _dump_json({
-            "kind": "rules",
-            "label": rule.label,
-            "exactness": rule.exactness,
-            "nodes": [_fmt(x) for x in rule.nodes],
-            "weights": [_fmt(w) for w in rule.weights],
-        }, args.json)
+    report = {"kind": "rules", "label": rule.label, "exactness": rule.exactness,
+              "nodes": [_fmt(x) for x in rule.nodes],
+              "weights": [_fmt(w) for w in rule.weights]}
+    lines = [f"label={report['label']} exactness={report['exactness']}"]
+    lines += [f"node={x} weight={w}" for x, w in zip(report["nodes"], report["weights"])]
+    _emit(args, lines, report)
     return 0
 
 
 # ---------------------------------------------------------------- studies
 
 
+@dataclass(frozen=True)
+class ErrorRow:
+    """One study cell: the errors of a mode at degree p on N elements."""
+
+    p: int
+    N: int
+    rule: str
+    mode: int
+    rel_ev_error: float
+    ef_energy_error: float | None = None
+
+
 def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = False):
-    """Eigenvalue convergence study; returns (ErrorTable, rates list).
+    """Eigenvalue convergence study; returns (ErrorRow list, rates list).
 
     Dimension 2 takes the tensor route: the pairwise sums of the 1D
     spectrum against the exact spectrum of the unit square.  energy adds
@@ -310,14 +308,14 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
                 ef = (eigensolve.energy_error(pair, spectrum, mode)
                       if energy else None)
                 rel = float(errs[mode - 1])
-                rows.append(eigensolve.ErrorRow(p, N, label, mode, rel, ef))
+                rows.append(ErrorRow(p, N, label, mode, rel, ef))
                 per_mode[mode].append(rel)
         for mode in modes:
             rates.append({
                 "rule": label, "mode": mode,
                 "rate": eigensolve.convergence_rate(per_mode[mode], meshes),
             })
-    return eigensolve.ErrorTable(tuple(rows)), rates
+    return rows, rates
 
 
 def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
@@ -332,21 +330,24 @@ def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
     return float(max(abs(a - b) / abs(b) for a, b in zip(direct, tens)))
 
 
-def _emit_study(table, rates, args, dimension: int) -> int:
-    with _output(args.csv) as fh:
-        table.to_csv(fh)
-    if args.json is not None:
-        payload = {
-            "kind": "study",
-            "dimension": dimension,
-            "rows": table.to_json_obj(),
-            "rates": [
-                {"rule": r["rule"], "mode": r["mode"], "rate": _fmt(r["rate"])}
-                for r in rates
-            ],
-        }
-        _dump_json(payload, args.json)
-    return 0
+# the columns of a study's CSV and of its JSON rows, which leave out an
+# ef_energy_error the study did not compute
+_STUDY_COLUMNS = ("p", "N", "rule", "mode", "rel_ev_error", "ef_energy_error")
+
+
+def _emit_study(rows, rates, args, dimension: int) -> None:
+    cells = []
+    for r in rows:
+        cell = {"p": r.p, "N": r.N, "rule": r.rule, "mode": r.mode,
+                "rel_ev_error": _fmt(r.rel_ev_error)}
+        if r.ef_energy_error is not None:
+            cell["ef_energy_error"] = _fmt(r.ef_energy_error)
+        cells.append(cell)
+    # no study label holds a comma or a quote, so no field needs CSV quoting
+    lines = [",".join(_STUDY_COLUMNS)]
+    lines += [",".join(str(cell.get(col, "")) for col in _STUDY_COLUMNS) for cell in cells]
+    _emit(args, lines, {"kind": "study", "dimension": dimension, "rows": cells,
+                        "rates": [{**r, "rate": _fmt(r["rate"])} for r in rates]})
 
 
 def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
@@ -365,8 +366,9 @@ def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
 
 
 def _cmd_study_1d(args) -> int:
-    table, rates = run_study(*_study_inputs(args), energy=args.energy)
-    return _emit_study(table, rates, args, 1)
+    rows, rates = run_study(*_study_inputs(args), energy=args.energy)
+    _emit_study(rows, rates, args, 1)
+    return 0
 
 
 def _cmd_study_2d(args) -> int:
@@ -376,12 +378,12 @@ def _cmd_study_2d(args) -> int:
     if args.verify_kron and BSplineSpace(p, args.verify_kron).dim ** 2 > assembly.KRON_MAX_DIM:
         raise UsageError(f"--verify-kron {args.verify_kron} gives more than "
                          f"{assembly.KRON_MAX_DIM} 2D unknowns at p={p}")
-    table, rates = run_study(p, meshes, modes, rules, dimension=2)
-    rc = _emit_study(table, rates, args, 2)
+    rows, rates = run_study(p, meshes, modes, rules, dimension=2)
+    _emit_study(rows, rates, args, 2)
     if args.verify_kron:
         dev = kron_cross_check(p, args.verify_kron, rules[0])
         print(f"# kron-vs-tensor max rel deviation at N={args.verify_kron}: {_fmt(dev)}")
-    return rc
+    return 0
 
 
 # ---------------------------------------------------------------- dispersion
@@ -413,40 +415,31 @@ def _cmd_dispersion(args) -> int:
     import numpy as np
 
     lams = np.geomspace(args.min, args.max, args.samples)
-    curve = dispersion.sample_curve(p, a_row, b_row, lams, label=args.rule)
-    lines = ["wavenumber,rel_error"]
-    for y, e in zip(curve.wavenumbers, curve.errors):
-        lines.append(f"{_fmt(y)},{_fmt(e)}")
-    fit = None
-    if args.fit:
-        fit = dispersion.fit_order(curve.wavenumbers, curve.errors)
-        lines.append(f"# fit_order {_fmt(fit)}")
-    coeff = None
-    if chk is not None:
-        coeff = {
+    curve = dispersion.sample_curve(p, a_row, b_row, lams)
+    report = {
+        "kind": "dispersion",
+        "p": p,
+        "rule": args.rule,
+        "samples": [{"wavenumber": _fmt(y), "rel_error": _fmt(e)}
+                    for y, e in zip(curve.wavenumbers, curve.errors)],
+        "fit_order": (_fmt(dispersion.fit_order(curve.wavenumbers, curve.errors))
+                      if args.fit else None),
+        # in the order of the text line's fields
+        "coefficient": None if chk is None else {
             "order": chk.order,
             "measured": _fmt(chk.measured),
             "predicted": _fmt(chk.predicted),
             "rel_deviation": _fmt(chk.rel_deviation),
-        }
-        lines.append(
-            f"# coefficient order={chk.order} measured={_fmt(chk.measured)} "
-            f"predicted={_fmt(chk.predicted)} rel_deviation={_fmt(chk.rel_deviation)}"
-        )
-    with _output(args.csv) as fh:
-        fh.write("\n".join(lines) + "\n")
-    if args.json is not None:
-        _dump_json({
-            "kind": "dispersion",
-            "p": p,
-            "rule": args.rule,
-            "samples": [
-                {"wavenumber": _fmt(y), "rel_error": _fmt(e)}
-                for y, e in zip(curve.wavenumbers, curve.errors)
-            ],
-            "fit_order": None if fit is None else _fmt(fit),
-            "coefficient": coeff,
-        }, args.json)
+        },
+    }
+    lines = ["wavenumber,rel_error"]
+    lines += [f"{s['wavenumber']},{s['rel_error']}" for s in report["samples"]]
+    if report["fit_order"] is not None:
+        lines.append(f"# fit_order {report['fit_order']}")
+    if report["coefficient"] is not None:
+        lines.append("# coefficient " + " ".join(
+            f"{key}={value}" for key, value in report["coefficient"].items()))
+    _emit(args, lines, report)
     return 0
 
 
@@ -614,8 +607,10 @@ def _apply_config(args, argv, parser, commands):
 
 
 def _check_outputs(args) -> None:
-    """Every --csv and --json file must be named, not be a directory, and go
-    into an existing directory."""
+    """Every --csv and --json file must be named, not be a directory, go
+    into an existing directory, and not be the other option's file, which
+    the JSON would overwrite."""
+    files = {}
     for flag in ("csv", "json"):
         path = getattr(args, flag, None)
         if path in (None, "-"):
@@ -627,6 +622,9 @@ def _check_outputs(args) -> None:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"--{flag} {path}: directory {os.path.dirname(path)} "
                              "does not exist")
+        files[flag] = path
+    if len(files) == 2 and os.path.realpath(files["csv"]) == os.path.realpath(files["json"]):
+        raise UsageError(f"--csv {files['csv']} and --json {files['json']} name the same file")
 
 
 def main(argv=None) -> int:

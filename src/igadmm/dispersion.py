@@ -94,17 +94,15 @@ def dispersion_error(p: int, A, B, wavenumber) -> float:
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    p: int
-    label: str
     wavenumbers: tuple[float, ...]
     errors: tuple[float, ...]  # signed relative errors
 
 
-def sample_curve(p: int, A, B, wavenumbers, label: str = "") -> DispersionCurve:
+def sample_curve(p: int, A, B, wavenumbers) -> DispersionCurve:
     """Relative dispersion errors at each wavenumber, equal to
     dispersion_error point by point."""
     errs = tuple(_evaluate(p, A, B, wavenumbers, _relative_error))
-    return DispersionCurve(p, label, tuple(float(y) for y in wavenumbers), errs)
+    return DispersionCurve(tuple(float(y) for y in wavenumbers), errs)
 
 
 def fit_order(wavenumbers, errors) -> float:

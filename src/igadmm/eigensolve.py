@@ -38,7 +38,6 @@ digit by p = 4, N = 128, where the error is 1.03e-9.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -342,58 +341,6 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     uh_prime = uh_prime / (-norm if _overlap(t, wh, uh, mode) < 0 else norm)
     diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
     return float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
-
-
-@dataclass(frozen=True)
-class ErrorRow:
-    p: int
-    N: int
-    rule: str
-    mode: int
-    rel_ev_error: float
-    ef_energy_error: float | None = None
-
-
-@dataclass(frozen=True)
-class ErrorTable:
-    """Study results, one row per (p, N, rule, mode)."""
-
-    rows: tuple[ErrorRow, ...]
-
-    CSV_COLUMNS = ("p", "N", "rule", "mode", "rel_ev_error", "ef_energy_error")
-
-    def to_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.p, r.N, r.rule, r.mode,
-                _fmt(r.rel_ev_error),
-                "" if r.ef_energy_error is None else _fmt(r.ef_energy_error),
-            ])
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            d = {
-                "p": r.p, "N": r.N, "rule": r.rule, "mode": r.mode,
-                "rel_ev_error": _fmt(r.rel_ev_error),
-            }
-            if r.ef_energy_error is not None:
-                d["ef_energy_error"] = _fmt(r.ef_energy_error)
-            out.append(d)
-        return out
-
-    def select(self, **keys) -> list[ErrorRow]:
-        return [
-            r for r in self.rows
-            if all(getattr(r, k) == v for k, v in keys.items())
-        ]
-
-
-def _fmt(x: float) -> str:
-    """Six significant digits, scientific; deterministic across runs."""
-    return f"{float(x):.5e}"
 
 
 def convergence_rate(errors, meshes) -> float:

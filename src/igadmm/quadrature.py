@@ -178,8 +178,9 @@ def gauss_radau(m: int) -> QuadratureRule:
 
 
 _DMM_NODE_DATA = {
-    # degree -> (shift under the sqrt, weights); nodes are 0 (optional) and
-    # 1/2 +- sqrt(radicand)/divisor, one sign per rule variant
+    # degree -> (fixed node or None, (radicand, divisor), weights); the nodes
+    # are the fixed one, if any, and 1/2 +- sqrt(radicand)/divisor, one sign
+    # per rule variant
     1: (None, (6, 6), (Fraction(1),)),
     2: (0, (15, 30), (Fraction(2, 7), Fraction(5, 7))),
     3: (0, (14, 14), (Fraction(-17, 375), Fraction(392, 375))),

@@ -31,8 +31,8 @@ class Stencil:
     """Symmetric interior Gram row: values[k] is the entry at offset +-k.
 
     kind is "stiffness" (row sums to 0) or "mass" (row sums to 1).  Values
-    are Fractions for exactly computed stencils; quadrature-approximated
-    stencils reuse this container with floats.
+    are Fractions for exactly computed stencils; rule-induced stencils
+    reuse this container with 40-digit mpf.
     """
 
     p: int

@@ -136,9 +136,9 @@ def test_criterion_07_convergence_1d(announce):
     details = []
     for p, want_rates, window in ((2, (4.0, 3.5, 6.0), 0.2),
                                   (3, (6.1, 6.1, 7.8), 0.3)):
-        table, rates = cli.run_study(p, MESHES[p], (1,), rules)
+        rows, rates = cli.run_study(p, MESHES[p], (1,), rules)
         for rule in rules:
-            errs = [r.rel_ev_error for r in table.select(rule=rule, mode=1)]
+            errs = [r.rel_ev_error for r in rows if r.rule == rule and r.mode == 1]
             if p == 2:
                 for got, ref in zip(errs, EV_ERRORS_1D[(2, rule, 1)]):
                     worst = max(worst, abs(got - ref) / ref)
@@ -148,7 +148,7 @@ def test_criterion_07_convergence_1d(announce):
             rate_ok &= abs(got - want) <= window
             details.append(f"{rule}@p{p}={got:.2f}")
         if p == 3:
-            tail = table.select(rule="dmm", mode=1)[-1].rel_ev_error
+            tail = [r.rel_ev_error for r in rows if r.rule == "dmm" and r.mode == 1][-1]
             rate_ok &= tail <= 5e-13
             details.append(f"dmm N=32 err {tail:.1e}")
     elapsed = time.perf_counter() - t0
@@ -159,8 +159,8 @@ def test_criterion_07_convergence_1d(announce):
 
 def test_criterion_08_convergence_2d(announce):
     t0 = time.perf_counter()
-    table, rates = cli.run_study(2, MESHES[2], (1,), ("dmm",), dimension=2)
-    errs = [r.rel_ev_error for r in table.select(rule="dmm", mode=1)]
+    rows, rates = cli.run_study(2, MESHES[2], (1,), ("dmm",), dimension=2)
+    errs = [r.rel_ev_error for r in rows if r.rule == "dmm" and r.mode == 1]
     worst = max(abs(got - ref) / ref
                 for got, ref in zip(errs, EV_ERRORS_2D[(2, "dmm", 1)]))
     rate = rates[0]["rate"]
@@ -178,11 +178,11 @@ def test_criterion_09_eigenfunction_rates(announce):
     ok = True
     details = []
     for p in (2, 3):
-        table, _ = cli.run_study(p, MESHES[p], (1,), ("gauss", "dmm"),
-                                 energy=True)
+        rows, _ = cli.run_study(p, MESHES[p], (1,), ("gauss", "dmm"),
+                                energy=True)
         by_rule = {}
         for rule in ("gauss", "dmm"):
-            efs = [r.ef_energy_error for r in table.select(rule=rule, mode=1)]
+            efs = [r.ef_energy_error for r in rows if r.rule == rule and r.mode == 1]
             by_rule[rule] = efs
             slope = sum(math.log2(a / b) for a, b in zip(efs, efs[1:])) / (len(efs) - 1)
             ok &= abs(slope - p) <= 0.2

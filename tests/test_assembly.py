@@ -284,7 +284,6 @@ def test_2d_guards_and_labels(monkeypatch):
     monkeypatch.setattr(assembly, "KRON_MAX_DIM", 16)
     assert assemble_2d(pair).mass.shape == (16, 16)
     pair2 = assemble_2d(assemble_1d_dmm(space))
-    assert pair2.rule.startswith("blend")
     assert pair2.stiffness.shape == (16, 16)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -14,6 +15,7 @@ import pytest
 from igadmm import assembly, cli, eigensolve
 from igadmm.cli import _ROW_RULES, _STUDY_RULES, main
 from igadmm.splines import BSplineSpace
+from igadmm.stencils import IdentityCheck, IdentityReport
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +384,111 @@ def test_json_reports_validate(tmp_path, capsys, schema, argv, kind):
     jsonschema.validate(payload, schema)
 
 
+def _text_and_report(capsys, argv):
+    """The text lines and the JSON report of one run with --json -."""
+    rc, out, _ = _run(capsys, argv + ["--json", "-"])
+    lines = out.splitlines()
+    cut = lines.index("{")
+    return rc, lines[:cut], json.loads("\n".join(lines[cut:cut + lines[cut:].index("}") + 1]))
+
+
+def _text_numbers(line):
+    """The numbers a text line shows, as printed: integers, fractions and
+    six-digit floats, but not the digits inside a rule label such as G3."""
+    return re.findall(r"(?<![\w.])-?\d[\d./]*(?:e[-+]\d+)?", line)
+
+
+def _report_numbers(report):
+    """The report's strings, and its integers as text, in the order the
+    text shows them."""
+    kind = report["kind"]
+    if kind == "verify":
+        nums = [f for s in report["suites"]
+                for f in ([] if s["p"] is None else [s["p"]]) + [s["checks"]]]
+        return nums + [sum(s["checks"] for s in report["suites"])]
+    if kind == "stencil":
+        return [f for e in report["entries"] for f in (e["offset"], e["fraction"] or e["value"])]
+    if kind == "tau":
+        return [f for e in report["entries"]
+                for f in [e["p"]] + ([e["tau_fraction"]] if e["tau_fraction"] else [])
+                + ([] if e["tau"] == "degenerate" else [e["tau"]])]
+    if kind == "rules":
+        return [report["exactness"]] + [f for pair in zip(report["nodes"], report["weights"])
+                                        for f in pair]
+    if kind == "study":
+        return [r[key] for r in report["rows"]
+                for key in ("p", "N", "mode", "rel_ev_error", "ef_energy_error") if key in r]
+    coefficient = report["coefficient"] or {}
+    return ([f for s in report["samples"] for f in (s["wavenumber"], s["rel_error"])]
+            + ([report["fit_order"]] if report["fit_order"] else [])
+            + [coefficient[key] for key in ("order", "measured", "predicted", "rel_deviation")
+               if key in coefficient])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "3", "--fg-p-max", "3", "--fg-m-max", "3"],
+    ["stencil", "-p", "6", "--rule", "gauss"],
+    ["stencil", "-p", "3", "--dmm", "--form", "stiffness"],
+    ["tau", "--p", "1,2,8", "--pair", "all"],
+    ["rules", "--family", "blend", "-p", "2", "--pair", "gl"],
+    ["rules", "--family", "dmm", "-p", "3", "--sign", "-1"],
+    ["study-1d", "-p", "2", "--meshes", "8,16", "--modes", "1,3", "--rules", "gauss,dmm",
+     "--energy"],
+    ["study-2d", "-p", "2", "--meshes", "4,8", "--modes", "1,2", "--rules", "radau",
+     "--verify-kron", "4"],
+    ["dispersion", "-p", "2", "--rule", "dmm", "--samples", "4", "--fit",
+     "--coefficient", "6"],
+    ["dispersion", "-p", "3", "--rule", "radau", "--samples", "3"],
+])
+def test_text_shows_the_strings_of_the_json_report(capsys, argv):
+    rc, lines, report = _text_and_report(capsys, argv)
+    assert rc == 0
+    assert [n for line in lines for n in _text_numbers(line)] == [
+        str(n) for n in _report_numbers(report)]
+    if report["kind"] == "verify":
+        assert [line.split()[0] for line in lines] == (
+            ["FAIL" if s["failures"] else "PASS" for s in report["suites"]]
+            + ["PASS" if report["ok"] else "FAIL"])
+    if report["kind"] == "tau":
+        assert [line.endswith(" degenerate") for line in lines] == [
+            e["tau"] == "degenerate" for e in report["entries"]]
+    if report["kind"] == "study":
+        assert lines[0] == "p,N,rule,mode,rel_ev_error,ef_energy_error"
+        assert [line.split(",")[2] for line in lines[1:]] == [r["rule"] for r in report["rows"]]
+        assert [line.endswith(",") for line in lines[1:]] == [
+            "ef_energy_error" not in r for r in report["rows"]]
+
+
+def test_verify_words_and_exit_code_come_from_the_failure_counts(monkeypatch, capsys):
+    failing = IdentityReport((IdentityCheck("row sum", 2, None, 0),
+                              IdentityCheck("second moment", 2, None, 1)))
+    passing = IdentityReport((IdentityCheck("row sum", 3, None, 0),))
+    monkeypatch.setattr(cli, "run_verify", lambda *args: (
+        False, [("base-identities", 2, failing), ("coefficient-recursion", None, passing)]))
+    rc, lines, report = _text_and_report(capsys, ["verify"])
+    assert rc == 1
+    assert lines == ["FAIL base-identities p=2 (2 checks)",
+                     "PASS coefficient-recursion (1 checks)", "FAIL total (3 checks)"]
+    assert report == {"kind": "verify", "ok": False, "suites": [
+        {"name": "base-identities", "p": 2, "checks": 2, "failures": 1},
+        {"name": "coefficient-recursion", "p": None, "checks": 1, "failures": 0}]}
+
+
+def test_study_rows_render_to_csv_and_json(monkeypatch, capsys):
+    rows = [cli.ErrorRow(2, 8, "gauss", 1, 3.41234e-5, 1.2e-3),
+            cli.ErrorRow(2, 16, "gauss", 1, 2.1e-6, None)]
+    monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: (
+        rows, [{"rule": "gauss", "mode": 1, "rate": 4.02}]))
+    rc, lines, report = _text_and_report(capsys, ["study-1d", "-p", "2"])
+    assert rc == 0
+    assert lines == ["p,N,rule,mode,rel_ev_error,ef_energy_error",
+                     "2,8,gauss,1,3.41234e-05,1.20000e-03",
+                     "2,16,gauss,1,2.10000e-06,"]  # the missing energy error stays empty
+    assert report["rows"][0]["rel_ev_error"] == "3.41234e-05"
+    assert "ef_energy_error" not in report["rows"][1]
+    assert report["rates"] == [{"rule": "gauss", "mode": 1, "rate": "4.02000e+00"}]
+
+
 def test_study_csv_contents(tmp_path, capsys):
     path = tmp_path / "study.csv"
     rc = main(["study-1d", "-p", "2", "--meshes", "8,16", "--modes", "1",
@@ -724,6 +831,28 @@ def test_output_to_a_directory_or_an_empty_name_is_a_usage_error(monkeypatch, tm
     assert rc == 2
     assert out == ""
     assert err == message.format(directory=tmp_path) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "-p", "2", "--csv", "out", "--json", "out"],
+    ["dispersion", "-p", "2", "--csv", "./out", "--json", "out"],
+    ["study-1d", "-p", "2", "--csv", "out", "--json", "sub/../out"],
+    ["--config", "config.json", "study-2d", "-p", "2", "--csv", "out"],
+])
+def test_csv_and_json_naming_one_file_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    for name in ("_row", "run_study"):
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "config.json").write_text(json.dumps({"json": "out"}))
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --csv ") and err.endswith(" name the same file\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point():

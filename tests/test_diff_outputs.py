@@ -1,6 +1,7 @@
 """The output comparison of tools/diff_outputs.py on fixed job results."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
@@ -59,3 +60,49 @@ def test_exit_code_is_1_on_any_difference(monkeypatch, capsys):
     assert diff_outputs.main(["--parent", "HEAD"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "2 jobs against 000000000000: 1 differ, 1 study cells moved")
+
+
+def test_sweep_covers_every_report_with_its_json():
+    jobs = diff_outputs.sweep()
+    assert all(argv[-2:] == ["--json", "-"] for argv in jobs)
+    assert {argv[0] for argv in jobs} == {"verify", "stencil", "tau", "rules", "study-1d",
+                                          "study-2d", "dispersion"}
+    stencils = {(argv[argv.index("--rule") + 1], argv[argv.index("--form") + 1])
+                for argv in jobs if "--rule" in argv and argv[0] == "stencil"}
+    assert {label for label, _ in stencils} == {"exact", "dmm", "gauss", "blend:gl", "minrule+"}
+    assert {form for _, form in stencils} == {"mass", "stiffness"}
+    assert ["tau", "--p", "1,2,3,4,5,6,7,8,9", "--pair", "all", "--json", "-"] in jobs
+    assert {argv[argv.index("--family") + 1] for argv in jobs if argv[0] == "rules"} == {
+        "gauss", "lobatto", "radau", "dmm", "blend"}
+    csv = [argv[0] for argv in jobs if "--csv" in argv]
+    assert "dispersion" in csv and "study-1d" in csv
+    assert any({"--fit", "--coefficient"} <= set(argv) for argv in jobs
+               if argv[0] == "dispersion" and "--csv" in argv)
+
+
+def test_sweep_reports_run_with_one_usage_and_one_computation_error():
+    jobs = [argv for argv in diff_outputs.sweep() if not {"--energy", "--verify-kron"} & set(argv)]
+    results = diff_outputs.collect(jobs, str(_PATH.parents[1]))
+    assert sorted(r["rc"] for r in results if r["rc"]) == [1, 2]
+    assert all(r["err"].startswith("error: ") for r in results if r["rc"])
+    assert all(r["out"] and not r["err"] for r in results if not r["rc"])
+
+
+def test_line_counts_of_both_trees_precede_the_summary(monkeypatch, capsys, tmp_path):
+    def export(rev, into):
+        package = os.path.join(into, "tree", "src", "igadmm")
+        os.makedirs(package)
+        for name, text in (("a.py", "x = 1\ny = 2\n"), ("b.py", "z = 3\n"), ("c.txt", "-\n")):
+            with open(os.path.join(package, name), "w") as fh:
+                fh.write(text)
+        return "0" * 40
+
+    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"]])
+    monkeypatch.setattr(diff_outputs, "_export", export)
+    monkeypatch.setattr(diff_outputs, "_run_tree", lambda tree, jobs: [_result("x")])
+    assert diff_outputs.main(["--parent", "HEAD"]) == 0
+    count = diff_outputs.line_count(diff_outputs.ROOT)
+    assert count > 1000
+    assert capsys.readouterr().out.splitlines() == [
+        f"src/igadmm/*.py lines: 3 -> {count}",
+        "1 jobs against 000000000000: 0 differ, 0 study cells moved"]

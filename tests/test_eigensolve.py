@@ -1,6 +1,5 @@
 """Eigensolver, exact spectra, error measures, rate fitting."""
 
-import io
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from igadmm.assembly import SymBandMatrix, assemble_1d, assemble_1d_dmm, assembl
 from igadmm.eigensolve import (
     PI_LD,
     _SQRT2_LD,
-    ErrorRow,
-    ErrorTable,
     PairingError,
     Spectrum,
     convergence_rate,
@@ -527,22 +524,3 @@ def test_convergence_rate_divides_by_the_mesh_ratio():
     for meshes in ([8, 8], [16, 8], [8, 16, 32]):
         with pytest.raises(ValueError):
             convergence_rate([1.0, 0.5], meshes)
-
-
-def test_error_table_exports_and_select():
-    rows = (
-        ErrorRow(2, 8, "gauss", 1, 3.41234e-5, 1.2e-3),
-        ErrorRow(2, 16, "gauss", 1, 2.1e-6, None),
-    )
-    table = ErrorTable(rows)
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].split(",") == list(ErrorTable.CSV_COLUMNS)
-    assert lines[1] == "2,8,gauss,1,3.41234e-05,1.20000e-03"
-    assert lines[2].endswith(",")  # missing eigenfunction column stays empty
-    objs = table.to_json_obj()
-    assert objs[0]["rel_ev_error"] == "3.41234e-05"
-    assert "ef_energy_error" not in objs[1]
-    assert table.select(N=16) == [rows[1]]
-    assert table.select(N=16, mode=2) == []

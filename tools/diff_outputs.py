@@ -8,17 +8,19 @@ The parent commit is exported with ``git archive``, as tools/bench_pairs.py
 does.  In each tree one Python process, with BLAS pinned to one thread,
 imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
 job of the benchmark workloads (perfbench/workloads.py) and the fixed
-SWEEP below, capturing each job's exit code, standard output and standard
+sweep below, capturing each job's exit code, standard output and standard
 error.  The report lists each job whose exit code, output or error
 differs, and each study cell (p, N, rule, mode) whose printed numbers
-moved.  The exit code is 1 on any difference and 0 when every byte of
-every job is the same.
+moved, then the line counts of src/igadmm/*.py in both trees.  The exit
+code is 1 on any difference and 0 when every byte of every job is the
+same.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import importlib.util
 import io
 import json
@@ -43,7 +45,13 @@ def _load(name: str, path: str):
 def sweep() -> list[list[str]]:
     """Energy studies of every degree 1..6 and study rule on tiny meshes and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
-    cross-check at each degree."""
+    cross-check at each degree; then every subcommand's report, text and
+    JSON: verify, rows of both forms (exact, minimized, rule-induced,
+    blended and point-rule labels, fractions and floats), blend ratios
+    with the degenerate p = 1 lr pair and the float-only p = 8 ratios, the
+    rules of each family, a dispersion curve with its fit and coefficient
+    and a study, both with --csv -, and one usage and one computation
+    error."""
     jobs = []
     for p in range(1, 7):
         for rule in SWEEP_RULES:
@@ -52,7 +60,28 @@ def sweep() -> list[list[str]]:
                              "--rules", rule, "--modes", modes, "--json", "-"])
         jobs.append(["study-2d", "-p", str(p), "--meshes", "4,8", "--rules", "dmm",
                      "--modes", "1,2,4", "--verify-kron", "14", "--json", "-"])
-    return jobs
+    reports = [["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"],
+               ["stencil", "-p", "4", "--dmm"],
+               ["tau", "--p", "1,2,3,4,5,6,7,8,9", "--pair", "all"],
+               ["rules", "--family", "dmm", "-p", "3", "--sign", "-1"],
+               ["rules", "--family", "blend", "-p", "3", "--pair", "pr"],
+               ["dispersion", "-p", "3", "--rule", "dmm", "--fit", "--coefficient", "8",
+                "--csv", "-"],
+               ["dispersion", "-p", "2", "--rule", "gauss", "--samples", "5", "--fit",
+                "--coefficient", "4", "--csv", "-"],
+               ["study-1d", "-p", "2", "--meshes", "8,16", "--rules", "gauss,dmm",
+                "--csv", "-"],
+               ["stencil", "-p", "0"],
+               ["study-1d", "-p", "3", "--meshes", "4,8", "--rules", "blend:gr"]]
+    # the point rules stop at p = 3; at p = 6 the gauss rows print partly as floats
+    for p, labels in ((3, ("exact", "dmm", "gauss", "blend:gl", "minrule+")),
+                      (6, ("exact", "dmm", "gauss", "blend:gl"))):
+        for label in labels:
+            for form in ("mass", "stiffness"):
+                reports.append(["stencil", "-p", str(p), "--rule", label, "--form", form])
+    for family in ("gauss", "lobatto", "radau"):
+        reports.append(["rules", "--family", family, "--points", "4"])
+    return jobs + [argv + ["--json", "-"] for argv in reports]
 
 
 def all_jobs() -> list[list[str]]:
@@ -101,6 +130,15 @@ def _run_tree(tree: str, jobs: list[list[str]]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def line_count(tree: str) -> int:
+    """Lines of the tree's src/igadmm/*.py, the number ROADMAP tracks."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "igadmm", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def cells(out: str) -> dict[str, str]:
     """Study rows of a job's output: "p,N,rule,mode" to the printed errors."""
     rows, inside = {}, False
@@ -144,10 +182,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sha = _export(args.parent, tmp)
         parent = _run_tree(os.path.join(tmp, "tree"), jobs)
+        parent_lines = line_count(os.path.join(tmp, "tree"))
     change = _run_tree(ROOT, jobs)
     lines = compare(jobs, parent, change)
     for line in lines:
         print(line)
+    print(f"src/igadmm/*.py lines: {parent_lines} -> {line_count(ROOT)}")
     differ = sum(not line.startswith(" ") for line in lines)
     print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, "
           f"{len(lines) - differ} study cells moved")
