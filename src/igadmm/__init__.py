@@ -8,44 +8,34 @@ rules with their optimal blending parameters, assembles 1D/2D matrices, and
 runs eigenvalue/eigenfunction convergence studies.
 """
 
-from igadmm.splines import BSplineSpace, cardinal_value, knot_vector
-from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
-from igadmm.dmm import dmm_stencil
-from igadmm.quadrature import (
-    QuadratureRule,
-    blend,
-    dmm_rule,
-    gauss_legendre,
-    gauss_lobatto,
-    gauss_radau,
-    optimal_tau,
-    quadrature_mass_stencil,
-)
-from igadmm.assembly import assemble_1d, assemble_1d_dmm, assemble_2d
-from igadmm.eigensolve import exact_spectrum, generalized_eig, tensor_spectrum_2d
+import importlib
+
+# each public name by the submodule that defines it; a name is imported on
+# first use (PEP 562), so `import igadmm` loads neither numpy nor scipy, and
+# the exact rows, rules and ratios never need numpy at all
+_EXPORTS = {name: module for module, names in {
+    "splines": ("BSplineSpace", "cardinal_value", "knot_vector"),
+    "stencils": ("Stencil", "mass_stencil", "stiffness_stencil"),
+    "dmm": ("dmm_stencil",),
+    "quadrature": ("QuadratureRule", "blend", "dmm_rule", "gauss_legendre", "gauss_lobatto",
+                   "gauss_radau", "optimal_tau", "quadrature_mass_stencil"),
+    "assembly": ("assemble_1d", "assemble_1d_dmm", "assemble_2d"),
+    "eigensolve": ("exact_spectrum", "generalized_eig", "tensor_spectrum_2d"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSplineSpace",
-    "QuadratureRule",
-    "Stencil",
-    "assemble_1d",
-    "assemble_1d_dmm",
-    "assemble_2d",
-    "blend",
-    "cardinal_value",
-    "dmm_rule",
-    "dmm_stencil",
-    "exact_spectrum",
-    "gauss_legendre",
-    "gauss_lobatto",
-    "gauss_radau",
-    "generalized_eig",
-    "knot_vector",
-    "mass_stencil",
-    "optimal_tau",
-    "quadrature_mass_stencil",
-    "stiffness_stencil",
-    "tensor_spectrum_2d",
-]
+__all__ = sorted(_EXPORTS)

@@ -22,7 +22,10 @@ subcommand) may pre-set any long option of any subcommand (keys use
 underscores); explicit command line options win, and any other key is a
 config error, as is a value the option of the subcommand run would not
 take from the command line.  The parsers are built once per process, on
-the first call of main(), and a config never outlives its call.
+the first call of main(), and a config never outlives its call.  Only the
+study commands import numpy (with assembly, eigensolve and splines), and
+only their solves import scipy; the exact commands run on mpmath and the
+standard library.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from igadmm import assembly, dispersion, dmm, eigensolve, quadrature, stencils
-from igadmm.splines import BSplineSpace
+from igadmm import dispersion, dmm, quadrature, stencils
+
+if TYPE_CHECKING:
+    from igadmm import assembly, eigensolve
+    from igadmm.splines import BSplineSpace
 
 
 def _fmt(x: float) -> str:
@@ -144,6 +151,8 @@ def _row(p: int, label: str, form: str):
 
 def _pair(space: BSplineSpace, label: str) -> assembly.MatrixPair:
     """Dirichlet 1D stiffness/mass pair behind a study label."""
+    from igadmm import assembly
+
     if label == "dmm":
         return assembly.assemble_1d_dmm(space)
     return assembly.assemble_1d(space, _rule(space.p, label))
@@ -152,6 +161,8 @@ def _pair(space: BSplineSpace, label: str) -> assembly.MatrixPair:
 def _spectrum(pair, label: str, count: int) -> eigensolve.Spectrum:
     """The leading modes of a 1D or 2D pair; an indefinite mass matrix is
     reported with the label, degree and mesh behind it."""
+    from igadmm import eigensolve
+
     try:
         return eigensolve.generalized_eig(pair.stiffness, pair.mass, count)
     except eigensolve.IndefiniteMassError as exc:
@@ -201,7 +212,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stencil(args) -> int:
     p = _degree(args.p)
-    rule = "dmm" if args.dmm else args.rule
+    if args.dmm and args.rule not in (None, "dmm"):
+        raise UsageError(f"--dmm means --rule dmm; it conflicts with --rule {args.rule}")
+    rule = "dmm" if args.dmm else "exact" if args.rule is None else args.rule
     _known([rule], _ROW_RULES, "--rule", rule)
     entries = [{"offset": k, "value": _fmt(v), "fraction": _fraction_str(v)}
                for k, v in enumerate(_row(p, rule, args.form))]
@@ -289,6 +302,9 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
     spectrum against the exact spectrum of the unit square.  energy adds
     the 1D eigenfunction energy errors.
     """
+    from igadmm import eigensolve
+    from igadmm.splines import BSplineSpace
+
     if energy and dimension != 1:
         raise ValueError("energy errors are computed in 1D only")
     count = max(modes)
@@ -321,6 +337,9 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
 def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
     """Max relative deviation between Kronecker and tensor-sum spectra,
     taken in longdouble."""
+    from igadmm import assembly, eigensolve
+    from igadmm.splines import BSplineSpace
+
     pair1 = _pair(BSplineSpace(p, N), label)
     pair2 = assembly.assemble_2d(pair1)
     spec2 = _spectrum(pair2, label, count)
@@ -372,6 +391,9 @@ def _cmd_study_1d(args) -> int:
 
 
 def _cmd_study_2d(args) -> int:
+    from igadmm import assembly
+    from igadmm.splines import BSplineSpace
+
     p, meshes, modes, rules = _study_inputs(args)
     if args.verify_kron and args.verify_kron < 2:
         raise UsageError(f"--verify-kron needs an element count >= 2: {args.verify_kron}")
@@ -387,6 +409,19 @@ def _cmd_study_2d(args) -> int:
 
 
 # ---------------------------------------------------------------- dispersion
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """num wavenumbers from start to stop in geometric progression: 10 to
+    the power of the evenly spaced exponents i * step + log10(start), with
+    the ends given exactly.  These are numpy's geomspace steps; on the
+    default grid the values are its bits too, elsewhere an inner value may
+    differ from numpy's vectorized log10 and power by an ulp."""
+    if num == 1:
+        return [start]
+    first = math.log10(start)
+    step = (math.log10(stop) - first) / (num - 1)
+    return [start] + [10.0 ** (i * step + first) for i in range(1, num - 1)] + [stop]
 
 
 def _cmd_dispersion(args) -> int:
@@ -412,9 +447,7 @@ def _cmd_dispersion(args) -> int:
             hint = f"; check order 2p+2 = {2 * p + 2}" if chk.order == 2 * p else ""
             raise UsageError(f"--rule {args.rule} has a predicted order-{chk.order} "
                              f"coefficient of 0 at p={p}{hint}")
-    import numpy as np
-
-    lams = np.geomspace(args.min, args.max, args.samples)
+    lams = _geomspace(args.min, args.max, args.samples)
     curve = dispersion.sample_curve(p, a_row, b_row, lams)
     report = {
         "kind": "dispersion",
@@ -482,9 +515,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     q = sub.add_parser("stencil", help="print a Gram row")
     q.add_argument("-p", "--p", type=int, required=True)
     q.add_argument("--form", choices=("mass", "stiffness"), default="mass")
-    q.add_argument("--rule", default="exact", help="one of " + ", ".join(_ROW_RULES))
+    q.add_argument("--rule", help="one of " + ", ".join(_ROW_RULES) + " (default exact)")
     q.add_argument("--dmm", action="store_true",
-                   help="shorthand for --rule dmm")
+                   help="shorthand for --rule dmm; no other --rule with it")
     q.add_argument("--json")
     q.set_defaults(func=_cmd_stencil)
 

@@ -24,10 +24,10 @@ cannot resolve the slopes this module measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from igadmm.stencils import Stencil, dispersion_moment
@@ -106,15 +106,20 @@ def sample_curve(p: int, A, B, wavenumbers) -> DispersionCurve:
 
 
 def fit_order(wavenumbers, errors) -> float:
-    """Least-squares slope of log|error| against log(wavenumber)."""
-    ys = np.asarray(wavenumbers, dtype=float)
-    es = np.abs(np.asarray(errors, dtype=float))
-    if ys.size < 2:
+    """Least-squares slope of log|error| against log(wavenumber), centred
+    on the means and summed with math.fsum."""
+    if len(wavenumbers) < 2:
         raise ValueError("need at least two samples to fit a slope")
-    if np.any(es == 0):
+    if any(e == 0 for e in errors):
         raise ValueError("zero error sample: slope undefined")
-    coeffs = np.polyfit(np.log(ys), np.log(es), 1)
-    return float(coeffs[0])
+    xs = [math.log(y) for y in wavenumbers]
+    zs = [math.log(abs(e)) for e in errors]
+    x_mean, z_mean = math.fsum(xs) / len(xs), math.fsum(zs) / len(zs)
+    dxs = [x - x_mean for x in xs]
+    spread = math.fsum(d * d for d in dxs)
+    if spread == 0:
+        raise ValueError("need two distinct wavenumbers to fit a slope")
+    return math.fsum(d * (z - z_mean) for d, z in zip(dxs, zs)) / spread
 
 
 def error_expansion(p: int, A, B) -> tuple:

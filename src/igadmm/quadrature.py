@@ -4,9 +4,11 @@ Rules are built once in high precision.  On [-1, 1] the nodes of each
 classical family are the roots of one Legendre series of at most two
 terms: P_m for m-point Gauss-Legendre, P_{m-2} - P_m for Gauss-Lobatto
 (the endpoints and the roots of P'_{m-1}), P_{m-1} + P_m for left
-Gauss-Radau (-1 and m - 1 free nodes).  numpy's legroots of that series
-seeds the free nodes, mpmath Newton iteration on the Legendre recurrence
-polishes them to 40 significant digits, and the endpoints enter exactly.
+Gauss-Radau (-1 and m - 1 free nodes).  Float64 Newton iteration on the
+Legendre recurrence, with the roots already found divided out, seeds the
+free nodes from Chebyshev guesses; mpmath Newton iteration on the same
+recurrence polishes them to 40 significant digits, and the endpoints enter
+exactly.  The module needs no numpy but for a rule's longdouble view.
 Each weight is its family's closed form at the polished node, in P'_m
 for Gauss-Legendre and in P_{m-1} for Lobatto and Radau
 (Abramowitz-Stegun 25.4.29, 25.4.32, 25.4.31); no moment (Vandermonde)
@@ -38,9 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
 from mpmath import mp
-from numpy.polynomial.legendre import legroots
 
 from igadmm.dispersion import _to_mp, error_expansion
 from igadmm.stencils import Stencil, dispersion_moment, stiffness_stencil
@@ -77,14 +77,16 @@ class QuadratureRule:
                 values = tuple(_to_mp(v) for v in getattr(self, name))
                 object.__setattr__(self, name, values)
 
-    def as_longdouble(self) -> tuple[np.ndarray, np.ndarray]:
+    def as_longdouble(self) -> tuple:
         """Nodes and weights as read-only longdouble arrays, converted once
         per rule; each goes through a 25-digit string, which keeps all 18-19
         digits a longdouble holds."""
         return self._longdouble
 
     @cached_property
-    def _longdouble(self) -> tuple[np.ndarray, np.ndarray]:
+    def _longdouble(self) -> tuple:
+        import numpy as np  # only assembly and the energy error read this view
+
         arrays = tuple(np.array([np.longdouble(mp.nstr(v, 25)) for v in values])
                        for values in (self.nodes, self.weights))
         for array in arrays:
@@ -117,16 +119,46 @@ def _legendre(k: int, x):
     return _legendre_series([0] * k + [1], x)
 
 
+def _float_roots(coeffs, fixed) -> list[float]:
+    """The roots of a Legendre series other than those in fixed, in float64,
+    largest first.
+
+    Each comes from Newton's method on the series with the roots already
+    found, the fixed ones among them, divided out, so no two converge to
+    the same root.  The guesses are the Chebyshev points of the free roots,
+    with a fixed endpoint counting as half a spacing: cos(pi (k + 1/2) / n)
+    for Gauss-Legendre, the extrema cos(pi (k + 1) / (n + 1)) for Lobatto,
+    cos(pi (k + 1/2) / (n + 1/2)) for left Radau.  Newton converges
+    quadratically, so once a step is below 1e-10 the next one would fall
+    below the float64 spacing, and the iteration stops there.
+    """
+    left, right = int(-1 in fixed), int(1 in fixed)
+    n = len(coeffs) - 1 - left - right
+    found = [float(r) for r in fixed]
+    for k in range(n):
+        x = math.cos(math.pi * (k + (1 + right) / 2) / (n + (left + right) / 2))
+        for _ in range(100):
+            f, df = _legendre_series(coeffs, x)
+            if f == 0:
+                break
+            # Newton on f / prod(x - r): f / (f' - f sum 1 / (x - r))
+            dx = f / (df - f * sum(1 / (x - r) for r in found))
+            x -= dx
+            if abs(dx) < 1e-10:
+                break
+        found.append(x)
+    return found[len(fixed):]
+
+
 def _legendre_rule(label, exactness, coeffs, weight, fixed=()) -> QuadratureRule:
     """Rule whose nodes on [-1, 1] are the roots of a Legendre series.
 
     The endpoints in fixed are roots of the series and enter exactly; the
-    other roots are seeded by legroots (sorted, so the fixed ones sit at
-    the ends) and polished by Newton's method.  weight(x) is the family's
-    closed-form weight at node x on [-1, 1], halved on [0, 1].
+    other roots are seeded by _float_roots and polished by Newton's method
+    in mpmath.  weight(x) is the family's closed-form weight at node x on
+    [-1, 1], halved on [0, 1].
     """
-    seeds = legroots(coeffs)
-    seeds = seeds[int(-1 in fixed): len(seeds) - int(1 in fixed)]
+    seeds = _float_roots(coeffs, fixed)
     with mp.workdps(_DPS + 15):
         nodes = [mp.mpf(x) for x in fixed]
         for x0 in seeds:

@@ -50,8 +50,9 @@ def test_stencil_exact_rows(capsys):
 def test_stencil_dmm_shorthand(capsys):
     rc, long_form, _ = _run(capsys, ["stencil", "-p", "4", "--rule", "dmm"])
     rc2, short_form, _ = _run(capsys, ["stencil", "-p", "4", "--dmm"])
-    assert rc == rc2 == 0
-    assert long_form == short_form
+    rc3, both, _ = _run(capsys, ["stencil", "-p", "4", "--rule", "dmm", "--dmm"])
+    assert rc == rc2 == rc3 == 0
+    assert long_form == short_form == both
     assert long_form.splitlines()[-1] == "k=4 13/3628800"
 
 
@@ -128,9 +129,13 @@ def test_rules_output(capsys):
 
 
 def test_error_exit_codes(capsys):
-    rc, _, err = _run(capsys, ["stencil", "-p", "2", "--rule", "nosuch"])
-    assert rc == 2
-    assert err.startswith("error:")
+    for argv in (["stencil", "-p", "2", "--rule", "nosuch"],
+                 # --dmm is --rule dmm, so no other rule may come with it
+                 ["stencil", "-p", "2", "--rule", "gauss", "--dmm"],
+                 ["stencil", "-p", "2", "--rule", "exact", "--dmm"]):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
         main(["stencil"])  # missing required -p
     assert exc.value.code == 2
@@ -556,6 +561,16 @@ def test_study_rate_on_a_non_doubling_ladder(capsys):
     assert abs(float(report["rates"][0]["rate"]) - 4.0) < 0.1
 
 
+def test_default_grid_is_numpys_geomspace():
+    # bit for bit on the default grid; elsewhere numpy's vectorized log10 and
+    # power may move an inner value by an ulp
+    assert cli._geomspace(0.05, 0.5, 9) == np.geomspace(0.05, 0.5, 9).tolist()
+    assert cli._geomspace(0.05, 0.5, 1) == [0.05]
+    grid = cli._geomspace(0.01, 3.0, 33)
+    assert grid[0] == 0.01 and grid[-1] == 3.0
+    assert np.allclose(grid, np.geomspace(0.01, 3.0, 33), rtol=4e-16, atol=0)
+
+
 def test_dispersion_fit_and_alias(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -865,8 +880,9 @@ def test_console_entry_point():
 
 
 def test_import_does_not_load_scipy_special():
-    # the rule builders seed from numpy's legroots; scipy.special would add
-    # about 0.07 s to every command's start-up
+    # the rule builders seed their nodes in float64 Newton on the Legendre
+    # recurrence; scipy.special's roots would add about 0.07 s to every
+    # command's start-up
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, igadmm.cli; print('scipy.special' in sys.modules)"],
@@ -876,44 +892,68 @@ def test_import_does_not_load_scipy_special():
     assert proc.stdout.strip() == "False"
 
 
-# a fresh interpreter that imports igadmm, optionally after scipy.linalg, runs
-# the argv lists given as JSON through cli.main and prints, as JSON, the
-# scipy modules loaded after each import and after each run, and each run's
-# exit code and captured streams
+# a fresh interpreter that imports igadmm, after the modules named in a comma
+# list (none for ""), runs the argv lists given as JSON through cli.main and
+# prints, as JSON, numpy and the scipy modules loaded after each import and
+# after each run, and each run's exit code and captured streams
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m in ("numpy", "scipy") or m.startswith("scipy."))
 
-if sys.argv[1] == "preload":
-    import scipy.linalg
+for name in filter(None, sys.argv[1].split(",")):
+    importlib.import_module(name)
 import igadmm
-report = {"igadmm": scipy_modules()}
+report = {"igadmm": loaded()}
 import igadmm.cli
-report["cli"] = scipy_modules()
+report["cli"] = loaded()
 report["runs"] = []
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = igadmm.cli.main(argv)
     report["runs"].append({"rc": rc, "out": out.getvalue(), "err": err.getvalue(),
-                           "scipy": scipy_modules()})
+                           "loaded": loaded()})
 print(json.dumps(report))
 """
 
 
-def _probe(mode, jobs=()):
-    proc = subprocess.run([sys.executable, "-c", _PROBE, mode, json.dumps(list(jobs))],
+def _probe(preload, jobs=()):
+    proc = subprocess.run([sys.executable, "-c", _PROBE, preload, json.dumps(list(jobs))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+def _streams(report):
+    return [{k: run[k] for k in ("rc", "out", "err")} for run in report["runs"]]
+
+
 def test_import_does_not_load_scipy():
-    # scipy.linalg alone takes about 0.3 s to import; only a solve needs it
-    report = _probe("lazy")
+    # numpy takes about 0.15 s and 13 MB to import, scipy.linalg 0.3 s more;
+    # only a study needs them
+    report = _probe("")
     assert report["igadmm"] == [] and report["cli"] == []
+
+
+def test_the_exact_commands_never_load_numpy_and_their_output_does_not_depend_on_it():
+    jobs = [["verify", "--p-max", "3", "--fg-p-max", "4", "--fg-m-max", "4"],
+            *(["stencil", "-p", "3", "--rule", rule] for rule in ("dmm", "blend:gl", "minrule+")),
+            ["tau", "--p", "1,2,3", "--pair", "all"],
+            *(["rules", "--family", family, "--points", "4"]
+              for family in ("gauss", "lobatto", "radau")),
+            ["rules", "--family", "dmm", "-p", "3"],
+            ["rules", "--family", "blend", "-p", "3", "--pair", "pr"],
+            ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
+            ["dispersion", "-p", "3", "--rule", "gauss", "--min", "0.01", "--max", "1",
+             "--samples", "17", "--fit"]]
+    lazy, preload = _probe("", jobs), _probe("numpy", jobs)
+    assert all(run["rc"] == 0 for run in lazy["runs"])
+    assert all(run["loaded"] == [] for run in lazy["runs"])
+    assert preload["cli"] == ["numpy"]
+    assert _streams(lazy) == _streams(preload)
 
 
 def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
@@ -928,13 +968,13 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
     lanczos = ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "8"]
     assert 64 < eigensolve._BANDED_MIN_N <= 192
     jobs = scipy_free + [dense, lanczos]
-    lazy, preload = _probe("lazy", jobs), _probe("preload", jobs)
+    lazy, preload = _probe("", jobs), _probe("scipy.linalg", jobs)
     *cheap, after_dense, after_lanczos = lazy["runs"]
     assert all(run["rc"] == 0 for run in lazy["runs"])
-    assert all(run["scipy"] == [] for run in cheap)
-    assert "scipy.linalg" in after_dense["scipy"]
-    assert "scipy.sparse.linalg" not in after_dense["scipy"]
-    assert "scipy.sparse.linalg" in after_lanczos["scipy"]
-    assert "scipy.linalg" in preload["cli"]
-    assert [{k: run[k] for k in ("rc", "out", "err")} for run in lazy["runs"]] == \
-        [{k: run[k] for k in ("rc", "out", "err")} for run in preload["runs"]]
+    assert all(run["loaded"] == [] for run in cheap)
+    assert "numpy" in after_dense["loaded"]
+    assert "scipy.linalg" in after_dense["loaded"]
+    assert "scipy.sparse.linalg" not in after_dense["loaded"]
+    assert "scipy.sparse.linalg" in after_lanczos["loaded"]
+    assert {"numpy", "scipy.linalg"} <= set(preload["cli"])
+    assert _streams(lazy) == _streams(preload)

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from expected_values import LEAD_P1_EXACT_ORDER2, LEAD_P1_MINIMIZED_ORDER4
+from igadmm import cli
 from igadmm.assembly import assemble_1d
 from igadmm.dispersion import (
     StoppingBandError,
@@ -139,6 +140,19 @@ def test_fit_order_guards():
         fit_order([0.1], [1e-3])
     with pytest.raises(ValueError):
         fit_order([0.1, 0.2], [0.0, 1e-3])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_order([0.1, 0.1], [1e-3, 2e-3])
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_fit_order_is_numpys_polyfit_slope(p):
+    # the curves of the benchmark's exact tables: its six mass rows at p = 1..5
+    # on the default grid
+    A = stiffness_stencil(p)
+    for label in ("exact", "gp", "lobatto", "radau", "dmm", "blend:gl"):
+        curve = sample_curve(p, A, cli._row(p, label, "mass"), cli._geomspace(0.05, 0.5, 9))
+        want = np.polyfit(np.log(curve.wavenumbers), np.log(np.abs(curve.errors)), 1)[0]
+        assert fit_order(curve.wavenumbers, curve.errors) == pytest.approx(want, rel=1e-12)
 
 
 def test_curve_difference_isolates_the_leading_coefficient():

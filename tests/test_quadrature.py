@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legroots
 from scipy.special import roots_jacobi
 
 from expected_values import (
@@ -27,6 +27,7 @@ from igadmm.quadrature import (
     _PAIR_NAMES,
     DegenerateBlendError,
     QuadratureRule,
+    _float_roots,
     _pair_rules,
     _piece_products,
     blend,
@@ -254,6 +255,23 @@ def test_series_builder_matches_each_familys_own_route(family, build, mmin):
             assert rule.nodes[0] == 0, m
         if family == "L":
             assert rule.nodes[-1] == 1, m
+
+
+@pytest.mark.parametrize("series,fixed,mmin", [
+    (lambda m: [0] * m + [1], (), 1),                      # Gauss-Legendre P_m
+    (lambda m: [0] * (m - 2) + [1, 0, -1], (-1, 1), 2),    # Lobatto P_{m-2} - P_m
+    (lambda m: [0] * (m - 1) + [1, 1], (-1,), 1),          # left Radau P_{m-1} + P_m
+], ids=["gauss", "lobatto", "radau"])
+def test_float_seeds_are_numpys_legroots(series, fixed, mmin):
+    for m in range(mmin, 61):
+        coeffs = series(m)
+        roots = np.sort(legroots(coeffs))
+        # legroots finds the fixed endpoints too; they are not seeded
+        free = roots[int(-1 in fixed): len(roots) - int(1 in fixed)]
+        assert np.allclose(np.setdiff1d(roots, free), sorted(fixed), rtol=0, atol=1e-13), m
+        seeds = _float_roots(coeffs, fixed)
+        assert seeds == sorted(seeds, reverse=True), m
+        assert np.max(np.abs(np.sort(seeds) - free), initial=0) < 1e-13, m
 
 
 @pytest.mark.parametrize("p,name", sorted(MASS_BY_RULE))
