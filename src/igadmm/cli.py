@@ -559,7 +559,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="comma list from " + ", ".join(_STUDY_RULES))
     q.add_argument("--verify-kron", type=int, default=0,
                    help="also assemble the Kronecker matrices at this mesh "
-                        "and report the spectral deviation")
+                        "and report the spectral deviation, for the first "
+                        "--rules label only")
     q.add_argument("--csv")
     q.add_argument("--json")
     q.set_defaults(func=_cmd_study_2d)

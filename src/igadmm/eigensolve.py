@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from igadmm.assembly import MatrixPair, SymBandMatrix
+from igadmm.assembly import MatrixPair
 from igadmm.quadrature import gauss_legendre
 from igadmm.splines import BSplineSpace, basis_table
 

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from mpmath import mp
 
 from igadmm.dispersion import _to_mp, error_expansion
-from igadmm.stencils import Stencil, dispersion_moment, stiffness_stencil
+from igadmm.stencils import Stencil, dispersion_moment, integer_row, stiffness_stencil
 
 _DPS = 40
 
@@ -442,22 +442,14 @@ def _rationalize(values, max_den=10 ** 9, tol=Fraction(1, 10 ** 25)):
 
 
 def _normalize_row(row):
-    """Scale a rational row to the smallest integer vector, first entry > 0."""
-    L = 1
-    for f in row:
-        d = f.denominator
-        L = L * d // math.gcd(L, d)
-    ints = [int(f * L) for f in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    """Scale a rational row to the smallest integer vector, first nonzero
+    entry > 0."""
+    _, ints = integer_row(row)
+    g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
     return tuple(ints)
 
 

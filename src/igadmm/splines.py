@@ -8,14 +8,14 @@ on integer knots 0..p+1, exactly when the argument is rational.  Away from the
 boundary the two coincide up to an affine change of variable, which is what
 makes interior Gram rows expressible through cardinal-spline values.
 
-All evaluation routines are generic over the scalar type of the point:
-``fractions.Fraction`` input gives exact rational output, ``float`` or
-``numpy.longdouble`` input stays in that arithmetic.  Values and first
-derivatives come from one triangular Cox-de Boor pass, the derivatives by
-degree reduction from the level below the last.  ``basis_table`` runs that
-pass at the quadrature nodes of all elements at once, so it gives both
-tables for the cost of one, each entry bitwise equal to the scalar
-routines.
+The space's basis is evaluated one way: ``basis_table`` gives the values
+and first derivatives at the reference nodes of every element, in
+longdouble, from one triangular Cox-de Boor pass over all elements at once;
+the derivatives come by degree reduction from the level below the last.
+That is all the assembly and the energy error integrate.  The tests hold an
+independent reference: the same recurrence run per point and twice, to
+degree p for the values and to p - 1 for the derivatives, in the point's
+own arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class BSplineSpace:
     def __post_init__(self) -> None:
         _check_space(self.p, self.N)
 
-    @cached_property
-    def knots(self) -> tuple[Fraction, ...]:
-        """Exact rational knots, built on first use: only exact points need
-        them, the float and longdouble paths use ``_knots_in``."""
-        return tuple(knot_vector(self.p, self.N))
-
     @property
     def dim_full(self) -> int:
         return self.N + self.p
@@ -77,25 +71,11 @@ class BSplineSpace:
         """Dimension after removing the two boundary basis functions."""
         return self.N + self.p - 2
 
-    def element_index(self, x) -> int:
-        """Index of the mesh element containing x, with x=1 assigned to the last."""
-        if x < 0 or x > 1:
-            raise ValueError(f"point {x} outside [0, 1]")
-        return min(int(math.floor(x * self.N)), self.N - 1)
-
-    def knots_as(self, x):
-        """Knot sequence coerced to the arithmetic of the sample point x."""
-        if isinstance(x, Fraction) or isinstance(x, int):
-            return self.knots
-        return _knots_in(self.p, self.N, isinstance(x, np.longdouble))
-
 
 @lru_cache(maxsize=None)
-def _knots_in(p: int, N: int, longdouble: bool):
-    # k / N in the target arithmetic: one correctly rounded division of
-    # two exact integers, so each knot equals the rounded Fraction k/N
-    if not longdouble:
-        return (0.0,) * (p + 1) + tuple(k / N for k in range(1, N)) + (1.0,) * (p + 1)
+def _knots_in(p: int, N: int):
+    # k / N in longdouble: one correctly rounded division of two exact
+    # integers, so each knot equals the rounded Fraction k/N
     interior = np.arange(1, N, dtype=np.longdouble) / np.longdouble(N)
     knots = np.concatenate([np.zeros(p + 1, np.longdouble), interior,
                             np.ones(p + 1, np.longdouble)])
@@ -120,15 +100,13 @@ def _cox_de_boor(knots, x, mu, p: int, values, derivatives) -> None:
     functions that vanish on the span.  Every remaining denominator covers
     the span itself, so none is zero.
 
-    x may be a Fraction, float or longdouble scalar, with values and
-    derivatives lists of p+1 slots, or a longdouble array with mu an
-    integer array broadcasting against it (one span per row) and the
-    outputs arrays whose leading axis is the function; each array entry
-    runs exactly the rounding steps of the scalar call.  The last level is
-    written into values directly, so an array pass holds its outputs, one
-    level of values and the 2p knot distances left and right.
+    x is a longdouble array of points and mu an integer array of span
+    indices broadcasting against it (one span per row); values and
+    derivatives are arrays whose leading axis is the function.  The last
+    level is written into values directly, so the pass holds its outputs,
+    one level of values and the 2p knot distances left and right.
     """
-    vals = [x - x + 1] + [None] * p  # multiplicative unit in the arithmetic of x
+    vals = [np.ones_like(x)] + [None] * p
     left = [None] * (p + 1)
     right = [None] * (p + 1)
     for q in range(1, p + 1):
@@ -152,43 +130,6 @@ def _cox_de_boor(knots, x, mu, p: int, values, derivatives) -> None:
         out[q] = saved
 
 
-def _nonzero(space: BSplineSpace, x, element: int | None):
-    """First function index, values and derivatives of the basis functions
-    that may be nonzero at x, from one scalar pass."""
-    p = space.p
-    mu = p + (space.element_index(x) if element is None else element)
-    values, derivatives = [None] * (p + 1), [None] * (p + 1)
-    _cox_de_boor(space.knots_as(x), x, mu, p, values, derivatives)
-    return mu - p, values, derivatives
-
-
-def nonzero_basis(space: BSplineSpace, x, element: int | None = None):
-    """All basis values that may be nonzero at x.
-
-    Returns ``(first, values)`` where ``values[i]`` is basis function
-    ``first + i`` (full numbering, no Dirichlet reduction) evaluated at x.
-    Uses the triangular Cox-de Boor scheme, which never divides by zero for
-    points inside the domain; x=1 is evaluated in the last element so the
-    resulting values are the left limits there.
-
-    element pins the evaluation to a mesh element's polynomial pieces.  At
-    an element's right endpoint this yields the left limits, which is what
-    per-element quadrature needs (basis derivatives jump across knots when
-    p = 1).
-    """
-    first, values, _ = _nonzero(space, x, element)
-    return first, values
-
-
-def nonzero_basis_derivatives(space: BSplineSpace, x, element: int | None = None):
-    """First derivatives of the basis functions that may be nonzero at x.
-
-    Same indexing convention (and element pinning) as ``nonzero_basis``.
-    """
-    first, _, derivatives = _nonzero(space, x, element)
-    return first, derivatives
-
-
 def basis_table(space: BSplineSpace, nodes):
     """Element-pinned basis values and first derivatives at the reference
     nodes of every element, in longdouble, from one Cox-de Boor pass.
@@ -196,16 +137,17 @@ def basis_table(space: BSplineSpace, nodes):
     Returns ``(t, values, derivatives)``: t[e, k] = (e + nodes[k]) h is the
     physical point, and values[e, k, a] and derivatives[e, k, a] are basis
     function e + a (full numbering) and its derivative there, evaluated on
-    element e's pieces.  Each entry is bitwise equal to ``nonzero_basis`` /
-    ``nonzero_basis_derivatives`` at t[e, k] with ``element=e``: the pass
-    is the same, vectorized over elements.
+    element e's pieces.  Pinning matters at the endpoint nodes 0 and 1:
+    each element sees the limits of its own polynomials there, which is
+    what per-element quadrature needs (the derivatives jump across knots
+    when p = 1).
     """
     p, N = space.p, space.N
     elements = np.arange(N)[:, None]
     t = (elements + np.asarray(nodes, dtype=np.longdouble)) * (np.longdouble(1) / N)
     values = np.empty(t.shape + (p + 1,), dtype=np.longdouble)
     derivatives = np.empty_like(values)
-    knots = _knots_in(p, N, True)
+    knots = _knots_in(p, N)
     # blocks of elements bound the pass's work arrays; the function axis
     # goes first, so that slot a of an output is the view [..., a]
     for lo in range(0, N, _ELEMENT_BLOCK):

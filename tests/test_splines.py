@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basis_reference import reference_basis
 from igadmm.splines import (
     BSplineSpace,
     _knots_in,
@@ -16,8 +17,6 @@ from igadmm.splines import (
     cardinal_piece_derivative,
     cardinal_value,
     knot_vector,
-    nonzero_basis,
-    nonzero_basis_derivatives,
 )
 
 
@@ -34,16 +33,12 @@ def test_knot_vector_shape_and_multiplicity():
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("N", [2, 3, 7, 129, 1024])
 def test_float_knots_are_the_rounded_fractions(p, N):
-    # k / N divided in float or longdouble rounds the exact knot correctly
+    # k / N divided in longdouble rounds the exact knot correctly
     exact = knot_vector(p, N)
-    floats = _knots_in(p, N, False)
-    assert floats == tuple(float(t) for t in exact)
-    assert all(type(t) is float for t in floats)
-    longs = _knots_in(p, N, True)
+    longs = _knots_in(p, N)
     assert longs.dtype == np.longdouble
     assert np.array_equal(longs, [np.longdouble(t.numerator) / np.longdouble(t.denominator)
                                   for t in exact])
-    assert BSplineSpace(p, N).knots == tuple(exact)
 
 
 def test_space_rejects_bad_degree_and_mesh():
@@ -59,14 +54,6 @@ def test_space_dimensions():
     assert space.dim == 8 + 3 - 2  # homogeneous Dirichlet drops the ends
 
 
-def test_element_index_boundaries():
-    space = BSplineSpace(2, 8)
-    assert space.element_index(0.0) == 0
-    assert space.element_index(1.0) == 7  # clamped into the last element
-    assert space.element_index(0.999) == 7
-    assert space.element_index(0.125) == 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(min_value=1, max_value=4),
@@ -74,13 +61,13 @@ def test_element_index_boundaries():
     x=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_partition_of_unity(p, N, x):
-    space = BSplineSpace(p, N)
-    _, vals = nonzero_basis(space, x)
-    assert len(vals) == p + 1
-    assert abs(float(sum(vals)) - 1.0) < 1e-13
-    _, ders = nonzero_basis_derivatives(space, x)
+    # x is a reference node: the table holds the point (e + x) / N of
+    # every element e
+    _, vals, ders = basis_table(BSplineSpace(p, N), [x])
+    assert vals.shape == (N, 1, p + 1)
+    assert np.all(abs(vals.sum(axis=-1) - 1) < 1e-13)
     # derivative of the constant 1; scale by N since slopes grow like 1/h
-    assert abs(float(sum(ders))) < 1e-10 * N
+    assert np.all(abs(ders.sum(axis=-1)) < 1e-10 * N)
 
 
 def test_interior_basis_is_cardinal_translate():
@@ -88,12 +75,12 @@ def test_interior_basis_is_cardinal_translate():
     p, N = 3, 10
     space = BSplineSpace(p, N)
     i = 5  # support [t_i, t_{i+p+1}] strictly inside
-    for x in (0.21, 0.35, 0.4999, 0.55):
-        t = x * N - (i - p)
-        expect = cardinal_value(p, t)
-        first, vals = nonzero_basis(space, x)
-        got = vals[i - first]
-        assert float(got) == pytest.approx(float(expect), abs=1e-13)
+    t, vals, _ = basis_table(space, [0.1, 0.5, 0.999])
+    # element e carries functions e..e+p; function i lives on i-p..i
+    for e in range(i - p, i + 1):
+        for k in range(t.shape[1]):
+            expect = cardinal_value(p, float(t[e, k]) * N - (i - p))
+            assert float(vals[e, k, i - e]) == pytest.approx(float(expect), abs=1e-13)
 
 
 def test_cardinal_value_exact_points():
@@ -162,25 +149,26 @@ def test_cardinal_piece_left_limits_at_breakpoints():
 
 
 def test_element_pinning_keeps_values_consistent():
-    # pinning a knot to its left or right element must not change the
+    # evaluating a knot on its left or right element must not change the
     # global function values, only the local piece used
     p, N = 2, 8
     space = BSplineSpace(p, N)
-    x = 3 / N
-    fl, vl = nonzero_basis(space, x, element=2)
-    fr, vr = nonzero_basis(space, x, element=3)
-    dense_l = np.zeros(space.dim_full)
-    dense_r = np.zeros(space.dim_full)
-    dense_l[fl: fl + p + 1] = np.asarray(vl, dtype=float)
-    dense_r[fr: fr + p + 1] = np.asarray(vr, dtype=float)
-    assert np.allclose(dense_l, dense_r, atol=1e-13)
+    t, vals, _ = basis_table(space, [0, 1])
+    for e in range(N - 1):
+        assert t[e, 1] == t[e + 1, 0]  # the knot (e + 1) / N
+        dense_l = np.zeros(space.dim_full)
+        dense_r = np.zeros(space.dim_full)
+        dense_l[e: e + p + 1] = vals[e, 1]
+        dense_r[e + 1: e + p + 2] = vals[e + 1, 0]
+        assert np.allclose(dense_l, dense_r, atol=1e-13), e
 
 
 def test_derivatives_scale_with_mesh():
     # basis derivatives are physical: the hat function climbs with slope N
-    space = BSplineSpace(1, 10)
-    _, ders = nonzero_basis_derivatives(space, 0.55, element=5)
-    assert sorted(float(d) for d in ders) == pytest.approx([-10.0, 10.0])
+    # on every element, endpoints included
+    _, _, ders = basis_table(BSplineSpace(1, 10), [0, 0.5, 1])
+    assert np.allclose(np.sort(ders, axis=-1).astype(float),
+                       np.broadcast_to([-10.0, 10.0], ders.shape), rtol=1e-15, atol=0)
 
 
 # reference nodes in longdouble, endpoints included: the endpoint nodes are
@@ -195,7 +183,7 @@ _TABLE_NODES = np.array([np.longdouble(0), np.longdouble(1) / 3,
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
     # one call gives both tables; derivative picks the one checked here
-    # against its scalar routine
+    # against the test-side reference, run one point at a time
     space = BSplineSpace(p, N)
     t, values, derivatives = basis_table(space, _TABLE_NODES)
     assert t.shape == (N, len(_TABLE_NODES)) and t.dtype == np.longdouble
@@ -203,52 +191,32 @@ def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
     assert table.shape == (N, len(_TABLE_NODES), p + 1)
     assert table.dtype == np.longdouble
     h = np.longdouble(1) / N
-    scalar = nonzero_basis_derivatives if derivative else nonzero_basis
     for e in range(N):
         for k, x in enumerate(_TABLE_NODES):
             assert t[e, k] == (e + x) * h
-            first, vals = scalar(space, t[e, k], element=e)
-            assert first == e
-            assert np.array_equal(np.array(vals, dtype=np.longdouble), table[e, k])
+            want = reference_basis(p, N, t[e, k], e)[1 if derivative else 0]
+            assert np.array_equal(np.array(want, dtype=np.longdouble), table[e, k])
 
 
-def _triangular(knots, x, mu, degree):
-    """Reference: the triangular scheme run from degree 0 to degree alone."""
-    vals = [x - x + 1]
-    left, right = [None] * (degree + 1), [None] * (degree + 1)
-    for q in range(1, degree + 1):
-        left[q], right[q] = x - knots[mu + 1 - q], knots[mu + q] - x
-        saved = 0
-        for r in range(q):
-            temp = vals[r] / (right[r + 1] + left[q - r])
-            vals[r] = saved + right[r + 1] * temp
-            saved = left[q - r] * temp
-        vals.append(saved)
-    return vals
+def _fraction(x):
+    return Fraction(*x.as_integer_ratio())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
 def test_one_pass_is_bitwise_the_two_separate_recurrences(p):
-    # values from a run to degree p, derivatives by degree reduction of a
-    # second run to degree p - 1: the one pass must round as those two do,
-    # in every arithmetic
-    space = BSplineSpace(p, 7)
-    points = (np.longdouble(0), np.longdouble(2) / 7, np.longdouble("0.61803398874989484820"),
-              np.longdouble(1), 0.3, 1.0, Fraction(3, 7), Fraction(5, 11))
-    for x in points:
-        for element in (space.element_index(x), None):
-            first, vals = nonzero_basis(space, x, element)
-            _, ders = nonzero_basis_derivatives(space, x, element)
-            knots, mu = space.knots_as(x), first + p
-            lower = _triangular(knots, x, mu, p - 1)
-            want = []
-            for a in range(p + 1):
-                acc = 0
-                if a > 0:
-                    acc = acc + p * lower[a - 1] / (knots[mu + a] - knots[mu - p + a])
-                if a < p:
-                    acc = acc - p * lower[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
-                want.append(acc)
-            assert vals == _triangular(knots, x, mu, p), x
-            assert ders == want, x
-            assert {type(v) for v in vals + ders} == {type(x)}, x
+    # the table's one pass rounds as the reference's two runs do, and both
+    # round the exact values (the same two runs in Fraction arithmetic) to
+    # a few longdouble ulps: 7 ulps, 3.5 eps, at most on these points
+    N, eps = 7, np.finfo(np.longdouble).eps
+    nodes = (np.longdouble(0), np.longdouble(2) / 7, np.longdouble("0.61803398874989484820"),
+             np.longdouble(1))
+    t, values, derivatives = basis_table(BSplineSpace(p, N), nodes)
+    for e in range(N):
+        for k in range(len(nodes)):
+            vals, ders = reference_basis(p, N, t[e, k], e)
+            assert {type(v) for v in vals + ders} == {np.longdouble}
+            assert list(values[e, k]) == vals and list(derivatives[e, k]) == ders, (e, k)
+            exact = reference_basis(p, N, _fraction(t[e, k]), e)
+            for got, want in zip((vals, ders), exact):
+                scale = max(abs(w) for w in want)
+                assert max(abs(_fraction(g) - w) for g, w in zip(got, want)) < 16 * eps * scale
