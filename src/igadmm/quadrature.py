@@ -1,36 +1,36 @@
 """Quadrature rules on [0, 1] and the mass rows they induce.
 
-Rules are built once in high precision.  On [-1, 1] the nodes of each
-classical family are the roots of one Legendre series of at most two
-terms: P_m for m-point Gauss-Legendre, P_{m-2} - P_m for Gauss-Lobatto
-(the endpoints and the roots of P'_{m-1}), P_{m-1} + P_m for left
-Gauss-Radau (-1 and m - 1 free nodes).  Float64 Newton iteration on the
-Legendre recurrence, with the roots already found divided out, seeds the
-free nodes from Chebyshev guesses; mpmath Newton iteration on the same
-recurrence polishes them to 40 significant digits, and the endpoints enter
-exactly.  The module needs no numpy but for a rule's longdouble view.
-Each weight is its family's closed form at the polished node, in P'_m
-for Gauss-Legendre and in P_{m-1} for Lobatto and Radau
-(Abramowitz-Stegun 25.4.29, 25.4.32, 25.4.31); no moment (Vandermonde)
-system is solved, which from m = 21 on would be the less accurate route.
-A rule holds its nodes and weights once, as mpf at the construction
-precision; they feed every stencil, blend ratio, and expansion
-coefficient computed here, which is what makes the 1e-12-ish tolerances
-downstream comfortable, and the one longdouble view that assembly and the
-energy error integrate with.
-
 A rule induces its interior stiffness and mass rows through its moments
 alone: entry k of a row is the rule applied on one knot span to a fixed
 polynomial, the sum of the products of cardinal-spline pieces at offset
 k.  Those polynomials are tabulated once per degree with exact integer
 coefficients in the centred variable u = 2x - 1, so a row costs one set
-of moments of u and a dot product per offset.
+of moments of u, each converted once to mpf, and a dot product per offset.
 
-Alongside the three classical families (Legendre, Lobatto, left-endpoint
-Radau) the module builds the degree-specific minimizing rules: tiny node
-sets, one per sign of the square root, that have no polynomial exactness
-at all but reproduce the exact stiffness row and the dispersion-minimized
-mass row through the stencil sums.
+On [-1, 1] the nodes of each classical family are the roots of one
+Legendre series w of at most two terms: P_m for m-point Gauss-Legendre,
+P_{m-2} - P_m for Gauss-Lobatto (the endpoints and the roots of
+P'_{m-1}), P_{m-1} + P_m for left Gauss-Radau (-1 and m - 1 free nodes).
+The rule is interpolatory on those roots, so its moments are exact,
+Q(u^j) = 1/2 int_{-1}^{1} (u^j mod w), from integer polynomial division;
+a blend's are the blend of its two rules'.  Rows and blend ratios thus
+need no node.  Nodes and weights are built on first read: by the rules
+report, by a blend's, and by the longdouble view that assembly and the
+energy error integrate with (the module needs no numpy but for it).
+Float64 Newton iteration on the Legendre recurrence, with the roots
+already found divided out, seeds the free nodes from Chebyshev guesses;
+mpmath Newton iteration on the same recurrence polishes them to 40
+significant digits, and the endpoints enter exactly.  Each weight is its
+family's closed form at the polished node, in P'_m for Gauss-Legendre and
+in P_{m-1} for Lobatto and Radau (Abramowitz-Stegun 25.4.29, 25.4.32,
+25.4.31); no moment (Vandermonde) system is solved, which from m = 21 on
+would be the less accurate route.
+
+Alongside the three classical families the module builds the
+degree-specific minimizing rules: tiny node sets, one per sign of the
+square root, that have no polynomial exactness at all but reproduce the
+exact stiffness row and the dispersion-minimized mass row through the
+stencil sums.  They have no rational w; their moments are node sums.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class DegenerateBlendError(ArithmeticError):
     """The two mass rows share their leading moment: no blend ratio exists."""
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on [0, 1] with a known polynomial exactness degree.
 
@@ -61,21 +60,34 @@ class QuadratureRule:
     precision, not at mpmath's ambient 53 bits, which would round a
     40-digit node.  exactness is the highest polynomial degree integrated
     exactly; the minimizing rules carry 0 because they are not exact
-    beyond constants.
+    beyond constants.  Rows read a rule only through moments(); the
+    classical families and blends, which know their moments exactly,
+    build their nodes on first read.  A rule is equal only to itself, so
+    the caches key on it without building a node.
     """
 
-    label: str
-    nodes: tuple[mp.mpf, ...]
-    weights: tuple[mp.mpf, ...]
-    exactness: int
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+    def __init__(self, label: str, nodes, weights, exactness: int):
+        if len(nodes) != len(weights):
             raise ValueError("nodes and weights must pair up")
+        self.label, self.exactness = label, exactness
+        with mp.workdps(_DPS + 15):  # (nodes, weights); subclasses build it on first read
+            self._points = tuple(tuple(_to_mp(v) for v in values)
+                                 for values in (nodes, weights))
+
+    nodes = property(lambda self: self._points[0])
+    weights = property(lambda self: self._points[1])
+
+    def moments(self, count: int) -> tuple:
+        """The rule applied to u^j, u = 2x - 1, for j < count (centred:
+        monomials in x lose digits to cancellation); here the node sums."""
         with mp.workdps(_DPS + 15):
-            for name in ("nodes", "weights"):
-                values = tuple(_to_mp(v) for v in getattr(self, name))
-                object.__setattr__(self, name, values)
+            us = [2 * x - 1 for x in self.nodes]
+            terms = list(self.weights)
+            out = []
+            for _ in range(count):
+                out.append(mp.fsum(terms))
+                terms = [t * u for t, u in zip(terms, us)]
+        return tuple(out)
 
     def as_longdouble(self) -> tuple:
         """Nodes and weights as read-only longdouble arrays, converted once
@@ -94,12 +106,30 @@ class QuadratureRule:
         return arrays
 
 
-@dataclass(frozen=True)
 class BlendedRule(QuadratureRule):
-    """Affine combination tau * first + (1 - tau) * second of two rules;
-    tau is the mpf ratio the weights were scaled by."""
+    """The rule tau * first + (1 - tau) * second that blend() returns; tau
+    is an mpf at the construction precision."""
 
-    tau: mp.mpf
+    def __init__(self, first: QuadratureRule, second: QuadratureRule, tau):
+        self.first, self.second = first, second
+        self.label = f"blend:{first.label}+{second.label}"
+        self.exactness = min(first.exactness, second.exactness)
+        with mp.workdps(_DPS + 15):
+            self.tau = _to_mp(tau)
+
+    @cached_property
+    def _points(self) -> tuple:
+        t = self.tau
+        with mp.workdps(_DPS + 15):
+            weights = (tuple(t * w for w in self.first.weights)
+                       + tuple((1 - t) * w for w in self.second.weights))
+        return self.first.nodes + self.second.nodes, weights
+
+    def moments(self, count: int) -> tuple:
+        t = self.tau
+        with mp.workdps(_DPS + 15):
+            return tuple(t * _to_mp(a) + (1 - t) * _to_mp(b) for a, b in
+                         zip(self.first.moments(count), self.second.moments(count)))
 
 
 def _legendre_series(coeffs, x):
@@ -150,30 +180,55 @@ def _float_roots(coeffs, fixed) -> list[float]:
     return found[len(fixed):]
 
 
-def _legendre_rule(label, exactness, coeffs, weight, fixed=()) -> QuadratureRule:
-    """Rule whose nodes on [-1, 1] are the roots of a Legendre series.
+class _LegendreRule(QuadratureRule):
+    """Rule on the roots of a Legendre series w, its moments exact Fractions.
 
-    The endpoints in fixed are roots of the series and enter exactly; the
-    other roots are seeded by _float_roots and polished by Newton's method
-    in mpmath.  weight(x) is the family's closed-form weight at node x on
+    The nodes are built on first read: the endpoints in fixed exactly, the
+    other roots seeded by _float_roots and polished by Newton's method in
+    mpmath.  weight(x) is the family's closed-form weight at node x on
     [-1, 1], halved on [0, 1].
     """
-    seeds = _float_roots(coeffs, fixed)
-    with mp.workdps(_DPS + 15):
-        nodes = [mp.mpf(x) for x in fixed]
-        for x0 in seeds:
-            x = mp.mpf(x0)
-            for _ in range(60):
-                f, df = _legendre_series(coeffs, x)
-                dx = f / df
-                x -= dx
-                if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
-                    break
-            nodes.append(x)
-        nodes = sorted(nodes)
-        nodes01 = [(x + 1) / 2 for x in nodes]
-        weights01 = [weight(x) / 2 for x in nodes]
-    return QuadratureRule(label, tuple(nodes01), tuple(weights01), exactness)
+
+    def __init__(self, label, exactness, series, weight, fixed=()):
+        self.label, self.exactness = label, exactness
+        self.series, self._weight, self._fixed = tuple(series), weight, fixed
+
+    @cached_property
+    def _points(self) -> tuple:
+        seeds = _float_roots(self.series, self._fixed)
+        with mp.workdps(_DPS + 15):
+            nodes = [mp.mpf(x) for x in self._fixed]
+            for x0 in seeds:
+                x = mp.mpf(x0)
+                for _ in range(60):
+                    f, df = _legendre_series(self.series, x)
+                    dx = f / df
+                    x -= dx
+                    if abs(dx) < mp.mpf(10) ** (-mp.dps + 2):
+                        break
+                nodes.append(x)
+            nodes = sorted(nodes)
+            return tuple((x + 1) / 2 for x in nodes), tuple(self._weight(x) / 2 for x in nodes)
+
+    def moments(self, count: int) -> tuple[Fraction, ...]:
+        # w is 2^n times the series of degree n, in integer monomial
+        # coefficients: 2^k P_k(u) = sum_i (-1)^i C(k, i) C(2k - 2i, k) u^(k - 2i)
+        n = len(self.series) - 1
+        w = [0] * (n + 1)
+        for k, c in enumerate(self.series):
+            for i in range(k // 2 + 1):
+                term = math.comb(k, i) * math.comb(2 * k - 2 * i, k) * 2 ** (n - k)
+                w[k - 2 * i] += (-1) ** i * c * term
+        # u^j mod w is r / den with integer r of degree < n; times u, its
+        # top term is cancelled by w, which scales r by the leading w[n]
+        r, den = [1] + [0] * (n - 1), 1
+        lcm = math.lcm(*range(1, n + 1, 2))  # 1/2 int u^i = 1/(i + 1), i even
+        out = []
+        for _ in range(count):
+            out.append(Fraction(sum(r[i] * (lcm // (i + 1)) for i in range(0, n, 2)),
+                                lcm * den))
+            r, den = [w[n] * a - r[-1] * b for a, b in zip([0] + r[:-1], w)], den * w[n]
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +237,8 @@ def gauss_legendre(m: int) -> QuadratureRule:
     if m < 1:
         raise ValueError(f"need at least one node, got {m}")
     # Abramowitz-Stegun 25.4.29: w = 2 / ((1 - x^2) P'_m(x)^2)
-    return _legendre_rule(f"G{m}", 2 * m - 1, [0] * m + [1],
-                          lambda x: 2 / ((1 - x * x) * _legendre(m, x)[1] ** 2))
+    return _LegendreRule(f"G{m}", 2 * m - 1, [0] * m + [1],
+                         lambda x: 2 / ((1 - x * x) * _legendre(m, x)[1] ** 2))
 
 
 @lru_cache(maxsize=None)
@@ -194,8 +249,8 @@ def gauss_lobatto(m: int) -> QuadratureRule:
     # (2n+1)(1 - x^2) P'_n = n(n+1)(P_{n-1} - P_{n+1}) with n = m - 1;
     # A-S 25.4.32: w = 2 / (n (n + 1) P_n(x)^2), 2 / (n (n + 1)) at +-1
     n = m - 1
-    return _legendre_rule(f"L{m}", 2 * m - 3, [0] * (m - 2) + [1, 0, -1],
-                          lambda x: 2 / (n * (n + 1) * _legendre(n, x)[0] ** 2), (-1, 1))
+    return _LegendreRule(f"L{m}", 2 * m - 3, [0] * (m - 2) + [1, 0, -1],
+                         lambda x: 2 / (n * (n + 1) * _legendre(n, x)[0] ** 2), (-1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +260,8 @@ def gauss_radau(m: int) -> QuadratureRule:
         raise ValueError(f"need at least one node, got {m}")
     # P_{m-1} + P_m vanishes at -1 and at the m - 1 free nodes; A-S 25.4.31:
     # w = (1 - x) / (m^2 P_{m-1}(x)^2), which is 2 / m^2 at -1
-    return _legendre_rule(f"R{m}", 2 * m - 2, [0] * (m - 1) + [1, 1],
-                          lambda x: (1 - x) / (m * m * _legendre(m - 1, x)[0] ** 2), (-1,))
+    return _LegendreRule(f"R{m}", 2 * m - 2, [0] * (m - 1) + [1, 1],
+                         lambda x: (1 - x) / (m * m * _legendre(m - 1, x)[0] ** 2), (-1,))
 
 
 _DMM_NODE_DATA = {
@@ -307,21 +362,17 @@ def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
-    # Cached: rules are frozen and hashable, and the pairs of `tau` and the
-    # stencil and dispersion jobs ask for the same rows again.
+    # Cached: rules hash without building a node, and the pairs of `tau`
+    # and the stencil and dispersion jobs ask for the same rows again.
     # Entry k applies the rule on one span to the exact polynomial Q_k of
     # _piece_products, so the rule enters only through its moments of
-    # u = 2x - 1 (centred: monomials in x lose digits to cancellation).
-    # The pieces are closed on the span, which keeps endpoint nodes on the
-    # integrand of their own span (the p = 1 derivative jumps).
+    # u = 2x - 1, each converted once to mpf: exact Fractions for the
+    # classical families, their blend for a blend, node sums for the point
+    # rules.  The pieces are closed on the span, which keeps endpoint nodes
+    # on the integrand of their own span (the p = 1 derivative jumps).
     table = _piece_products(p, kind)
     with mp.workdps(_DPS + 15):
-        us = [2 * x - 1 for x in rule.nodes]
-        terms = list(rule.weights)
-        moments = []
-        for _ in range(len(table[0])):
-            moments.append(mp.fsum(terms))
-            terms = [t * u for t, u in zip(terms, us)]
+        moments = [_to_mp(m) for m in rule.moments(len(table[0]))]
         den = (math.factorial(p) * 2 ** p) ** 2
         vals = tuple(mp.fdot(row, moments) / den for row in table)
     return Stencil(p, kind, vals)
@@ -381,22 +432,11 @@ def _pair_rules(p: int, pair: str) -> tuple[QuadratureRule, QuadratureRule]:
 def blend(rule1: QuadratureRule, rule2: QuadratureRule, tau) -> BlendedRule:
     """Affine combination of two rules as a single (possibly signed) rule.
 
-    The result carries the union of the node sets with weights scaled by
-    tau and 1 - tau, so applying it is the same as blending the two
-    applications; its induced mass row is the blend of the two mass rows.
+    Its moments are the blend of the two rules' moments, so its induced
+    rows are the blends of theirs.  Its nodes, built on first read, are
+    the union of the two node sets with weights scaled by tau and 1 - tau.
     """
-    with mp.workdps(_DPS + 15):
-        t = _to_mp(tau)
-        weights = tuple(t * w for w in rule1.weights) + tuple(
-            (1 - t) * w for w in rule2.weights
-        )
-    return BlendedRule(
-        label=f"blend:{rule1.label}+{rule2.label}",
-        nodes=rule1.nodes + rule2.nodes,
-        weights=weights,
-        exactness=min(rule1.exactness, rule2.exactness),
-        tau=t,
-    )
+    return BlendedRule(rule1, rule2, tau)
 
 
 @lru_cache(maxsize=None)

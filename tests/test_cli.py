@@ -927,6 +927,54 @@ def _probe(preload, jobs=()):
     return json.loads(proc.stdout)
 
 
+# a fresh interpreter that runs the argv lists given as JSON through
+# cli.main and prints, as JSON, each run's exit code and how often it
+# called the node builders: quadrature._float_roots, which seeds the nodes
+# of every classical rule, and quadrature._legendre_series on an mpf, the
+# Newton polishing and the closed-form weights
+_NODE_PROBE = """
+import contextlib, io, json, sys
+import igadmm.cli
+from igadmm import quadrature
+
+calls = {"seeds": 0, "newton": 0}
+seeds, series = quadrature._float_roots, quadrature._legendre_series
+
+def counted_seeds(*args):
+    calls["seeds"] += 1
+    return seeds(*args)
+
+def counted_series(coeffs, x):
+    calls["newton"] += type(x).__name__ == "mpf"
+    return series(coeffs, x)
+
+quadrature._float_roots, quadrature._legendre_series = counted_seeds, counted_series
+runs = []
+for argv in json.loads(sys.argv[1]):
+    calls.update(seeds=0, newton=0)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = igadmm.cli.main(argv)
+    runs.append({"rc": rc, **calls})
+print(json.dumps(runs))
+"""
+
+
+def test_rows_and_ratios_never_build_a_quadrature_node():
+    exact = [["tau", "--p", "8", "--pair", "all"],
+             ["stencil", "-p", "6", "--rule", "blend:gl"],
+             ["dispersion", "-p", "5", "--rule", "lobatto", "--fit"]]
+    # the rules report prints the nodes; a study integrates on them
+    nodes = [["rules", "--family", "gauss", "--points", "9"],
+             ["study-1d", "-p", "2", "--meshes", "4,8", "--rules", "gauss"]]
+    proc = subprocess.run([sys.executable, "-c", _NODE_PROBE, json.dumps(exact + nodes)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [run["rc"] for run in runs] == [0] * 5
+    assert all(run["seeds"] == run["newton"] == 0 for run in runs[:3]), runs
+    assert all(run["seeds"] > 0 and run["newton"] > 0 for run in runs[3:]), runs
+
+
 def _streams(report):
     return [{k: run[k] for k in ("rc", "out", "err")} for run in report["runs"]]
 

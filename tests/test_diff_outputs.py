@@ -8,6 +8,7 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
 diff_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(diff_outputs)
+_WORKLOADS = diff_outputs._workloads()
 
 _STUDY = """p,N,rule,mode,rel_ev_error,ef_energy_error
 2,8,gauss,1,3.41278e-05,1.83882e-02
@@ -67,13 +68,25 @@ def test_sweep_covers_every_report_with_its_json():
     assert all(argv[-2:] == ["--json", "-"] for argv in jobs)
     assert {argv[0] for argv in jobs} == {"verify", "stencil", "tau", "rules", "study-1d",
                                           "study-2d", "dispersion"}
-    stencils = {(argv[argv.index("--rule") + 1], argv[argv.index("--form") + 1])
+    stencils = {(int(argv[2]), argv[argv.index("--rule") + 1], argv[argv.index("--form") + 1])
                 for argv in jobs if "--rule" in argv and argv[0] == "stencil"}
-    assert {label for label, _ in stencils} == {"exact", "dmm", "gauss", "blend:gl", "minrule+"}
-    assert {form for _, form in stencils} == {"mass", "stiffness"}
-    assert ["tau", "--p", "1,2,3,4,5,6,7,8,9", "--pair", "all", "--json", "-"] in jobs
-    assert {argv[argv.index("--family") + 1] for argv in jobs if argv[0] == "rules"} == {
-        "gauss", "lobatto", "radau", "dmm", "blend"}
+    assert {label for p, label, _ in stencils if p < 7} == {
+        "exact", "dmm", "gauss", "blend:gl", "minrule+"}
+    # every label at p = 7..10 but the point rules, tabulated for p <= 3
+    labels = {label for label in _WORKLOADS.STENCIL_LABELS if not label.startswith("minrule")}
+    assert {(p, label, form) for p, label, form in stencils if p >= 7} == {
+        (p, label, form) for p in range(7, 11) for label in labels
+        for form in ("mass", "stiffness")}
+    for ps in ("1,2,3,4,5,6,7,8,9", "10,11,12"):
+        assert ["tau", "--p", ps, "--pair", "all", "--json", "-"] in jobs
+    rules = [argv[1:-2] for argv in jobs if argv[0] == "rules"]  # from --family on
+    assert {(argv[1], argv[3]) for argv in rules if argv[2] == "--points"} == {
+        (family, points) for family in ("gauss", "lobatto", "radau") for points in ("4", "12")}
+    assert {argv[1] for argv in rules} == {"gauss", "lobatto", "radau", "dmm", "blend"}
+    # each dispersion mass row at p = 6 and 7, with its fit and coefficient
+    fits = {(argv[2], argv[4]) for argv in jobs
+            if argv[0] == "dispersion" and "--coefficient" in argv and "--csv" not in argv}
+    assert fits == {(p, label) for p in ("6", "7") for label in _WORKLOADS.DISPERSION_ROWS}
     csv = [argv[0] for argv in jobs if "--csv" in argv]
     assert "dispersion" in csv and "study-1d" in csv
     assert any({"--fit", "--coefficient"} <= set(argv) for argv in jobs

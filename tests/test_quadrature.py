@@ -30,6 +30,7 @@ from igadmm.quadrature import (
     _float_roots,
     _pair_rules,
     _piece_products,
+    _rationalize,
     blend,
     dmm_rule,
     gauss_legendre,
@@ -208,9 +209,66 @@ def test_a_rule_rebuilt_from_its_nodes_and_weights_is_the_same_rule(build):
     rebuilt = QuadratureRule("copy", rule.nodes, rule.weights, rule.exactness)
     assert (rebuilt.nodes, rebuilt.weights) == (rule.nodes, rule.weights)
     assert all(w != float(w) for w in rebuilt.weights)  # more digits than a float
-    assert _induced_row(3, rebuilt, "mass") == _induced_row(3, rule, "mass")
+    # the copy's row sums its nodes, the original's reads exact moments:
+    # they agree far below the 1e-17 a 53-bit rounding of the nodes costs
+    gap = _rel_gap(_induced_row(3, rebuilt, "mass"), _induced_row(3, rule, "mass"))
+    assert gap < 1e-45, mp.nstr(gap, 3)
     got, want = rebuilt.as_longdouble(), rule.as_longdouble()
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _node_sums(rule, count):
+    """The rule applied to u^j, u = 2x - 1, j < count, over its nodes."""
+    with mp.workdps(_DPS + 15):
+        return [mp.fsum(w * (2 * x - 1) ** j for x, w in zip(rule.nodes, rule.weights))
+                for j in range(count)]
+
+
+@pytest.mark.parametrize("family,mmin,_deg", FAMILIES)
+def test_exact_moments_are_the_node_sums(family, mmin, _deg):
+    for m in range(mmin, 17):
+        rule = family(m)
+        exact = rule.moments(2 * m + 4)  # past the exactness degree
+        assert all(isinstance(v, Fraction) for v in exact)
+        assert exact[0] == 1
+        with mp.workdps(70):
+            gap = max(abs(mp.mpf(v.numerator) / v.denominator - s)
+                      for v, s in zip(exact, _node_sums(rule, len(exact))))
+        assert gap < 1e-50, (rule.label, mp.nstr(gap, 3))
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_the_gauss_mass_row_rationalizes_to_the_exact_row(p):
+    # (2p + 1)! clears every denominator of the exact row
+    row = quadrature_mass_stencil(p, gauss_legendre(p + 1))
+    assert _rationalize(row.values, max_den=math.factorial(2 * p + 1)) == list(
+        mass_stencil(p).values)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_blend_moments_are_the_sums_over_its_node_union(p):
+    for pair in _blend_pairs(p):
+        rule = optimal_blend(p, pair)
+        r1, r2 = _pair_rules(p, pair)
+        assert rule.nodes == r1.nodes + r2.nodes and len(rule.weights) == len(rule.nodes)
+        moments = rule.moments(2 * p + 1)
+        with mp.workdps(70):
+            gap = max(abs(a - b) for a, b in zip(moments, _node_sums(rule, len(moments))))
+        assert gap < 1e-45, (pair, mp.nstr(gap, 3))
+
+
+def test_rows_and_ratios_build_no_node():
+    rules = [build.__wrapped__(6) for build in (gauss_legendre, gauss_lobatto, gauss_radau)]
+    r1, r2 = rules[0], rules[1]
+    tau = optimal_tau(5, quadrature_mass_stencil(5, r1), quadrature_mass_stencil(5, r2))
+    mixed = blend(r1, r2, tau)
+    for rule in rules + [mixed]:
+        {rule: None}  # the caches hash their rule
+        assert rule == rule and rule != gauss_legendre(6)  # a rule equals only itself
+        quadrature_stiffness_stencil(5, rule, require_exactness=False)
+        assert "_points" not in vars(rule), rule.label
+    assert mixed.nodes == r1.nodes + r2.nodes  # built on first read
+    assert "_points" in vars(mixed) and "_points" in vars(r1)
 
 
 def test_the_longdouble_view_is_converted_once_and_read_only():

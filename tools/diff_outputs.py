@@ -42,16 +42,22 @@ def _load(name: str, path: str):
     return module
 
 
+def _workloads():
+    return _load("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+
+
 def sweep() -> list[list[str]]:
     """Energy studies of every degree 1..6 and study rule on tiny meshes and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
     cross-check at each degree; then every subcommand's report, text and
     JSON: verify, rows of both forms (exact, minimized, rule-induced,
-    blended and point-rule labels, fractions and floats), blend ratios
-    with the degenerate p = 1 lr pair and the float-only p = 8 ratios, the
-    rules of each family, a dispersion curve with its fit and coefficient
-    and a study, both with --csv -, and one usage and one computation
-    error."""
+    blended and point-rule labels, fractions and floats, and every label
+    but the point rules at p = 7..10), blend ratios with the degenerate p = 1 lr pair, the
+    float-only p = 8 ratios and p = 10..12, the rules of each family at 4
+    and 12 points, dispersion curves with their fit and coefficient (each
+    mass row at p = 6 and 7) and a study, both with --csv -, and one
+    usage and one computation error."""
+    workloads = _workloads()
     jobs = []
     for p in range(1, 7):
         for rule in SWEEP_RULES:
@@ -63,6 +69,7 @@ def sweep() -> list[list[str]]:
     reports = [["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"],
                ["stencil", "-p", "4", "--dmm"],
                ["tau", "--p", "1,2,3,4,5,6,7,8,9", "--pair", "all"],
+               ["tau", "--p", "10,11,12", "--pair", "all"],
                ["rules", "--family", "dmm", "-p", "3", "--sign", "-1"],
                ["rules", "--family", "blend", "-p", "3", "--pair", "pr"],
                ["dispersion", "-p", "3", "--rule", "dmm", "--fit", "--coefficient", "8",
@@ -79,14 +86,27 @@ def sweep() -> list[list[str]]:
         for label in labels:
             for form in ("mass", "stiffness"):
                 reports.append(["stencil", "-p", str(p), "--rule", label, "--form", form])
+    # every label at degrees whose rows and ratios print partly or wholly
+    # as floats, where a last-digit change in a row would show; the point
+    # rules stop at p = 3
+    for p in range(7, 11):
+        for label in workloads.STENCIL_LABELS:
+            for form in ("mass", "stiffness") * (not label.startswith("minrule")):
+                reports.append(["stencil", "-p", str(p), "--rule", label, "--form", form])
+    for p in (6, 7):
+        for label in workloads.DISPERSION_ROWS:
+            order = 2 * p + 2 if label in workloads.MINIMIZED_ROWS else 2 * p
+            reports.append(["dispersion", "-p", str(p), "--rule", label, "--fit",
+                            "--coefficient", str(order)])
     for family in ("gauss", "lobatto", "radau"):
-        reports.append(["rules", "--family", family, "--points", "4"])
+        for points in ("4", "12"):
+            reports.append(["rules", "--family", family, "--points", points])
     return jobs + [argv + ["--json", "-"] for argv in reports]
 
 
 def all_jobs() -> list[list[str]]:
     """The benchmark workloads' jobs, in workload order, then the sweep."""
-    workloads = _load("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = _workloads()
     jobs = [argv for name in workloads.WORKLOADS for argv in workloads.jobs_for(name)]
     return jobs + sweep()
 
