@@ -14,11 +14,11 @@ import importlib
 # first use (PEP 562), so `import igadmm` loads neither numpy nor scipy, and
 # the exact rows, rules and ratios never need numpy at all
 _EXPORTS = {name: module for module, names in {
-    "splines": ("BSplineSpace", "cardinal_value", "knot_vector"),
-    "stencils": ("Stencil", "mass_stencil", "stiffness_stencil"),
+    "splines": ("BSplineSpace",),
+    "stencils": ("mass_stencil", "stiffness_stencil"),
     "dmm": ("dmm_stencil",),
     "quadrature": ("QuadratureRule", "blend", "dmm_rule", "gauss_legendre", "gauss_lobatto",
-                   "gauss_radau", "optimal_tau", "quadrature_mass_stencil"),
+                   "gauss_radau", "optimal_tau", "quadrature_mass_stencil", "triple_blend_check"),
     "assembly": ("assemble_1d", "assemble_1d_dmm", "assemble_2d"),
     "eigensolve": ("exact_spectrum", "generalized_eig", "tensor_spectrum_2d"),
 }.items() for name in names}

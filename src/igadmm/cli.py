@@ -137,16 +137,15 @@ def _row(p: int, label: str, form: str):
     """Interior row of form ("mass" or "stiffness"): exact, minimized, or
     induced by the label's rule; "dmm" changes the mass row only."""
     if label == "exact" or (label == "dmm" and form == "stiffness"):
-        return (stencils.stiffness_stencil(p) if form == "stiffness"
-                else stencils.mass_stencil(p)).values
+        return stencils.stiffness_stencil(p) if form == "stiffness" else stencils.mass_stencil(p)
     if label == "dmm":
-        return dmm.dmm_stencil(p).values
+        return dmm.dmm_stencil(p)
     maker = (quadrature.quadrature_stiffness_stencil if form == "stiffness"
              else quadrature.quadrature_mass_stencil)
     if label in ("minrule+", "minrule-"):
         rule = quadrature.dmm_rule(p, 1 if label.endswith("+") else -1)
-        return maker(p, rule, require_exactness=False).values
-    return maker(p, _rule(p, label)).values
+        return maker(p, rule, require_exactness=False)
+    return maker(p, _rule(p, label))
 
 
 def _pair(space: BSplineSpace, label: str) -> assembly.MatrixPair:
@@ -434,7 +433,7 @@ def _cmd_dispersion(args) -> int:
     if args.samples < least:
         raise UsageError(f"--samples needs at least {least}{' with --fit' * args.fit}: "
                          f"{args.samples}")
-    a_row = stencils.stiffness_stencil(p).values
+    a_row = stencils.stiffness_stencil(p)
     b_row = _row(p, args.rule, "mass")
     chk = None
     if args.coefficient is not None:

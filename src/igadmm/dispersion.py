@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from igadmm.stencils import Stencil, dispersion_moment
+from igadmm.stencils import dispersion_moment
 
 _DPS = 50
 
@@ -39,8 +39,8 @@ class StoppingBandError(ArithmeticError):
     """Mass symbol vanished: the wavenumber sits in a stopping band."""
 
 
-def _values(S, p: int) -> tuple:
-    vals = S.values if isinstance(S, Stencil) else tuple(S)
+def _values(row, p: int) -> tuple:
+    vals = tuple(row)
     if len(vals) != p + 1:
         raise ValueError(f"need offsets 0..{p}, got {len(vals)} values")
     return vals
@@ -87,11 +87,6 @@ def _relative_error(num, den, y):
     return (num - y * y * den) / (y * y * den)
 
 
-def dispersion_error(p: int, A, B, wavenumber) -> float:
-    """Relative dispersion error (R(y) - y^2) / y^2, evaluated in mpmath."""
-    return _evaluate(p, A, B, [wavenumber], _relative_error)[0]
-
-
 @dataclass(frozen=True)
 class DispersionCurve:
     wavenumbers: tuple[float, ...]
@@ -99,8 +94,8 @@ class DispersionCurve:
 
 
 def sample_curve(p: int, A, B, wavenumbers) -> DispersionCurve:
-    """Relative dispersion errors at each wavenumber, equal to
-    dispersion_error point by point."""
+    """Relative dispersion errors (R(y) - y^2) / y^2 at each wavenumber y,
+    evaluated in mpmath."""
     errs = tuple(_evaluate(p, A, B, wavenumbers, _relative_error))
     return DispersionCurve(tuple(float(y) for y in wavenumbers), errs)
 
@@ -125,13 +120,12 @@ def fit_order(wavenumbers, errors) -> float:
 def error_expansion(p: int, A, B) -> tuple:
     """Coefficients (c_{2p}, c_{2p+2}) of the dispersion error expansion.
 
-    Exact Fractions when both stencils carry Fractions, floats or mpf
+    Exact Fractions when both rows carry Fractions, floats or mpf
     otherwise.  c_{2p+2} includes the feedback of c_{2p} through the mass
     symbol, so it is the true second coefficient also for rows that are
     not dispersion minimized.
     """
-    a = Stencil(p, "stiffness", _values(A, p))
-    b = _values(B, p)
+    a, b = _values(A, p), _values(B, p)
     lead = 2 * (-1) ** (p + 1) * dispersion_moment(a, b, p + 1)
     bare = 2 * (-1) ** p * dispersion_moment(a, b, p + 2)
     b1 = sum(k * k * b[k] for k in range(1, p + 1))
@@ -152,7 +146,7 @@ class CoefficientCheck:
 def coefficient_check(p: int, A, B, order: int, wavenumber: float = 1e-3) -> CoefficientCheck:
     """Compare the measured error coefficient against the moment formula.
 
-    Measures dispersion_error / y^order at a small wavenumber and predicts
+    Measures the relative error / y^order at a small wavenumber and predicts
     the same number from the expansion coefficients: the c_{2p} term for
     order = 2p, the full c_{2p+2} term for order = 2p + 2.
     """

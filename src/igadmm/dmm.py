@@ -19,7 +19,6 @@ from igadmm.dispersion import error_expansion
 from igadmm.stencils import (
     IdentityCheck,
     IdentityReport,
-    Stencil,
     dispersion_moment,
     mass_stencil,
     stiffness_stencil,
@@ -27,7 +26,7 @@ from igadmm.stencils import (
 
 
 @lru_cache(maxsize=None)
-def dmm_stencil(p: int) -> Stencil:
+def dmm_stencil(p: int) -> tuple:
     """Exact dispersion-minimized mass row for degree p.
 
     Entry k is B_k + c_2p G_p[k], with B the exact mass row, c_2p =
@@ -42,10 +41,9 @@ def dmm_stencil(p: int) -> Stencil:
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    mass = mass_stencil(p).values
+    mass = mass_stencil(p)
     c = error_expansion(p, stiffness_stencil(p), mass)[0]
-    return Stencil(p, "mass", tuple(mass[k] + c * (-1) ** k * comb(2 * p, p + k)
-                                    for k in range(p + 1)))
+    return tuple(mass[k] + c * (-1) ** k * comb(2 * p, p + k) for k in range(p + 1))
 
 
 def verify_dmm_identity(p: int) -> IdentityReport:

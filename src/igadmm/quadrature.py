@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from mpmath import mp
 
 from igadmm.dispersion import _to_mp, error_expansion
-from igadmm.stencils import Stencil, dispersion_moment, integer_row, stiffness_stencil
+from igadmm.stencils import dispersion_moment, integer_row, stiffness_stencil
 
 _DPS = 40
 
@@ -192,6 +192,7 @@ class _LegendreRule(QuadratureRule):
     def __init__(self, label, exactness, series, weight, fixed=()):
         self.label, self.exactness = label, exactness
         self.series, self._weight, self._fixed = tuple(series), weight, fixed
+        self._moments = ()
 
     @cached_property
     def _points(self) -> tuple:
@@ -211,6 +212,9 @@ class _LegendreRule(QuadratureRule):
             return tuple((x + 1) / 2 for x in nodes), tuple(self._weight(x) / 2 for x in nodes)
 
     def moments(self, count: int) -> tuple[Fraction, ...]:
+        # the longest list computed so far is kept; a shorter ask is a slice
+        if count <= len(self._moments):
+            return self._moments[:count]
         # w is 2^n times the series of degree n, in integer monomial
         # coefficients: 2^k P_k(u) = sum_i (-1)^i C(k, i) C(2k - 2i, k) u^(k - 2i)
         n = len(self.series) - 1
@@ -228,7 +232,8 @@ class _LegendreRule(QuadratureRule):
             out.append(Fraction(sum(r[i] * (lcm // (i + 1)) for i in range(0, n, 2)),
                                 lcm * den))
             r, den = [w[n] * a - r[-1] * b for a, b in zip([0] + r[:-1], w)], den * w[n]
-        return tuple(out)
+        self._moments = tuple(out)
+        return self._moments
 
 
 @lru_cache(maxsize=None)
@@ -306,20 +311,22 @@ def _check_exactness(p: int, rule: QuadratureRule, require: bool):
 
 
 def quadrature_mass_stencil(p: int, rule: QuadratureRule,
-                            require_exactness: bool = True) -> Stencil:
+                            require_exactness: bool = True) -> tuple:
     """Interior mass row induced by applying the rule on every knot span.
 
     Entry k sums, over the p + 1 spans shared by two splines at offset k,
-    the rule applied to the product of the two cardinal splines.  Values
-    are mpf at the rule's construction precision.
+    the rule applied to the product of the two cardinal splines.  The row
+    is the tuple of entries at offsets 0..p, mpf at the rule's
+    construction precision.
     """
     _check_exactness(p, rule, require_exactness)
     return _stencil_from_rule(p, rule, "mass")
 
 
 def quadrature_stiffness_stencil(p: int, rule: QuadratureRule,
-                                 require_exactness: bool = True) -> Stencil:
-    """Interior stiffness row induced by the rule; exact for degree >= 2p - 2."""
+                                 require_exactness: bool = True) -> tuple:
+    """Interior stiffness row induced by the rule, as quadrature_mass_stencil's;
+    exact for degree >= 2p - 2."""
     _check_exactness(p, rule, require_exactness)
     return _stencil_from_rule(p, rule, "stiffness")
 
@@ -361,7 +368,7 @@ def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
+def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> tuple:
     # Cached: rules hash without building a node, and the pairs of `tau`
     # and the stencil and dispersion jobs ask for the same rows again.
     # Entry k applies the rule on one span to the exact polynomial Q_k of
@@ -374,8 +381,7 @@ def _stencil_from_rule(p: int, rule: QuadratureRule, kind: str) -> Stencil:
     with mp.workdps(_DPS + 15):
         moments = [_to_mp(m) for m in rule.moments(len(table[0]))]
         den = (math.factorial(p) * 2 ** p) ** 2
-        vals = tuple(mp.fdot(row, moments) / den for row in table)
-    return Stencil(p, kind, vals)
+        return tuple(mp.fdot(row, moments) / den for row in table)
 
 
 def optimal_tau(p: int, b_first, b_second):
@@ -530,10 +536,7 @@ def triple_blend_check(p: int, rule1: QuadratureRule, rule2: QuadratureRule,
         stencils.append(quadrature_mass_stencil(p, r))
     for i in range(3):
         for j in range(i + 1, 3):
-            diff = max(
-                abs(u - v)
-                for u, v in zip(stencils[i].values, stencils[j].values)
-            )
+            diff = max(abs(u - v) for u, v in zip(stencils[i], stencils[j]))
             if diff < 1e-20:
                 raise ValueError(
                     f"rules {rules[i].label} and {rules[j].label} induce the "
@@ -541,7 +544,7 @@ def triple_blend_check(p: int, rule1: QuadratureRule, rule2: QuadratureRule,
                 )
     coeffs = []
     for s in stencils:
-        rational = _rationalize(s.values)
+        rational = _rationalize(s)
         if rational is None:
             raise ArithmeticError(
                 "mass row did not resolve to exact rationals; "

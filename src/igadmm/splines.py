@@ -1,12 +1,12 @@
-"""Uniform maximum-continuity B-spline bases on [0, 1] and cardinal B-splines.
+"""Uniform maximum-continuity B-spline bases on [0, 1].
 
-Two families live here.  ``BSplineSpace`` is the open-knot Cox-de Boor basis
-of degree p on a uniform mesh of N elements, C^{p-1} across interior knots,
-with homogeneous Dirichlet conditions imposed by dropping the first and last
-basis functions.  ``cardinal_value`` evaluates the degree-p cardinal B-spline
-on integer knots 0..p+1, exactly when the argument is rational.  Away from the
-boundary the two coincide up to an affine change of variable, which is what
-makes interior Gram rows expressible through cardinal-spline values.
+``BSplineSpace`` is the open-knot Cox-de Boor basis of degree p on a
+uniform mesh of N elements, C^{p-1} across interior knots, with homogeneous
+Dirichlet conditions imposed by dropping the first and last basis
+functions.  Away from the boundary each basis function is the cardinal
+B-spline on integer knots 0..p+1 up to an affine change of variable, which
+is what makes interior Gram rows mesh independent; the rule-induced rows
+build their cardinal-spline pieces in ``quadrature._piece_products``.
 
 The space's basis is evaluated one way: ``basis_table`` gives the values
 and first derivatives at the reference nodes of every element, in
@@ -20,31 +20,10 @@ own arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-
-def _check_space(p: int, N: int) -> None:
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    if N < 2:
-        raise ValueError(f"element count must be >= 2, got {N}")
-
-
-def knot_vector(p: int, N: int) -> list[Fraction]:
-    """Open uniform knot vector on [0, 1] with exact rational knots.
-
-    The boundary knots 0 and 1 are repeated p+1 times each and the N-1
-    interior knots are k/N, giving a sequence of length N + 2p + 1.
-    """
-    _check_space(p, N)
-    zero, one = Fraction(0), Fraction(1)
-    interior = [Fraction(k, N) for k in range(1, N)]
-    return [zero] * (p + 1) + interior + [one] * (p + 1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +39,10 @@ class BSplineSpace:
     N: int
 
     def __post_init__(self) -> None:
-        _check_space(self.p, self.N)
+        if self.p < 1:
+            raise ValueError(f"degree must be >= 1, got {self.p}")
+        if self.N < 2:
+            raise ValueError(f"element count must be >= 2, got {self.N}")
 
     @property
     def dim_full(self) -> int:
@@ -155,48 +137,3 @@ def basis_table(space: BSplineSpace, nodes):
         _cox_de_boor(knots, t[rows], p + elements[rows], p,
                      np.moveaxis(values[rows], -1, 0), np.moveaxis(derivatives[rows], -1, 0))
     return t, values, derivatives
-
-
-def cardinal_value(p: int, t):
-    """Degree-p cardinal B-spline on knots 0, 1, ..., p+1 evaluated at t.
-
-    Exact rational output for int or Fraction input; float-family input is
-    evaluated in its own arithmetic.  The spline is taken right-continuous,
-    so the value is 0 at t = p+1 and outside [0, p+1): it is the piece of
-    the element that t opens.
-    """
-    return cardinal_piece(p, math.floor(t), t)
-
-
-def cardinal_derivative(p: int, t):
-    """First derivative of the degree-p cardinal B-spline at t (p >= 1)."""
-    return cardinal_piece_derivative(p, math.floor(t), t)
-
-
-def cardinal_piece(p: int, element: int, t):
-    """Polynomial piece of the cardinal spline on [element, element+1] at t.
-
-    Unlike ``cardinal_value`` this extends the piece to its closed right
-    end, i.e. at integer breakpoints it gives the left limit of the piece;
-    elements outside 0..p give 0.  Needed by per-element quadrature, where
-    an endpoint node must see the integrand of its own element.
-    """
-    if p < 0:
-        raise ValueError(f"degree must be >= 0, got {p}")
-    exact = isinstance(t, (int, Fraction))
-    zero = Fraction(0) if exact else 0 * t
-    if not 0 <= element <= p:
-        return zero
-    one = zero + 1
-    vals = [one if i == element else zero for i in range(p + 1)]
-    for q in range(1, p + 1):
-        for i in range(p + 1 - q):
-            vals[i] = ((t - i) * vals[i] + (i + q + 1 - t) * vals[i + 1]) / q
-    return vals[0]
-
-
-def cardinal_piece_derivative(p: int, element: int, t):
-    """Derivative of the degree-p cardinal spline piece on one element."""
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    return cardinal_piece(p - 1, element, t) - cardinal_piece(p - 1, element - 1, t - 1)

@@ -1,8 +1,9 @@
-"""Exact rational interior Gram stencils for uniform B-spline bases.
+"""Exact rational interior Gram rows for uniform B-spline bases.
 
-A stencil collects the Gram values between one interior basis function and
-its neighbors at offsets 0..p: ``stiffness`` entries are scaled by h (values
-of the derivative Gram row times h) and ``mass`` entries by 1/h, so both are
+A row is the plain tuple of the Gram values between one interior basis
+function and its neighbors at offsets 0..p (the entry at offset -k equals
+the one at +k): ``stiffness`` entries are scaled by h (values of the
+derivative Gram row times h) and ``mass`` entries by 1/h, so both are
 mesh independent.  Mass entries follow a three-term recursion in the degree;
 stiffness entries are finite differences of the degree-(p-1) mass entries.
 Everything in this module is exact: values are ``fractions.Fraction`` and
@@ -26,32 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Symmetric interior Gram row: values[k] is the entry at offset +-k.
-
-    kind is "stiffness" (row sums to 0) or "mass" (row sums to 1).  Values
-    are Fractions for exactly computed stencils; rule-induced stencils
-    reuse this container with 40-digit mpf.
-    """
-
-    p: int
-    kind: str
-    values: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("stiffness", "mass"):
-            raise ValueError(f"unknown stencil kind {self.kind!r}")
-        if len(self.values) != self.p + 1:
-            raise ValueError("stencil must hold offsets 0..p")
-
-    def row_sum(self):
-        """Sum over all offsets -p..p."""
-        return self.values[0] + 2 * sum(self.values[1:])
-
-
 @lru_cache(maxsize=None)
-def mass_stencil(p: int) -> Stencil:
+def mass_stencil(p: int) -> tuple[Fraction, ...]:
     """Exact mass entries of degree p via the three-term degree recursion.
 
     The recursion lifts the degree-(p-1) row to degree p:
@@ -69,25 +46,24 @@ def mass_stencil(p: int) -> Stencil:
         n = [(q + k + 1) ** 2 * n[k + 1] - 2 * (k * k - q - q * q) * n[k]
              + (q - k + 1) ** 2 * n[abs(k - 1)] for k in range(q + 1)]
     den = math.factorial(2 * p + 1)
-    return Stencil(p, "mass", tuple(Fraction(v, den) for v in n))
+    return tuple(Fraction(v, den) for v in n)
 
 
 @lru_cache(maxsize=None)
-def stiffness_stencil(p: int) -> Stencil:
+def stiffness_stencil(p: int) -> tuple[Fraction, ...]:
     """Exact stiffness entries: second difference of degree-(p-1) mass entries."""
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     if p == 1:
         prev = [Fraction(1)]
     else:
-        prev = list(mass_stencil(p - 1).values)
+        prev = mass_stencil(p - 1)
 
     def at(k: int) -> Fraction:
         k = abs(k)
         return prev[k] if k < len(prev) else Fraction(0)
 
-    vals = tuple(2 * at(k) - at(k + 1) - at(k - 1) for k in range(p + 1))
-    return Stencil(p, "stiffness", vals)
+    return tuple(2 * at(k) - at(k + 1) - at(k - 1) for k in range(p + 1))
 
 
 def integer_row(values) -> tuple[int, list[int]]:
@@ -102,33 +78,31 @@ def _power_sum(nums, j: int) -> int:
     return sum(k ** (2 * j) * nums[k] for k in range(1, len(nums)))
 
 
-def dispersion_moment(A: Stencil, B, m: int):
+def dispersion_moment(A, B, m: int):
     """The coupled moment sum_{k=1..p} (k^{2m}/(2m)! A_k + k^{2m-2}/(2m-2)! B_k).
 
     This is the m-th coefficient functional of the dispersion expansion; it
     vanishes for m = 2..p with exact mass entries and for m = 2..p+1 with the
-    dispersion-minimized ones.  B may be a Stencil or a plain sequence of
-    offset-0..p values.  With exact rows (Fractions or ints) both sums run
-    over integer numerators and give one Fraction; otherwise arithmetic
-    follows the value types term by term (floating for floats, the mpf
-    precision for mpf).
+    dispersion-minimized ones.  A and B are rows, sequences of offset-0..p
+    values, and p is len(A) - 1.  With exact rows (Fractions or ints) both
+    sums run over integer numerators and give one Fraction; otherwise
+    arithmetic follows the value types term by term (floating for floats,
+    the mpf precision for mpf).
     """
     if m < 2:
         raise ValueError(f"moment order must be >= 2, got {m}")
-    p = A.p
-    b_vals = B.values if isinstance(B, Stencil) else tuple(B)
-    if len(b_vals) != p + 1:
+    if len(B) != len(A):
         raise ValueError("mass values must cover offsets 0..p")
-    if all(isinstance(v, (Fraction, int)) for v in A.values + b_vals):
-        (da, a), (db, b) = integer_row(A.values), integer_row(b_vals)
+    if all(isinstance(v, (Fraction, int)) for v in (*A, *B)):
+        (da, a), (db, b) = integer_row(A), integer_row(B)
         num = db * _power_sum(a, m) + 2 * m * (2 * m - 1) * da * _power_sum(b, m - 1)
         return Fraction(num, math.factorial(2 * m) * da * db)
     ca = math.factorial(2 * m)
     cb = math.factorial(2 * m - 2)
     total = 0
-    for k in range(1, p + 1):
-        total = total + _scaled(Fraction(k ** (2 * m), ca), A.values[k])
-        total = total + _scaled(Fraction(k ** (2 * m - 2), cb), b_vals[k])
+    for k in range(1, len(A)):
+        total = total + _scaled(Fraction(k ** (2 * m), ca), A[k])
+        total = total + _scaled(Fraction(k ** (2 * m - 2), cb), B[k])
     return total
 
 
@@ -178,15 +152,15 @@ def verify_base_identities(p: int) -> IdentityReport:
     A = stiffness_stencil(p)
     B = mass_stencil(p)
     checks = [
-        IdentityCheck("stiffness_row_sum", p, None, A.row_sum()),
-        IdentityCheck("mass_row_sum", p, None, B.row_sum() - 1),
+        IdentityCheck("stiffness_row_sum", p, None, A[0] + 2 * sum(A[1:])),
+        IdentityCheck("mass_row_sum", p, None, B[0] + 2 * sum(B[1:]) - 1),
         IdentityCheck(
             "stiffness_second_moment", p, None,
-            sum(k * k * A.values[k] for k in range(1, p + 1)) + 1,
+            sum(k * k * A[k] for k in range(1, p + 1)) + 1,
         ),
         IdentityCheck(
             "mass_second_moment", p, None,
-            p + 1 - 12 * sum(k * k * B.values[k] for k in range(1, p + 1)),
+            p + 1 - 12 * sum(k * k * B[k] for k in range(1, p + 1)),
         ),
     ]
     return IdentityReport(tuple(checks))
@@ -205,8 +179,8 @@ def verify_ab_identity(p: int) -> IdentityReport:
     """
     if p < 2:
         raise ValueError(f"degree must be >= 2, got {p}")
-    da, a = integer_row(stiffness_stencil(p).values)
-    db, b = integer_row(mass_stencil(p).values)
+    da, a = integer_row(stiffness_stencil(p))
+    db, b = integer_row(mass_stencil(p))
     # the power moments sum_k k^{2j}/(2j)! row_k, each computed once
     sa = {j: Fraction(_power_sum(a, j), math.factorial(2 * j) * da) for j in range(2, p + 1)}
     sb = {j: Fraction(_power_sum(b, j), math.factorial(2 * j) * db) for j in range(1, p)}

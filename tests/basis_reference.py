@@ -3,6 +3,8 @@ point's own arithmetic, by two separate runs of the triangular Cox-de Boor
 scheme.  The values come from a run to degree p, the first derivatives by
 degree reduction from a second run to degree p - 1.  ``basis_table`` does
 both in one array pass, so the two must agree bit for bit in longdouble.
+On an interior element the basis is the cardinal B-spline translated, so
+``cardinal_pieces`` reads the cardinal spline's pieces off it.
 """
 
 from fractions import Fraction
@@ -10,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from igadmm.splines import _knots_in, knot_vector
+from igadmm.splines import _knots_in
 
 
 def _knots_like(p, N, x):
@@ -18,7 +20,8 @@ def _knots_like(p, N, x):
     k / N correctly rounded for a float, a longdouble or an mpf (at the
     working precision)."""
     if isinstance(x, Fraction):
-        return knot_vector(p, N)
+        zero, one = Fraction(0), Fraction(1)
+        return [zero] * (p + 1) + [Fraction(k, N) for k in range(1, N)] + [one] * (p + 1)
     if isinstance(x, np.longdouble):
         return _knots_in(p, N)
     if isinstance(x, float):
@@ -59,3 +62,15 @@ def reference_basis(p, N, x, element):
             acc = acc - p * lower[a] / (knots[mu + a + 1] - knots[mu - p + a + 1])
         derivatives.append(acc)
     return _triangular(knots, x, mu, p), derivatives
+
+
+def cardinal_pieces(p, x):
+    """The p + 1 pieces of the degree-p cardinal B-spline (knots 0..p+1) and
+    of its derivative at x in [0, 1]: piece e is the spline on [e, e + 1]
+    at e + x, closed at both ends.  They are the basis on element p of the
+    (2p + 1)-element mesh, where each of the p + 1 functions is a cardinal
+    spline on knots i / N: function p + a there is piece p - a, and its
+    derivative is N times the cardinal one."""
+    N = 2 * p + 1
+    values, derivatives = reference_basis(p, N, (p + x) / N, p)
+    return values[::-1], [d / N for d in derivatives[::-1]]

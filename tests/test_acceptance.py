@@ -44,8 +44,8 @@ def test_criterion_01_exact_gram_rows(announce):
     t0 = time.perf_counter()
     ok = True
     for p in range(1, 5):
-        ok &= stencils.stiffness_stencil(p).values == EXACT_STIFFNESS[p]
-        ok &= stencils.mass_stencil(p).values == EXACT_MASS[p]
+        ok &= stencils.stiffness_stencil(p) == EXACT_STIFFNESS[p]
+        ok &= stencils.mass_stencil(p) == EXACT_MASS[p]
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _report(announce, 1, "exact stiffness/mass rows p=1..4", ok,
@@ -54,7 +54,7 @@ def test_criterion_01_exact_gram_rows(announce):
 
 def test_criterion_02_minimized_rows(announce):
     t0 = time.perf_counter()
-    ok = all(dmm.dmm_stencil(p).values == MINIMIZED_MASS[p]
+    ok = all(dmm.dmm_stencil(p) == MINIMIZED_MASS[p]
              for p in range(1, 5))
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
@@ -72,12 +72,12 @@ def test_criterion_03_rule_induced_rows(announce):
         }[name]()
         row = quadrature.quadrature_mass_stencil(p, rule)
         worst = max(worst, max(_rel_dev(v, f)
-                               for v, f in zip(row.values, want)))
+                               for v, f in zip(row, want)))
     worst_full = 0.0
     for p in range(1, 5):
         row = quadrature.quadrature_mass_stencil(p, quadrature.gauss_legendre(p + 1))
         worst_full = max(worst_full, max(_rel_dev(v, f)
-                                         for v, f in zip(row.values, EXACT_MASS[p])))
+                                         for v, f in zip(row, EXACT_MASS[p])))
     ok = worst < 1e-12 and worst_full < 1e-13
     _report(announce, 3, "under-integrated mass rows p=1..4", ok,
             f"max rel dev {worst:.1e} (reduced rules), {worst_full:.1e} (full Gauss)")
@@ -109,9 +109,9 @@ def test_criterion_05_minimizing_point_rules(announce):
             mass = quadrature.quadrature_mass_stencil(
                 p, rule, require_exactness=False)
             worst = max(worst, max(_rel_dev(v, f) for v, f in
-                                   zip(stiff.values, EXACT_STIFFNESS[p])))
+                                   zip(stiff, EXACT_STIFFNESS[p])))
             worst = max(worst, max(_rel_dev(v, f) for v, f in
-                                   zip(mass.values, MINIMIZED_MASS[p])))
+                                   zip(mass, MINIMIZED_MASS[p])))
     ok = worst < 1e-12
     _report(announce, 5, "point rules reproduce both rows, both signs", ok,
             f"max rel dev {worst:.1e}")

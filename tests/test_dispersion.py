@@ -13,7 +13,6 @@ from igadmm.assembly import assemble_1d
 from igadmm.dispersion import (
     StoppingBandError,
     coefficient_check,
-    dispersion_error,
     error_expansion,
     fit_order,
     sample_curve,
@@ -28,17 +27,17 @@ from igadmm.stencils import mass_stencil, stiffness_stencil
 def test_symbol_follows_the_leading_expansion():
     A, B = stiffness_stencil(1), mass_stencil(1)
     y = 0.01
-    r = y ** 2 * (1 + dispersion_error(1, A, B, y))  # the symbol R(y)
+    r = y ** 2 * (1 + sample_curve(1, A, B, [y]).errors[0])  # the symbol R(y)
     assert abs(r / y ** 2 - 1 - float(LEAD_P1_EXACT_ORDER2) * y ** 2) < 1e-9
 
 
 def test_error_sign_matches_the_leading_coefficient():
-    assert dispersion_error(1, stiffness_stencil(1), mass_stencil(1), 0.3) > 0
-    assert dispersion_error(1, stiffness_stencil(1), dmm_stencil(1), 0.3) < 0
+    assert sample_curve(1, stiffness_stencil(1), mass_stencil(1), [0.3]).errors[0] > 0
+    assert sample_curve(1, stiffness_stencil(1), dmm_stencil(1), [0.3]).errors[0] < 0
     for p in (1, 2, 3):
         A = stiffness_stencil(p)
         lead, _ = error_expansion(p, A, mass_stencil(p))
-        err = dispersion_error(p, A, mass_stencil(p), 0.05)
+        err = sample_curve(p, A, mass_stencil(p), [0.05]).errors[0]
         assert math.copysign(1, err) == math.copysign(1, lead)
 
 
@@ -48,16 +47,16 @@ def test_stopping_band_raises():
     B = (Fraction(1, 6), Fraction(5, 12))
     y = math.acos(-0.2)
     with pytest.raises(StoppingBandError):
-        dispersion_error(1, A, B, y)
-    assert 1 + dispersion_error(1, A, B, 0.5) > 0  # away from the band all is well
+        sample_curve(1, A, B, [y])
+    assert 1 + sample_curve(1, A, B, [0.5]).errors[0] > 0  # away from the band all is well
 
 
 def test_input_validation():
     A = stiffness_stencil(2)
     with pytest.raises(ValueError):
-        dispersion_error(2, A, mass_stencil(2), 0)
+        sample_curve(2, A, mass_stencil(2), [0])
     with pytest.raises(ValueError):
-        dispersion_error(2, (1, 2), mass_stencil(2), 0.1)
+        sample_curve(2, (1, 2), mass_stencil(2), [0.1])
     with pytest.raises(ValueError):
         coefficient_check(2, A, mass_stencil(2), 5)
 
@@ -123,15 +122,14 @@ def _error_per_point(A, B, y):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_sample_curve_equals_pointwise_errors_bitwise(p):
-    A = stiffness_stencil(p).values
+    A = stiffness_stencil(p)
     ys = np.geomspace(0.01, 1.5, 11)
-    rows = [mass_stencil(p).values, dmm_stencil(p).values,
-            quadrature_mass_stencil(p, gauss_legendre(p + 1)).values,
-            tuple(float(v) for v in mass_stencil(p).values)]
+    rows = [mass_stencil(p), dmm_stencil(p), quadrature_mass_stencil(p, gauss_legendre(p + 1)),
+            tuple(float(v) for v in mass_stencil(p))]
     for B in rows:
         curve = sample_curve(p, A, B, ys)
         assert curve.wavenumbers == tuple(float(y) for y in ys)
-        assert curve.errors == tuple(dispersion_error(p, A, B, y) for y in ys)
+        assert curve.errors == tuple(sample_curve(p, A, B, [y]).errors[0] for y in ys)
         assert curve.errors == tuple(_error_per_point(A, B, y) for y in ys)
 
 
@@ -162,8 +160,8 @@ def test_curve_difference_isolates_the_leading_coefficient():
     for p in (1, 2, 3):
         A = stiffness_stencil(p)
         lead, _ = error_expansion(p, A, mass_stencil(p))
-        diff = dispersion_error(p, A, mass_stencil(p), y) \
-            - dispersion_error(p, A, dmm_stencil(p), y)
+        diff = sample_curve(p, A, mass_stencil(p), [y]).errors[0] \
+            - sample_curve(p, A, dmm_stencil(p), [y]).errors[0]
         assert abs(diff / y ** (2 * p) - float(lead)) < 1e-3 * abs(float(lead))
 
 

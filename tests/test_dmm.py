@@ -17,12 +17,13 @@ from igadmm.stencils import dispersion_moment, mass_stencil, stiffness_stencil
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_minimized_rows_frozen(p):
-    assert dmm_stencil(p).values == MINIMIZED_MASS[p]
+    assert dmm_stencil(p) == MINIMIZED_MASS[p]
 
 
 def test_minimized_rows_sum_to_one():
     for p in range(1, 11):
-        assert dmm_stencil(p).row_sum() == 1
+        d = dmm_stencil(p)
+        assert d[0] + 2 * sum(d[1:]) == 1
 
 
 @pytest.mark.parametrize("p", range(1, 11))
@@ -58,9 +59,9 @@ def test_minimized_row_solves_its_defining_conditions():
         a = stiffness_stencil(p)
         d = dmm_stencil(p)
         for m in range(1, p + 1):
-            lhs = sum(Fraction(k ** (2 * m)) / _fact(2 * m) * d.values[k]
+            lhs = sum(Fraction(k ** (2 * m)) / _fact(2 * m) * d[k]
                       for k in range(1, p + 1))
-            rhs = -sum(Fraction(k ** (2 * m + 2)) / _fact(2 * m + 2) * a.values[k]
+            rhs = -sum(Fraction(k ** (2 * m + 2)) / _fact(2 * m + 2) * a[k]
                        for k in range(1, p + 1))
             assert lhs == rhs
 
@@ -84,13 +85,13 @@ def _fraction_gauss(matrix, rhs):
 @pytest.mark.parametrize("p", range(1, 25))
 def test_minimized_row_equals_fraction_elimination(p):
     # the factorial-weighted Fraction system, solved without integer scaling
-    a = stiffness_stencil(p).values
+    a = stiffness_stencil(p)
     matrix = [[Fraction(k ** (2 * m), factorial(2 * m)) for k in range(1, p + 1)]
               for m in range(1, p + 1)]
     rhs = [-sum(Fraction(k ** (2 * m + 2), factorial(2 * m + 2)) * a[k]
                 for k in range(1, p + 1)) for m in range(1, p + 1)]
     off = _fraction_gauss(matrix, rhs)
-    assert dmm_stencil(p).values == (1 - 2 * sum(off), *off)
+    assert dmm_stencil(p) == (1 - 2 * sum(off), *off)
 
 
 def _fact(n: int) -> int:
@@ -121,6 +122,6 @@ def test_minimized_rows_in_closed_form():
     B = _bernoulli(28)
     for p in range(1, 15):
         gamma = abs(B[2 * p]) / factorial(2 * p)
-        got = [d - m for d, m in zip(dmm_stencil(p).values, mass_stencil(p).values)]
+        got = [d - m for d, m in zip(dmm_stencil(p), mass_stencil(p))]
         assert got == [gamma * (-1) ** k * comb(2 * p, p + k) for k in range(p + 1)], p
     assert abs(B[12]) / factorial(12) == Fraction(691, 1307674368000)

@@ -1,5 +1,6 @@
-"""The package namespace: public names resolved on first use, and no
-module importing a name it never reads."""
+"""The package namespace: public names resolved on first use, no module
+importing a name it never reads, and no module defining a name that no
+module reads and the package does not export."""
 
 import ast
 import importlib
@@ -56,3 +57,35 @@ def _unread_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_read(path):
     assert _unread_imports(path) == []
+
+
+def _unread_definitions():
+    """Top-level names of the src modules that no src module reads (a load
+    of the name or of an attribute by that name) and that igadmm.__all__
+    does not export; dunder names are the interpreter's."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            unread += [(filename, node.lineno, name) for name in names
+                       if name not in read and name not in igadmm.__all__
+                       and not (name.startswith("__") and name.endswith("__"))]
+    return unread
+
+
+def test_every_definition_is_read_or_exported():
+    assert _unread_definitions() == []

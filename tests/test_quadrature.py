@@ -11,6 +11,7 @@ from mpmath import mp
 from numpy.polynomial.legendre import leggauss, legroots
 from scipy.special import roots_jacobi
 
+from basis_reference import cardinal_pieces
 from expected_values import (
     BLEND_RATIOS,
     DEGENERATE_PAIRS,
@@ -42,8 +43,7 @@ from igadmm.quadrature import (
     quadrature_stiffness_stencil,
     triple_blend_check,
 )
-from igadmm.splines import cardinal_piece, cardinal_piece_derivative
-from igadmm.stencils import Stencil, mass_stencil, stiffness_stencil
+from igadmm.stencils import mass_stencil, stiffness_stencil
 
 FAMILIES = [
     (gauss_legendre, 1, lambda m: 2 * m - 1),
@@ -52,11 +52,11 @@ FAMILIES = [
 ]
 
 
-def _stencil_close(stencil, fractions, tol):
+def _stencil_close(row, fractions, tol):
     with mp.workdps(60):
         return max(
             abs(v - mp.mpf(f.numerator) / f.denominator)
-            for v, f in zip(stencil.values, fractions)
+            for v, f in zip(row, fractions)
         ) < tol
 
 
@@ -241,8 +241,7 @@ def test_exact_moments_are_the_node_sums(family, mmin, _deg):
 def test_the_gauss_mass_row_rationalizes_to_the_exact_row(p):
     # (2p + 1)! clears every denominator of the exact row
     row = quadrature_mass_stencil(p, gauss_legendre(p + 1))
-    assert _rationalize(row.values, max_den=math.factorial(2 * p + 1)) == list(
-        mass_stencil(p).values)
+    assert _rationalize(row, max_den=math.factorial(2 * p + 1)) == list(mass_stencil(p))
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -356,7 +355,7 @@ def test_exactness_guard():
     with pytest.raises(ValueError):
         quadrature_mass_stencil(3, gauss_legendre(2))
     row = quadrature_mass_stencil(3, gauss_legendre(2), require_exactness=False)
-    assert len(row.values) == 4
+    assert len(row) == 4
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -439,7 +438,7 @@ def test_blended_mass_row_is_the_row_blend():
                                     require_exactness=False)
     with mp.workdps(40):
         t = mp.mpf(1) / 3
-        for v, a, b in zip(mixed.values, rows[0].values, rows[1].values):
+        for v, a, b in zip(mixed, *rows):
             assert abs(v - (t * a + (1 - t) * b)) < mp.mpf(10) ** -30
 
 
@@ -448,7 +447,7 @@ def test_blended_mass_row_is_the_row_blend():
 def test_optimal_blend_recovers_minimized_row(p, pair):
     row = quadrature_mass_stencil(p, optimal_blend(p, pair),
                                   require_exactness=False)
-    assert _stencil_close(row, dmm_stencil(p).values, 1e-18)
+    assert _stencil_close(row, dmm_stencil(p), 1e-18)
 
 
 @pytest.mark.parametrize("pair", ["gl", "pr"])
@@ -502,12 +501,12 @@ def test_triple_blend_rejects_duplicate_rules():
 
 
 def _reference_row(p, rule, kind):
-    """Induced row by the per-node route: at every node, every one of the
-    p + 1 span pieces from a full Cox-de Boor triangle."""
-    piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
+    """Induced row by the per-node route: at every node, the p + 1 span
+    pieces from the test-side Cox-de Boor runs on an interior element."""
+    slot = 0 if kind == "mass" else 1
     with mp.workdps(_DPS + 15):
         pairs = tuple(zip(rule.nodes, rule.weights))
-        table = [[piece(p, e, e + x) for e in range(p + 1)] for x, _ in pairs]
+        table = [cardinal_pieces(p, x)[slot] for x, _ in pairs]
         vals = []
         for k in range(p + 1):
             acc = mp.mpf(0)
@@ -520,7 +519,7 @@ def _reference_row(p, rule, kind):
 
 def _induced_row(p, rule, kind):
     make = quadrature_mass_stencil if kind == "mass" else quadrature_stiffness_stencil
-    return make(p, rule, require_exactness=False).values
+    return make(p, rule, require_exactness=False)
 
 
 def _rel_gap(row, ref):
@@ -557,7 +556,7 @@ def test_induced_rows_match_the_per_node_route(p, kind):
 def test_exact_rules_induce_the_exact_rows(p):
     for rule in (gauss_legendre(p + 1), gauss_lobatto(p + 2), gauss_radau(p + 1)):
         for kind, exact in (("mass", mass_stencil(p)), ("stiffness", stiffness_stencil(p))):
-            gap = _rel_gap(_induced_row(p, rule, kind), exact.values)
+            gap = _rel_gap(_induced_row(p, rule, kind), exact)
             assert gap < 1e-48, (rule.label, kind, mp.nstr(gap, 3))
 
 
@@ -566,17 +565,17 @@ def test_exact_rules_induce_the_exact_rows(p):
 def test_piece_products_are_the_cardinal_piece_products(p, kind):
     # both sides are polynomials of degree <= 2p on the span: agreeing at
     # 2p + 2 rational points, the span's ends included, they are equal
-    piece = cardinal_piece if kind == "mass" else cardinal_piece_derivative
+    slot = 0 if kind == "mass" else 1
     den = (math.factorial(p) * 2 ** p) ** 2
     table = _piece_products(p, kind)
     assert len(table) == p + 1
     for j in range(2 * p + 2):
         x = Fraction(j, 2 * p + 1)
         u = 2 * x - 1
+        piece = cardinal_pieces(p, x)[slot]
         for k, row in enumerate(table):
             got = sum(c * u ** i for i, c in enumerate(row)) / den
-            want = sum(piece(p, e, e + x) * piece(p, e - k, e - k + x)
-                       for e in range(k, p + 1))
+            want = sum(piece[e] * piece[e - k] for e in range(k, p + 1))
             assert got == want, (k, x)
 
 
@@ -591,7 +590,7 @@ def test_induced_rows_need_a_positive_degree():
 def test_blend_points_are_those_from_reference_rows(p):
     for pair in _blend_pairs(p):
         r1, r2 = _pair_rules(p, pair)
-        b1, b2 = (Stencil(p, "mass", _reference_row(p, r, "mass")) for r in (r1, r2))
+        b1, b2 = (_reference_row(p, r, "mass") for r in (r1, r2))
         want = blend(r1, r2, optimal_tau(p, b1, b2)).as_longdouble()
         got = optimal_blend(p, pair).as_longdouble()
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), pair

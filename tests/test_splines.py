@@ -1,4 +1,4 @@
-"""B-spline space, basis evaluation, and cardinal helpers."""
+"""B-spline space and basis evaluation, against the cardinal spline inside."""
 
 from fractions import Fraction
 
@@ -7,38 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basis_reference import reference_basis
-from igadmm.splines import (
-    BSplineSpace,
-    _knots_in,
-    basis_table,
-    cardinal_derivative,
-    cardinal_piece,
-    cardinal_piece_derivative,
-    cardinal_value,
-    knot_vector,
-)
-
-
-def test_knot_vector_shape_and_multiplicity():
-    p, N = 3, 5
-    knots = knot_vector(p, N)
-    assert len(knots) == N + 2 * p + 1
-    assert knots[: p + 1] == [Fraction(0)] * (p + 1)
-    assert knots[-(p + 1):] == [Fraction(1)] * (p + 1)
-    interior = knots[p: -p]
-    assert interior == [Fraction(i, N) for i in range(N + 1)]
+from basis_reference import cardinal_pieces, reference_basis
+from igadmm.splines import BSplineSpace, _knots_in, basis_table
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("N", [2, 3, 7, 129, 1024])
 def test_float_knots_are_the_rounded_fractions(p, N):
-    # k / N divided in longdouble rounds the exact knot correctly
-    exact = knot_vector(p, N)
+    # the open knot vector, 0 and 1 repeated p + 1 times around the interior
+    # knots k / N, each the longdouble nearest to the exact Fraction k / N
     longs = _knots_in(p, N)
-    assert longs.dtype == np.longdouble
-    assert np.array_equal(longs, [np.longdouble(t.numerator) / np.longdouble(t.denominator)
-                                  for t in exact])
+    assert longs.dtype == np.longdouble and len(longs) == N + 2 * p + 1
+    assert list(longs[: p + 1]) == [0] * (p + 1) and list(longs[-(p + 1):]) == [1] * (p + 1)
+    for k in range(1, N):
+        x, exact = longs[p + k], Fraction(k, N)
+        neighbours = (np.nextafter(x, np.longdouble(0)), np.nextafter(x, np.longdouble(1)))
+        assert all(abs(_fraction(x) - exact) <= abs(_fraction(y) - exact) for y in neighbours)
 
 
 def test_space_rejects_bad_degree_and_mesh():
@@ -71,81 +55,74 @@ def test_partition_of_unity(p, N, x):
 
 
 def test_interior_basis_is_cardinal_translate():
-    # away from the boundary the basis is a scaled integer-knot spline
+    # away from the boundary the basis is the cardinal spline translated:
+    # on every element e with p <= e < N - p the values, and the derivatives
+    # over N, are its pieces exactly, and the longdouble table rounds them
     p, N = 3, 10
-    space = BSplineSpace(p, N)
-    i = 5  # support [t_i, t_{i+p+1}] strictly inside
-    t, vals, _ = basis_table(space, [0.1, 0.5, 0.999])
-    # element e carries functions e..e+p; function i lives on i-p..i
-    for e in range(i - p, i + 1):
-        for k in range(t.shape[1]):
-            expect = cardinal_value(p, float(t[e, k]) * N - (i - p))
-            assert float(vals[e, k, i - e]) == pytest.approx(float(expect), abs=1e-13)
+    xs = (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(999, 1024), Fraction(1))
+    _, table, _ = basis_table(BSplineSpace(p, N), [float(x) for x in xs])
+    for k, x in enumerate(xs):
+        pieces, slopes = cardinal_pieces(p, x)
+        for e in range(p, N - p):
+            # function e + a is piece p - a on element e
+            vals, ders = reference_basis(p, N, (e + x) / N, e)
+            assert vals == pieces[::-1] and [d / N for d in ders] == slopes[::-1], (e, x)
+            assert [float(v) for v in table[e, k]] == pytest.approx(
+                [float(v) for v in vals], rel=0, abs=1e-16)
 
 
 def test_cardinal_value_exact_points():
-    one = Fraction(1)
-    assert cardinal_value(1, 1) == one
-    assert cardinal_value(2, 1) == Fraction(1, 2)
-    assert cardinal_value(2, 2) == Fraction(1, 2)
-    assert cardinal_value(3, 1) == Fraction(1, 6)
-    assert cardinal_value(3, 2) == Fraction(2, 3)
-    assert cardinal_value(3, Fraction(1, 2)) == Fraction(1, 48)
-    # outside the support
-    assert cardinal_value(2, -1) == 0
-    assert cardinal_value(2, 4) == 0
+    # at a knot and at mid-element, an interior element holds the cardinal
+    # spline's values at the integers and at the half-integers
+    N = 9
+    for p, x, want in ((1, 0, (1, 0)), (2, 0, (Fraction(1, 2), Fraction(1, 2), 0)),
+                       (3, 0, (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6), 0)),
+                       (3, 0.5, (Fraction(1, 48), Fraction(23, 48), Fraction(23, 48),
+                                 Fraction(1, 48)))):
+        _, vals, _ = basis_table(BSplineSpace(p, N), [x])
+        for e in range(p, N - p):
+            assert [float(v) for v in vals[e, 0]] == pytest.approx(
+                [float(w) for w in want], rel=0, abs=1e-16)
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(min_value=1, max_value=5),
-       t=st.floats(min_value=0.001, max_value=5.999))
-def test_cardinal_symmetry(p, t):
-    if t >= p + 1:
-        t = t % (p + 1)
-    a = cardinal_value(p, t)
-    b = cardinal_value(p, (p + 1) - t)
-    assert abs(float(a) - float(b)) < 1e-13
+       x=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+def test_cardinal_symmetry(p, x):
+    # the cardinal spline is even about the middle of its support, and the
+    # open knot vector about 1/2: the table at x, read from the last element
+    # and the last function back, is the table at 1 - x
+    N = 2 * p + 1
+    _, vals, _ = basis_table(BSplineSpace(p, N), [x, 1 - x])
+    assert np.allclose(vals[::-1, 1, ::-1], vals[:, 0], rtol=0, atol=1e-13)
 
 
 def test_cardinal_derivative_is_difference_of_lower_degree():
-    for p in (1, 2, 3):
-        for t in (0.3, 1.2, 2.7):
-            d = cardinal_derivative(p, t)
-            expect = cardinal_value(p - 1, t) - cardinal_value(p - 1, t - 1)
-            assert float(d) == pytest.approx(float(expect), abs=1e-14)
-
-
-def test_cardinal_piece_matches_value_inside_its_span():
-    # inside span e the piece polynomial and the global spline coincide
-    for p in (1, 2, 3):
-        for t in (0.25, 1.5, 2.75, 3.4):
-            e = int(t)
-            if e > p:
-                continue
-            piece = cardinal_piece(p, e, t)
-            assert float(piece) == pytest.approx(float(cardinal_value(p, t)),
-                                                 abs=1e-14)
-        # span indices outside 0..p give zero
-        assert cardinal_piece(p, -1, 0.5) == 0
-        assert cardinal_piece(p, p + 1, 0.5) == 0
+    # B'_p(t) = B_{p-1}(t) - B_{p-1}(t - 1): on an interior element the
+    # derivative of function e + a is N times the degree-(p-1) functions
+    # e + a - 1 less e + a, slots a - 1 and a of the lower table there
+    N, nodes = 10, [0.3, 0.7]
+    for p in (2, 3, 4):
+        _, _, ders = basis_table(BSplineSpace(p, N), nodes)
+        _, lower, _ = basis_table(BSplineSpace(p - 1, N), nodes)
+        pad = np.zeros(lower.shape[:-1] + (1,), dtype=lower.dtype)
+        lower = np.concatenate([pad, lower, pad], axis=-1)
+        want = N * (lower[..., :-1] - lower[..., 1:])
+        assert np.allclose(ders[p:N - p], want[p:N - p], rtol=0, atol=1e-14 * N)
 
 
 def test_cardinal_piece_left_limits_at_breakpoints():
-    # at an interior breakpoint both neighbouring pieces agree in value
-    # (continuity) but keep their own derivative at p = 1 (the kink)
-    assert float(cardinal_piece(1, 0, 1)) == pytest.approx(1.0)
-    assert float(cardinal_piece(1, 1, 1)) == pytest.approx(1.0)
-    assert float(cardinal_piece_derivative(1, 0, 1)) == pytest.approx(1.0)
-    assert float(cardinal_piece_derivative(1, 1, 1)) == pytest.approx(-1.0)
+    # at an interior knot the two neighbouring elements agree in value, and
+    # in slope from p = 2 on, but at p = 1 each keeps the slope of its own
+    # piece (the kink): function e + 1 climbs on element e, falls on e + 1
+    N = 8
+    _, _, ders = basis_table(BSplineSpace(1, N), [0, 1])
+    assert np.allclose(ders[:-1, 1, 1].astype(float), N, rtol=1e-15, atol=0)
+    assert np.allclose(ders[1:, 0, 0].astype(float), -N, rtol=1e-15, atol=0)
     for p in (2, 3):
-        for e in range(p):
-            t = e + 1
-            left = cardinal_piece(p, e, t)
-            right = cardinal_piece(p, e + 1, t)
-            assert float(left) == pytest.approx(float(right), abs=1e-14)
-            dl = cardinal_piece_derivative(p, e, t)
-            dr = cardinal_piece_derivative(p, e + 1, t)
-            assert float(dl) == pytest.approx(float(dr), abs=1e-13)
+        _, vals, ders = basis_table(BSplineSpace(p, N), [0, 1])
+        for table in (vals, ders):
+            assert np.allclose(table[:-1, 1, 1:], table[1:, 0, :-1], rtol=0, atol=1e-12)
 
 
 def test_element_pinning_keeps_values_consistent():

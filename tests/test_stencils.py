@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from basis_reference import cardinal_pieces
 from expected_values import EXACT_MASS, EXACT_STIFFNESS
 from igadmm.dmm import dmm_stencil
-from igadmm.splines import cardinal_derivative, cardinal_value
 from igadmm.stencils import (
-    Stencil,
     _fg_level,
     dispersion_moment,
     fg_verify,
@@ -27,43 +26,46 @@ from igadmm.stencils import (
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_exact_rows_frozen(p):
-    assert mass_stencil(p).values == EXACT_MASS[p]
-    assert stiffness_stencil(p).values == EXACT_STIFFNESS[p]
+    assert mass_stencil(p) == EXACT_MASS[p]
+    assert stiffness_stencil(p) == EXACT_STIFFNESS[p]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_rows_match_independent_integration(p):
     # independent oracle: numerically integrate the translate products of
-    # the integer-knot spline, no recursion involved
+    # the integer-knot spline span by span, its pieces from the test-side
+    # Cox-de Boor evaluation in mpf, not the rows' three-term recursion
     with mp.workdps(30):
         for k in range(p + 1):
-            cuts = list(range(k, p + 2))  # integrate element by element
-            m_num = mp.quad(lambda t: float(cardinal_value(p, t))
-                            * float(cardinal_value(p, t - k)), cuts)
-            a_num = mp.quad(lambda t: float(cardinal_derivative(p, t))
-                            * float(cardinal_derivative(p, t - k)), cuts)
-            assert abs(m_num - float(mass_stencil(p).values[k])) < 1e-13
-            assert abs(a_num - float(stiffness_stencil(p).values[k])) < 1e-13
+            def gram(x, slot):
+                piece = cardinal_pieces(p, x)[slot]
+                return mp.fsum(piece[e] * piece[e - k] for e in range(k, p + 1))
+
+            for slot, row in enumerate((mass_stencil(p), stiffness_stencil(p))):
+                num = mp.quad(lambda x: gram(x, slot), [0, 1])
+                assert abs(num - mp.mpf(row[k].numerator) / row[k].denominator) < 1e-25
 
 
 def test_stencil_accessors():
+    # a row is the plain tuple of its offset-0..p values
     s = mass_stencil(2)
-    assert s.values == (Fraction(11, 20), Fraction(13, 60), Fraction(1, 120))
-    assert s.row_sum() == 1
+    assert type(s) is tuple
+    assert s == (Fraction(11, 20), Fraction(13, 60), Fraction(1, 120))
+    assert s[0] + 2 * sum(s[1:]) == 1
 
 
 def test_stiffness_row_sum_and_moment():
     for p in range(1, 13):
         a = stiffness_stencil(p)
-        assert a.row_sum() == 0
-        assert sum(k * k * v for k, v in enumerate(a.values)) == -1
+        assert a[0] + 2 * sum(a[1:]) == 0
+        assert sum(k * k * v for k, v in enumerate(a)) == -1
 
 
 def test_mass_row_sum_and_moment():
     for p in range(1, 13):
         b = mass_stencil(p)
-        assert b.row_sum() == 1
-        assert (p + 1) - 12 * sum(k * k * v for k, v in enumerate(b.values)) == 0
+        assert b[0] + 2 * sum(b[1:]) == 1
+        assert (p + 1) - 12 * sum(k * k * v for k, v in enumerate(b)) == 0
 
 
 @settings(max_examples=12, deadline=None)
@@ -120,15 +122,15 @@ def test_fg_verify_matches_the_two_run_reference(p_max, m_max):
 
 
 def _moment_by_terms(A, b_vals, m):
-    return sum(Fraction(k ** (2 * m), math.factorial(2 * m)) * A.values[k]
+    return sum(Fraction(k ** (2 * m), math.factorial(2 * m)) * A[k]
                + Fraction(k ** (2 * m - 2), math.factorial(2 * m - 2)) * b_vals[k]
-               for k in range(1, A.p + 1))
+               for k in range(1, len(A)))
 
 
 @pytest.mark.parametrize("p", range(1, 11))
 def test_integer_moment_equals_the_fraction_term_sum(p):
     A = stiffness_stencil(p)
-    rows = [mass_stencil(p).values, dmm_stencil(p).values,
+    rows = [mass_stencil(p), dmm_stencil(p),
             tuple(k if k % 2 else Fraction(1, k + 1) for k in range(p + 1))]  # with ints
     for b_vals in rows:
         for m in range(2, p + 4):
@@ -145,10 +147,7 @@ def test_dispersion_moment_mixed_types():
     b = mass_stencil(2)
     exact = dispersion_moment(a, b, 2)
     assert exact == 0
-    approx = dispersion_moment(a, Stencil(2, "mass", tuple(float(v) for v in b.values)), 2)
+    approx = dispersion_moment(a, tuple(float(v) for v in b), 2)
     assert abs(approx) < 1e-16
-
-
-def test_stencil_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        Stencil(2, "lumped", (Fraction(1), Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="offsets 0..p"):
+        dispersion_moment(a, b[:2], 2)
