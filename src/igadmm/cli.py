@@ -81,8 +81,8 @@ def _emit(args, lines: list[str], report: dict) -> None:
         fh.write("".join(line + "\n" for line in lines))
     if args.json is not None:
         with _output(args.json) as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # one write: json.dump with an indent streams many small ones
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -380,7 +380,10 @@ def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
         raise UsageError(f"--modes needs mode numbers >= 1: {args.modes!r}")
     if len(set(modes)) < len(modes):
         raise UsageError(f"--modes names a mode twice: {args.modes!r}")
-    return args.p, meshes, modes, _known(rules, _STUDY_RULES, "--rules", args.rules)
+    _known(rules, _STUDY_RULES, "--rules", args.rules)
+    if len(set(rules)) < len(rules):
+        raise UsageError(f"--rules names a rule twice: {args.rules!r}")
+    return args.p, meshes, modes, rules
 
 
 def _cmd_study_1d(args) -> int:

@@ -26,7 +26,11 @@ Error measures: relative eigenvalue errors against j^2 pi^2 (or
 
 integrated directly with the (p + 5)-point Gauss rule on the basis tables
 of all elements, summed one term at a time in element, then node order,
-as a scalar element loop would.  The L2 norm that scales u~ to 1 is a sum
+as a scalar element loop would.  Those tables, and each mode's exact
+slope and sine on their points, depend on neither the rule nor the
+eigenvector: they are built once per space and mode and kept for the
+process, so every rule and study job on a space reads the same arrays.
+The L2 norm that scales u~ to 1 is a sum
 on the same table, which is exact for it, a degree-2p integrand.  The
 overlap with sin(j pi x) that fixes the sign of u~ is summed in double
 precision: only its sign is read, and it sits far from zero.  The
@@ -282,11 +286,13 @@ def relative_ev_errors(spectrum, count: int, exact: np.ndarray | None = None) ->
     return np.abs(comp - exact) / exact
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _energy_tables(space: BSplineSpace):
     """Points, weights times h, basis derivatives and values of the energy
-    integral on every element, on the (p + 5)-point Gauss rule; a study
-    reads several modes of one space in a row."""
+    integral on every element, on the (p + 5)-point Gauss rule, read-only
+    and kept for the process: every rule and job on a space reads them.
+    A space retains N (p + 5) (32 (p + 1) + 16) bytes with a 16-byte
+    longdouble."""
     nodes, weights = gauss_legendre(space.p + 5).as_longdouble()
     t, val, der = basis_table(space, nodes)
     wh = weights * (np.longdouble(1) / space.N)
@@ -294,6 +300,21 @@ def _energy_tables(space: BSplineSpace):
     for table in tables:
         table.flags.writeable = False  # shared by every call on this space
     return tables
+
+
+@lru_cache(maxsize=None)
+def _mode_tables(space: BSplineSpace, mode: int):
+    """The exact slope sqrt(2) j pi cos(j pi t) of mode j in longdouble and
+    sin(j pi t) in double precision, at the energy table points t, read-only
+    and kept for the process: they depend on neither the rule nor the
+    eigenvector.  A mode retains N (p + 5) 24 bytes."""
+    t = _energy_tables(space)[0]
+    jpi = mode * PI_LD
+    slope = _SQRT2_LD * jpi * np.cos(jpi * t)
+    sine = np.sin((mode * np.pi) * t.astype(np.float64))
+    for table in (slope, sine):
+        table.flags.writeable = False  # shared by every call on this mode
+    return slope, sine
 
 
 def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -305,14 +326,14 @@ def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _overlap(t, wh, uh, mode: int) -> float:
+def _overlap(sine, wh, uh) -> float:
     """Integral of sqrt(2) sin(mode pi x) u_h on the energy table, in
-    double precision.  It only gives u_h its sign: u_h comes from an
-    M-normalized vector, so the overlap is near +-1 for the modes below N,
-    and above 0.05 for the p - 1 outlier modes at the top of the spectrum
-    on the meshes tested; double-precision roundoff, ~1e-15 of that,
-    cannot flip it."""
-    f = np.sin((mode * np.pi) * t.astype(np.float64)) * uh.astype(np.float64)
+    double precision, from the mode's double sine table (_mode_tables).  It
+    only gives u_h its sign: u_h comes from an M-normalized vector, so the
+    overlap is near +-1 for the modes below N, and above 0.05 for the p - 1
+    outlier modes at the top of the spectrum on the meshes tested;
+    double-precision roundoff, ~1e-15 of that, cannot flip it."""
+    f = sine * uh.astype(np.float64)
     return float(np.sqrt(2.0) * np.sum(f @ wh.astype(np.float64)))
 
 
@@ -329,17 +350,17 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     if not 1 <= mode <= len(spectrum):
         raise PairingError(f"mode {mode} outside 1..{len(spectrum)}")
     p, N = space.p, space.N
-    jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
     c_full[1:-1] = spectrum.vectors[:, mode - 1]
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
-    t, wh, der, val = _energy_tables(space)
+    _, wh, der, val = _energy_tables(space)
+    slope, sine = _mode_tables(space, mode)
     uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
     # the L2 norm of u~ and the squared error, each summed one term at a
     # time in element-then-node order: np.sum would add pairwise
     norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
-    uh_prime = uh_prime / (-norm if _overlap(t, wh, uh, mode) < 0 else norm)
-    diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
+    uh_prime = uh_prime / (-norm if _overlap(sine, wh, uh) < 0 else norm)
+    diff = slope - uh_prime
     return float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
 
 

@@ -96,3 +96,40 @@ def test_a_run_that_is_not_correct_exits_1_after_writing_the_file(monkeypatch, t
     assert rc == (0 if bad is None else 1)
     last = capsys.readouterr().err.splitlines()[-1]
     assert (last == "runs not correct or with failed jobs: exact-tables") == (bad is not None)
+
+
+def test_within_bound_allows_the_bound_share_of_the_parent_median():
+    # medians 4.0 against 5.0: worse by a quarter of the parent's
+    worse = [(4.0, 5.0)] * 3
+    assert bench_pairs.summarize(worse, "lower", 0.25)["within_bound"] is True
+    assert bench_pairs.summarize(worse, "lower", 0.125)["within_bound"] is False
+    # where higher is better, 4.0 against 3.0 is worse by a quarter
+    fewer = [(4.0, 3.0)] * 3
+    assert bench_pairs.summarize(fewer, "higher", 0.25)["within_bound"] is True
+    assert bench_pairs.summarize(fewer, "higher", 0.125)["within_bound"] is False
+    # a gain is within any bound; no bound gives no verdict
+    assert bench_pairs.summarize(fewer, "lower", 0.0)["within_bound"] is True
+    summary = bench_pairs.summarize(worse, "lower")
+    assert summary["bound"] is None and summary["within_bound"] is None
+
+
+def test_metrics_out_of_their_bound_are_reported(monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: "0" * 40)
+    # the change's wall_s and cpu_s are 1.5 against 1.0, past their 0.25
+    # bound; setup_s and peak_rss_mb are the same on both sides
+    monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds:
+                        _record(wall=1.5 if tree == str(tmp_path) else 1.0))
+    rc = bench_pairs.main(["--parent", "HEAD", "--number", "7", "--seeds", "1-2",
+                           "--workload", "kron-2d"])
+    assert rc == 0
+    metrics = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]["kron-2d"][
+        "metrics"]
+    assert {name: (m["bound"], m["within_bound"]) for name, m in metrics.items()} == {
+        "setup_s": (0.25, True), "wall_s": (0.25, False), "cpu_s": (0.25, False),
+        "peak_rss_mb": (0.1, True)}
+    lines = capsys.readouterr().err.splitlines()[-2:]
+    assert lines == [
+        "kron-2d wall_s out of bound: change median 1.5 against parent median 1, bound 0.25",
+        "kron-2d cpu_s out of bound: change median 1.5 against parent median 1, bound 0.25"]

@@ -222,6 +222,24 @@ def test_a_repeated_mode_is_a_usage_error(capsys, command, modes):
     assert err == f"error: --modes names a mode twice: {modes!r}\n"
 
 
+@pytest.mark.parametrize("command", ["study-1d", "study-2d"])
+@pytest.mark.parametrize("rules", ["gauss,gauss", "dmm,radau,dmm", "gauss, gauss"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_a_repeated_rule_is_a_usage_error(tmp_path, capsys, command, rules, from_config):
+    # a repeated rule would print its cells and its (rule, mode) rates twice
+    argv = [command, "-p", "2", "--meshes", "8,16"]
+    if from_config:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"rules": rules}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--rules", rules]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --rules names a rule twice: {rules!r}\n"
+
+
 @pytest.mark.parametrize("argv,config", [
     (["--max", "inf"], None),
     (["--min", "inf", "--max", "inf"], None),

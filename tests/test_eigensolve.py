@@ -1,6 +1,8 @@
 """Eigensolver, exact spectra, error measures, rate fitting."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -424,7 +426,8 @@ def test_the_double_overlap_has_the_sign_of_the_longdouble_one(p, N):
         c_full = np.zeros(space.dim_full, dtype=np.longdouble)
         c_full[1:-1] = spectrum.vectors[:, mode - 1]
         uh = eigensolve._element_dot(c_full[np.arange(N)[:, None] + np.arange(p + 1)], val)
-        got = eigensolve._overlap(t, wh, uh, mode)
+        _, sine = eigensolve._mode_tables(space, mode)
+        got = eigensolve._overlap(sine, wh, uh)
         want = np.cumsum(wh * (_SQRT2_LD * np.sin(mode * PI_LD * t)) * uh)[-1]
         assert (got < 0) == (want < 0), mode
         assert abs(got - float(want)) < 1e-13, mode
@@ -479,21 +482,60 @@ def test_energy_error_matches_a_40_digit_integral(p, N, label, printed):
     assert abs(got - float(want)) <= 1e-9 * float(want)
 
 
-def test_energy_tables_of_the_last_space_are_reused_bitwise():
-    pairs = [assemble_1d(BSplineSpace(2, N), gauss_legendre(3)) for N in (8, 12)]
-    spectra = [generalized_eig(pair.stiffness, pair.mass, 3) for pair in pairs]
-    fresh = []
-    for pair, spectrum in zip(pairs, spectra):
-        row = []
-        for mode in (1, 2, 3):
-            eigensolve._energy_tables.cache_clear()
-            row.append(energy_error(pair, spectrum, mode))
-        fresh.append(row)
+def _clear_energy_caches():
     eigensolve._energy_tables.cache_clear()
-    for i in (0, 1, 0):  # spaces A, B, A in turn
-        assert [energy_error(pairs[i], spectra[i], mode) for mode in (1, 2, 3)] == fresh[i]
-    info = eigensolve._energy_tables.cache_info()
-    assert (info.hits, info.misses) == (6, 3)
+    eigensolve._mode_tables.cache_clear()
+
+
+def test_energy_tables_are_kept_per_space_and_reused_bitwise():
+    # every rule and job on a space reads one set of tables and one slope
+    # and sine per mode: spaces A, B, A in turn, then radau and dmm on A,
+    # give the bits of a cold cache, with one table build per space
+    jobs = [(8, "gauss"), (12, "gauss"), (8, "gauss"), (8, "radau"), (8, "dmm")]
+    solved = {}
+    for N, label in jobs:
+        pair = _study_pair(2, N, label)
+        solved[N, label] = (pair, generalized_eig(pair.stiffness, pair.mass, 3))
+    cold = {}
+    for key, (pair, spectrum) in solved.items():
+        for mode in (1, 2, 3):
+            _clear_energy_caches()
+            cold[key, mode] = energy_error(pair, spectrum, mode)
+    _clear_energy_caches()
+    for key in jobs:
+        pair, spectrum = solved[key]
+        for mode in (1, 2, 3):
+            assert energy_error(pair, spectrum, mode) == cold[key, mode], (key, mode)
+    assert eigensolve._energy_tables.cache_info().misses == 2
+    assert eigensolve._mode_tables.cache_info().misses == 2 * 3
+
+
+def test_the_shared_energy_tables_are_read_only():
+    space = BSplineSpace(3, 8)
+    for table in eigensolve._energy_tables(space) + eigensolve._mode_tables(space, 2):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+def test_an_energy_study_prints_the_same_bytes_after_other_rules_in_its_process():
+    # the dmm study alone, and after a gauss,radau study on the same spaces
+    # has filled the shared tables, in fresh interpreters
+    script = (
+        "import contextlib, io, sys\n"
+        "from igadmm.cli import main\n"
+        "argv = ['study-1d', '-p', '2', '--energy', '--meshes', '8,16', '--json', '-']\n"
+        "if sys.argv[1] == 'after':\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv + ['--rules', 'gauss,radau']) == 0\n"
+        "sys.exit(main(argv + ['--rules', 'dmm']))\n")
+    outputs = []
+    for when in ("alone", "after"):
+        proc = subprocess.run([sys.executable, "-c", script, when],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert '"ef_energy_error"' in outputs[0] and '"rule": "dmm"' in outputs[0]
 
 
 def test_energy_error_mode_guard():

@@ -13,7 +13,11 @@ the repository root, receives every run's metrics and, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 pairs the change won and lost, and whether the gain rule holds: the change
 wins at least nine tenths of the pairs, ties counting for neither, and the
-medians differ by more than the parent's interquartile range.
+medians differ by more than the parent's interquartile range.  Each such
+metric also gets within_bound: the change's median is no worse than the
+parent's median by more than the metric's bound in BENCHMARK.json, a share
+of the parent's median; a line on standard error names each metric out of
+its bound.
 
 Beside those metrics, under "not_in_benchmark_json", each run also gives
 process_s: the median set-up plus the median raw per-pass wall time, read
@@ -48,9 +52,12 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": list(values)}
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
-    """Each side's spread, the change's wins, and the gain rule, for
-    (parent, change) pairs of one metric where "lower" or "higher" is better."""
+def summarize(pairs: list[tuple[float, float]], better: str,
+              bound: float | None = None) -> dict:
+    """Each side's spread, the change's wins, the gain rule and, with a
+    bound, whether the change's median is worse than the parent's by no
+    more than that share of it, for (parent, change) pairs of one metric
+    where "lower" or "higher" is better; within_bound is None without one."""
     sign = 1.0 if better == "lower" else -1.0
     parent = _spread([a for a, _ in pairs])
     change = _spread([b for _, b in pairs])
@@ -68,6 +75,8 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
         "median_gain_share": gap / parent["median"] if parent["median"] else None,
         "parent_iqr": iqr,
         "gain_holds": wins >= WIN_SHARE * len(pairs) and gap > iqr,
+        "bound": bound,
+        "within_bound": None if bound is None else -gap <= bound * abs(parent["median"]),
     }
 
 
@@ -134,7 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=35.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        end_to_end = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: (m["better"], m["bound"])
+                      for m in json.load(fh)["end_to_end"]}
     workloads = {}
     with tempfile.TemporaryDirectory() as scratch:
         parent = _export(args.parent, scratch)
@@ -154,8 +164,8 @@ def main(argv=None) -> int:
                 "all_correct": all_correct(runs),
                 "metrics": {name: summarize([(r["parent"]["metrics"][name],
                                               r["change"]["metrics"][name]) for r in runs],
-                                            better)
-                            for name, better in end_to_end.items()},
+                                            better, bound)
+                            for name, (better, bound) in end_to_end.items()},
                 "not_in_benchmark_json": {
                     "process_s": summarize([(r["parent"]["process_s"],
                                              r["change"]["process_s"]) for r in runs],
@@ -171,6 +181,13 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(path)
+    for workload, summary in workloads.items():
+        for name, metric in summary["metrics"].items():
+            if not metric["within_bound"]:
+                print(f"{workload} {name} out of bound: change median "
+                      f"{metric['change']['median']:.6g} against parent median "
+                      f"{metric['parent']['median']:.6g}, bound {metric['bound']}",
+                      file=sys.stderr)
     wrong = [name for name, summary in workloads.items() if not summary["all_correct"]]
     if wrong:
         print(f"runs not correct or with failed jobs: {', '.join(wrong)}", file=sys.stderr)
