@@ -11,8 +11,9 @@ conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need.  The 2D pair is a sum of Kronecker products of
 the 1D band pair, applied through the 1D band products and never formed:
-an n^2 x n^2 array exists only when a small pencil asks for it, and a
-large one is copied only into the band storage of its Cholesky factor.
+an n^2 x n^2 array exists only when a small pencil asks for it, and of a
+large one only the stiffness is copied, into the band storage of its
+Cholesky factor; the mass is factored through its 1D factor.
 """
 
 from __future__ import annotations
@@ -157,10 +158,11 @@ def _band_row(A: SymBandMatrix, d: int) -> np.ndarray:
 
 
 # largest 2D unknown count assemble_2d builds a Kronecker pencil for: the
-# band Cholesky factors of the Lanczos solve, half-band p (N + p - 2) + p,
-# grow as n^1.5 in memory and n^2 in time.  At the limit, N = 128 at p = 2,
-# `study-2d -p 2 --meshes 8,16 --verify-kron 128` takes 2.3 s and 141 MB
-# peak RSS on a 2-vCPU x86-64 VM (one BLAS thread)
+# band Cholesky factor of the stiffness in the Lanczos solve, half-band
+# p (N + p - 2) + p, grows as n^1.5 in memory and n^2 in time.  At the
+# limit, N = 128 at p = 2, `study-2d -p 2 --meshes 8,16 --verify-kron 128`
+# takes 1.0-1.1 s and 111 MB peak RSS in process on a 2-vCPU x86-64 VM
+# (one BLAS thread)
 KRON_MAX_DIM = 16384
 
 

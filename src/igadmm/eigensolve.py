@@ -2,12 +2,13 @@
 eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 
 Eigenpairs come from a double-precision solver: for band and Kronecker
-pencils of order _BANDED_MIN_N and up, Lanczos (ARPACK through scipy's
-eigsh) computes only the leading modes, in standard form on R^T K^-1 R
-with band Cholesky factors M = R R^T and K = L L^T from LAPACK; smaller
-pencils go to scipy's dense symmetric-definite eigh.  scipy is imported
-at the first solve, not with this module: it takes about 0.3 s to
-import, and every command but the studies runs without it.  The leading
+pencils of order _BANDED_MIN_N and up, a block Lanczos run of this module
+(_lanczos) computes only the leading modes, in standard form on
+R^T K^-1 R with Cholesky factors M = R R^T and K = L L^T from LAPACK's
+band routines; smaller pencils go to scipy's dense symmetric-definite
+eigh.  scipy.linalg is imported at the first solve, not with this module:
+it takes about 0.3 s to import, and every command but the studies runs
+without it; no solve needs scipy's sparse package.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
 block, by extended-precision Rayleigh quotients, which
@@ -42,12 +43,13 @@ digit by p = 4, N = 128, where the error is 1.03e-9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from igadmm.assembly import MatrixPair
+from igadmm.assembly import MatrixPair, SymBandMatrix
 from igadmm.quadrature import gauss_legendre
 from igadmm.splines import BSplineSpace, basis_table
 
@@ -62,8 +64,8 @@ _CUT_RTOL = 1e-8
 
 # smallest band or Kronecker pencil order solved by Lanczos.  One BLAS
 # thread on a 2-vCPU x86-64 VM, 1D, p = 2, four modes, dense vs Lanczos:
-# 3.4 vs 1.6 ms at n = 128, 5.0 vs 1.5 ms at n = 160, 7.4 vs 1.6 ms at
-# n = 192, 500 vs 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the
+# 3.5 vs 1.6 ms at n = 128, 5.3 vs 1.8 ms at n = 160, 8.0 vs 1.9 ms at
+# n = 192, 518 vs 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the
 # smaller pencils keep the dense solve, so that their study cells, and the
 # golden outputs that print them, stay bitwise as they are
 _BANDED_MIN_N = 160
@@ -127,57 +129,168 @@ def _band_cholesky(A):
     return factor if info == 0 else None
 
 
+def _mass_factor(M):
+    """Products with R and with R^T, M = R R^T, on each row of a block;
+    None when M is not positive definite in double precision.
+
+    A band M is factored by LAPACK, half-band p.  A Kronecker mass A (x) B
+    has the factor R_A (x) R_B, applied as R_A X R_B^T to each row
+    reshaped to A.n x B.n: its own band, half p B.n + p, is never formed,
+    and the 1D factors are the check that it is positive definite.  The 1D
+    factors are expanded to dense triangles for the products: at n1 = 24,
+    and up to 128, one matmul a side is faster than a band loop in numpy.
+    """
+    from scipy.linalg import blas
+
+    if isinstance(M, SymBandMatrix):
+        R = _band_cholesky(M)
+        if R is None:
+            return None
+        kd = len(R) - 1
+        return (lambda X: np.array([blas.dtbmv(kd, R, x, lower=1) for x in X]),
+                lambda X: np.array([blas.dtbmv(kd, R, x, lower=1, trans=1) for x in X]))
+    (A, B), = M.terms
+    RA = _band_cholesky(A)
+    RB = RA if B is A else _band_cholesky(B)
+    if RA is None or RB is None:
+        return None
+    # the dense lower triangles, from the symmetric copies of the bands
+    RA, RB = (np.tril(SymBandMatrix(len(F[0]), len(F) - 1, F).to_dense(np.float64))
+              for F in (RA, RB))
+
+    def product(X, RA, RB):
+        return (RA @ X.reshape(len(X), A.n, B.n) @ RB.T).reshape(X.shape)
+
+    return (lambda X: product(X, RA, RB)), (lambda X: product(X, RA.T, RB.T))
+
+
+def _orthonormal_rows(W):
+    """(Q, G): W = G Q, Q with orthonormal rows and G lower triangular, in
+    place, for a block of one or two rows; Gram-Schmidt, the second row
+    orthogonalized twice against the first."""
+    G = np.zeros((len(W), len(W)))
+    G[0, 0] = np.sqrt(W[0] @ W[0])
+    W[0] /= G[0, 0]
+    if len(W) == 2:
+        for _ in range(2):
+            c = W[0] @ W[1]
+            W[1] -= c * W[0]
+            G[1, 0] += c
+        G[1, 1] = np.sqrt(W[1] @ W[1])
+        W[1] /= G[1, 1]
+    return W, G
+
+
+def _lanczos(apply_c, start, count: int):
+    """(w, U): w = 1 / theta ascending and the unit Ritz vectors as rows
+    of U, for the largest Ritz values theta of a symmetric positive
+    definite C, at least count + _MARGIN of them and through the cluster
+    at the cut in w; (None, None) when the basis cannot grow by a full
+    block before that.
+
+    Block Lanczos from the rows of start, each new block orthogonalized
+    twice against the whole basis Q, kept in rows, whose projections give
+    the projected matrix Q C Q^T a column block a step.  With G Q_new the
+    remainder of a step, the Ritz pair (theta, Q^T s) has the residual norm
+    |G^T s_b|, s_b the entries of s on the newest block; the leading k
+    have converged when each is at most eps theta, ARPACK's own test.  The
+    check is an eigh of the projected matrix, which costs as much as a
+    step or more, so the next one waits as many steps as the worst
+    residual has decades above its tolerance: these runs gain at most
+    about one decade a step.  When the cluster at the cut needs more than
+    k modes, k doubles and the same run goes on.  A basis that reaches n
+    returns the exact Ritz pairs of the whole space.
+    """
+    b, n = start.shape
+    k = check = count + _MARGIN
+    Q = np.empty((min(n, 6 * k), n))
+    H = np.zeros((len(Q), len(Q)))
+    Q[:b] = _orthonormal_rows(start.copy())[0]
+    m = b
+    while True:
+        basis = Q[:m]
+        W = apply_c(basis[m - b:])
+        h = basis @ W.T
+        W -= h.T @ basis
+        again = basis @ W.T
+        W -= again.T @ basis
+        h += again
+        H[:m, m - b: m] = h
+        if m == n:
+            theta, S = np.linalg.eigh(H, UPLO="U")
+            return 1.0 / theta[::-1], S[:, ::-1].T @ Q
+        W, G = _orthonormal_rows(W)
+        if m >= check:
+            theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
+            theta, S = theta[:-k - 1:-1], S[:, :-k - 1:-1]
+            worst = np.max(np.sqrt(np.sum((G.T @ S[m - b:]) ** 2, axis=0)) / theta)
+            worst /= np.finfo(np.float64).eps
+            if worst > 1:
+                check = m + b * math.ceil(np.log10(worst))
+            else:
+                w = 1.0 / theta
+                if w[-1] > _cluster_top(w, count):
+                    return w, S.T @ basis
+                k = min(2 * k, n)
+                check = max(k, m + b)
+        if m + b > n:
+            return None, None
+        if m + b > len(Q):
+            grown = min(n, 2 * len(Q))
+            Q = np.concatenate([Q, np.empty((grown - len(Q), n))])
+            H = np.pad(H, (0, grown - len(H)))
+        Q[m: m + b] = W
+        m += b
+
+
 def _leading_modes(K, M, count: int):
     """Double-precision (eigenvalues, vectors) of the smallest modes of a
     band or Kronecker pencil, through the cluster at the cut, with vectors
     M-normalized; (None, None) when that needs all n or K is not positive
     definite.
 
-    With M = R R^T and K = L L^T factored once each, Lanczos runs in
-    standard form on C = R^T K^-1 R, whose eigenvalues are 1/lambda, and
-    lambda K^-1 R u maps its unit eigenvector u to the pencil's mode, of
-    unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1: one band product,
-    band solve and band product per Lanczos step.  The factor of M is also
-    the check that M is positive definite, which ARPACK would not make.
+    With M = R R^T and K = L L^T factored once each, Lanczos (_lanczos)
+    runs in standard form on C = R^T K^-1 R, whose eigenvalues are
+    1/lambda, and lambda K^-1 R u maps its unit eigenvector u to the
+    pencil's mode, of unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1:
+    a product with R, one band solve for the block, and a product with R^T
+    per Lanczos step.  The factor of M is also the check that M is
+    positive definite.  A band pencil starts from one vector: its spectrum
+    is simple.  A Kronecker pencil starts from a block of two, the ramp and
+    its image under swapping x and y: each mode (j, k) of the square has
+    the twin (k, j) of the same eigenvalue, and one Krylov vector sees one
+    direction of such a pair only.
     """
-    import scipy.sparse.linalg
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
 
     n = K.n
-    k = count + _MARGIN
-    if k >= n:
+    if count + _MARGIN >= n:
         return None, None
-    R = _band_cholesky(M)
-    if R is None:
+    factor = _mass_factor(M)
+    if factor is None:
         raise IndefiniteMassError("the mass matrix is not positive definite")
     L = _band_cholesky(K)
     if L is None:
         return None, None
-    kd = len(R) - 1
+    r, rt = factor
 
-    def solve_k(y):
-        return lapack.dpbtrs(L, y, lower=1, overwrite_b=1)[0]
+    def solve_k(Y):
+        """K^-1 on each row of Y: one band solve for the block."""
+        return lapack.dpbtrs(L, Y.T, lower=1, overwrite_b=1)[0].T
 
-    def apply_c(x):
-        y = solve_k(blas.dtbmv(kd, R, x.ravel(), lower=1)[:, None])
-        return blas.dtbmv(kd, R, y.ravel(), lower=1, trans=1, overwrite_x=1)
-
-    C = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_c, dtype=np.float64)
-    # a fixed start vector makes repeated solves bitwise equal; a ramp has
-    # no reflection symmetry, so it is not orthogonal to the modes that are
-    # even about x = 1/2, as a constant vector would be, nor, on the square,
-    # to those odd under swapping x and y
-    v0 = np.linspace(1.0, 2.0, n)
-    while k < n:
-        mu, u = scipy.sparse.linalg.eigsh(C, k, which="LA", v0=v0)
-        w = 1.0 / mu
-        order = np.argsort(w, kind="stable")
-        w = w[order]
-        if w[-1] > _cluster_top(w, count):
-            Ru = np.column_stack([blas.dtbmv(kd, R, u[:, j], lower=1) for j in order])
-            return w, solve_k(Ru) * w
-        k *= 2
-    return None, None
+    # a fixed start makes repeated solves bitwise equal; a ramp has no
+    # reflection symmetry, so it is not orthogonal to the modes that are
+    # even about x = 1/2, as a constant vector would be
+    ramp = np.linspace(1.0, 2.0, n)
+    if isinstance(K, SymBandMatrix):
+        start = ramp[None, :]
+    else:
+        side = K.terms[0][0].n
+        start = np.array([ramp, ramp.reshape(side, -1).T.ravel()])
+    w, U = _lanczos(lambda X: rt(solve_k(r(X))), start, count)
+    if w is None:
+        return None, None
+    return w, solve_k(r(U)).T * w
 
 
 def generalized_eig(K, M, count: int | None = None) -> Spectrum:
@@ -199,10 +312,11 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     sort into the first count.
 
     A pencil of order _BANDED_MIN_N or more, with K positive definite, is
-    solved for its leading modes only, by Lanczos on R^T K^-1 R (M = R R^T
-    and K = L L^T, band Cholesky factors); smaller ones, a pencil whose
-    leading modes would take all n, and one whose K is not positive
-    definite, by a dense eigh.  On the dense side the result is bitwise
+    solved for its leading modes only, by this module's block Lanczos on
+    R^T K^-1 R (M = R R^T and K = L L^T, Cholesky factors from LAPACK's
+    band routines; a Kronecker mass through its 1D factor); smaller ones,
+    a pencil whose leading modes would take all n, and one whose K is not
+    positive definite, by a dense eigh.  On the dense side the result is bitwise
     the leading part of a full solve (count=None); on the Lanczos side
     the eigenvectors carry different roundoff, so refined eigenvalues may
     differ from the dense ones in the last digits of longdouble.  A mass matrix that is not

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from basis_reference import reference_basis
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
-from igadmm import assembly, cli
+from igadmm import assembly, cli, eigensolve
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
@@ -294,7 +293,7 @@ def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
         raise AssertionError("Kronecker product or solve before the size check")
 
     for module, name in ((np, "kron"), (assembly.KroneckerSum, "to_bands"),
-                         (scipy.sparse.linalg, "eigsh"), (scipy.linalg, "eigh")):
+                         (eigensolve, "_lanczos"), (scipy.linalg, "eigh")):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):
         assemble_2d(pairs[0])

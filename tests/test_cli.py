@@ -1029,18 +1029,23 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
                   ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
                   ["verify", "--p-max", "3"]]
     # pencil orders below and above eigensolve._BANDED_MIN_N: dense eigh, then
-    # Lanczos
+    # Lanczos in 1D and on the Kronecker pencil of order 256 at N = 16
     dense = ["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "8"]
     lanczos = ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "8"]
+    kron = ["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "dmm", "--modes", "1,2",
+            "--verify-kron", "16"]
     assert 64 < eigensolve._BANDED_MIN_N <= 192
-    jobs = scipy_free + [dense, lanczos]
-    lazy, preload = _probe("", jobs), _probe("scipy.linalg", jobs)
-    *cheap, after_dense, after_lanczos = lazy["runs"]
+    jobs = scipy_free + [dense, lanczos, kron]
+    # the Lanczos solve needs scipy.linalg's LAPACK calls only, not scipy.sparse:
+    # a run that has loaded it prints the same bytes
+    lazy, preload = _probe("", jobs), _probe("scipy.sparse.linalg", jobs)
+    *cheap, after_dense, after_lanczos, after_kron = lazy["runs"]
     assert all(run["rc"] == 0 for run in lazy["runs"])
     assert all(run["loaded"] == [] for run in cheap)
     assert "numpy" in after_dense["loaded"]
     assert "scipy.linalg" in after_dense["loaded"]
-    assert "scipy.sparse.linalg" not in after_dense["loaded"]
-    assert "scipy.sparse.linalg" in after_lanczos["loaded"]
-    assert {"numpy", "scipy.linalg"} <= set(preload["cli"])
+    for run in (after_dense, after_lanczos, after_kron):
+        assert not [name for name in run["loaded"] if name.startswith("scipy.sparse")]
+    assert "kron-vs-tensor" in after_kron["out"]
+    assert {"numpy", "scipy.linalg", "scipy.sparse.linalg"} <= set(preload["cli"])
     assert _streams(lazy) == _streams(preload)

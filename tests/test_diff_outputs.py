@@ -40,6 +40,32 @@ def test_each_differing_job_and_moved_cell_is_listed():
     assert diff_outputs.compare(jobs, parent, parent) == []
 
 
+def test_the_largest_move_of_each_column_is_summarized_with_its_cell(monkeypatch, capsys):
+    small = _STUDY.replace("3.41278e-05", "3.41279e-05").replace("1.55239e-01", "1.55240e-01")
+    large = _STUDY.replace("3.41278e-05", "3.41288e-05").replace("1.83882e-02", "1.83883e-02")
+    one_sided = _STUDY.replace("2,8,gauss,2", "2,9,gauss,2")
+    no_energy = _STUDY.replace(",1.83882e-02", ",")
+    parent = [_result(_STUDY)] * 4
+    change = [_result(small), _result(large), _result(one_sided), _result(no_energy)]
+    # 1e-9 absolute beats 1e-10; 6.4e-6 relative (1e-6 of 0.155) beats 5.4e-6
+    # (1e-7 of 0.0184); a cell or an error on one side only is no move
+    assert diff_outputs.largest_moves(parent, change) == (
+        "largest moves: rel_ev_error 1.00e-09 absolute at 2,8,gauss,1; "
+        "ef_energy_error 6.44e-06 relative at 2,8,gauss,2")
+    assert diff_outputs.largest_moves(parent[2:], change[2:]) is None
+    assert diff_outputs.largest_moves(parent, parent) is None
+    # the line follows the moved cells; the exit code is unchanged
+    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"], ["b"]])
+    monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(diff_outputs, "_run_tree",
+                        lambda tree, jobs: change[:2] if tree == diff_outputs.ROOT else parent[:2])
+    assert diff_outputs.main(["--parent", "HEAD"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == ("largest moves: rel_ev_error 1.00e-09 absolute at 2,8,gauss,1; "
+                         "ef_energy_error 6.44e-06 relative at 2,8,gauss,2")
+    assert lines[-2].startswith("src/igadmm/*.py lines: ")
+
+
 def test_jobs_run_in_process_on_this_tree():
     jobs = [["stencil", "-p", "2", "--rule", "exact"], ["study-1d", "-p", "0"]]
     (good, usage) = diff_outputs.collect(jobs, str(_PATH.parents[1]))

@@ -7,11 +7,16 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from basis_reference import reference_basis
 from igadmm import eigensolve
-from igadmm.assembly import SymBandMatrix, assemble_1d, assemble_1d_dmm, assemble_2d
+from igadmm.assembly import (
+    KroneckerSum,
+    SymBandMatrix,
+    assemble_1d,
+    assemble_1d_dmm,
+    assemble_2d,
+)
 from igadmm.eigensolve import (
     PI_LD,
     _SQRT2_LD,
@@ -138,7 +143,56 @@ def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs(monkeyp
         assert len(got) == count and got.vectors.shape == (256, count)
         rel = np.abs(got.eigenvalues - tensor[:count]) / tensor[:count]
         assert float(np.max(rel)) < 1e-15, count
-    assert calls == ["eigsh"] * len(counts)
+    assert calls == ["_lanczos"] * len(counts)
+
+
+@pytest.mark.parametrize("p,N", [(2, 24), (3, 16)])
+def test_lanczos_finds_both_modes_of_each_pair_at_the_cross_checked_pencils(monkeypatch, p, N):
+    # the two Kronecker pencils the kron-2d cross-checks solve, of orders 576
+    # and 289: each swap-symmetric pair (j,k)/(k,j) is a double eigenvalue,
+    # and the refined spectrum is the pairwise sums of the 1D one
+    pair1 = assemble_1d_dmm(BSplineSpace(p, N))
+    pair = assemble_2d(pair1)
+    assert pair.stiffness.n == (N + p - 2) ** 2 >= eigensolve._BANDED_MIN_N
+    tensor = tensor_spectrum_2d(generalized_eig(pair1.stiffness, pair1.mass).eigenvalues, 12)
+    calls = _count_solver_calls(monkeypatch)
+    got = generalized_eig(pair.stiffness, pair.mass, 12)
+    assert calls == ["_lanczos"]
+    rel = np.abs(got.eigenvalues - tensor) / tensor
+    assert float(np.max(rel)) <= 1e-15
+
+
+def test_band_pencils_start_from_one_vector_and_kronecker_ones_from_two(monkeypatch):
+    runs = _record_lanczos(monkeypatch)
+    band = _study_pair(3, 256, "dmm")
+    kron = assemble_2d(_study_pair(3, 16, "dmm"))
+    generalized_eig(band.stiffness, band.mass, 4)
+    generalized_eig(kron.stiffness, kron.mass, 4)
+    assert [start for start, _ in runs] == [(1, band.stiffness.n), (2, kron.stiffness.n)]
+
+
+def test_a_kronecker_mass_is_factored_through_its_1d_factor(monkeypatch):
+    # M (x) M = (R R^T) (x) (R R^T): the products with R (x) R, lower
+    # triangular, and with its transpose give back M, and only the stiffness
+    # is copied to band storage
+    small = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 4)))
+    r, rt = eigensolve._mass_factor(small.mass)
+    identity = np.eye(small.mass.n)
+    R = rt(identity)  # row i is R^T e_i
+    assert np.array_equal(r(identity), R.T) and not np.any(np.triu(R, 1))
+    dense = small.mass.to_dense(np.float64)
+    assert np.max(np.abs(r(rt(identity)) - dense)) <= 1e-15 * np.max(np.abs(dense))
+    copied = []
+    to_bands = KroneckerSum.to_bands
+
+    def recorded(op):
+        copied.append(op)
+        return to_bands(op)
+
+    monkeypatch.setattr(KroneckerSum, "to_bands", recorded)
+    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(3, 16)))
+    generalized_eig(pair.stiffness, pair.mass, 4)
+    assert [op is pair.stiffness for op in copied] == [True]
 
 
 def test_generalized_eig_needs_a_positive_count():
@@ -148,9 +202,9 @@ def test_generalized_eig_needs_a_positive_count():
 
 
 def _count_solver_calls(monkeypatch):
-    """Record 'eigh' and 'eigsh' for every dense and Lanczos solve."""
+    """Record 'eigh' and '_lanczos' for every dense and Lanczos solve."""
     calls = []
-    for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+    for module, name in ((scipy.linalg, "eigh"), (eigensolve, "_lanczos")):
         solver = getattr(module, name)
 
         def counted(*args, _solver=solver, _name=name, **kwargs):
@@ -159,6 +213,20 @@ def _count_solver_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _record_lanczos(monkeypatch):
+    """Record (start block shape, modes returned) for every Lanczos run."""
+    runs = []
+    lanczos = eigensolve._lanczos
+
+    def recorded(apply_c, start, count):
+        w, U = lanczos(apply_c, start, count)
+        runs.append((start.shape, len(w)))
+        return w, U
+
+    monkeypatch.setattr(eigensolve, "_lanczos", recorded)
+    return runs
 
 
 def _dense_solve(monkeypatch, K, M, count):
@@ -187,7 +255,7 @@ def test_band_pencils_from_the_crossover_on_take_the_lanczos_solve(monkeypatch):
     generalized_eig(below.stiffness, below.mass, 4)
     assert calls == ["eigh"]
     generalized_eig(above.stiffness, above.mass, 4)
-    assert calls == ["eigh", "eigsh"]
+    assert calls == ["eigh", "_lanczos"]
 
 
 @pytest.mark.parametrize("p,N,label", [
@@ -200,7 +268,7 @@ def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label)
     calls = _count_solver_calls(monkeypatch)
     band = generalized_eig(pair.stiffness, pair.mass, 6)
     dense = _dense_solve(monkeypatch, pair.stiffness, pair.mass, 6)
-    assert calls == ["eigsh", "eigh"]
+    assert calls == ["_lanczos", "eigh"]
     _assert_same_modes(band, dense, pair.mass)
 
 
@@ -221,7 +289,7 @@ def test_band_pencil_counts_near_n(monkeypatch, offset):
     n = pair.stiffness.n
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, n - offset)
-    assert calls == (["eigsh"] if offset > eigensolve._MARGIN else ["eigh"])
+    assert calls == (["_lanczos"] if offset > eigensolve._MARGIN else ["eigh"])
     assert len(got) == min(n - offset, n) and got.vectors.shape == (n, len(got))
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, n - offset),
                        pair.mass)
@@ -229,12 +297,13 @@ def test_band_pencil_counts_near_n(monkeypatch, offset):
 
 def test_band_solve_grows_past_a_wide_cluster_at_the_cut(monkeypatch):
     # a cluster width of 20 ties modes 1..4 (lambda_j ~ j^2 lambda_1) with the
-    # first, more than count + margin = 3 modes: the solve must grow once
+    # first, more than count + margin = 3 modes: the same Krylov run must go
+    # on to twice as many
     monkeypatch.setattr(eigensolve, "_CUT_RTOL", 20.0)
     pair = _study_pair(2, 256, "dmm")
-    calls = _count_solver_calls(monkeypatch)
+    runs = _record_lanczos(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, 1)
-    assert calls == ["eigsh", "eigsh"]
+    assert runs == [((1, 256), 2 * (1 + eigensolve._MARGIN))]
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, 1), pair.mass)
 
 
@@ -284,7 +353,7 @@ def test_lanczos_vectors_are_mass_orthonormal(monkeypatch, p, N, two_d):
         pair = assemble_2d(pair)
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, 12)
-    assert calls == ["eigsh"]
+    assert calls == ["_lanczos"]
     V = got.vectors
     gram = V.T @ pair.mass.to_dense(np.float64) @ V
     assert np.max(np.abs(gram - np.eye(12))) <= 1e-12

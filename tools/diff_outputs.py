@@ -11,7 +11,9 @@ job of the benchmark workloads (perfbench/workloads.py) and the fixed
 sweep below, capturing each job's exit code, standard output and standard
 error.  The report lists each job whose exit code, output or error
 differs, and each study cell (p, N, rule, mode) whose printed numbers
-moved, then the line counts of src/igadmm/*.py in both trees.  The exit
+moved; then, when any did, one line with the largest move per column
+(absolute for rel_ev_error, relative for ef_energy_error) and its cell;
+then the line counts of src/igadmm/*.py in both trees.  The exit
 code is 1 on any difference and 0 when every byte of every job is the
 same.
 """
@@ -24,6 +26,7 @@ import glob
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +36,8 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CSV_HEADER = "p,N,rule,mode,rel_ev_error,ef_energy_error"
 SWEEP_RULES = ("gauss", "radau", "dmm", "lobatto", "gp")
+# the error columns of a study cell and how the summary measures a move
+MOVES = (("rel_ev_error", "absolute"), ("ef_energy_error", "relative"))
 
 
 def _load(name: str, path: str):
@@ -173,6 +178,15 @@ def cells(out: str) -> dict[str, str]:
     return rows
 
 
+def moved_cells(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
+    """(cell, parent's errors, change's errors) of each study cell whose
+    printed errors differ between two results of one job; None where a
+    side has no such cell."""
+    old, new = cells(a["out"]), cells(b["out"])
+    return [(key, old.get(key), new.get(key)) for key in sorted(old.keys() | new.keys())
+            if old.get(key) != new.get(key)]
+
+
 def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
     """One line per differing job, then one per moved cell of that job."""
     lines = []
@@ -181,11 +195,34 @@ def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> li
         if not parts:
             continue
         lines.append(f"differs ({', '.join(parts)}): {' '.join(argv)}")
-        old, new = cells(a["out"]), cells(b["out"])
-        for key in sorted(old.keys() | new.keys()):
-            if old.get(key) != new.get(key):
-                lines.append(f"  cell {key}: {old.get(key)} -> {new.get(key)}")
+        for key, old, new in moved_cells(a, b):
+            lines.append(f"  cell {key}: {old} -> {new}")
     return lines
+
+
+def largest_moves(parent: list[dict], change: list[dict]) -> str | None:
+    """One line naming the largest move among the moved cells of all jobs,
+    per column, each with its cell: absolute for rel_ev_error, relative to
+    the parent's value for ef_energy_error; None when no printed error
+    moved.  A cell or an error printed on one side only is not a move."""
+    largest = {}
+    for a, b in zip(parent, change):
+        for key, old, new in moved_cells(a, b):
+            if old is None or new is None:
+                continue
+            for (column, kind), x, y in zip(MOVES, old.split(","), new.split(",")):
+                if not x or not y or x == y:
+                    continue
+                move = abs(float(y) - float(x))
+                if kind == "relative":
+                    move = move / abs(float(x)) if float(x) else math.inf
+                if move > largest.get(column, (-1.0,))[0]:
+                    largest[column] = (move, key)
+    if not largest:
+        return None
+    return "largest moves: " + "; ".join(
+        f"{column} {largest[column][0]:.2e} {kind} at {largest[column][1]}"
+        for column, kind in MOVES if column in largest)
 
 
 def main(argv=None) -> int:
@@ -207,6 +244,9 @@ def main(argv=None) -> int:
     lines = compare(jobs, parent, change)
     for line in lines:
         print(line)
+    moves = largest_moves(parent, change)
+    if moves:
+        print(moves)
     print(f"src/igadmm/*.py lines: {parent_lines} -> {line_count(ROOT)}")
     differ = sum(not line.startswith(" ") for line in lines)
     print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, "
