@@ -9,11 +9,13 @@ by element, nodes in rule order, so they are bitwise those of a scalar
 element loop.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
-discretizations ever need.  The 2D pair is a sum of Kronecker products of
-the 1D band pair, applied through the 1D band products and never formed:
-an n^2 x n^2 array exists only when a small pencil asks for it, and of a
-large one only the stiffness is copied, into the band storage of its
-Cholesky factor; the mass is factored through its 1D factor.
+discretizations ever need, and a pencil reaches the eigensolver only as
+its double-precision copy in LAPACK's lower band storage (to_bands).  The
+2D pair is a sum of Kronecker products of the 1D band pair, applied
+through the 1D band products and never formed as a product: its band
+copy, half-band p n1 + p, is expanded to a dense array only for a small
+pencil's dense solve, and of a large one only the stiffness is copied;
+the mass is factored through its 1D factor.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ class SymBandMatrix:
                 f"bands shape {self.bands.shape} does not match "
                 f"(halfband+1, n) = {(self.halfband + 1, self.n)}"
             )
-
-    def to_dense(self, dtype=np.longdouble) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=dtype)
-        j = np.arange(self.n)
-        for d in range(self.halfband + 1):
-            band = self.bands[d, : self.n - d]
-            out[j[d:], j[: self.n - d]] = band
-            out[j[: self.n - d], j[d:]] = band
-        return out
 
     def to_bands(self) -> np.ndarray:
         """Double-precision copy of bands: LAPACK's lower symmetric band
@@ -170,7 +163,7 @@ KRON_MAX_DIM = 16384
 class KroneckerSum:
     """Sum of Kronecker products A (x) B of equal-shaped band matrices.
 
-    Unknown (i, j) of the square is entry i * B.n + j, as in np.kron, so for
+    Unknown (i, j) of the square is entry i * B.n + j of A (x) B, so for
     symmetric B the product is (A (x) B) vec(X) = vec(A X B), X of shape
     (A.n, B.n): two 1D band products per term, no n^2 x n^2 array.
     """
@@ -203,15 +196,10 @@ class KroneckerSum:
         return sum(B.matvec(A.matvec(X).swapaxes(0, 1)).swapaxes(0, 1)
                    for A, B in self.terms).reshape(x.shape)
 
-    def to_dense(self, dtype=np.longdouble) -> np.ndarray:
-        """Dense copy, formed in longdouble and rounded once to dtype."""
-        out = sum(np.kron(A.to_dense(), B.to_dense()) for A, B in self.terms)
-        return out.astype(dtype, copy=False)
-
     def to_bands(self) -> np.ndarray:
         """Double-precision copy in LAPACK's lower symmetric band storage,
-        half-band p B.n + p; each entry is formed in longdouble and rounded
-        once, as in to_dense."""
+        half-band p B.n + p; each entry is the sum of its terms' products,
+        formed in longdouble and rounded once."""
         m, p = self.terms[0][1].n, self.terms[0][1].halfband
         out = np.zeros((p * m + p + 1, self.n))
         # entry (c + di m + dj, c) of column c = (i, j) is the sum over the

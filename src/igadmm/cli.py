@@ -298,8 +298,8 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
     """Eigenvalue convergence study; returns (ErrorRow list, rates list).
 
     Dimension 2 takes the tensor route: the pairwise sums of the 1D
-    spectrum against the exact spectrum of the unit square.  energy adds
-    the 1D eigenfunction energy errors.
+    spectrum against those of the exact one, the exact spectrum of the
+    unit square.  energy adds the 1D eigenfunction energy errors.
     """
     from igadmm import eigensolve
     from igadmm.splines import BSplineSpace
@@ -307,14 +307,15 @@ def run_study(p: int, meshes, modes, labels, dimension: int = 1, energy: bool = 
     if energy and dimension != 1:
         raise ValueError("energy errors are computed in 1D only")
     count = max(modes)
-    exact = eigensolve.exact_spectrum_2d(count) if dimension == 2 else None
+    exact = (eigensolve.tensor_spectrum_2d(eigensolve.exact_spectrum(count), count)
+             if dimension == 2 else None)
     rows = []
     rates = []
     for label in labels:
         per_mode: dict[int, list[float]] = {m: [] for m in modes}
         for N in meshes:
             pair = _pair(BSplineSpace(p, N), label)
-            # in 2D, the smallest count pairwise sums use only 1D modes below count
+            # in 2D, the smallest count pairwise sums use only 1D modes up to count
             spectrum = _spectrum(pair, label, count)
             eigs = (spectrum if dimension == 1
                     else eigensolve.tensor_spectrum_2d(spectrum.eigenvalues, count))
@@ -353,7 +354,7 @@ def kron_cross_check(p: int, N: int, label: str, count: int = 12) -> float:
 _STUDY_COLUMNS = ("p", "N", "rule", "mode", "rel_ev_error", "ef_energy_error")
 
 
-def _emit_study(rows, rates, args, dimension: int) -> None:
+def _emit_study(rows, rates, args, dimension: int, **extra) -> None:
     cells = []
     for r in rows:
         cell = {"p": r.p, "N": r.N, "rule": r.rule, "mode": r.mode,
@@ -365,7 +366,7 @@ def _emit_study(rows, rates, args, dimension: int) -> None:
     lines = [",".join(_STUDY_COLUMNS)]
     lines += [",".join(str(cell.get(col, "")) for col in _STUDY_COLUMNS) for cell in cells]
     _emit(args, lines, {"kind": "study", "dimension": dimension, "rows": cells,
-                        "rates": [{**r, "rate": _fmt(r["rate"])} for r in rates]})
+                        "rates": [{**r, "rate": _fmt(r["rate"])} for r in rates], **extra})
 
 
 def _study_inputs(args) -> tuple[int, list[int], list[int], list[str]]:
@@ -403,10 +404,13 @@ def _cmd_study_2d(args) -> int:
         raise UsageError(f"--verify-kron {args.verify_kron} gives more than "
                          f"{assembly.KRON_MAX_DIM} 2D unknowns at p={p}")
     rows, rates = run_study(p, meshes, modes, rules, dimension=2)
-    _emit_study(rows, rates, args, 2)
+    kron = {}
     if args.verify_kron:
-        dev = kron_cross_check(p, args.verify_kron, rules[0])
-        print(f"# kron-vs-tensor max rel deviation at N={args.verify_kron}: {_fmt(dev)}")
+        kron["kron_vs_tensor"] = _fmt(kron_cross_check(p, args.verify_kron, rules[0]))
+    _emit_study(rows, rates, args, 2, **kron)
+    if kron:
+        print(f"# kron-vs-tensor max rel deviation at N={args.verify_kron}: "
+              f"{kron['kron_vs_tensor']}")
     return 0
 
 
@@ -432,6 +436,8 @@ def _cmd_dispersion(args) -> int:
     if not all(0 < y < math.inf for y in (args.min, args.max)):
         raise UsageError(f"--min and --max need finite wavenumbers > 0: "
                          f"{args.min}, {args.max}")
+    if args.fit and args.min == args.max:
+        raise UsageError(f"--fit needs --min and --max to differ: {args.min}, {args.max}")
     least = 2 if args.fit else 1
     if args.samples < least:
         raise UsageError(f"--samples needs at least {least}{' with --fit' * args.fit}: "

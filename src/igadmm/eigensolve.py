@@ -1,14 +1,16 @@
 """Generalized eigenvalue solution and error measures for the Laplace
 eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 
-Eigenpairs come from a double-precision solver: for band and Kronecker
-pencils of order _BANDED_MIN_N and up, a block Lanczos run of this module
-(_lanczos) computes only the leading modes, in standard form on
-R^T K^-1 R with Cholesky factors M = R R^T and K = L L^T from LAPACK's
-band routines; smaller pencils go to scipy's dense symmetric-definite
-eigh.  scipy.linalg is imported at the first solve, not with this module:
-it takes about 0.3 s to import, and every command but the studies runs
-without it; no solve needs scipy's sparse package.  The leading
+Eigenpairs come from a double-precision solver that reads each pencil
+only through the LAPACK lower band copies of its operators (to_bands),
+after the band Cholesky factor of M, the one check that M is positive
+definite: for pencils of order _BANDED_MIN_N and up, a block Lanczos run
+of this module (_lanczos) computes only the leading modes, in standard
+form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils go to
+scipy's dense symmetric-definite eigh of the band copies expanded
+(_dense).  scipy.linalg is imported at the first solve, not with this
+module: it takes about 0.25 s to import, and every command but the
+studies runs without it; no solve needs scipy's sparse package.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
 block, by extended-precision Rayleigh quotients, which
@@ -119,6 +121,19 @@ def _cluster_top(w, count: int) -> float:
     return cut + _CUT_RTOL * abs(cut)
 
 
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """The symmetric double-precision matrix whose lower band storage is ab,
+    of order ab.shape[1].  Band rows from the order on hold no entry: a
+    Kronecker band on a coarse mesh, half-band p n1 + p, can reach it."""
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    j = np.arange(n)
+    for d in range(min(len(ab), n)):
+        out[j[d:], j[: n - d]] = ab[d, : n - d]
+        out[j[: n - d], j[d:]] = ab[d, : n - d]
+    return out
+
+
 def _band_cholesky(A):
     """Lower Cholesky factor of a band or Kronecker operator A in double
     precision, in LAPACK's band storage (dpbtrf); None when A is not
@@ -155,8 +170,7 @@ def _mass_factor(M):
     if RA is None or RB is None:
         return None
     # the dense lower triangles, from the symmetric copies of the bands
-    RA, RB = (np.tril(SymBandMatrix(len(F[0]), len(F) - 1, F).to_dense(np.float64))
-              for F in (RA, RB))
+    RA, RB = (np.tril(_dense(F)) for F in (RA, RB))
 
     def product(X, RA, RB):
         return (RA @ X.reshape(len(X), A.n, B.n) @ RB.T).reshape(X.shape)
@@ -243,19 +257,19 @@ def _lanczos(apply_c, start, count: int):
         m += b
 
 
-def _leading_modes(K, M, count: int):
+def _leading_modes(K, factor, count: int):
     """Double-precision (eigenvalues, vectors) of the smallest modes of a
     band or Kronecker pencil, through the cluster at the cut, with vectors
     M-normalized; (None, None) when that needs all n or K is not positive
-    definite.
+    definite.  factor holds the products with R and R^T of M = R R^T
+    (_mass_factor).
 
     With M = R R^T and K = L L^T factored once each, Lanczos (_lanczos)
     runs in standard form on C = R^T K^-1 R, whose eigenvalues are
     1/lambda, and lambda K^-1 R u maps its unit eigenvector u to the
     pencil's mode, of unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1:
     a product with R, one band solve for the block, and a product with R^T
-    per Lanczos step.  The factor of M is also the check that M is
-    positive definite.  A band pencil starts from one vector: its spectrum
+    per Lanczos step.  A band pencil starts from one vector: its spectrum
     is simple.  A Kronecker pencil starts from a block of two, the ramp and
     its image under swapping x and y: each mode (j, k) of the square has
     the twin (k, j) of the same eigenvalue, and one Krylov vector sees one
@@ -266,9 +280,6 @@ def _leading_modes(K, M, count: int):
     n = K.n
     if count + _MARGIN >= n:
         return None, None
-    factor = _mass_factor(M)
-    if factor is None:
-        raise IndefiniteMassError("the mass matrix is not positive definite")
     L = _band_cholesky(K)
     if L is None:
         return None, None
@@ -311,17 +322,18 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     moves an eigenvalue by far less than that, so no mode left out could
     sort into the first count.
 
-    A pencil of order _BANDED_MIN_N or more, with K positive definite, is
-    solved for its leading modes only, by this module's block Lanczos on
-    R^T K^-1 R (M = R R^T and K = L L^T, Cholesky factors from LAPACK's
-    band routines; a Kronecker mass through its 1D factor); smaller ones,
-    a pencil whose leading modes would take all n, and one whose K is not
-    positive definite, by a dense eigh.  On the dense side the result is bitwise
-    the leading part of a full solve (count=None); on the Lanczos side
-    the eigenvectors carry different roundoff, so refined eigenvalues may
-    differ from the dense ones in the last digits of longdouble.  A mass matrix that is not
-    positive definite in double precision raises IndefiniteMassError on
-    either side.
+    The mass is factored first, M = R R^T by LAPACK's band Cholesky (a
+    Kronecker mass through its 1D factor), and one that is not positive
+    definite in double precision raises IndefiniteMassError, whichever
+    route the pencil takes.  A pencil of order _BANDED_MIN_N or more, with
+    K positive definite, is solved for its leading modes only, by this
+    module's block Lanczos on R^T K^-1 R (K = L L^T, also a band
+    Cholesky); smaller ones, a pencil whose leading modes would take all
+    n, and one whose K is not positive definite, by a dense eigh of the
+    band copies.  On the dense side the result is bitwise the leading part
+    of a full solve (count=None); on the Lanczos side the eigenvectors
+    carry different roundoff, so refined eigenvalues may differ from the
+    dense ones in the last digits of longdouble.
     """
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
@@ -330,19 +342,16 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     count = n if count is None else min(count, n)
     if count < 1:
         raise ValueError(f"need at least one mode, requested {count}")
+    factor = _mass_factor(M)
+    if factor is None:
+        raise IndefiniteMassError("the mass matrix is not positive definite")
     w = None
     if n >= _BANDED_MIN_N:
-        w, vecs = _leading_modes(K, M, count)
+        w, vecs = _leading_modes(K, factor, count)
     if w is None:
         import scipy.linalg
 
-        try:
-            w, vecs = scipy.linalg.eigh(K.to_dense(np.float64), M.to_dense(np.float64))
-        except np.linalg.LinAlgError:
-            # eigh factors M first; tell that failure from any other
-            if _band_cholesky(M) is None:
-                raise IndefiniteMassError("the mass matrix is not positive definite") from None
-            raise
+        w, vecs = scipy.linalg.eigh(_dense(K.to_bands()), _dense(M.to_bands()))
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)
     for lo in range(0, stop, _REFINE_BLOCK):
@@ -360,25 +369,12 @@ def exact_spectrum(count: int) -> np.ndarray:
     return (j * PI_LD) ** 2
 
 
-def exact_spectrum_2d(count: int) -> np.ndarray:
-    """First count Dirichlet eigenvalues on the unit square, multiplicity kept."""
-    J = int(2 * count ** 0.5) + 3
-    vals = [
-        (np.longdouble(j * j + k * k)) * PI_LD ** 2
-        for j in range(1, J + 1)
-        for k in range(1, J + 1)
-    ]
-    vals.sort()
-    if len(vals) < count:
-        raise ValueError("internal index range too small")
-    return np.array(vals[:count], dtype=np.longdouble)
-
-
 def tensor_spectrum_2d(eigs_1d, count: int | None = None) -> np.ndarray:
     """Sorted pairwise sums of a 1D discrete spectrum.
 
     The Kronecker discretization K (x) M + M (x) K, M (x) M has exactly
-    these eigenvalues, so this is the cheap route to the 2D spectrum.
+    these eigenvalues, so this is the cheap route to the 2D spectrum; of
+    the exact 1D spectrum, it is the exact spectrum of the unit square.
     """
     e = np.asarray(eigs_1d, dtype=np.longdouble)
     sums = (e[:, None] + e[None, :]).ravel()

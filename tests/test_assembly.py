@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from basis_reference import reference_basis
+from dense_reference import dense, dense_from_bands
 from expected_values import EXACT_MASS, EXACT_STIFFNESS, MINIMIZED_MASS
 from igadmm import assembly, cli, eigensolve
 from igadmm.assembly import (
@@ -17,6 +18,7 @@ from igadmm.assembly import (
     assemble_2d,
 )
 from igadmm.quadrature import (
+    DegenerateBlendError,
     dmm_rule,
     gauss_legendre,
     gauss_lobatto,
@@ -36,8 +38,8 @@ def test_linear_elements_match_the_textbook_matrices():
     N = 10
     pair = assemble_1d(BSplineSpace(1, N), gauss_legendre(2))
     n = N - 1
-    K = pair.stiffness.to_dense(float)
-    M = pair.mass.to_dense(float)
+    K = dense(pair.stiffness)
+    M = dense(pair.mass)
     Kref = N * (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     Mref = (4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / (6 * N)
     assert np.max(np.abs(K - Kref)) < 1e-12 * N
@@ -92,10 +94,10 @@ def test_point_rule_assembly_matches_blend_inside_only():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_mass_and_stiffness_are_positive_definite(p):
     pair = assemble_1d(BSplineSpace(p, 12), gauss_legendre(p + 1))
-    np.linalg.cholesky(pair.mass.to_dense(float))
-    np.linalg.cholesky(pair.stiffness.to_dense(float))
+    np.linalg.cholesky(dense(pair.mass))
+    np.linalg.cholesky(dense(pair.stiffness))
     dmm = assemble_1d_dmm(BSplineSpace(p, 12))
-    np.linalg.cholesky(dmm.mass.to_dense(float))
+    np.linalg.cholesky(dense(dmm.mass))
 
 
 def _assemble_full_by_scalar_loop(space, rule, form):
@@ -161,23 +163,23 @@ def test_reduced_dimensions():
 def test_band_storage_helpers():
     bands = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 0.0]])
     A = SymBandMatrix(3, 1, bands)
-    D = A.to_dense(float)
+    D = eigensolve._dense(A.to_bands())
     assert np.array_equal(D, D.T)
     assert D[1, 0] == 1.0 and D[2, 1] == 2.0 and D[2, 0] == 0.0
     x = np.array([1.0, -2.0, 3.0])
     assert np.allclose(np.asarray(A.matvec(x), dtype=float), D @ x)
     with pytest.raises(ValueError):
         SymBandMatrix(3, 2, bands)
-    # the dense copy is bitwise that of an entry by entry loop, in either dtype
+    # the dense copy of the band copy is bitwise that of an entry by entry
+    # loop on the longdouble bands
     for p in range(1, 6):
         B = assemble_1d_dmm(BSplineSpace(p, 7)).mass
-        for dtype in (np.longdouble, np.float64):
-            want = np.zeros((B.n, B.n), dtype=dtype)
-            for d in range(B.halfband + 1):
-                for j in range(B.n - d):
-                    want[j + d, j] = want[j, j + d] = B.bands[d, j]
-            got = B.to_dense(dtype)
-            assert got.dtype == dtype and np.array_equal(got, want), (p, dtype)
+        want = np.zeros((B.n, B.n))
+        for d in range(B.halfband + 1):
+            for j in range(B.n - d):
+                want[j + d, j] = want[j, j + d] = B.bands[d, j]
+        got = eigensolve._dense(B.to_bands())
+        assert got.dtype == np.float64 and np.array_equal(got, want), p
 
 
 def _dense_2d_by_element_loop(space, rule):
@@ -217,18 +219,8 @@ def test_kronecker_2d_agrees_with_element_loop(p, N):
     rule = gauss_legendre(p + 1)
     pair = assemble_2d(assemble_1d(space, rule))
     K2, M2 = _dense_2d_by_element_loop(space, rule)
-    assert np.max(np.abs(pair.stiffness.to_dense(float) - K2)) < 1e-11
-    assert np.max(np.abs(pair.mass.to_dense(float) - M2)) < 1e-13
-
-
-def _dense_from_bands(ab, n):
-    """The symmetric matrix whose lower band storage is ab; as in LAPACK,
-    the entries of ab past the last row are not read."""
-    out = np.zeros((n, n))
-    for d in range(min(len(ab), n)):
-        out[np.arange(d, n), np.arange(n - d)] = ab[d, : n - d]
-        out[np.arange(n - d), np.arange(d, n)] = ab[d, : n - d]
-    return out
+    assert np.max(np.abs(eigensolve._dense(pair.stiffness.to_bands()) - K2)) < 1e-11
+    assert np.max(np.abs(eigensolve._dense(pair.mass.to_bands()) - M2)) < 1e-13
 
 
 # (2, 4) has 4 unknowns a side for half-band 2, so two Kronecker offsets
@@ -238,15 +230,37 @@ def test_kronecker_operator_products_and_copies_agree(p, N):
     pair = assemble_2d(assemble_1d_dmm(BSplineSpace(p, N)))
     x = np.random.default_rng(7).standard_normal(pair.mass.n).astype(np.longdouble)
     for op in (pair.stiffness, pair.mass):
-        dense = op.to_dense()
-        scale = float(np.max(np.abs(dense)))
-        assert float(np.max(np.abs(op.matvec(x) - dense @ x))) < 1e-17 * scale * op.n
-        assert np.array_equal(op.to_dense(np.float64), dense.astype(np.float64))
+        full = dense(op, np.longdouble)
+        scale = float(np.max(np.abs(full)))
+        assert float(np.max(np.abs(op.matvec(x) - full @ x))) < 1e-17 * scale * op.n
         bands = op.to_bands()
         assert bands.shape == (p * (N + p - 2) + p + 1, op.n)
-        assert np.array_equal(_dense_from_bands(bands, op.n), dense.astype(np.float64))
+        assert np.array_equal(dense_from_bands(bands, op.n), full.astype(np.float64))
+        assert np.array_equal(eigensolve._dense(bands), full.astype(np.float64))
     bands = sum(m.bands.nbytes for m in pair.stiffness.terms[0])
     assert pair.stiffness.nbytes == bands and pair.mass.nbytes == bands // 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_the_dense_solve_reads_the_band_copies_bit_for_bit(p):
+    # the dense eigh reads _dense(op.to_bands()): for each study label it is
+    # the 1D bands expanded, and on the square the longdouble np.kron sum of
+    # the 1D matrices, rounded once; at N = 2 and 3 the Kronecker half-band
+    # p n1 + p reaches the order n
+    checked = 0
+    for label in cli._STUDY_RULES:
+        for N in (2, 3, 4, 5, 8):
+            try:
+                pair = cli._pair(BSplineSpace(p, N), label)
+            except DegenerateBlendError:  # blend:lr at p = 1
+                continue
+            square = assemble_2d(pair)
+            for op in (pair.stiffness, pair.mass, square.stiffness, square.mass):
+                got = eigensolve._dense(op.to_bands())
+                assert got.dtype == np.float64, (label, N)
+                assert np.array_equal(got, dense(op)), (label, N, op.n)
+                checked += 1
+    assert checked == 4 * 5 * (len(cli._STUDY_RULES) - (p == 1))
 
 
 def test_band_matvec_takes_a_block_column_by_column():
@@ -255,7 +269,7 @@ def test_band_matvec_takes_a_block_column_by_column():
     Y = A.matvec(X)
     for j in range(4):
         assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
-    assert np.array_equal(_dense_from_bands(A.to_bands(), A.n), A.to_dense(np.float64))
+    assert np.array_equal(dense_from_bands(A.to_bands(), A.n), dense(A))
 
 
 def test_kronecker_matvec_takes_a_block_column_by_column():

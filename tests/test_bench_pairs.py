@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,9 +84,10 @@ def test_a_run_that_is_not_correct_exits_1_after_writing_the_file(monkeypatch, t
     (tmp_path / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "_copy_checkout", lambda into: None)
 
     def fake_run(tree, workload, seed, seconds):
-        changed = tree == str(tmp_path)
+        changed = os.path.basename(tree) == "change"
         return _record(failed=int(changed and workload == bad), wall=0.9 if changed else 1.0)
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
@@ -117,10 +120,11 @@ def test_metrics_out_of_their_bound_are_reported(monkeypatch, tmp_path, capsys):
     (tmp_path / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "_copy_checkout", lambda into: None)
     # the change's wall_s and cpu_s are 1.5 against 1.0, past their 0.25
     # bound; setup_s and peak_rss_mb are the same on both sides
     monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds:
-                        _record(wall=1.5 if tree == str(tmp_path) else 1.0))
+                        _record(wall=1.5 if os.path.basename(tree) == "change" else 1.0))
     rc = bench_pairs.main(["--parent", "HEAD", "--number", "7", "--seeds", "1-2",
                            "--workload", "kron-2d"])
     assert rc == 0
@@ -133,3 +137,47 @@ def test_metrics_out_of_their_bound_are_reported(monkeypatch, tmp_path, capsys):
     assert lines == [
         "kron-2d wall_s out of bound: change median 1.5 against parent median 1, bound 0.25",
         "kron-2d cpu_s out of bound: change median 1.5 against parent median 1, bound 0.25"]
+
+
+def test_both_sides_run_outside_the_checkout_and_the_change_has_its_edits(monkeypatch,
+                                                                          tmp_path):
+    # a committed file edited in the working tree, a new untracked file and
+    # an ignored one: the parent tree has the commit, the change tree the
+    # edit and the new file, and no run starts in the checkout
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("out/\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                        "commit.gpgsign=false", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("edited\n")
+    (repo / "perfbench" / "new.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "left.json").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    trees, seen = [], {}
+
+    def fake_run(tree, workload, seed, seconds):
+        trees.append(tree)
+        seen[os.path.basename(tree)] = {str(path.relative_to(tree)): path.read_text()
+                                        for path in Path(tree).rglob("*") if path.is_file()}
+        return _record()
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    assert bench_pairs.main(["--parent", "HEAD", "--number", "7", "--seeds", "1",
+                             "--workload", "kron-2d"]) == 0
+    assert len(set(trees)) == 2
+    assert all(os.path.commonpath([tree, str(repo)]) != str(repo) for tree in trees)
+    parent, change = seen["tree"], seen["change"]
+    assert parent["perfbench/run.py"] == "committed\n" and "perfbench/new.py" not in parent
+    assert change["perfbench/run.py"] == "edited\n"
+    assert change["perfbench/new.py"] == "untracked\n"
+    assert "out/left.json" not in change and ".gitignore" in change

@@ -210,6 +210,22 @@ def test_bad_degrees_and_samplings_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_fit_over_one_wavenumber_is_a_usage_error(monkeypatch, capsys):
+    # --min equal to --max gives one distinct wavenumber, no slope to fit:
+    # refused before any sample is taken; without --fit it is a curve
+    argv = ["dispersion", "-p", "2", "--min", "0.1", "--max", "0.1", "--samples", "3"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0 and len(out.splitlines()) == 4
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sample before the check")
+
+    monkeypatch.setattr(cli.dispersion, "sample_curve", forbidden)
+    rc, out, err = _run(capsys, argv + ["--fit"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --fit needs --min and --max to differ: 0.1, 0.1\n"
+
+
 @pytest.mark.parametrize("command", ["study-1d", "study-2d"])
 @pytest.mark.parametrize("modes", ["1,1", "2,1,2"])
 def test_a_repeated_mode_is_a_usage_error(capsys, command, modes):
@@ -329,6 +345,19 @@ def test_an_indefinite_mass_fails_a_study_on_either_solver_route(capsys, meshes,
                                  "--meshes", meshes, "--modes", "1,2"])
     assert (rc, out) == (1, "")
     assert err == f"error: blend:gr at p=3, N={N}: the mass matrix is not positive definite\n"
+
+
+def test_any_other_dense_solve_failure_is_a_computation_error(monkeypatch, capsys):
+    # with the mass factored, an eigh failure is not a mass error: numpy's
+    # LinAlgError, a ValueError, reaches the user as it is
+    import scipy.linalg
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("the eigensolver did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    rc, out, err = _run(capsys, ["study-1d", "-p", "3", "--meshes", "16,32", "--modes", "1"])
+    assert (rc, out, err) == (1, "", "error: the eigensolver did not converge\n")
 
 
 def test_too_many_modes_is_a_computation_error(capsys):
@@ -536,23 +565,50 @@ def test_kron_check_line(capsys):
 
 def test_kron_cross_check_forms_no_large_dense_pencil(monkeypatch):
     # from _BANDED_MIN_N unknowns on, the 2D pencil is only ever applied
-    # through 1D band products and solved on its band Cholesky factors
+    # through 1D band products and solved on its band Cholesky factors: no
+    # band copy is expanded to a dense array of that order
     n0 = eigensolve._BANDED_MIN_N
-    kron, to_dense = np.kron, assembly.KroneckerSum.to_dense
+    kron, dense = np.kron, eigensolve._dense
+    orders = []
 
     def small_kron(a, b):
         assert np.shape(a)[0] * np.shape(b)[0] < n0, "dense Kronecker product"
         return kron(a, b)
 
-    def small_to_dense(self, *args, **kwargs):
-        assert self.n < n0, "dense copy of a Kronecker pencil"
-        return to_dense(self, *args, **kwargs)
+    def small_dense(ab):
+        orders.append(ab.shape[1])
+        assert ab.shape[1] < n0, "dense copy of a large pencil"
+        return dense(ab)
 
     monkeypatch.setattr(np, "kron", small_kron)
-    monkeypatch.setattr(assembly.KroneckerSum, "to_dense", small_to_dense)
+    monkeypatch.setattr(eigensolve, "_dense", small_dense)
     assert 0 < cli.kron_cross_check(2, 24, "dmm") < 1e-17
+    # the dense 1D solve and the triangles of the 1D mass factor
+    assert orders and max(orders) < n0
     with pytest.raises(AssertionError, match="dense"):
-        assembly.assemble_2d(cli._pair(BSplineSpace(2, 13), "dmm")).mass.to_dense()
+        eigensolve._dense(assembly.assemble_2d(cli._pair(BSplineSpace(2, 13), "dmm"))
+                          .mass.to_bands())
+
+
+@pytest.mark.parametrize("out", ["--json", "--csv"])
+def test_the_json_report_carries_the_kron_deviation(tmp_path, capsys, schema, out):
+    # the stdout line after the report, and the one key of the JSON report,
+    # show the same string, with the report on stdout or in a file
+    argv = ["study-2d", "-p", "2", "--meshes", "4,8", "--modes", "1", "--rules", "dmm",
+            "--verify-kron", "6"]
+    path = tmp_path / "out"
+    rc, stdout, _ = _run(capsys, argv + (["--json", str(path)] if out == "--json"
+                                         else ["--csv", str(path), "--json", "-"]))
+    assert rc == 0
+    report = json.loads(path.read_text() if out == "--json"
+                        else stdout[: stdout.rindex("}") + 1])
+    line = stdout.splitlines()[-1]
+    assert line == f"# kron-vs-tensor max rel deviation at N=6: {report['kron_vs_tensor']}"
+    assert float(report["kron_vs_tensor"]) < 1e-10
+    jsonschema.validate(report, schema)
+    # without --verify-kron the report has no such key
+    rc, stdout, _ = _run(capsys, argv[:-2] + ["--json", "-"])
+    assert rc == 0 and "kron_vs_tensor" not in json.loads(stdout[stdout.index("{"):])
 
 
 def test_kron_deviation_is_taken_in_longdouble():

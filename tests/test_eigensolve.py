@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_reference
 from basis_reference import reference_basis
 from igadmm import eigensolve
 from igadmm.assembly import (
@@ -25,7 +26,6 @@ from igadmm.eigensolve import (
     convergence_rate,
     energy_error,
     exact_spectrum,
-    exact_spectrum_2d,
     generalized_eig,
     relative_ev_errors,
     tensor_spectrum_2d,
@@ -38,8 +38,16 @@ def test_exact_spectra():
     got = np.asarray(exact_spectrum(3), dtype=float)
     assert np.allclose(got, [math.pi ** 2, 4 * math.pi ** 2, 9 * math.pi ** 2],
                        rtol=1e-15)
-    got2 = np.asarray(exact_spectrum_2d(4), dtype=float)
+    # the square's: the first count pairwise sums of the first count 1D
+    # values, multiplicity kept
+    got2 = np.asarray(tensor_spectrum_2d(exact_spectrum(4), 4), dtype=float)
     assert np.allclose(got2, np.array([2, 5, 5, 8]) * math.pi ** 2, rtol=1e-15)
+    for count in (1, 7, 60):
+        want = sorted(j * j + k * k for j in range(1, 3 * count) for k in range(1, 3 * count))
+        got = tensor_spectrum_2d(exact_spectrum(count), count)
+        assert len(got) == count
+        assert np.allclose(np.asarray(got, dtype=float),
+                           np.array(want[:count]) * math.pi ** 2, rtol=1e-15), count
 
 
 def test_linear_discrete_spectrum_closed_form():
@@ -180,8 +188,8 @@ def test_a_kronecker_mass_is_factored_through_its_1d_factor(monkeypatch):
     identity = np.eye(small.mass.n)
     R = rt(identity)  # row i is R^T e_i
     assert np.array_equal(r(identity), R.T) and not np.any(np.triu(R, 1))
-    dense = small.mass.to_dense(np.float64)
-    assert np.max(np.abs(r(rt(identity)) - dense)) <= 1e-15 * np.max(np.abs(dense))
+    full = dense_reference.dense(small.mass)
+    assert np.max(np.abs(r(rt(identity)) - full)) <= 1e-15 * np.max(np.abs(full))
     copied = []
     to_bands = KroneckerSum.to_bands
 
@@ -242,7 +250,7 @@ def _assert_same_modes(band, dense, M):
     assert len(band) == len(dense)
     rel = np.abs(band.eigenvalues - dense.eigenvalues) / dense.eigenvalues
     assert float(np.max(rel)) <= 1e-14
-    overlap = band.vectors.T @ M.to_dense(np.float64) @ dense.vectors
+    overlap = band.vectors.T @ dense_reference.dense(M) @ dense.vectors
     assert np.allclose(np.abs(overlap), np.eye(len(band)), atol=1e-8)
 
 
@@ -307,29 +315,63 @@ def test_band_solve_grows_past_a_wide_cluster_at_the_cut(monkeypatch):
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, 1), pair.mass)
 
 
+def _record_copies(monkeypatch):
+    """Record each band or Kronecker operator whose band copy is taken."""
+    copied = []
+    for cls in (SymBandMatrix, KroneckerSum):
+
+        def recorded(op, _to_bands=cls.to_bands):
+            copied.append(op)
+            return _to_bands(op)
+
+        monkeypatch.setattr(cls, "to_bands", recorded)
+    return copied
+
+
 @pytest.mark.parametrize("N", [16, 256])
 def test_an_indefinite_mass_is_refused_on_either_route(monkeypatch, N):
-    # 16 elements take the dense solve, 256 the Lanczos one
+    # 16 elements take the dense solve, 256 the Lanczos one; on both, the
+    # band Cholesky of the mass refuses it before any solve, and the only
+    # copy taken is the one it factors
     pair = assemble_1d(BSplineSpace(3, N), optimal_blend(3, "gr"))
     calls = _count_solver_calls(monkeypatch)
+    copied = _record_copies(monkeypatch)
     with pytest.raises(eigensolve.IndefiniteMassError):
         generalized_eig(pair.stiffness, pair.mass, 4)
-    assert calls == (["eigh"] if N == 16 else [])
+    assert calls == []
+    assert [op is pair.mass for op in copied] == [True]
 
 
-def test_an_indefinite_kronecker_mass_is_refused():
-    pair = assemble_2d(assemble_1d(BSplineSpace(3, 16), optimal_blend(3, "gr")))
-    assert pair.mass.n >= eigensolve._BANDED_MIN_N
-    with pytest.raises(eigensolve.IndefiniteMassError):
-        generalized_eig(pair.stiffness, pair.mass, 4)
+def test_an_indefinite_kronecker_mass_is_refused(monkeypatch):
+    # 4 elements a side take the dense solve, 16 the Lanczos one; on both,
+    # the factor of the 1D mass refuses M (x) M before any solve and before
+    # any copy of a Kronecker operator
+    for N in (4, 16):
+        pair1 = assemble_1d(BSplineSpace(3, N), optimal_blend(3, "gr"))
+        pair = assemble_2d(pair1)
+        with monkeypatch.context() as patch:
+            calls, copied = _count_solver_calls(patch), _record_copies(patch)
+            with pytest.raises(eigensolve.IndefiniteMassError):
+                generalized_eig(pair.stiffness, pair.mass, 4)
+        assert calls == [], N
+        assert [op is pair1.mass for op in copied] == [True], N
+    assert pair.mass.n >= eigensolve._BANDED_MIN_N > 25
 
 
 def test_a_definite_mass_is_factored_once_on_the_dense_route(monkeypatch):
-    # the band Cholesky that factors the Lanczos pencil also tells an
-    # indefinite mass from other dense failures; eigh alone factors M here
+    # the band Cholesky of the mass is the one definiteness check on either
+    # route: on the dense one it factors M once and K never
     pair = assemble_1d(BSplineSpace(3, 16), optimal_blend(3, "gl"))
-    monkeypatch.setattr(eigensolve, "_band_cholesky", None)  # any call fails
+    factored = []
+    band_cholesky = eigensolve._band_cholesky
+
+    def recorded(A):
+        factored.append(A)
+        return band_cholesky(A)
+
+    monkeypatch.setattr(eigensolve, "_band_cholesky", recorded)
     assert len(generalized_eig(pair.stiffness, pair.mass, 4)) == 4
+    assert [A is pair.mass for A in factored] == [True]
 
 
 def test_an_indefinite_stiffness_from_the_crossover_on_takes_the_dense_solve(monkeypatch):
@@ -355,7 +397,7 @@ def test_lanczos_vectors_are_mass_orthonormal(monkeypatch, p, N, two_d):
     got = generalized_eig(pair.stiffness, pair.mass, 12)
     assert calls == ["_lanczos"]
     V = got.vectors
-    gram = V.T @ pair.mass.to_dense(np.float64) @ V
+    gram = V.T @ dense_reference.dense(pair.mass) @ V
     assert np.max(np.abs(gram - np.eye(12))) <= 1e-12
 
 

@@ -6,18 +6,20 @@ Usage, from the repository root:
         --workload exact-tables --seeds 4001-4010 [--workload kron-2d ...]
 
 The parent commit is exported with ``git archive`` into a temporary
-directory.  For each workload and seed, ``perfbench/run.py --trace 0`` runs
-once in the parent's tree and once in this checkout, alternating which side
-runs first; both sides get the same seed and --seconds.  BENCH_<N>.json, at
-the repository root, receives every run's metrics and, per workload and
-end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
-pairs the change won and lost, and whether the gain rule holds: the change
-wins at least nine tenths of the pairs, ties counting for neither, and the
-medians differ by more than the parent's interquartile range.  Each such
-metric also gets within_bound: the change's median is no worse than the
-parent's median by more than the metric's bound in BENCHMARK.json, a share
-of the parent's median; a line on standard error names each metric out of
-its bound.
+directory, and the change, the files of this checkout that git lists as
+tracked or as untracked but not ignored (uncommitted edits included), is
+copied beside it: both sides run from a copy outside the checkout.  For
+each workload and seed, ``perfbench/run.py --trace 0`` runs once in each
+tree, alternating which side runs first; both sides get the same seed
+and --seconds.  BENCH_<N>.json, at the repository root, receives every
+run's metrics and, per workload and end-to-end metric of BENCHMARK.json,
+each side's median and quartiles, the pairs the change won and lost, and
+whether the gain rule holds: the change wins at least nine tenths of the
+pairs, ties counting for neither, and the medians differ by more than the
+parent's interquartile range.  Each such metric also gets within_bound:
+the change's median is no worse than the parent's median by more than the
+metric's bound in BENCHMARK.json, a share of the parent's median; a line
+on standard error names each metric out of its bound.
 
 Beside those metrics, under "not_in_benchmark_json", each run also gives
 process_s: the median set-up plus the median raw per-pass wall time, read
@@ -33,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,6 +111,21 @@ def _export(rev: str, into: str) -> str:
     return sha
 
 
+def _copy_checkout(into: str) -> None:
+    """Copy the checkout's tracked files and its untracked files that are
+    not ignored, as they are on disk, into the directory; a tracked file
+    deleted from the working tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def process_s(record: dict) -> float:
     """Median set-up plus median raw per-pass wall time of one run.py record."""
     samples = record["samples"]
@@ -148,7 +166,9 @@ def main(argv=None) -> int:
     workloads = {}
     with tempfile.TemporaryDirectory() as scratch:
         parent = _export(args.parent, scratch)
-        trees = {"parent": os.path.join(scratch, "tree"), "change": ROOT}
+        trees = {"parent": os.path.join(scratch, "tree"),
+                 "change": os.path.join(scratch, "change")}
+        _copy_checkout(trees["change"])
         for workload in args.workload:
             runs = []
             for index, seed in enumerate(args.seeds):
