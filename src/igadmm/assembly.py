@@ -36,16 +36,15 @@ class SymBandMatrix:
     the d-th subdiagonal.  Entries are longdouble.
     """
 
-    n: int
-    halfband: int
     bands: np.ndarray
 
-    def __post_init__(self):
-        if self.bands.shape != (self.halfband + 1, self.n):
-            raise ValueError(
-                f"bands shape {self.bands.shape} does not match "
-                f"(halfband+1, n) = {(self.halfband + 1, self.n)}"
-            )
+    @property
+    def n(self) -> int:
+        return self.bands.shape[1]
+
+    @property
+    def halfband(self) -> int:
+        return len(self.bands) - 1
 
     def to_bands(self) -> np.ndarray:
         """Double-precision copy of bands: LAPACK's lower symmetric band
@@ -98,15 +97,6 @@ def _assemble_full(wh: np.ndarray, table: np.ndarray) -> np.ndarray:
     return bands
 
 
-def _reduce_dirichlet(bands_full: np.ndarray) -> np.ndarray:
-    # drop first and last basis functions
-    return np.ascontiguousarray(bands_full[:, 1:-1])
-
-
-def _band_matrix(space: BSplineSpace, bands_reduced: np.ndarray) -> SymBandMatrix:
-    return SymBandMatrix(space.dim, space.p, bands_reduced)
-
-
 def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     """Assemble the Dirichlet stiffness/mass pair, both forms with one rule.
 
@@ -118,8 +108,9 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     # (1/h lives in the basis), so both pick up only the Jacobian h from dx
     _, values, derivatives = basis_table(space, nodes)
     wh = weights * (np.longdouble(1) / space.N)
-    K = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, derivatives)))
-    M = _band_matrix(space, _reduce_dirichlet(_assemble_full(wh, values)))
+    # Dirichlet conditions drop the first and last basis functions
+    K = SymBandMatrix(_assemble_full(wh, derivatives)[:, 1:-1])
+    M = SymBandMatrix(_assemble_full(wh, values)[:, 1:-1])
     return MatrixPair(space, K, M)
 
 

@@ -63,28 +63,23 @@ def _symbols(a_mp, b_mp, y):
     return num, den
 
 
-def _evaluate(p: int, A, B, wavenumbers, quotient) -> list[float]:
-    """quotient(stiffness symbol, mass symbol, y) of two rows at each
-    wavenumber y, in mpmath at _DPS digits; the rows are converted once.
-    A vanishing mass symbol is a stopping band."""
-    a = _values(A, p)
-    b = _values(B, p)
+def _relative_errors(p: int, A, B, wavenumbers) -> list:
+    """(R(y) - y^2) / y^2 of two rows at each wavenumber y, as mpf, in
+    mpmath at _DPS digits; the rows are converted once.  A vanishing mass
+    symbol is a stopping band."""
     out = []
     with mp.workdps(_DPS):
-        a, b = [_to_mp(v) for v in a], [_to_mp(v) for v in b]
+        a = [_to_mp(v) for v in _values(A, p)]
+        b = [_to_mp(v) for v in _values(B, p)]
         for wavenumber in wavenumbers:
             y = _to_mp(wavenumber)
             num, den = _symbols(a, b, y)
             if abs(den) < 1e-14:
                 raise StoppingBandError(f"mass symbol ~ 0 at wavenumber {wavenumber}")
-            out.append(float(quotient(num, den, y)))
+            if y == 0:
+                raise ValueError("wavenumber must be nonzero")
+            out.append((num - y * y * den) / (y * y * den))
     return out
-
-
-def _relative_error(num, den, y):
-    if y == 0:
-        raise ValueError("wavenumber must be nonzero")
-    return (num - y * y * den) / (y * y * den)
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class DispersionCurve:
 def sample_curve(p: int, A, B, wavenumbers) -> DispersionCurve:
     """Relative dispersion errors (R(y) - y^2) / y^2 at each wavenumber y,
     evaluated in mpmath."""
-    errs = tuple(_evaluate(p, A, B, wavenumbers, _relative_error))
+    errs = tuple(float(e) for e in _relative_errors(p, A, B, wavenumbers))
     return DispersionCurve(tuple(float(y) for y in wavenumbers), errs)
 
 
@@ -154,6 +149,7 @@ def coefficient_check(p: int, A, B, order: int, wavenumber: float = 1e-3) -> Coe
         raise ValueError(f"order must be {2 * p} or {2 * p + 2}, got {order}")
     c_lead, c_next = error_expansion(p, A, B)
     predicted = c_lead if order == 2 * p else c_next
-    measured, = _evaluate(p, A, B, [wavenumber],
-                          lambda num, den, y: _relative_error(num, den, y) / y ** order)
+    error, = _relative_errors(p, A, B, [wavenumber])
+    with mp.workdps(_DPS):  # divided before it is rounded
+        measured = float(error / _to_mp(wavenumber) ** order)
     return CoefficientCheck(order, measured, float(predicted))

@@ -30,17 +30,19 @@ Error measures: relative eigenvalue errors against j^2 pi^2 (or
 integrated directly with the (p + 5)-point Gauss rule on the basis tables
 of all elements, summed one term at a time in element, then node order,
 as a scalar element loop would.  Those tables, and each mode's exact
-slope and sine on their points, depend on neither the rule nor the
-eigenvector: they are built once per space and mode and kept for the
-process, so every rule and study job on a space reads the same arrays.
-The L2 norm that scales u~ to 1 is a sum
-on the same table, which is exact for it, a degree-2p integrand.  The
-overlap with sin(j pi x) that fixes the sign of u~ is summed in double
-precision: only its sign is read, and it sits far from zero.  The
-integrand of the error is a square, so nothing
-cancels; the equal identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the
-squared error as a difference of numbers of order lambda_j and loses every
-digit by p = 4, N = 128, where the error is 1.03e-9.
+slope on their points, depend on neither the rule nor the eigenvector:
+they are built once per space and mode and kept for the process, so
+every rule and study job on a space reads the same arrays.  The L2 norm
+that scales u~ to 1 is a sum on the same table, which is exact for it, a
+degree-2p integrand.  The sign of u~ is that of the energy product
+a(u_j, u~) = integral of u_j' u~', a sum of the two slopes on the same
+table: for u~ in H^1_0, integration by parts gives a(u_j, u~) =
+lambda_j m(u_j, u~), so it is the sign of the L2 overlap with
+sin(j pi x), and the sign that makes the error the smaller one.  The
+integrand of the error is a square, so nothing cancels; the equal
+identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the squared error as a
+difference of numbers of order lambda_j and loses every digit by p = 4,
+N = 128, where the error is 1.03e-9.
 """
 
 from __future__ import annotations
@@ -414,17 +416,15 @@ def _energy_tables(space: BSplineSpace):
 
 @lru_cache(maxsize=None)
 def _mode_tables(space: BSplineSpace, mode: int):
-    """The exact slope sqrt(2) j pi cos(j pi t) of mode j in longdouble and
-    sin(j pi t) in double precision, at the energy table points t, read-only
-    and kept for the process: they depend on neither the rule nor the
-    eigenvector.  A mode retains N (p + 5) 24 bytes."""
+    """The exact slope sqrt(2) j pi cos(j pi t) of mode j in longdouble at
+    the energy table points t, read-only and kept for the process: it
+    depends on neither the rule nor the eigenvector.  A mode retains
+    N (p + 5) 16 bytes."""
     t = _energy_tables(space)[0]
     jpi = mode * PI_LD
     slope = _SQRT2_LD * jpi * np.cos(jpi * t)
-    sine = np.sin((mode * np.pi) * t.astype(np.float64))
-    for table in (slope, sine):
-        table.flags.writeable = False  # shared by every call on this mode
-    return slope, sine
+    slope.flags.writeable = False  # shared by every call on this mode
+    return slope
 
 
 def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -436,25 +436,13 @@ def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _overlap(sine, wh, uh) -> float:
-    """Integral of sqrt(2) sin(mode pi x) u_h on the energy table, in
-    double precision, from the mode's double sine table (_mode_tables).  It
-    only gives u_h its sign: u_h comes from an M-normalized vector, so the
-    overlap is near +-1 for the modes below N, and above 0.05 for the p - 1
-    outlier modes at the top of the spectrum on the meshes tested;
-    double-precision roundoff, ~1e-15 of that, cannot flip it."""
-    f = sine * uh.astype(np.float64)
-    return float(np.sqrt(2.0) * np.sum(f @ wh.astype(np.float64)))
-
-
 def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     """Energy-norm error of the mode-th discrete eigenfunction (1-based).
 
     The discrete function is normalized in L2 and sign-aligned with
-    sin(mode pi x); the error is the square root of the integral of
-    (u' - u~')^2.  All three integrals are sums on the energy tables: the
-    norm and the error in extended precision, the overlap that gives the
-    sign in double precision (_overlap).
+    sin(mode pi x) through the sign of a(u, u~) = lambda m(u, u~); the
+    error is the square root of the integral of (u' - u~')^2.  All three
+    integrals are extended-precision sums on the energy tables.
     """
     space = pair.space
     if not 1 <= mode <= len(spectrum):
@@ -464,12 +452,13 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     c_full[1:-1] = spectrum.vectors[:, mode - 1]
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
     _, wh, der, val = _energy_tables(space)
-    slope, sine = _mode_tables(space, mode)
+    slope = _mode_tables(space, mode)
     uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
     # the L2 norm of u~ and the squared error, each summed one term at a
-    # time in element-then-node order: np.sum would add pairwise
+    # time in element-then-node order: np.sum would add pairwise; only the
+    # sign of a(u, u~) is read
     norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
-    uh_prime = uh_prime / (-norm if _overlap(sine, wh, uh) < 0 else norm)
+    uh_prime = uh_prime / (-norm if np.sum(wh * uh_prime * slope) < 0 else norm)
     diff = slope - uh_prime
     return float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
 

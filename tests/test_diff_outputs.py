@@ -113,6 +113,12 @@ def test_sweep_covers_every_report_with_its_json():
     fits = {(argv[2], argv[4]) for argv in jobs
             if argv[0] == "dispersion" and "--coefficient" in argv and "--csv" not in argv}
     assert fits == {(p, label) for p in ("6", "7") for label in _WORKLOADS.DISPERSION_ROWS}
+    # every mode of the N = 3 space, p + 1 of them, for each degree and rule
+    tiny = {(argv[2], argv[argv.index("--rules") + 1]) for argv in jobs
+            if argv[0] == "study-1d" and "--energy" in argv
+            and argv[argv.index("--meshes") + 1] == "3,4"
+            and argv[argv.index("--modes") + 1] == ",".join(map(str, range(1, int(argv[2]) + 2)))}
+    assert tiny == {(str(p), rule) for p in range(1, 7) for rule in diff_outputs.SWEEP_RULES}
     csv = [argv[0] for argv in jobs if "--csv" in argv]
     assert "dispersion" in csv and "study-1d" in csv
     assert any({"--fit", "--coefficient"} <= set(argv) for argv in jobs

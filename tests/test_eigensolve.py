@@ -79,7 +79,7 @@ def _full_band(A):
     bands = np.zeros((n, n), dtype=np.longdouble)
     for d in range(n):
         bands[d, : n - d] = np.diagonal(A, -d)
-    return SymBandMatrix(n, n - 1, bands)
+    return SymBandMatrix(bands)
 
 
 def test_generalized_eig_matches_reference_on_random_pencil():
@@ -376,7 +376,7 @@ def test_a_definite_mass_is_factored_once_on_the_dense_route(monkeypatch):
 
 def test_an_indefinite_stiffness_from_the_crossover_on_takes_the_dense_solve(monkeypatch):
     pair = _study_pair(3, 256, "dmm")
-    K = SymBandMatrix(pair.stiffness.n, 3, -pair.stiffness.bands)
+    K = SymBandMatrix(-pair.stiffness.bands)
     assert K.n >= eigensolve._BANDED_MIN_N
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(K, pair.mass, 6)
@@ -521,28 +521,37 @@ def test_energy_error_is_bitwise_the_scalar_loop(p, N):
             pair, spectrum, mode)
 
 
-@pytest.mark.parametrize("N", [8, 33])
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_the_double_overlap_has_the_sign_of_the_longdouble_one(p, N):
-    # the sign of u_h comes from a double-precision overlap with
-    # sqrt(2) sin(mode pi x); the longdouble sum it replaces agrees on every
-    # mode.  Modes below N are paired sinusoids, |overlap| near 1; the p - 1
-    # outlier modes at the top of the spectrum overlap less, but still far
-    # above double-precision roundoff
+@pytest.mark.parametrize("N", [3, 8, 33])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_the_energy_product_has_the_sign_of_the_longdouble_overlap(p, N):
+    # u_h takes the sign of a(u, u_h) = lambda m(u, u_h); on every mode it
+    # is the sign of the longdouble L2 overlap with sqrt(2) sin(mode pi x),
+    # read off as the one of the two signed errors energy_error returns.
+    # Where the overlap is roundoff (the outlier modes of a mesh coarser
+    # than about 2p) either sign prints the same six digits
     space = BSplineSpace(p, N)
-    pair = assemble_1d(space, gauss_legendre(p + 1))
-    spectrum = generalized_eig(pair.stiffness, pair.mass)
     t, wh, der, val = eigensolve._energy_tables(space)
-    for mode in range(1, len(spectrum) + 1):
-        c_full = np.zeros(space.dim_full, dtype=np.longdouble)
-        c_full[1:-1] = spectrum.vectors[:, mode - 1]
-        uh = eigensolve._element_dot(c_full[np.arange(N)[:, None] + np.arange(p + 1)], val)
-        _, sine = eigensolve._mode_tables(space, mode)
-        got = eigensolve._overlap(sine, wh, uh)
-        want = np.cumsum(wh * (_SQRT2_LD * np.sin(mode * PI_LD * t)) * uh)[-1]
-        assert (got < 0) == (want < 0), mode
-        assert abs(got - float(want)) < 1e-13, mode
-        assert abs(got) > (0.5 if mode < N else 0.05), mode
+    for label in ("gauss", "radau", "dmm"):
+        pair = _study_pair(p, N, label)
+        spectrum = generalized_eig(pair.stiffness, pair.mass)
+        for mode in range(1, len(spectrum) + 1):
+            c_full = np.zeros(space.dim_full, dtype=np.longdouble)
+            c_full[1:-1] = spectrum.vectors[:, mode - 1]
+            coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]
+            uh, uh_prime = (eigensolve._element_dot(coeffs, table) for table in (val, der))
+            norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
+            overlap = np.cumsum(wh * (_SQRT2_LD * np.sin(mode * PI_LD * t)) * uh)[-1] / norm
+            slope = eigensolve._mode_tables(space, mode)
+            signed = {}
+            for sign in (1, -1):
+                diff = slope - uh_prime / (sign * norm)
+                signed[sign] = float(np.sqrt(np.cumsum(wh * diff * diff)[-1]))
+            got = energy_error(pair, spectrum, mode)
+            if abs(overlap) >= 1e-10:
+                assert got == signed[1 if overlap > 0 else -1], (label, mode)
+            else:
+                assert got in signed.values(), (label, mode)
+                assert f"{signed[1]:.5e}" == f"{signed[-1]:.5e}", (label, mode)
 
 
 def _energy_error_mp(space, vector, mode):
@@ -600,7 +609,7 @@ def _clear_energy_caches():
 
 def test_energy_tables_are_kept_per_space_and_reused_bitwise():
     # every rule and job on a space reads one set of tables and one slope
-    # and sine per mode: spaces A, B, A in turn, then radau and dmm on A,
+    # per mode: spaces A, B, A in turn, then radau and dmm on A,
     # give the bits of a cold cache, with one table build per space
     jobs = [(8, "gauss"), (12, "gauss"), (8, "gauss"), (8, "radau"), (8, "dmm")]
     solved = {}
@@ -623,7 +632,7 @@ def test_energy_tables_are_kept_per_space_and_reused_bitwise():
 
 def test_the_shared_energy_tables_are_read_only():
     space = BSplineSpace(3, 8)
-    for table in eigensolve._energy_tables(space) + eigensolve._mode_tables(space, 2):
+    for table in eigensolve._energy_tables(space) + (eigensolve._mode_tables(space, 2),):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
 

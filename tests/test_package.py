@@ -1,9 +1,11 @@
 """The package namespace: public names resolved on first use, no module
-importing a name it never reads, and no module defining a name that no
-module reads and the package does not export."""
+importing a name it never reads, no module defining a name that no
+module reads and the package does not export, and every function and
+argument the benchmark's layer tracer hooks still there."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 import igadmm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 SRC = Path(igadmm.__file__).resolve().parent
 
 
@@ -89,3 +92,43 @@ def _unread_definitions():
 
 def test_every_definition_is_read_or_exported():
     assert _unread_definitions() == []
+
+
+def _tracer_hooks():
+    """{traced name: argument names its hook reads} for each _HOOKS entry of
+    perfbench/layertrace.py whose name is a package function, read by
+    parse: a hook reads the bound arguments as args["name"].  The names
+    the tracer gives to functions it wraps from outside the package (the
+    literal second argument of a _wrap call, as for scipy's eigh) are left
+    out."""
+    tree = ast.parse(LAYERTRACE.read_text())
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_HOOKS"])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    outside = {node.args[1].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "_wrap" and isinstance(node.args[1], ast.Constant)}
+    read = {}
+    for key, value in zip(hooks.keys, hooks.values):
+        if key.value in outside:
+            continue
+        hook = functions[value.id]
+        args = hook.args.args[1].arg
+        read[key.value] = {node.slice.value for node in ast.walk(hook)
+                           if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                           and node.value.id == args}
+    return read
+
+
+_TRACED = _tracer_hooks()
+
+
+@pytest.mark.parametrize("name", sorted(_TRACED))
+def test_every_traced_function_has_the_arguments_its_hook_reads(name):
+    # the tracer wraps a function under its home module and its own name,
+    # and binds the call to its signature before the hook reads it
+    layer, attr = name.split(".")
+    module = importlib.import_module(f"igadmm.{layer}")
+    function = getattr(module, attr, None)
+    assert callable(function) and function.__module__ == module.__name__, name
+    assert _TRACED[name] <= set(inspect.signature(function).parameters), name

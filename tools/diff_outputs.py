@@ -52,7 +52,9 @@ def _workloads():
 
 
 def sweep() -> list[list[str]]:
-    """Energy studies of every degree 1..6 and study rule on tiny meshes and
+    """Energy studies of every degree 1..6 and study rule on tiny meshes,
+    once with every mode of the N = 3 space (whose top modes can be nearly
+    orthogonal to their sines, where a sign rule could flip a cell), and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
     cross-check at each degree; then every subcommand's report, text and
     JSON: verify, rows of both forms (exact, minimized, rule-induced,
@@ -66,7 +68,9 @@ def sweep() -> list[list[str]]:
     jobs = []
     for p in range(1, 7):
         for rule in SWEEP_RULES:
-            for meshes, modes in (("3,4,5", "1,2"), ("8,21,55,144,233,333", "1,2,3,4,7")):
+            every_mode = ",".join(str(mode) for mode in range(1, p + 2))
+            for meshes, modes in (("3,4,5", "1,2"), ("3,4", every_mode),
+                                  ("8,21,55,144,233,333", "1,2,3,4,7")):
                 jobs.append(["study-1d", "-p", str(p), "--energy", "--meshes", meshes,
                              "--rules", rule, "--modes", modes, "--json", "-"])
         jobs.append(["study-2d", "-p", str(p), "--meshes", "4,8", "--rules", "dmm",
