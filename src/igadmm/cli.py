@@ -24,8 +24,9 @@ config error, as is a value the option of the subcommand run would not
 take from the command line.  The parsers are built once per process, on
 the first call of main(), and a config never outlives its call.  Only the
 study commands import numpy (with assembly, eigensolve and splines), and
-only their solves import scipy; the exact commands run on mpmath and the
-standard library.
+only their solves load scipy: its top package and its LAPACK and BLAS
+extension modules, not scipy.linalg; the exact commands run on mpmath and
+the standard library.
 """
 
 from __future__ import annotations

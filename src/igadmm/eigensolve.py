@@ -7,10 +7,12 @@ after the band Cholesky factor of M, the one check that M is positive
 definite: for pencils of order _BANDED_MIN_N and up, a block Lanczos run
 of this module (_lanczos) computes only the leading modes, in standard
 form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils go to
-scipy's dense symmetric-definite eigh of the band copies expanded
-(_dense).  scipy.linalg is imported at the first solve, not with this
-module: it takes about 0.25 s to import, and every command but the
-studies runs without it; no solve needs scipy's sparse package.  The leading
+LAPACK's dense symmetric-definite dsygvd of the band copies expanded
+(_dense), the call scipy.linalg.eigh makes.  Every LAPACK and BLAS
+routine comes from scipy's f2py extension modules scipy.linalg._flapack
+and _fblas, loaded at the first solve by _f2py without running
+scipy/linalg/__init__.py: that takes about 0.25 s and 22 MB more, and no
+command needs it, nor scipy's sparse package.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
 block, by extended-precision Rayleigh quotients, which
@@ -47,7 +49,10 @@ N = 128, where the error is 1.03e-9.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +128,26 @@ def _cluster_top(w, count: int) -> float:
     return cut + _CUT_RTOL * abs(cut)
 
 
+def _f2py(name: str):
+    """scipy.linalg's f2py extension module name, _flapack or _fblas, the
+    one in sys.modules if any; else loaded from the package's directory,
+    found without importing scipy.linalg (only the top scipy package
+    runs), and registered under its full name, so that a later import of
+    scipy.linalg reuses it."""
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        package = importlib.util.find_spec("scipy.linalg")
+        spec = package and importlib.machinery.PathFinder.find_spec(
+            full, package.submodule_search_locations)
+        if spec is None:
+            raise ImportError(f"no module named {full!r}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return module
+
+
 def _dense(ab: np.ndarray) -> np.ndarray:
     """The symmetric double-precision matrix whose lower band storage is ab,
     of order ab.shape[1].  Band rows from the order on hold no entry: a
@@ -140,9 +165,7 @@ def _band_cholesky(A):
     """Lower Cholesky factor of a band or Kronecker operator A in double
     precision, in LAPACK's band storage (dpbtrf); None when A is not
     positive definite in double precision."""
-    from scipy.linalg import lapack
-
-    factor, info = lapack.dpbtrf(A.to_bands(), lower=1, overwrite_ab=1)
+    factor, info = _f2py("_flapack").dpbtrf(A.to_bands(), lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
 
@@ -157,15 +180,13 @@ def _mass_factor(M):
     factors are expanded to dense triangles for the products: at n1 = 24,
     and up to 128, one matmul a side is faster than a band loop in numpy.
     """
-    from scipy.linalg import blas
-
     if isinstance(M, SymBandMatrix):
         R = _band_cholesky(M)
         if R is None:
             return None
-        kd = len(R) - 1
-        return (lambda X: np.array([blas.dtbmv(kd, R, x, lower=1) for x in X]),
-                lambda X: np.array([blas.dtbmv(kd, R, x, lower=1, trans=1) for x in X]))
+        kd, dtbmv = len(R) - 1, _f2py("_fblas").dtbmv
+        return (lambda X: np.array([dtbmv(kd, R, x, lower=1) for x in X]),
+                lambda X: np.array([dtbmv(kd, R, x, lower=1, trans=1) for x in X]))
     (A, B), = M.terms
     RA = _band_cholesky(A)
     RB = RA if B is A else _band_cholesky(B)
@@ -277,8 +298,6 @@ def _leading_modes(K, factor, count: int):
     the twin (k, j) of the same eigenvalue, and one Krylov vector sees one
     direction of such a pair only.
     """
-    from scipy.linalg import lapack
-
     n = K.n
     if count + _MARGIN >= n:
         return None, None
@@ -286,10 +305,11 @@ def _leading_modes(K, factor, count: int):
     if L is None:
         return None, None
     r, rt = factor
+    dpbtrs = _f2py("_flapack").dpbtrs
 
     def solve_k(Y):
         """K^-1 on each row of Y: one band solve for the block."""
-        return lapack.dpbtrs(L, Y.T, lower=1, overwrite_b=1)[0].T
+        return dpbtrs(L, Y.T, lower=1, overwrite_b=1)[0].T
 
     # a fixed start makes repeated solves bitwise equal; a ramp has no
     # reflection symmetry, so it is not orthogonal to the modes that are
@@ -304,6 +324,21 @@ def _leading_modes(K, factor, count: int):
     if w is None:
         return None, None
     return w, solve_k(r(U)).T * w
+
+
+def _dense_eigh(K, M):
+    """Double-precision (eigenvalues, vectors) of all modes of the pencil,
+    ascending, vectors M-normalized: LAPACK's dsygvd on the band copies
+    expanded, which is the call scipy.linalg.eigh(K, M) makes, with its
+    checks: a non-finite entry raises ValueError before any LAPACK call,
+    and a nonzero info raises numpy's LinAlgError."""
+    a, b = _dense(K.to_bands()), _dense(M.to_bands())
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("the pencil has an entry that is inf or NaN")
+    w, vecs, info = _f2py("_flapack").dsygvd(a, b)
+    if info:
+        raise np.linalg.LinAlgError(f"the dense eigensolver failed: LAPACK dsygvd info {info}")
+    return w, vecs
 
 
 def generalized_eig(K, M, count: int | None = None) -> Spectrum:
@@ -332,10 +367,10 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     module's block Lanczos on R^T K^-1 R (K = L L^T, also a band
     Cholesky); smaller ones, a pencil whose leading modes would take all
     n, and one whose K is not positive definite, by a dense eigh of the
-    band copies.  On the dense side the result is bitwise the leading part
-    of a full solve (count=None); on the Lanczos side the eigenvectors
-    carry different roundoff, so refined eigenvalues may differ from the
-    dense ones in the last digits of longdouble.
+    band copies (_dense_eigh).  On the dense side the result is bitwise
+    the leading part of a full solve (count=None); on the Lanczos side the
+    eigenvectors carry different roundoff, so refined eigenvalues may
+    differ from the dense ones in the last digits of longdouble.
     """
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
@@ -351,9 +386,7 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     if n >= _BANDED_MIN_N:
         w, vecs = _leading_modes(K, factor, count)
     if w is None:
-        import scipy.linalg
-
-        w, vecs = scipy.linalg.eigh(_dense(K.to_bands()), _dense(M.to_bands()))
+        w, vecs = _dense_eigh(K, M)
     stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
     refined = np.empty(stop, dtype=np.longdouble)
     for lo in range(0, stop, _REFINE_BLOCK):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from basis_reference import reference_basis
 from dense_reference import dense, dense_from_bands
@@ -305,7 +304,7 @@ def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
         raise AssertionError("Kronecker product or solve before the size check")
 
     for module, name in ((np, "kron"), (assembly.KroneckerSum, "to_bands"),
-                         (eigensolve, "_lanczos"), (scipy.linalg, "eigh")):
+                         (eigensolve, "_lanczos"), (eigensolve, "_dense_eigh")):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):
         assemble_2d(pairs[0])

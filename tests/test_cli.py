@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -348,14 +349,12 @@ def test_an_indefinite_mass_fails_a_study_on_either_solver_route(capsys, meshes,
 
 
 def test_any_other_dense_solve_failure_is_a_computation_error(monkeypatch, capsys):
-    # with the mass factored, an eigh failure is not a mass error: numpy's
-    # LinAlgError, a ValueError, reaches the user as it is
-    import scipy.linalg
-
+    # with the mass factored, a dense solve failure is not a mass error:
+    # numpy's LinAlgError, a ValueError, reaches the user as it is
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("the eigensolver did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    monkeypatch.setattr(eigensolve, "_dense_eigh", failing)
     rc, out, err = _run(capsys, ["study-1d", "-p", "3", "--meshes", "16,32", "--modes", "1"])
     assert (rc, out, err) == (1, "", "error: the eigensolver did not converge\n")
 
@@ -381,8 +380,8 @@ def test_dispersion_coefficient_without_a_prediction_is_a_usage_error(capsys, or
 
 GOLDEN = Path(__file__).parent / "golden"
 
-
-@pytest.mark.parametrize("name,argv", [
+# each golden file and the command line that prints it
+GOLDEN_RUNS = [
     ("study1d_p2_energy.txt",
      ["study-1d", "-p", "2", "--energy", "--meshes", "8,16,32", "--rules", "gauss,radau,dmm"]),
     ("study1d_p3_energy_json.txt",
@@ -404,7 +403,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify_p4_fg6.txt", ["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"]),
     ("verify_p12_fg20.txt",
      ["verify", "--p-max", "12", "--fg-p-max", "20", "--fg-m-max", "20"]),
-])
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
 def test_study_outputs_match_golden_files(capsys, name, argv):
     rc, out, _ = _run(capsys, argv)
     assert rc == 0
@@ -1054,8 +1056,8 @@ def _streams(report):
 
 
 def test_import_does_not_load_scipy():
-    # numpy takes about 0.15 s and 13 MB to import, scipy.linalg 0.3 s more;
-    # only a study needs them
+    # numpy takes about 0.15 s and 13 MB to import; only a study needs it,
+    # and scipy's LAPACK and BLAS modules
     report = _probe("")
     assert report["igadmm"] == [] and report["cli"] == []
 
@@ -1092,16 +1094,97 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
             "--verify-kron", "16"]
     assert 64 < eigensolve._BANDED_MIN_N <= 192
     jobs = scipy_free + [dense, lanczos, kron]
-    # the Lanczos solve needs scipy.linalg's LAPACK calls only, not scipy.sparse:
-    # a run that has loaded it prints the same bytes
-    lazy, preload = _probe("", jobs), _probe("scipy.sparse.linalg", jobs)
+    # every solve needs only scipy's LAPACK and BLAS extension modules, not
+    # the scipy.linalg package, whose import costs more than a study's
+    # compute, nor scipy.sparse: a run that has loaded both prints the same
+    # bytes
+    lazy = _probe("", jobs)
+    preload = _probe("scipy.linalg,scipy.sparse.linalg", jobs)
     *cheap, after_dense, after_lanczos, after_kron = lazy["runs"]
     assert all(run["rc"] == 0 for run in lazy["runs"])
     assert all(run["loaded"] == [] for run in cheap)
     assert "numpy" in after_dense["loaded"]
-    assert "scipy.linalg" in after_dense["loaded"]
     for run in (after_dense, after_lanczos, after_kron):
+        assert {"scipy.linalg._flapack", "scipy.linalg._fblas"} <= set(run["loaded"])
+        assert "scipy.linalg" not in run["loaded"]
         assert not [name for name in run["loaded"] if name.startswith("scipy.sparse")]
     assert "kron-vs-tensor" in after_kron["out"]
     assert {"numpy", "scipy.linalg", "scipy.sparse.linalg"} <= set(preload["cli"])
     assert _streams(lazy) == _streams(preload)
+
+
+# a fresh interpreter that runs a dense, a 1D Lanczos and a Kronecker study
+# through cli.main, then imports scipy.linalg and scipy.sparse.linalg (or
+# imports them first, with argv[1] "before"), and prints as JSON whether the
+# package ran scipy/linalg/__init__.py for the studies, whether scipy's
+# LAPACK and BLAS functions are the very objects the package called, and
+# what scipy's own solvers return
+_IMPORT_ORDER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "before":
+    import scipy.linalg, scipy.sparse.linalg
+import igadmm.cli
+from igadmm import eigensolve
+
+called = {}
+f2py = eigensolve._f2py
+
+def recorded(name):
+    module = f2py(name)
+    called[name] = module
+    return module
+
+eigensolve._f2py = recorded
+for argv in (["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "2"],
+             ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "2"],
+             ["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "dmm", "--verify-kron",
+              "16"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert igadmm.cli.main(argv) == 0
+package_ran = "scipy.linalg" in sys.modules
+import numpy as np
+import scipy.linalg, scipy.sparse, scipy.sparse.linalg
+lapack, blas = called["_flapack"], called["_fblas"]
+A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+report = {
+    "package_ran": package_ran,
+    "registered": [sys.modules["scipy.linalg." + name] is called[name]
+                   for name in ("_flapack", "_fblas")],
+    "origins": [module.__spec__.origin for module in (lapack, blas)],
+    "linalg_dir": scipy.linalg.__path__[0],
+    "same": [scipy.linalg.lapack.dpbtrf is lapack.dpbtrf,
+             scipy.linalg.lapack.dpbtrs is lapack.dpbtrs,
+             scipy.linalg.lapack.dsygvd is lapack.dsygvd,
+             scipy.linalg.blas.dtbmv is blas.dtbmv],
+    "eigh": scipy.linalg.eigh(A, np.eye(3), eigvals_only=True).tolist(),
+    "cholesky_banded": scipy.linalg.cholesky_banded(
+        np.array([[0.0, 1.0, 1.0], [4.0, 3.0, 2.0]])).tolist(),
+    "eigsh": sorted(scipy.sparse.linalg.eigsh(scipy.sparse.csr_matrix(A), k=1,
+                                              return_eigenvectors=False).tolist()),
+}
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("order", ["after", "before"])
+def test_scipy_linalg_imports_before_or_after_a_study_share_its_lapack_and_blas(order):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER, order],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # a study alone never runs scipy/linalg/__init__.py: the extension
+    # modules come from the package's directory, loaded by their spec
+    assert report["package_ran"] is (order == "before")
+    assert report["registered"] == [True, True]
+    assert all(os.path.dirname(origin) == report["linalg_dir"]
+               for origin in report["origins"])
+    assert report["same"] == [True] * 4
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    want = np.linalg.eigvalsh(A)
+    assert np.allclose(report["eigh"], want, rtol=1e-14, atol=0)
+    assert np.allclose(report["eigsh"], want[-1:], rtol=1e-10, atol=0)
+    # scipy's upper band storage of the Cholesky factor R, A = R^T R
+    R = np.linalg.cholesky(A).T
+    assert np.allclose(report["cholesky_banded"],
+                       [[0.0, R[0, 1], R[1, 2]], [R[0, 0], R[1, 1], R[2, 2]]],
+                       rtol=1e-14, atol=0)

@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import dense_reference
 from basis_reference import reference_basis
@@ -210,16 +209,16 @@ def test_generalized_eig_needs_a_positive_count():
 
 
 def _count_solver_calls(monkeypatch):
-    """Record 'eigh' and '_lanczos' for every dense and Lanczos solve."""
+    """Record '_dense_eigh' and '_lanczos' for every dense and Lanczos solve."""
     calls = []
-    for module, name in ((scipy.linalg, "eigh"), (eigensolve, "_lanczos")):
-        solver = getattr(module, name)
+    for name in ("_dense_eigh", "_lanczos"):
+        solver = getattr(eigensolve, name)
 
         def counted(*args, _solver=solver, _name=name, **kwargs):
             calls.append(_name)
             return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(eigensolve, name, counted)
     return calls
 
 
@@ -261,9 +260,9 @@ def test_band_pencils_from_the_crossover_on_take_the_lanczos_solve(monkeypatch):
     above = _study_pair(2, n0, "gauss")
     assert (below.stiffness.n, above.stiffness.n) == (n0 - 1, n0)
     generalized_eig(below.stiffness, below.mass, 4)
-    assert calls == ["eigh"]
+    assert calls == ["_dense_eigh"]
     generalized_eig(above.stiffness, above.mass, 4)
-    assert calls == ["eigh", "_lanczos"]
+    assert calls == ["_dense_eigh", "_lanczos"]
 
 
 @pytest.mark.parametrize("p,N,label", [
@@ -276,7 +275,7 @@ def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label)
     calls = _count_solver_calls(monkeypatch)
     band = generalized_eig(pair.stiffness, pair.mass, 6)
     dense = _dense_solve(monkeypatch, pair.stiffness, pair.mass, 6)
-    assert calls == ["_lanczos", "eigh"]
+    assert calls == ["_lanczos", "_dense_eigh"]
     _assert_same_modes(band, dense, pair.mass)
 
 
@@ -297,7 +296,7 @@ def test_band_pencil_counts_near_n(monkeypatch, offset):
     n = pair.stiffness.n
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, n - offset)
-    assert calls == (["_lanczos"] if offset > eigensolve._MARGIN else ["eigh"])
+    assert calls == (["_lanczos"] if offset > eigensolve._MARGIN else ["_dense_eigh"])
     assert len(got) == min(n - offset, n) and got.vectors.shape == (n, len(got))
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, n - offset),
                        pair.mass)
@@ -380,11 +379,74 @@ def test_an_indefinite_stiffness_from_the_crossover_on_takes_the_dense_solve(mon
     assert K.n >= eigensolve._BANDED_MIN_N
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(K, pair.mass, 6)
-    assert calls == ["eigh"]
+    assert calls == ["_dense_eigh"]
     dense = _dense_solve(monkeypatch, K, pair.mass, 6)
     assert np.array_equal(got.eigenvalues, dense.eigenvalues)
     assert np.array_equal(got.vectors, dense.vectors)
     assert float(got.eigenvalues[0]) < 0
+
+
+def _with_entry(op, value):
+    """A copy of the band operator with value on its first subdiagonal."""
+    bands = op.bands.copy()
+    bands[1, 3] = value
+    return SymBandMatrix(bands)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("form", ["stiffness", "mass"])
+def test_the_dense_solve_refuses_a_non_finite_pencil_before_any_lapack_call(monkeypatch,
+                                                                         value, form):
+    # scipy.linalg.eigh's check_finite, which the dense route keeps
+    pair = _study_pair(2, 16, "gauss")
+    ops = {"stiffness": pair.stiffness, "mass": pair.mass}
+    ops[form] = _with_entry(ops[form], value)
+    assert ops[form].n < eigensolve._BANDED_MIN_N
+
+    def forbidden(name):
+        raise AssertionError(f"LAPACK or BLAS ({name}) before the finiteness check")
+
+    monkeypatch.setattr(eigensolve, "_f2py", forbidden)
+    with pytest.raises(ValueError, match="inf or NaN"):
+        eigensolve._dense_eigh(ops["stiffness"], ops["mass"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_stiffness_fails_generalized_eig_before_the_dense_solve(monkeypatch,
+                                                                             value):
+    pair = _study_pair(2, 16, "gauss")
+    K = _with_entry(pair.stiffness, value)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dsygvd on a non-finite pencil")
+
+    monkeypatch.setattr(eigensolve._f2py("_flapack"), "dsygvd", forbidden)
+    with pytest.raises(ValueError, match="inf or NaN"):
+        generalized_eig(K, pair.mass, 4)
+
+
+@pytest.mark.parametrize("info", [-2, 3, 14 + 5])  # illegal argument, no convergence, M
+def test_a_nonzero_dsygvd_info_raises(monkeypatch, info):
+    pair = _study_pair(2, 14, "gauss")  # p = 2: n = N
+    flapack = eigensolve._f2py("_flapack")
+    dsygvd, seen = flapack.dsygvd, []
+
+    def failing(a, b):
+        w, v, _ = dsygvd(a, b)
+        seen.append(len(a))
+        return w, v, info
+
+    monkeypatch.setattr(flapack, "dsygvd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK dsygvd info {info}$"):
+        generalized_eig(pair.stiffness, pair.mass, 4)
+    assert seen == [14]
+
+
+def test_a_missing_extension_module_is_an_import_error_that_names_it():
+    with pytest.raises(ImportError, match="scipy.linalg._absent") as raised:
+        eigensolve._f2py("_absent")
+    assert raised.value.name == "scipy.linalg._absent"
+    assert "scipy.linalg._absent" not in sys.modules
 
 
 @pytest.mark.parametrize("p,N,two_d", [(3, 512, False), (3, 16, True)])
