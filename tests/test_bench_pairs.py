@@ -8,8 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import GOLDEN, GOLDEN_RUNS
-
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -183,81 +181,3 @@ def test_both_sides_run_outside_the_checkout_and_the_change_has_its_edits(monkey
     assert change["perfbench/run.py"] == "edited\n"
     assert change["perfbench/new.py"] == "untracked\n"
     assert "out/left.json" not in change and ".gitignore" in change
-
-
-def test_cold_commands_are_the_golden_ones_then_each_workloads_first_job():
-    assert bench_pairs.GOLDEN_COMMANDS == [argv for _, argv in GOLDEN_RUNS]
-    assert sorted(name for name, _ in GOLDEN_RUNS) == sorted(
-        path.name for path in GOLDEN.iterdir())
-    commands = bench_pairs.cold_commands()
-    assert commands[:len(GOLDEN_RUNS)] == bench_pairs.GOLDEN_COMMANDS
-    # exact-tables starts with the command of a golden file: each runs once
-    assert [argv[0] for argv in commands[len(GOLDEN_RUNS):]] == ["study-1d", "study-2d"]
-    assert len({" ".join(argv) for argv in commands}) == len(commands)
-
-
-# a stand-in igadmm whose cli holds a list of the size its tree names, so
-# that the two trees differ in peak memory, and reports the BLAS threads
-_STUB_CLI = """
-import os, sys
-
-def main(argv):
-    held = bytearray({mb} << 20)
-    held[::4096] = b"x" * len(held[::4096])
-    with open(os.path.join(os.getcwd(), "seen.txt"), "a") as fh:
-        fh.write(" ".join(argv) + " " + os.environ["OPENBLAS_NUM_THREADS"] + "\\n")
-    return 0
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
-"""
-
-
-def _stub_tree(path, mb):
-    package = path / "src" / "igadmm"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(_STUB_CLI.format(mb=mb))
-
-
-def test_cold_runs_each_command_in_fresh_interpreters_of_both_trees(monkeypatch, tmp_path,
-                                                                   capsys):
-    (tmp_path / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
-    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
-
-    def export(rev, into):
-        _stub_tree(Path(into) / "tree", 64)
-        return "0" * 40
-
-    monkeypatch.setattr(bench_pairs, "_export", export)
-    monkeypatch.setattr(bench_pairs, "_copy_checkout", lambda into: _stub_tree(Path(into), 8))
-    monkeypatch.setattr(bench_pairs, "cold_commands", lambda: [["stub", "a"], ["stub", "b"]])
-    seen = {}
-    cold_run = bench_pairs._cold_run
-
-    def recorded(tree, command):
-        result = cold_run(tree, command)
-        seen[os.path.basename(tree)] = (Path(tree) / "seen.txt").read_text()
-        return result
-
-    monkeypatch.setattr(bench_pairs, "_cold_run", recorded)
-    assert bench_pairs.main(["--parent", "HEAD", "--number", "7", "--cold", "3"]) == 0
-    report = json.loads((tmp_path / "BENCH_7.json").read_text())
-    assert report["workloads"] == {} and report["cold"]["pairs"] == 3
-    assert sorted(report["cold"]["commands"]) == ["stub a", "stub b"]
-    for command in report["cold"]["commands"].values():
-        wall, rss = command["wall_s"], command["maxrss_mb"]
-        assert wall["pairs"] == rss["pairs"] == 3
-        assert all(0 < t < 30 for side in ("parent", "change") for t in wall[side]["runs"])
-        # 64 MB held against 8: the change wins every pair
-        assert rss["change_wins"] == 3 and rss["gain_holds"] is True
-        assert rss["median_gain"] > 40
-    # each tree ran each command three times, with one BLAS thread
-    assert seen["tree"] == seen["change"] == "stub a 1\nstub b 1\n" * 3
-
-
-def test_cold_or_a_workload_is_needed(capsys):
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["--parent", "HEAD", "--number", "7"])
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["--parent", "HEAD", "--number", "7", "--workload", "kron-2d"])

@@ -380,8 +380,8 @@ def test_dispersion_coefficient_without_a_prediction_is_a_usage_error(capsys, or
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# each golden file and the command line that prints it
-GOLDEN_RUNS = [
+
+@pytest.mark.parametrize("name,argv", [
     ("study1d_p2_energy.txt",
      ["study-1d", "-p", "2", "--energy", "--meshes", "8,16,32", "--rules", "gauss,radau,dmm"]),
     ("study1d_p3_energy_json.txt",
@@ -403,10 +403,7 @@ GOLDEN_RUNS = [
     ("verify_p4_fg6.txt", ["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"]),
     ("verify_p12_fg20.txt",
      ["verify", "--p-max", "12", "--fg-p-max", "20", "--fg-m-max", "20"]),
-]
-
-
-@pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
+])
 def test_study_outputs_match_golden_files(capsys, name, argv):
     rc, out, _ = _run(capsys, argv)
     assert rc == 0

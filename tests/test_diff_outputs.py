@@ -58,7 +58,7 @@ def test_the_largest_move_of_each_column_is_summarized_with_its_cell(monkeypatch
     monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"], ["b"]])
     monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
     monkeypatch.setattr(diff_outputs, "_run_tree",
-                        lambda tree, jobs, threads: change[:2] if tree == diff_outputs.ROOT else parent[:2])
+                        lambda tree, jobs: change[:2] if tree == diff_outputs.ROOT else parent[:2])
     assert diff_outputs.main(["--parent", "HEAD"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3] == ("largest moves: rel_ev_error 1.00e-09 absolute at 2,8,gauss,1; "
@@ -78,7 +78,7 @@ def test_exit_code_is_1_on_any_difference(monkeypatch, capsys):
     monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
     runs = {}
     monkeypatch.setattr(diff_outputs, "_run_tree",
-                        lambda tree, jobs, threads: runs[tree == diff_outputs.ROOT])
+                        lambda tree, jobs: runs[tree == diff_outputs.ROOT])
     runs[False] = runs[True] = [_result("x"), _result(_STUDY)]
     assert diff_outputs.main(["--parent", "HEAD"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
@@ -144,40 +144,10 @@ def test_line_counts_of_both_trees_precede_the_summary(monkeypatch, capsys, tmp_
 
     monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"]])
     monkeypatch.setattr(diff_outputs, "_export", export)
-    monkeypatch.setattr(diff_outputs, "_run_tree", lambda tree, jobs, threads: [_result("x")])
+    monkeypatch.setattr(diff_outputs, "_run_tree", lambda tree, jobs: [_result("x")])
     assert diff_outputs.main(["--parent", "HEAD"]) == 0
     count = diff_outputs.line_count(diff_outputs.ROOT)
     assert count > 1000
     assert capsys.readouterr().out.splitlines() == [
         f"src/igadmm/*.py lines: 3 -> {count}",
         "1 jobs against 000000000000: 0 differ, 0 study cells moved"]
-
-
-# a stand-in igadmm whose cli prints the BLAS thread variables it sees
-_STUB_CLI = """
-import os
-
-def main(argv):
-    print(" ".join(os.environ[name] for name in
-                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
-    return 0
-"""
-
-
-def test_the_thread_count_reaches_the_child_process(monkeypatch, tmp_path):
-    package = tmp_path / "src" / "igadmm"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(_STUB_CLI)
-    for threads in (1, 3):
-        assert diff_outputs._run_tree(str(tmp_path), [["a"]], threads) == [
-            _result(f"{threads} {threads} {threads}\n")]
-    # main passes --threads, 1 by default, to both trees
-    seen = []
-    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [["a"]])
-    monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
-    monkeypatch.setattr(diff_outputs, "_run_tree",
-                        lambda tree, jobs, threads: seen.append(threads) or [_result("x")])
-    assert diff_outputs.main(["--parent", "HEAD"]) == 0
-    assert diff_outputs.main(["--parent", "HEAD", "--threads", "2"]) == 0
-    assert seen == [1, 1, 2, 2]

@@ -27,23 +27,11 @@ from the record run.py leaves in the tree's perfbench/out/.  It is the time
 a fresh process spends on import and the whole job list together, so it
 shows a cost moved from import into the first job that uses it, which the
 per-job medians of wall_s mostly hide.
-
-With ``--cold PAIRS``, the file also gets, under "cold", the time and
-memory of whole commands in fresh interpreters: every command of
-cold_commands() (the commands of the golden files under tests/golden/,
-then the first job of each benchmark workload, each command once) runs
-as ``python -m igadmm.cli`` in each tree, PAIRS times a side, alternating
-which side runs first, with BLAS pinned to one thread.  Per command, wall_s is the time from the start
-of the process to its exit and maxrss_mb its ru_maxrss, each summarized
-as the workload metrics are.  --cold needs no --workload:
-
-    python3 tools/bench_pairs.py --parent REV --number N --cold 10
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -56,25 +44,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
-ONE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-# the command lines of the golden files, in tests/test_cli.py's order
-GOLDEN_COMMANDS = [
-    ["study-1d", "-p", "2", "--energy", "--meshes", "8,16,32", "--rules", "gauss,radau,dmm"],
-    ["study-1d", "-p", "3", "--energy", "--meshes", "16,32,64", "--rules", "gauss,dmm",
-     "--json", "-"],
-    ["study-2d", "-p", "2", "--meshes", "4,8,16", "--rules", "dmm", "--verify-kron", "8"],
-    ["tau", "--p", "1,2,3", "--pair", "all"],
-    ["stencil", "-p", "3", "--rule", "blend:gl"],
-    ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
-    ["study-2d", "-p", "3", "--meshes", "4,8,16", "--modes", "1,2,3",
-     "--rules", "gauss,radau", "--verify-kron", "6"],
-    ["tau", "--p", "7,8", "--pair", "all"],
-    ["stencil", "-p", "6", "--form", "stiffness", "--rule", "blend:pr"],
-    ["rules", "--family", "blend", "-p", "3", "--pair", "gl"],
-    ["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"],
-    ["verify", "--p-max", "12", "--fg-p-max", "20", "--fg-m-max", "20"],
-]
 
 
 def _spread(values: list[float]) -> dict:
@@ -181,83 +150,16 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def cold_commands() -> list[list[str]]:
-    """The golden commands, then the first job of each benchmark workload
-    (perfbench/workloads.py of this checkout) that is not one of them."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    firsts = [workloads.jobs_for(name)[0] for name in workloads.WORKLOADS]
-    return GOLDEN_COMMANDS + [job for job in firsts if job not in GOLDEN_COMMANDS]
-
-
-# a bare interpreter that starts `python -m igadmm.cli ARGV...` with its
-# output discarded, waits for it and prints its wall time, exit code and
-# peak resident set as JSON.  A child's ru_maxrss counts the resident set
-# of the process it was forked from, so the command starts from this small
-# process, not from the benchmark script
-_COLD_TIMER = """
-import json, os, sys, time
-argv = [sys.executable, "-m", "igadmm.cli", *sys.argv[1:]]
-start = time.perf_counter()
-pid = os.posix_spawn(sys.executable, argv, os.environ,
-                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
-_, status, usage = os.wait4(pid, 0)
-wall = time.perf_counter() - start
-print(json.dumps({"rc": os.waitstatus_to_exitcode(status), "wall_s": wall,
-                  "maxrss_mb": usage.ru_maxrss / 1024}))
-"""
-
-
-def _cold_run(tree: str, command: list[str]) -> dict:
-    """Wall time and peak resident set (ru_maxrss, KiB on Linux, as MB) of
-    one command, run in a fresh interpreter on the tree's igadmm with BLAS
-    pinned to one thread."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **ONE_THREAD)
-    proc = subprocess.run([sys.executable, "-c", _COLD_TIMER, *command], cwd=tree, env=env,
-                          capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout)
-    if result.pop("rc") != 0:
-        raise RuntimeError(f"{' '.join(command)} in {tree} failed: "
-                           f"{proc.stderr.strip()[-2000:]}")
-    return result
-
-
-def cold(trees: dict, pairs: int) -> dict:
-    """Per command, each side's wall time and peak RSS over pairs fresh
-    runs, the sides alternating which runs first."""
-    commands = cold_commands()
-    runs = {" ".join(command): [] for command in commands}
-    for index in range(pairs):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        for command in commands:
-            pair = {side: _cold_run(trees[side], command) for side in order}
-            runs[" ".join(command)].append(pair)
-    return {"pairs": pairs, "commands": {
-        name: {metric: summarize([(pair["parent"][metric], pair["change"][metric])
-                                  for pair in pairs_of], "lower")
-               for metric in ("wall_s", "maxrss_mb")}
-        for name, pairs_of in runs.items()}}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--number", required=True, type=int,
                         help="N of the BENCH_<N>.json file written")
-    parser.add_argument("--workload", action="append", default=[])
-    parser.add_argument("--seeds", type=_seeds, default=[],
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", required=True, type=_seeds,
                         help="one pair per seed: 4001-4010 or 4001,4003")
     parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--cold", type=int, metavar="PAIRS",
-                        help="also time the golden commands and each workload's first "
-                             "job in fresh interpreters, PAIRS runs a side")
     args = parser.parse_args(argv)
-    if not (args.workload or args.cold):
-        parser.error("give --workload, --cold or both")
-    if args.workload and not args.seeds:
-        parser.error("--workload needs --seeds")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = {m["name"]: (m["better"], m["bound"])
                       for m in json.load(fh)["end_to_end"]}
@@ -290,13 +192,10 @@ def main(argv=None) -> int:
                                            "lower")},
                 "runs": runs,
             }
-        cold_report = cold(trees, args.cold) if args.cold else None
     report = {"parent": parent, "change": "working tree", "seconds": args.seconds,
               "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                        "python": platform.python_version()},
               "workloads": workloads}
-    if cold_report:
-        report["cold"] = cold_report
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -2,11 +2,11 @@
 
 Usage, from the repository root:
 
-    python3 tools/diff_outputs.py --parent REV [--threads N]
+    python3 tools/diff_outputs.py --parent REV
 
 The parent commit is exported with ``git archive``, as tools/bench_pairs.py
-does.  In each tree one Python process, with BLAS pinned to N threads (1
-by default), imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
+does.  In each tree one Python process, with BLAS pinned to one thread,
+imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
 job of the benchmark workloads (perfbench/workloads.py) and the fixed
 sweep below, capturing each job's exit code, standard output and standard
 error.  The report lists each job whose exit code, output or error
@@ -150,12 +150,9 @@ def _export(rev: str, into: str) -> str:
     return _load("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))._export(rev, into)
 
 
-def _run_tree(tree: str, jobs: list[list[str]], threads: int) -> list[dict]:
-    """collect() of the jobs in a child process on the tree's igadmm, with
-    BLAS pinned to the given number of threads."""
-    count = str(threads)
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS=count,
-               OPENBLAS_NUM_THREADS=count, MKL_NUM_THREADS=count)
+def _run_tree(tree: str, jobs: list[list[str]]) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", tree],
                           input=json.dumps(jobs), capture_output=True, text=True, env=env,
                           cwd=tree, check=True)
@@ -235,8 +232,6 @@ def largest_moves(parent: list[dict], change: list[dict]) -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="commit to compare against")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS threads of both trees' runs (default 1)")
     parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
@@ -247,9 +242,9 @@ def main(argv=None) -> int:
     jobs = all_jobs()
     with tempfile.TemporaryDirectory() as tmp:
         sha = _export(args.parent, tmp)
-        parent = _run_tree(os.path.join(tmp, "tree"), jobs, args.threads)
+        parent = _run_tree(os.path.join(tmp, "tree"), jobs)
         parent_lines = line_count(os.path.join(tmp, "tree"))
-    change = _run_tree(ROOT, jobs, args.threads)
+    change = _run_tree(ROOT, jobs)
     lines = compare(jobs, parent, change)
     for line in lines:
         print(line)
