@@ -18,11 +18,11 @@ longdouble products on blocks of eigenvectors, one K V and one M V per
 block, by extended-precision Rayleigh quotients, which
 pushes the numerical noise floor far below the discretization errors
 being measured (the 1D studies resolve relative errors down to 1e-13).
-Modes past the requested count are refined only when their double
-eigenvalue ties the last requested one, so that a degenerate pair split
-by the cut sorts as a full refinement would sort it.  Refinement needs a
-longdouble wider than float64; where it is not (Windows, Apple ARM),
-generalized_eig raises PrecisionError.
+A Kronecker pencil refines one mode past the requested count, so that a
+degenerate pair split by the cut sorts as a full refinement would sort
+it; a band pencil, whose spectrum is simple, refines the count alone.
+Refinement needs a longdouble wider than float64; where it is not
+(Windows, Apple ARM), generalized_eig raises PrecisionError.
 
 Error measures: relative eigenvalue errors against j^2 pi^2 (or
 (j^2 + k^2) pi^2 on the square), and the energy-norm eigenfunction error
@@ -66,11 +66,6 @@ PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
 
-# relative width of the eigenvalue cluster refined past the requested count:
-# refinement shifts the leading modes by at most ~2e-11 relative, and
-# degenerate 2D pairs sit ~1e-15 apart while distinct modes differ by > 5e-2
-_CUT_RTOL = 1e-8
-
 # smallest band or Kronecker pencil order solved by Lanczos.  One BLAS
 # thread on a 2-vCPU x86-64 VM, 1D, p = 2, four modes, dense vs Lanczos:
 # 3.5 vs 1.6 ms at n = 128, 5.3 vs 1.8 ms at n = 160, 8.0 vs 1.9 ms at
@@ -79,8 +74,8 @@ _CUT_RTOL = 1e-8
 # golden outputs that print them, stay bitwise as they are
 _BANDED_MIN_N = 160
 
-# modes the Lanczos solve computes past the requested count, so that it
-# sees the whole cluster at the cut
+# modes the Lanczos solve converges past the requested count; refinement
+# reads one of them past a Kronecker cut, none past a band one
 _MARGIN = 2
 
 # columns per block product of the Rayleigh refinement: K V and M V take
@@ -120,12 +115,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def _cluster_top(w, count: int) -> float:
-    """Largest double eigenvalue still tied with the count-th."""
-    cut = w[count - 1]
-    return cut + _CUT_RTOL * abs(cut)
 
 
 def _f2py(name: str):
@@ -220,10 +209,9 @@ def _orthonormal_rows(W):
 
 def _lanczos(apply_c, start, count: int):
     """(w, U): w = 1 / theta ascending and the unit Ritz vectors as rows
-    of U, for the largest Ritz values theta of a symmetric positive
-    definite C, at least count + _MARGIN of them and through the cluster
-    at the cut in w; (None, None) when the basis cannot grow by a full
-    block before that.
+    of U, for the count + _MARGIN largest Ritz values theta of a
+    symmetric positive definite C; (None, None) when the basis cannot grow
+    by a full block before they converge.
 
     Block Lanczos from the rows of start, each new block orthogonalized
     twice against the whole basis Q, kept in rows, whose projections give
@@ -234,9 +222,8 @@ def _lanczos(apply_c, start, count: int):
     check is an eigh of the projected matrix, which costs as much as a
     step or more, so the next one waits as many steps as the worst
     residual has decades above its tolerance: these runs gain at most
-    about one decade a step.  When the cluster at the cut needs more than
-    k modes, k doubles and the same run goes on.  A basis that reaches n
-    returns the exact Ritz pairs of the whole space.
+    about one decade a step.  A basis that reaches n returns the exact
+    Ritz pairs of the whole space.
     """
     b, n = start.shape
     k = check = count + _MARGIN
@@ -262,14 +249,9 @@ def _lanczos(apply_c, start, count: int):
             theta, S = theta[:-k - 1:-1], S[:, :-k - 1:-1]
             worst = np.max(np.sqrt(np.sum((G.T @ S[m - b:]) ** 2, axis=0)) / theta)
             worst /= np.finfo(np.float64).eps
-            if worst > 1:
-                check = m + b * math.ceil(np.log10(worst))
-            else:
-                w = 1.0 / theta
-                if w[-1] > _cluster_top(w, count):
-                    return w, S.T @ basis
-                k = min(2 * k, n)
-                check = max(k, m + b)
+            if worst <= 1:
+                return 1.0 / theta, S.T @ basis
+            check = m + b * math.ceil(np.log10(worst))
         if m + b > n:
             return None, None
         if m + b > len(Q):
@@ -280,23 +262,37 @@ def _lanczos(apply_c, start, count: int):
         m += b
 
 
-def _leading_modes(K, factor, count: int):
-    """Double-precision (eigenvalues, vectors) of the smallest modes of a
-    band or Kronecker pencil, through the cluster at the cut, with vectors
+def _start_block(K):
+    """The Lanczos start block, as rows, of a pencil of stiffness K.  A
+    band pencil starts from one vector: its spectrum is simple.  A
+    Kronecker pencil starts from two, the ramp and its image under
+    swapping x and y: each mode (j, k) of the square has the twin (k, j)
+    of the same eigenvalue, and one Krylov vector sees one direction of
+    such a pair only."""
+    # a fixed start makes repeated solves bitwise equal; a ramp has no
+    # reflection symmetry, so it is not orthogonal to the modes that are
+    # even about x = 1/2, as a constant vector would be
+    ramp = np.linspace(1.0, 2.0, K.n)
+    if isinstance(K, SymBandMatrix):
+        return ramp[None, :]
+    side = K.terms[0][0].n
+    return np.array([ramp, ramp.reshape(side, -1).T.ravel()])
+
+
+def _leading_modes(K, factor, start, count: int):
+    """Double-precision (eigenvalues, vectors) of the count + _MARGIN or
+    more smallest modes of a band or Kronecker pencil, with vectors
     M-normalized; (None, None) when that needs all n or K is not positive
     definite.  factor holds the products with R and R^T of M = R R^T
-    (_mass_factor).
+    (_mass_factor), and start the rows the Krylov basis starts from
+    (_start_block).
 
     With M = R R^T and K = L L^T factored once each, Lanczos (_lanczos)
     runs in standard form on C = R^T K^-1 R, whose eigenvalues are
     1/lambda, and lambda K^-1 R u maps its unit eigenvector u to the
     pencil's mode, of unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1:
     a product with R, one band solve for the block, and a product with R^T
-    per Lanczos step.  A band pencil starts from one vector: its spectrum
-    is simple.  A Kronecker pencil starts from a block of two, the ramp and
-    its image under swapping x and y: each mode (j, k) of the square has
-    the twin (k, j) of the same eigenvalue, and one Krylov vector sees one
-    direction of such a pair only.
+    per Lanczos step.
     """
     n = K.n
     if count + _MARGIN >= n:
@@ -311,15 +307,6 @@ def _leading_modes(K, factor, count: int):
         """K^-1 on each row of Y: one band solve for the block."""
         return dpbtrs(L, Y.T, lower=1, overwrite_b=1)[0].T
 
-    # a fixed start makes repeated solves bitwise equal; a ramp has no
-    # reflection symmetry, so it is not orthogonal to the modes that are
-    # even about x = 1/2, as a constant vector would be
-    ramp = np.linspace(1.0, 2.0, n)
-    if isinstance(K, SymBandMatrix):
-        start = ramp[None, :]
-    else:
-        side = K.terms[0][0].n
-        start = np.array([ramp, ramp.reshape(side, -1).T.ravel()])
     w, U = _lanczos(lambda X: rt(solve_k(r(X))), start, count)
     if w is None:
         return None, None
@@ -354,10 +341,12 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     this restores the eigenvalues to near working precision of the
     assembled matrices.
 
-    Refinement covers the leading count modes and every later mode whose
-    double eigenvalue lies within _CUT_RTOL of the count-th: refinement
-    moves an eigenvalue by far less than that, so no mode left out could
-    sort into the first count.
+    Refinement covers the leading count + b - 1 modes (at most n) on both
+    routes, b the size of the Lanczos start block (_start_block).  A band
+    spectrum is simple, as the one-vector start assumes (b = 1); on the
+    square, the tensor sum of the 1D spectrum, a mode (j, k) ties only
+    with its twin (k, j), and b = 2 takes in the twin of a pair the cut
+    splits.  So no mode left out could sort into the first count.
 
     The mass is factored first, M = R R^T by LAPACK's band Cholesky (a
     Kronecker mass through its 1D factor), and one that is not positive
@@ -382,12 +371,13 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     factor = _mass_factor(M)
     if factor is None:
         raise IndefiniteMassError("the mass matrix is not positive definite")
+    start = _start_block(K)
     w = None
     if n >= _BANDED_MIN_N:
-        w, vecs = _leading_modes(K, factor, count)
+        w, vecs = _leading_modes(K, factor, start, count)
     if w is None:
         w, vecs = _dense_eigh(K, M)
-    stop = int(np.searchsorted(w, _cluster_top(w, count), side="right"))
+    stop = min(count + len(start) - 1, n)
     refined = np.empty(stop, dtype=np.longdouble)
     for lo in range(0, stop, _REFINE_BLOCK):
         V = vecs[:, lo: min(stop, lo + _REFINE_BLOCK)].astype(np.longdouble)

@@ -9,7 +9,7 @@ import pytest
 
 import dense_reference
 from basis_reference import reference_basis
-from igadmm import eigensolve
+from igadmm import eigensolve, quadrature
 from igadmm.assembly import (
     KroneckerSum,
     SymBandMatrix,
@@ -99,6 +99,8 @@ def _study_pair(p, N, label):
     space = BSplineSpace(p, N)
     if label == "dmm":
         return assemble_1d_dmm(space)
+    if label.startswith("blend:"):
+        return assemble_1d(space, optimal_blend(p, label[len("blend:"):]))
     rule = {"gauss": gauss_legendre(p + 1), "gp": gauss_legendre(p),
             "lobatto": gauss_lobatto(p + 1), "radau": gauss_radau(p)}[label]
     return assemble_1d(space, rule)
@@ -125,16 +127,26 @@ def test_leading_modes_are_bitwise_those_of_the_full_solve(p, label, N):
         pair.stiffness, pair.mass, (1, 3, n - 1, n, n + 5))
 
 
+def _assert_cuts(eigenvalues, split, between):
+    """Each cut in split falls inside a pair of equal modes, each one in
+    between falls between two modes at least 1e-3 apart, relative."""
+    for count in split + between:
+        below, above = (float(v) for v in eigenvalues[count - 1:count + 1])
+        tied = abs(above - below) < 1e-12 * below
+        assert tied if count in split else above - below > 1e-3 * below, count
+
+
 def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs(monkeypatch):
     pair = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 8)))
     full = generalized_eig(pair.stiffness, pair.mass)
-    # each cut splits a pair of modes (j,k)/(k,j) equal up to roundoff, whose
-    # refined order may differ from their double order; the cut at 12 is the
-    # one kron_cross_check makes, inside the (2,4)/(4,2) pair
-    counts = (2, 9, 12, 16)
-    for count in counts:
-        below, above = (float(v) for v in full.eigenvalues[count - 1:count + 1])
-        assert abs(above - below) < 1e-12 * below, count
+    # each split cut falls inside a pair of modes (j,k)/(k,j) equal up to
+    # roundoff, whose refined order may differ from their double order; the
+    # cut at 12 is the one kron_cross_check makes, inside the (2,4)/(4,2)
+    # pair.  The other cuts fall between pairs: the one mode refined past
+    # them is an untied neighbour
+    split, between = (2, 9, 12, 16), (1, 3, 4)
+    counts = split + between
+    _assert_cuts(full.eigenvalues, split, between)
     _assert_leading_modes_are_the_full_solve(pair.stiffness, pair.mass, counts)
     # from _BANDED_MIN_N on, the Lanczos solve must find both modes of each
     # pair: its refined eigenvalues are the pairwise sums of the 1D ones
@@ -142,10 +154,9 @@ def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs(monkeyp
     pair = assemble_2d(pair1)
     assert pair.stiffness.n == 256 >= eigensolve._BANDED_MIN_N
     tensor = tensor_spectrum_2d(generalized_eig(pair1.stiffness, pair1.mass).eigenvalues)
+    _assert_cuts(tensor, split, between)
     calls = _count_solver_calls(monkeypatch)
     for count in counts:
-        below, above = (float(v) for v in tensor[count - 1:count + 1])
-        assert abs(above - below) < 1e-12 * below, count
         got = generalized_eig(pair.stiffness, pair.mass, count)
         assert len(got) == count and got.vectors.shape == (256, count)
         rel = np.abs(got.eigenvalues - tensor[:count]) / tensor[:count]
@@ -302,16 +313,94 @@ def test_band_pencil_counts_near_n(monkeypatch, offset):
                        pair.mass)
 
 
-def test_band_solve_grows_past_a_wide_cluster_at_the_cut(monkeypatch):
-    # a cluster width of 20 ties modes 1..4 (lambda_j ~ j^2 lambda_1) with the
-    # first, more than count + margin = 3 modes: the same Krylov run must go
-    # on to twice as many
-    monkeypatch.setattr(eigensolve, "_CUT_RTOL", 20.0)
-    pair = _study_pair(2, 256, "dmm")
-    runs = _record_lanczos(monkeypatch)
-    got = generalized_eig(pair.stiffness, pair.mass, 1)
-    assert runs == [((1, 256), 2 * (1 + eigensolve._MARGIN))]
-    _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, 1), pair.mass)
+def _record_refined_widths(monkeypatch):
+    """Record (operator type, block width) for every product of an
+    operator with a block of columns; the 1D products inside a Kronecker
+    one take three-axis arrays and are left out."""
+    widths = []
+    for cls in (SymBandMatrix, KroneckerSum):
+
+        def recorded(op, x, _matvec=cls.matvec):
+            if np.ndim(x) == 2:
+                widths.append((type(op).__name__, x.shape[1]))
+            return _matvec(op, x)
+
+        monkeypatch.setattr(cls, "matvec", recorded)
+    return widths
+
+
+@pytest.mark.parametrize("N,side", [(16, 4), (256, 16)])
+def test_a_band_solve_refines_count_modes_and_a_kronecker_solve_one_more(monkeypatch,
+                                                                        N, side):
+    # 1D: n = 17 and 257; 2D: n = 25 and 289, the dense route and the
+    # Lanczos one.  The refinement's K V and M V are the only products with
+    # the operators, one block each
+    band = _study_pair(3, N, "dmm")
+    kron = assemble_2d(_study_pair(3, side, "dmm"))
+    calls = _count_solver_calls(monkeypatch)
+    widths = _record_refined_widths(monkeypatch)
+    for count in (1, 4, 9):
+        assert len(generalized_eig(band.stiffness, band.mass, count)) == count
+        assert widths == [("SymBandMatrix", count)] * 2, count
+        widths.clear()
+        assert len(generalized_eig(kron.stiffness, kron.mass, count)) == count
+        assert widths == [("KroneckerSum", count + 1)] * 2, count
+        widths.clear()
+    route = "_lanczos" if N >= eigensolve._BANDED_MIN_N else "_dense_eigh"
+    assert calls == [route] * 6
+    # all modes: the count caps at n, in blocks of _REFINE_BLOCK columns
+    n, block = kron.stiffness.n, eigensolve._REFINE_BLOCK
+    assert len(generalized_eig(kron.stiffness, kron.mass)) == n
+    assert widths == [("KroneckerSum", min(block, n - lo))
+                      for lo in range(0, n, block) for _ in "KM"]
+
+
+# every label a study accepts, without the aliases G, L and R
+_STUDY_LABELS = ("gauss", "gp", "lobatto", "radau", "dmm",
+                 *(f"blend:{pair}" for pair in quadrature._PAIR_NAMES))
+
+
+def _study_spectra(monkeypatch, p, N, count):
+    """The leading count refined eigenvalues of every study label's 1D
+    pencil at (p, N), by label, from the dense solve of the whole spectrum;
+    a blend with no ratio at p, or a mass that is not positive definite,
+    has none."""
+    spectra = {}
+    for label in _STUDY_LABELS:
+        try:
+            pair = _study_pair(p, N, label)
+            spectra[label] = _dense_solve(monkeypatch, pair.stiffness, pair.mass,
+                                          count).eigenvalues
+        except (quadrature.DegenerateBlendError, eigensolve.IndefiniteMassError):
+            pass
+    return spectra
+
+
+@pytest.mark.parametrize("N", [3, 4, 8, 33, 160])
+def test_the_leading_1d_spectra_are_simple(monkeypatch, N):
+    # a band solve refines the count modes alone, and starts Lanczos from
+    # one vector: among the first 16, no two modes of a study pencil tie
+    # (the smallest gap here is 2.4e-2, at p = 6, N = 8, dmm)
+    for p in range(1, 7):
+        for label, w in _study_spectra(monkeypatch, p, N, 16).items():
+            gaps = np.diff(np.asarray(w, dtype=float)) / np.asarray(w[:-1], dtype=float)
+            assert np.all(gaps > 1e-6), (p, N, label, float(np.min(gaps)))
+
+
+@pytest.mark.parametrize("p,N", [(2, 24), (3, 16), (2, 8), (3, 6)]
+                         + [(p, 14) for p in range(1, 7)])
+def test_the_leading_2d_ties_are_twin_pairs(monkeypatch, p, N):
+    # a Kronecker solve refines one mode past the cut: among the first 20
+    # pairwise sums of each 1D spectrum, at the meshes the kron-2d
+    # cross-checks, the 2D goldens and the output sweep solve, every near
+    # tie is a (j, k)/(k, j) pair, so no three sums tie (the smallest gap
+    # between sums that are not twins is 1.1e-3, at p = 1, N = 14, gp)
+    for label, w in _study_spectra(monkeypatch, p, N, 20).items():
+        sums = sorted((w[j] + w[k], min(j, k), max(j, k))
+                      for j in range(len(w)) for k in range(len(w)))[:20]
+        tied = [(a[1:], b[1:]) for a, b in zip(sums, sums[1:])
+                if b[0] - a[0] <= 1e-6 * a[0]]
+        assert all(a == b for a, b in tied), (p, N, label, tied)
 
 
 def _record_copies(monkeypatch):
