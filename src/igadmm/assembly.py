@@ -2,11 +2,13 @@
 spaces on [0, 1] (and tensor squares on the unit square).
 
 Quadrature runs in extended precision (numpy longdouble) with any rule
-from the quadrature module, on basis tables of all elements at once: one
-table pass per rule gives the values for the mass form and the
-derivatives for the stiffness form.  The band entries are summed element
-by element, nodes in rule order, so they are bitwise those of a scalar
-element loop.  Homogeneous Dirichlet
+from the quadrature module, on basis tables of splines._ELEMENT_BLOCK
+elements at a time: one table pass per block gives the values for the
+mass form and the derivatives for the stiffness form, and both forms add
+the block's products into their band arrays, so no table of the whole
+mesh is held.  The band entries are summed element by element, nodes in
+rule order, so they are bitwise those of a scalar element loop, whatever
+the block size.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need, and a pencil reaches the eigensolver only as
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from igadmm.quadrature import QuadratureRule, optimal_blend
-from igadmm.splines import BSplineSpace, basis_table
+from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
 
 
 @dataclass(frozen=True)
@@ -72,28 +74,33 @@ class MatrixPair:
     mass: SymBandMatrix | KroneckerSum
 
 
-def _assemble_full(wh: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Full (no boundary condition) band array of one bilinear form.
+def _assemble_full(bands: np.ndarray, wh: np.ndarray, table: np.ndarray,
+                   lo: int) -> np.ndarray:
+    """Add the products of elements lo.. lo + len(table) - 1 into the full
+    (no boundary condition) band array of one bilinear form, in place, and
+    return it.
 
-    wh holds the rule's weights times h, table[e, k, a] basis function
-    e + a (values for the mass form, physical derivatives for the
-    stiffness form) at node k of element e, as ``basis_table`` gives them.
-    Open knot vectors modify the basis near the boundary, so every element
-    has its own table rows; the mesh sizes are small enough that nothing
-    is gained by caching the interior local matrix.
+    bands has shape (p + 1, N + p); wh holds the rule's weights times h,
+    table[i, k, a] basis function lo + i + a (values for the mass form,
+    physical derivatives for the stiffness form) at node k of element
+    lo + i, as ``basis_table`` gives them for that slice.  Open knot
+    vectors modify the basis near the boundary, so every element has its
+    own table rows; the mesh sizes are small enough that nothing is gained
+    by caching the interior local matrix.
     """
-    N, _, width = table.shape
+    count, _, width = table.shape
     p = width - 1
-    bands = np.zeros((p + 1, N + p), dtype=np.longdouble)
     # bands[d, e + a] collects element e's products of functions e + a and
     # e + a + d.  Looping a downwards and then over the nodes adds into each
     # entry element by element, nodes in rule order: the order of a scalar
-    # element loop, so the sums are rounded identically.
+    # element loop, so the sums are rounded identically; a later block
+    # holds later elements only, so calls in element order keep that order
     for d in range(p + 1):
         for a in range(p - d, -1, -1):
             contrib = wh * (table[:, :, a] * table[:, :, a + d])
+            entries = bands[d, lo + a: lo + a + count]  # a view: adds land in bands
             for k in range(len(wh)):
-                bands[d, a: a + N] += contrib[:, k]
+                entries += contrib[:, k]
     return bands
 
 
@@ -104,14 +111,18 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     weights.
     """
     nodes, weights = rule.as_longdouble()
-    # one table pass per rule gives both forms; derivatives are physical
+    p, N = space.p, space.N
+    wh = weights * (np.longdouble(1) / N)
+    K = np.zeros((p + 1, N + p), dtype=np.longdouble)
+    M = np.zeros_like(K)
+    # one table pass per block gives both forms; derivatives are physical
     # (1/h lives in the basis), so both pick up only the Jacobian h from dx
-    _, values, derivatives = basis_table(space, nodes)
-    wh = weights * (np.longdouble(1) / space.N)
+    for lo in range(0, N, _ELEMENT_BLOCK):
+        _, values, derivatives = basis_table(space, nodes, slice(lo, lo + _ELEMENT_BLOCK))
+        _assemble_full(K, wh, derivatives, lo)
+        _assemble_full(M, wh, values, lo)
     # Dirichlet conditions drop the first and last basis functions
-    K = SymBandMatrix(_assemble_full(wh, derivatives)[:, 1:-1])
-    M = SymBandMatrix(_assemble_full(wh, values)[:, 1:-1])
-    return MatrixPair(space, K, M)
+    return MatrixPair(space, SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1]))
 
 
 def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:

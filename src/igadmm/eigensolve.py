@@ -9,10 +9,12 @@ of this module (_lanczos) computes only the leading modes, in standard
 form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils go to
 LAPACK's dense symmetric-definite dsygvd of the band copies expanded
 (_dense), the call scipy.linalg.eigh makes.  Every LAPACK and BLAS
-routine comes from scipy's f2py extension modules scipy.linalg._flapack
-and _fblas, loaded at the first solve by _f2py without running
-scipy/linalg/__init__.py: that takes about 0.25 s and 22 MB more, and no
-command needs it, nor scipy's sparse package.  The leading
+routine, the Lanczos Ritz checks' dsyevd included, comes from scipy's f2py
+extension modules scipy.linalg._flapack and _fblas, loaded at the first
+solve by _f2py without running the __init__ of scipy or of scipy.linalg:
+scipy/linalg/__init__.py takes about 0.25 s and 22 MB more, and no
+command needs it, nor scipy's sparse package.  So a solve runs on one
+LAPACK, scipy's, and never on the one numpy bundles.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
 block, by extended-precision Rayleigh quotients, which
@@ -52,6 +54,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,16 +122,16 @@ class Spectrum:
 
 def _f2py(name: str):
     """scipy.linalg's f2py extension module name, _flapack or _fblas, the
-    one in sys.modules if any; else loaded from the package's directory,
-    found without importing scipy.linalg (only the top scipy package
-    runs), and registered under its full name, so that a later import of
-    scipy.linalg reuses it."""
+    one in sys.modules if any; else loaded from the linalg directory of
+    the top scipy package, whose spec is found without importing it, so no
+    scipy package's __init__ runs, and registered under its full name, so
+    that a later import of scipy.linalg reuses it."""
     full = f"scipy.linalg.{name}"
     module = sys.modules.get(full)
     if module is None:
-        package = importlib.util.find_spec("scipy.linalg")
-        spec = package and importlib.machinery.PathFinder.find_spec(
-            full, package.submodule_search_locations)
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
         if spec is None:
             raise ImportError(f"no module named {full!r}", name=full)
         module = importlib.util.module_from_spec(spec)
@@ -219,12 +222,25 @@ def _lanczos(apply_c, start, count: int):
     remainder of a step, the Ritz pair (theta, Q^T s) has the residual norm
     |G^T s_b|, s_b the entries of s on the newest block; the leading k
     have converged when each is at most eps theta, ARPACK's own test.  The
-    check is an eigh of the projected matrix, which costs as much as a
-    step or more, so the next one waits as many steps as the worst
-    residual has decades above its tolerance: these runs gain at most
-    about one decade a step.  A basis that reaches n returns the exact
-    Ritz pairs of the whole space.
+    check is scipy's LAPACK dsyevd on the upper triangle of the projected
+    matrix, which costs as much as a step or more, so the next one waits
+    as many steps as the worst residual has decades above its tolerance:
+    these runs gain at most about one decade a step.  A basis that reaches
+    n returns the exact Ritz pairs of the whole space.
     """
+    dsyevd = _f2py("_flapack").dsyevd
+
+    def ritz(A):
+        """Eigenvalues ascending and eigenvectors, as columns, of the
+        projected matrix from its upper triangle.  LAPACK returns the
+        vectors in Fortran order; they are copied to C order, as numpy's
+        eigh returns them, since the products with them round differently
+        on the two layouts and the printed cells are those of C order."""
+        theta, S, info = dsyevd(A, lower=0)
+        if info:
+            raise np.linalg.LinAlgError(f"the Ritz check failed: LAPACK dsyevd info {info}")
+        return theta, np.ascontiguousarray(S)
+
     b, n = start.shape
     k = check = count + _MARGIN
     Q = np.empty((min(n, 6 * k), n))
@@ -241,11 +257,11 @@ def _lanczos(apply_c, start, count: int):
         h += again
         H[:m, m - b: m] = h
         if m == n:
-            theta, S = np.linalg.eigh(H, UPLO="U")
+            theta, S = ritz(H)
             return 1.0 / theta[::-1], S[:, ::-1].T @ Q
         W, G = _orthonormal_rows(W)
         if m >= check:
-            theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
+            theta, S = ritz(H[:m, :m])
             theta, S = theta[:-k - 1:-1], S[:, :-k - 1:-1]
             worst = np.max(np.sqrt(np.sum((G.T @ S[m - b:]) ** 2, axis=0)) / theta)
             worst /= np.finfo(np.float64).eps

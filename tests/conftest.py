@@ -17,3 +17,18 @@ def announce(capfd):
         with capfd.disabled():
             print(line, flush=True)
     return _announce
+
+
+@pytest.fixture
+def no_numpy_lapack(monkeypatch):
+    """numpy's own LAPACK, the gufuncs behind every numpy.linalg solver,
+    patched to raise for the test."""
+    from numpy.linalg import _umath_linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a numpy LAPACK routine was called")
+
+    for name in dir(_umath_linalg):
+        if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
+            monkeypatch.setattr(_umath_linalg, name, forbidden)
+    return forbidden

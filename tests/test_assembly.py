@@ -23,7 +23,7 @@ from igadmm.quadrature import (
     gauss_radau,
     optimal_blend,
 )
-from igadmm.splines import BSplineSpace, basis_table
+from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
 
 
 def _interior_rows(space):
@@ -117,11 +117,13 @@ def _assemble_full_by_scalar_loop(space, rule, form):
 
 
 def _full_bands(space, rule, form):
-    """_assemble_full on the table of the form, from one table pass."""
+    """_assemble_full on the table of the form, from one table pass over the
+    whole mesh, into a band array of zeros."""
     nodes, weights = rule.as_longdouble()
     _, values, derivatives = basis_table(space, nodes)
     table = derivatives if form == "stiffness" else values
-    return _assemble_full(weights * (np.longdouble(1) / space.N), table)
+    bands = np.zeros((space.p + 1, space.dim_full), dtype=np.longdouble)
+    return _assemble_full(bands, weights * (np.longdouble(1) / space.N), table, 0)
 
 
 @pytest.mark.parametrize("form", ["mass", "stiffness"])
@@ -138,6 +140,29 @@ def test_band_assembly_is_bitwise_the_scalar_element_loop(p, N, form):
         pair = assemble_1d(space, rule)
         matrix = pair.stiffness if form == "stiffness" else pair.mass
         assert np.array_equal(matrix.bands, want[:, 1:-1]), rule.label
+
+
+@pytest.mark.parametrize("N", [255, 256, 257, 513, 1024])
+@pytest.mark.parametrize("label", ["gauss", "dmm"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_block_assembly_is_bitwise_one_pass_over_the_whole_mesh(monkeypatch, p, label, N):
+    # assemble_1d reads the basis splines._ELEMENT_BLOCK elements at a time
+    # and adds each block into the bands; the sums keep their order, so the
+    # bands are those of one pass over the whole mesh's tables
+    space = BSplineSpace(p, N)
+    rule = gauss_legendre(p + 1) if label == "gauss" else optimal_blend(p, "gl")
+    rows = []
+
+    def recorded(*args):
+        table = basis_table(*args)
+        rows.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(assembly, "basis_table", recorded)
+    pair = assemble_1d_dmm(space) if label == "dmm" else assemble_1d(space, rule)
+    assert sum(rows) == N and max(rows) <= _ELEMENT_BLOCK
+    for form, matrix in (("stiffness", pair.stiffness), ("mass", pair.mass)):
+        assert np.array_equal(matrix.bands, _full_bands(space, rule, form)[:, 1:-1]), form
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

@@ -1093,8 +1093,8 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
     jobs = scipy_free + [dense, lanczos, kron]
     # every solve needs only scipy's LAPACK and BLAS extension modules, not
     # the scipy.linalg package, whose import costs more than a study's
-    # compute, nor scipy.sparse: a run that has loaded both prints the same
-    # bytes
+    # compute, nor scipy.sparse, nor the top scipy package's __init__: a run
+    # that has loaded them prints the same bytes
     lazy = _probe("", jobs)
     preload = _probe("scipy.linalg,scipy.sparse.linalg", jobs)
     *cheap, after_dense, after_lanczos, after_kron = lazy["runs"]
@@ -1102,9 +1102,8 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
     assert all(run["loaded"] == [] for run in cheap)
     assert "numpy" in after_dense["loaded"]
     for run in (after_dense, after_lanczos, after_kron):
-        assert {"scipy.linalg._flapack", "scipy.linalg._fblas"} <= set(run["loaded"])
-        assert "scipy.linalg" not in run["loaded"]
-        assert not [name for name in run["loaded"] if name.startswith("scipy.sparse")]
+        assert [name for name in run["loaded"] if name != "numpy"] == [
+            "scipy.linalg._fblas", "scipy.linalg._flapack"]
     assert "kron-vs-tensor" in after_kron["out"]
     assert {"numpy", "scipy.linalg", "scipy.sparse.linalg"} <= set(preload["cli"])
     assert _streams(lazy) == _streams(preload)
@@ -1112,10 +1111,10 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
 
 # a fresh interpreter that runs a dense, a 1D Lanczos and a Kronecker study
 # through cli.main, then imports scipy.linalg and scipy.sparse.linalg (or
-# imports them first, with argv[1] "before"), and prints as JSON whether the
-# package ran scipy/linalg/__init__.py for the studies, whether scipy's
-# LAPACK and BLAS functions are the very objects the package called, and
-# what scipy's own solvers return
+# imports them first, with argv[1] "before"), and prints as JSON which of
+# the scipy and scipy.linalg packages were loaded for the studies, whether
+# scipy's LAPACK and BLAS functions are the very objects the package
+# called, and what scipy's own solvers return
 _IMPORT_ORDER = """
 import contextlib, io, json, sys
 if sys.argv[1] == "before":
@@ -1138,13 +1137,13 @@ for argv in (["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "2"],
               "16"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert igadmm.cli.main(argv) == 0
-package_ran = "scipy.linalg" in sys.modules
+packages = [name for name in ("scipy", "scipy.linalg") if name in sys.modules]
 import numpy as np
 import scipy.linalg, scipy.sparse, scipy.sparse.linalg
 lapack, blas = called["_flapack"], called["_fblas"]
 A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
 report = {
-    "package_ran": package_ran,
+    "packages": packages,
     "registered": [sys.modules["scipy.linalg." + name] is called[name]
                    for name in ("_flapack", "_fblas")],
     "origins": [module.__spec__.origin for module in (lapack, blas)],
@@ -1152,6 +1151,7 @@ report = {
     "same": [scipy.linalg.lapack.dpbtrf is lapack.dpbtrf,
              scipy.linalg.lapack.dpbtrs is lapack.dpbtrs,
              scipy.linalg.lapack.dsygvd is lapack.dsygvd,
+             scipy.linalg.lapack.dsyevd is lapack.dsyevd,
              scipy.linalg.blas.dtbmv is blas.dtbmv],
     "eigh": scipy.linalg.eigh(A, np.eye(3), eigvals_only=True).tolist(),
     "cholesky_banded": scipy.linalg.cholesky_banded(
@@ -1169,13 +1169,13 @@ def test_scipy_linalg_imports_before_or_after_a_study_share_its_lapack_and_blas(
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # a study alone never runs scipy/linalg/__init__.py: the extension
-    # modules come from the package's directory, loaded by their spec
-    assert report["package_ran"] is (order == "before")
+    # a study alone runs neither scipy/__init__.py nor scipy/linalg/__init__.py:
+    # the extension modules come from the linalg directory, loaded by their spec
+    assert report["packages"] == (["scipy", "scipy.linalg"] if order == "before" else [])
     assert report["registered"] == [True, True]
     assert all(os.path.dirname(origin) == report["linalg_dir"]
                for origin in report["origins"])
-    assert report["same"] == [True] * 4
+    assert report["same"] == [True] * 5
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     want = np.linalg.eigvalsh(A)
     assert np.allclose(report["eigh"], want, rtol=1e-14, atol=0)
@@ -1185,3 +1185,14 @@ def test_scipy_linalg_imports_before_or_after_a_study_share_its_lapack_and_blas(
     assert np.allclose(report["cholesky_banded"],
                        [[0.0, R[0, 1], R[1, 2]], [R[0, 0], R[1, 1], R[2, 2]]],
                        rtol=1e-14, atol=0)
+
+
+def test_a_study_calls_no_numpy_lapack_routine(no_numpy_lapack, capsys):
+    # every LAPACK call of a study goes to scipy's _flapack; numpy's own
+    # LAPACK, another OpenBLAS build, never runs
+    for argv in (["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "2", "--energy"],
+                 ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "2", "--energy"],
+                 ["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "dmm",
+                  "--verify-kron", "16"]):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert "kron-vs-tensor" in capsys.readouterr().out

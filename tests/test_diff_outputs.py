@@ -4,6 +4,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+from igadmm.splines import _ELEMENT_BLOCK
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
 diff_outputs = importlib.util.module_from_spec(_SPEC)
@@ -119,6 +121,12 @@ def test_sweep_covers_every_report_with_its_json():
             and argv[argv.index("--meshes") + 1] == "3,4"
             and argv[argv.index("--modes") + 1] == ",".join(map(str, range(1, int(argv[2]) + 2)))}
     assert tiny == {(str(p), rule) for p in range(1, 7) for rule in diff_outputs.SWEEP_RULES}
+    # an energy ladder one element short of the block the assembly reads the
+    # basis in, one past it and one past two blocks
+    block = _ELEMENT_BLOCK
+    assert any({block - 1, block + 1, 2 * block + 1}
+               <= {int(N) for N in argv[argv.index("--meshes") + 1].split(",")}
+               for argv in jobs if argv[0] == "study-1d" and "--energy" in argv)
     csv = [argv[0] for argv in jobs if "--csv" in argv]
     assert "dispersion" in csv and "study-1d" in csv
     assert any({"--fit", "--coefficient"} <= set(argv) for argv in jobs

@@ -538,6 +538,74 @@ def test_a_missing_extension_module_is_an_import_error_that_names_it():
     assert "scipy.linalg._absent" not in sys.modules
 
 
+def _ritz_pencils():
+    """A band pencil of order 256 and a Kronecker one of order 289: both take
+    the Lanczos solve."""
+    return [_study_pair(2, 256, "gauss"), assemble_2d(_study_pair(3, 16, "dmm"))]
+
+
+def test_no_solve_calls_numpys_lapack(monkeypatch, no_numpy_lapack):
+    # the Lanczos Ritz checks run on scipy's LAPACK, as the band Cholesky,
+    # the band solves and the dense route do: a solve calls one LAPACK
+    monkeypatch.setattr(np.linalg, "eigh", no_numpy_lapack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_numpy_lapack)
+    with pytest.raises(AssertionError, match="numpy LAPACK"):
+        np.linalg.cholesky(np.eye(2))
+    calls = _count_solver_calls(monkeypatch)
+    small = _study_pair(2, 16, "gauss")
+    for pair in [small, *_ritz_pencils()]:
+        assert len(generalized_eig(pair.stiffness, pair.mass, 8)) == 8
+    assert calls == ["_dense_eigh", "_lanczos", "_lanczos"]
+
+
+def _lanczos_result(monkeypatch, pair):
+    """(w, U) of the one Lanczos run of an 8-mode solve of the pencil."""
+    runs = []
+    lanczos = eigensolve._lanczos
+
+    def recorded(*args):
+        runs.append(lanczos(*args))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolve, "_lanczos", recorded)
+        generalized_eig(pair.stiffness, pair.mass, 8)
+    (w, U), = runs
+    return w, U
+
+
+def test_ritz_checks_give_bitwise_the_pairs_of_numpys_c_ordered_eigh(monkeypatch):
+    # LAPACK returns the Ritz vectors in Fortran order, numpy's eigh in C
+    # order, and the products with them round differently on the two
+    # layouts: the copy to C order keeps every printed cell as it was
+    pencils = _ritz_pencils()
+    shipped = [_lanczos_result(monkeypatch, pair) for pair in pencils]
+
+    def numpy_dsyevd(a, lower):
+        w, v = np.linalg.eigh(a, UPLO="L" if lower else "U")
+        assert v.flags.c_contiguous
+        return w, v, 0
+
+    monkeypatch.setattr(eigensolve._f2py("_flapack"), "dsyevd", numpy_dsyevd)
+    for pair, (w, U) in zip(pencils, shipped):
+        want_w, want_U = _lanczos_result(monkeypatch, pair)
+        assert np.array_equal(w, want_w) and np.array_equal(U, want_U)
+
+
+def test_a_failed_ritz_check_raises(monkeypatch):
+    flapack = eigensolve._f2py("_flapack")
+    dsyevd = flapack.dsyevd
+
+    def failing(a, lower):
+        w, v, _ = dsyevd(a, lower=lower)
+        return w, v, 7
+
+    monkeypatch.setattr(flapack, "dsyevd", failing)
+    pair = _ritz_pencils()[0]
+    with pytest.raises(np.linalg.LinAlgError, match="LAPACK dsyevd info 7$"):
+        generalized_eig(pair.stiffness, pair.mass, 4)
+
+
 @pytest.mark.parametrize("p,N,two_d", [(3, 512, False), (3, 16, True)])
 def test_lanczos_vectors_are_mass_orthonormal(monkeypatch, p, N, two_d):
     # on the square, p = 3 and N = 16 give a Kronecker pencil of order 289

@@ -175,6 +175,17 @@ def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
             assert np.array_equal(np.array(want, dtype=np.longdouble), table[e, k])
 
 
+@pytest.mark.parametrize("rows", [slice(0, 256), slice(256, 512), slice(512, 768),
+                                  slice(3, 4), slice(599, None)])
+@pytest.mark.parametrize("p", [1, 3, 6])
+def test_a_slice_of_elements_gives_bitwise_those_rows_of_the_whole_table(p, rows):
+    # the assembly reads the table a block of elements at a time
+    space = BSplineSpace(p, 600)
+    whole = basis_table(space, _TABLE_NODES)
+    for got, want in zip(basis_table(space, _TABLE_NODES, rows), whole):
+        assert np.array_equal(got, want[rows])
+
+
 def _fraction(x):
     return Fraction(*x.as_integer_ratio())
 

@@ -56,7 +56,8 @@ def sweep() -> list[list[str]]:
     once with every mode of the N = 3 space (whose top modes can be nearly
     orthogonal to their sines, where a sign rule could flip a cell), and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
-    cross-check at each degree; then every subcommand's report, text and
+    cross-check at each degree, and a ladder across the assembly's element
+    block; then every subcommand's report, text and
     JSON: verify, rows of both forms (exact, minimized, rule-induced,
     blended and point-rule labels, fractions and floats, and every label
     but the point rules at p = 7..10), blend ratios with the degenerate p = 1 lr pair, the
@@ -75,6 +76,9 @@ def sweep() -> list[list[str]]:
                              "--rules", rule, "--modes", modes, "--json", "-"])
         jobs.append(["study-2d", "-p", str(p), "--meshes", "4,8", "--rules", "dmm",
                      "--modes", "1,2,4", "--verify-kron", "14", "--json", "-"])
+    # meshes on both sides of the assembly's element block (256 elements)
+    jobs.append(["study-1d", "-p", "4", "--energy", "--meshes", "255,257,513",
+                 "--rules", "gauss,dmm", "--modes", "1,2", "--json", "-"])
     reports = [["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"],
                ["stencil", "-p", "4", "--dmm"],
                ["tau", "--p", "1,2,3,4,5,6,7,8,9", "--pair", "all"],
