@@ -14,10 +14,9 @@ in symmetric lower band form, which is all the bandwidth these
 discretizations ever need, and a pencil reaches the eigensolver only as
 its double-precision copy in LAPACK's lower band storage (to_bands).  The
 2D pair is a sum of Kronecker products of the 1D band pair, applied
-through the 1D band products and never formed as a product: its band
-copy, half-band p n1 + p, is expanded to a dense array only for a small
-pencil's dense solve, and of a large one only the stiffness is copied;
-the mass is factored through its 1D factor.
+through the 1D band products and never formed, copied or solved: its
+spectrum is the tensor sums of the 1D one, and only --verify-kron
+applies it, to tensor pairs of 1D modes.
 """
 
 from __future__ import annotations
@@ -141,29 +140,20 @@ def assemble_1d_dmm(space: BSplineSpace) -> MatrixPair:
     return assemble_1d(space, optimal_blend(space.p, "gl"))
 
 
-def _band_row(A: SymBandMatrix, d: int) -> np.ndarray:
-    """Entries (j + d, j) of A for j = 0..n-1, d of either sign, zero where
-    j + d falls outside 0..n-1."""
-    row = np.zeros(A.n, dtype=np.longdouble)
-    if d >= 0:
-        row[: A.n - d] = A.bands[d, : A.n - d]
-    else:
-        row[-d:] = A.bands[-d, : A.n + d]
-    return row
-
-
-# largest 2D unknown count assemble_2d builds a Kronecker pencil for: the
-# band Cholesky factor of the stiffness in the Lanczos solve, half-band
-# p (N + p - 2) + p, grows as n^1.5 in memory and n^2 in time.  At the
-# limit, N = 128 at p = 2, `study-2d -p 2 --meshes 8,16 --verify-kron 128`
-# takes 1.0-1.1 s and 111 MB peak RSS in process on a 2-vCPU x86-64 VM
-# (one BLAS thread)
+# largest 2D unknown count assemble_2d builds a Kronecker pair for, a
+# guard against accidentally huge operators.  The only work on the pair,
+# the --verify-kron quotients, holds 12 tensor pairs of n = dim^2 entries
+# each in longdouble and takes O(n p) operations a pair.  At the limit,
+# N = 128 at p = 2, `study-2d -p 2 --meshes 8,16 --verify-kron 128` takes
+# 0.16 s and 56 MB peak RSS in process on a 2-vCPU x86-64 VM (one BLAS
+# thread), the 1D solve included
 KRON_MAX_DIM = 16384
 
 
 @dataclass(frozen=True)
 class KroneckerSum:
-    """Sum of Kronecker products A (x) B of equal-shaped band matrices.
+    """Sum of Kronecker products A (x) B of equal-shaped band matrices,
+    applied only: no band copy is taken and no solver reads it.
 
     Unknown (i, j) of the square is entry i * B.n + j of A (x) B, so for
     symmetric B the product is (A (x) B) vec(X) = vec(A X B), X of shape
@@ -198,28 +188,12 @@ class KroneckerSum:
         return sum(B.matvec(A.matvec(X).swapaxes(0, 1)).swapaxes(0, 1)
                    for A, B in self.terms).reshape(x.shape)
 
-    def to_bands(self) -> np.ndarray:
-        """Double-precision copy in LAPACK's lower symmetric band storage,
-        half-band p B.n + p; each entry is the sum of its terms' products,
-        formed in longdouble and rounded once."""
-        m, p = self.terms[0][1].n, self.terms[0][1].halfband
-        out = np.zeros((p * m + p + 1, self.n))
-        # entry (c + di m + dj, c) of column c = (i, j) is the sum over the
-        # terms of A[i + di, i] B[j + dj, j]; on a coarse mesh (m <= 2p) two
-        # offsets share a band row, but never an entry
-        for di in range(p + 1):
-            for dj in range(-p if di else 0, p + 1):
-                out[di * m + dj] += sum(np.outer(_band_row(A, di), _band_row(B, dj))
-                                        for A, B in self.terms).ravel()
-        return out
-
 
 def assemble_2d(pair: MatrixPair) -> MatrixPair:
     """Tensor-product pair of a 1D pair: K2 = K (x) M + M (x) K, M2 = M (x) M.
 
     Both are KroneckerSum operators over the 1D band matrices.  KRON_MAX_DIM
-    caps the 2D unknown count dim^2, against accidentally huge pencils for
-    the eigensolver.
+    caps the 2D unknown count dim^2, against accidentally huge operators.
     """
     n = pair.stiffness.n
     if n * n > KRON_MAX_DIM:

@@ -1,30 +1,32 @@
 """Generalized eigenvalue solution and error measures for the Laplace
 eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 
-Eigenpairs come from a double-precision solver that reads each pencil
-only through the LAPACK lower band copies of its operators (to_bands),
-after the band Cholesky factor of M, the one check that M is positive
-definite: for pencils of order _BANDED_MIN_N and up, a block Lanczos run
-of this module (_lanczos) computes only the leading modes, in standard
-form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils go to
-LAPACK's dense symmetric-definite dsygvd of the band copies expanded
-(_dense), the call scipy.linalg.eigh makes.  Every LAPACK and BLAS
-routine, the Lanczos Ritz checks' dsyevd included, comes from scipy's f2py
-extension modules scipy.linalg._flapack and _fblas, loaded at the first
-solve by _f2py without running the __init__ of scipy or of scipy.linalg:
-scipy/linalg/__init__.py takes about 0.25 s and 22 MB more, and no
-command needs it, nor scipy's sparse package.  So a solve runs on one
-LAPACK, scipy's, and never on the one numpy bundles.  The leading
+Eigenpairs of a band pencil come from a double-precision solver that
+reads it only through the LAPACK lower band copies of its operators
+(to_bands), after the band Cholesky factor of M, the one check that M is
+positive definite: for pencils of order _BANDED_MIN_N and up, a Lanczos
+run of this module (_lanczos) computes only the leading modes, in
+standard form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils
+go to LAPACK's dense symmetric-definite dsygvd of the band copies
+expanded (_dense), the call scipy.linalg.eigh makes.  Every LAPACK and
+BLAS routine, the Lanczos Ritz checks' dsyevd included, comes from
+scipy's f2py extension modules scipy.linalg._flapack and _fblas, loaded
+at the first solve by _f2py without running the __init__ of scipy or of
+scipy.linalg: scipy/linalg/__init__.py takes about 0.25 s and 22 MB more,
+and no command needs it, nor scipy's sparse package.  So a solve runs on
+one LAPACK, scipy's, and never on the one numpy bundles.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
-block, by extended-precision Rayleigh quotients, which
-pushes the numerical noise floor far below the discretization errors
-being measured (the 1D studies resolve relative errors down to 1e-13).
-A Kronecker pencil refines one mode past the requested count, so that a
-degenerate pair split by the cut sorts as a full refinement would sort
-it; a band pencil, whose spectrum is simple, refines the count alone.
-Refinement needs a longdouble wider than float64; where it is not
-(Windows, Apple ARM), generalized_eig raises PrecisionError.
+block, by extended-precision Rayleigh quotients, which pushes the
+numerical noise floor far below the discretization errors being measured
+(the 1D studies resolve relative errors down to 1e-13).  A band spectrum
+is simple, so the requested count alone is refined.  Refinement needs a
+longdouble wider than float64; where it is not (Windows, Apple ARM),
+generalized_eig raises PrecisionError.
+
+On the square, the Kronecker pencil K (x) M + M (x) K, M (x) M has
+exactly the pairwise sums of the 1D spectrum as its spectrum
+(tensor_spectrum_2d), so no 2D pencil is solved.
 
 Error measures: relative eigenvalue errors against j^2 pi^2 (or
 (j^2 + k^2) pi^2 on the square), and the energy-norm eigenfunction error
@@ -69,16 +71,16 @@ PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
 
-# smallest band or Kronecker pencil order solved by Lanczos.  One BLAS
-# thread on a 2-vCPU x86-64 VM, 1D, p = 2, four modes, dense vs Lanczos:
-# 3.5 vs 1.6 ms at n = 128, 5.3 vs 1.8 ms at n = 160, 8.0 vs 1.9 ms at
-# n = 192, 518 vs 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the
-# smaller pencils keep the dense solve, so that their study cells, and the
-# golden outputs that print them, stay bitwise as they are
+# smallest pencil order solved by Lanczos.  One BLAS thread on a 2-vCPU
+# x86-64 VM, p = 2, four modes, dense vs Lanczos: 3.5 vs 1.6 ms at
+# n = 128, 5.3 vs 1.8 ms at n = 160, 8.0 vs 1.9 ms at n = 192, 518 vs
+# 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the smaller
+# pencils keep the dense solve, so that their study cells, and the golden
+# outputs that print them, stay bitwise as they are
 _BANDED_MIN_N = 160
 
-# modes the Lanczos solve converges past the requested count; refinement
-# reads one of them past a Kronecker cut, none past a band one
+# modes the Lanczos solve converges past the requested count, none of
+# which refinement reads
 _MARGIN = 2
 
 # columns per block product of the Rayleigh refinement: K V and M V take
@@ -142,91 +144,54 @@ def _f2py(name: str):
 
 def _dense(ab: np.ndarray) -> np.ndarray:
     """The symmetric double-precision matrix whose lower band storage is ab,
-    of order ab.shape[1].  Band rows from the order on hold no entry: a
-    Kronecker band on a coarse mesh, half-band p n1 + p, can reach it."""
+    of order ab.shape[1] and half-band at most the order: a 1D pencil's
+    half-band p is at most n = N + p - 2, as N >= 2."""
     n = ab.shape[1]
     out = np.zeros((n, n))
     j = np.arange(n)
-    for d in range(min(len(ab), n)):
+    for d in range(len(ab)):
         out[j[d:], j[: n - d]] = ab[d, : n - d]
         out[j[: n - d], j[d:]] = ab[d, : n - d]
     return out
 
 
-def _band_cholesky(A):
-    """Lower Cholesky factor of a band or Kronecker operator A in double
-    precision, in LAPACK's band storage (dpbtrf); None when A is not
-    positive definite in double precision."""
+def _band_cholesky(A: SymBandMatrix):
+    """Lower Cholesky factor of a band matrix A in double precision, in
+    LAPACK's band storage (dpbtrf); None when A is not positive definite in
+    double precision."""
     factor, info = _f2py("_flapack").dpbtrf(A.to_bands(), lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
 
-def _mass_factor(M):
-    """Products with R and with R^T, M = R R^T, on each row of a block;
-    None when M is not positive definite in double precision.
-
-    A band M is factored by LAPACK, half-band p.  A Kronecker mass A (x) B
-    has the factor R_A (x) R_B, applied as R_A X R_B^T to each row
-    reshaped to A.n x B.n: its own band, half p B.n + p, is never formed,
-    and the 1D factors are the check that it is positive definite.  The 1D
-    factors are expanded to dense triangles for the products: at n1 = 24,
-    and up to 128, one matmul a side is faster than a band loop in numpy.
-    """
-    if isinstance(M, SymBandMatrix):
-        R = _band_cholesky(M)
-        if R is None:
-            return None
-        kd, dtbmv = len(R) - 1, _f2py("_fblas").dtbmv
-        return (lambda X: np.array([dtbmv(kd, R, x, lower=1) for x in X]),
-                lambda X: np.array([dtbmv(kd, R, x, lower=1, trans=1) for x in X]))
-    (A, B), = M.terms
-    RA = _band_cholesky(A)
-    RB = RA if B is A else _band_cholesky(B)
-    if RA is None or RB is None:
+def _mass_factor(M: SymBandMatrix):
+    """Products with R and with R^T, M = R R^T by LAPACK's band Cholesky,
+    half-band p, on each row of a block; None when M is not positive
+    definite in double precision."""
+    R = _band_cholesky(M)
+    if R is None:
         return None
-    # the dense lower triangles, from the symmetric copies of the bands
-    RA, RB = (np.tril(_dense(F)) for F in (RA, RB))
-
-    def product(X, RA, RB):
-        return (RA @ X.reshape(len(X), A.n, B.n) @ RB.T).reshape(X.shape)
-
-    return (lambda X: product(X, RA, RB)), (lambda X: product(X, RA.T, RB.T))
-
-
-def _orthonormal_rows(W):
-    """(Q, G): W = G Q, Q with orthonormal rows and G lower triangular, in
-    place, for a block of one or two rows; Gram-Schmidt, the second row
-    orthogonalized twice against the first."""
-    G = np.zeros((len(W), len(W)))
-    G[0, 0] = np.sqrt(W[0] @ W[0])
-    W[0] /= G[0, 0]
-    if len(W) == 2:
-        for _ in range(2):
-            c = W[0] @ W[1]
-            W[1] -= c * W[0]
-            G[1, 0] += c
-        G[1, 1] = np.sqrt(W[1] @ W[1])
-        W[1] /= G[1, 1]
-    return W, G
+    kd, dtbmv = len(R) - 1, _f2py("_fblas").dtbmv
+    return (lambda X: np.array([dtbmv(kd, R, x, lower=1) for x in X]),
+            lambda X: np.array([dtbmv(kd, R, x, lower=1, trans=1) for x in X]))
 
 
 def _lanczos(apply_c, start, count: int):
     """(w, U): w = 1 / theta ascending and the unit Ritz vectors as rows
-    of U, for the count + _MARGIN largest Ritz values theta of a
-    symmetric positive definite C; (None, None) when the basis cannot grow
-    by a full block before they converge.
+    of U, for the count + _MARGIN largest Ritz values theta, or all n, of
+    a symmetric positive definite C of order n, which apply_c applies to
+    each row of a block.
 
-    Block Lanczos from the rows of start, each new block orthogonalized
-    twice against the whole basis Q, kept in rows, whose projections give
-    the projected matrix Q C Q^T a column block a step.  With G Q_new the
-    remainder of a step, the Ritz pair (theta, Q^T s) has the residual norm
-    |G^T s_b|, s_b the entries of s on the newest block; the leading k
-    have converged when each is at most eps theta, ARPACK's own test.  The
-    check is scipy's LAPACK dsyevd on the upper triangle of the projected
-    matrix, which costs as much as a step or more, so the next one waits
-    as many steps as the worst residual has decades above its tolerance:
-    these runs gain at most about one decade a step.  A basis that reaches
-    n returns the exact Ritz pairs of the whole space.
+    Lanczos from the vector start, each new vector orthogonalized twice
+    against the whole basis Q, kept in rows, whose projections give the
+    projected matrix Q C Q^T a column a step.  With beta q the remainder of
+    a step, q of unit norm, the Ritz pair (theta, Q^T s) has the residual
+    norm beta |s_m|, s_m the last entry of s; the leading k have converged
+    when each is at most eps theta, ARPACK's own test.  The check is
+    scipy's LAPACK dsyevd on the upper triangle of the projected matrix,
+    which costs as much as a step or more, so the next one waits as many
+    steps as the worst residual has decades above its tolerance: these
+    runs gain at most about one decade a step.  A basis that reaches n
+    returns the exact Ritz pairs of the whole space.
     """
     dsyevd = _f2py("_flapack").dsyevd
 
@@ -241,74 +206,53 @@ def _lanczos(apply_c, start, count: int):
             raise np.linalg.LinAlgError(f"the Ritz check failed: LAPACK dsyevd info {info}")
         return theta, np.ascontiguousarray(S)
 
-    b, n = start.shape
+    n = len(start)
     k = check = count + _MARGIN
     Q = np.empty((min(n, 6 * k), n))
     H = np.zeros((len(Q), len(Q)))
-    Q[:b] = _orthonormal_rows(start.copy())[0]
-    m = b
+    Q[0] = start / np.sqrt(start @ start)
+    m = 1
     while True:
         basis = Q[:m]
-        W = apply_c(basis[m - b:])
-        h = basis @ W.T
-        W -= h.T @ basis
-        again = basis @ W.T
-        W -= again.T @ basis
+        q = apply_c(basis[m - 1:])[0]
+        h = basis @ q
+        q -= h @ basis
+        again = basis @ q
+        q -= again @ basis
         h += again
-        H[:m, m - b: m] = h
+        H[:m, m - 1] = h
         if m == n:
             theta, S = ritz(H)
             return 1.0 / theta[::-1], S[:, ::-1].T @ Q
-        W, G = _orthonormal_rows(W)
+        beta = np.sqrt(q @ q)
+        q /= beta
         if m >= check:
             theta, S = ritz(H[:m, :m])
             theta, S = theta[:-k - 1:-1], S[:, :-k - 1:-1]
-            worst = np.max(np.sqrt(np.sum((G.T @ S[m - b:]) ** 2, axis=0)) / theta)
-            worst /= np.finfo(np.float64).eps
+            worst = np.max(beta * np.abs(S[m - 1]) / theta) / np.finfo(np.float64).eps
             if worst <= 1:
                 return 1.0 / theta, S.T @ basis
-            check = m + b * math.ceil(np.log10(worst))
-        if m + b > n:
-            return None, None
-        if m + b > len(Q):
+            check = m + math.ceil(np.log10(worst))
+        if m == len(Q):
             grown = min(n, 2 * len(Q))
             Q = np.concatenate([Q, np.empty((grown - len(Q), n))])
             H = np.pad(H, (0, grown - len(H)))
-        Q[m: m + b] = W
-        m += b
+        Q[m] = q
+        m += 1
 
 
-def _start_block(K):
-    """The Lanczos start block, as rows, of a pencil of stiffness K.  A
-    band pencil starts from one vector: its spectrum is simple.  A
-    Kronecker pencil starts from two, the ramp and its image under
-    swapping x and y: each mode (j, k) of the square has the twin (k, j)
-    of the same eigenvalue, and one Krylov vector sees one direction of
-    such a pair only."""
-    # a fixed start makes repeated solves bitwise equal; a ramp has no
-    # reflection symmetry, so it is not orthogonal to the modes that are
-    # even about x = 1/2, as a constant vector would be
-    ramp = np.linspace(1.0, 2.0, K.n)
-    if isinstance(K, SymBandMatrix):
-        return ramp[None, :]
-    side = K.terms[0][0].n
-    return np.array([ramp, ramp.reshape(side, -1).T.ravel()])
-
-
-def _leading_modes(K, factor, start, count: int):
+def _leading_modes(K: SymBandMatrix, factor, count: int):
     """Double-precision (eigenvalues, vectors) of the count + _MARGIN or
-    more smallest modes of a band or Kronecker pencil, with vectors
-    M-normalized; (None, None) when that needs all n or K is not positive
-    definite.  factor holds the products with R and R^T of M = R R^T
-    (_mass_factor), and start the rows the Krylov basis starts from
-    (_start_block).
+    more smallest modes of a band pencil, with vectors M-normalized;
+    (None, None) when that needs all n or K is not positive definite.
+    factor holds the products with R and R^T of M = R R^T (_mass_factor).
 
     With M = R R^T and K = L L^T factored once each, Lanczos (_lanczos)
     runs in standard form on C = R^T K^-1 R, whose eigenvalues are
     1/lambda, and lambda K^-1 R u maps its unit eigenvector u to the
     pencil's mode, of unit M-norm since v^T M v = lambda^2 u^T C^2 u = 1:
-    a product with R, one band solve for the block, and a product with R^T
-    per Lanczos step.
+    a product with R, one band solve, and a product with R^T per Lanczos
+    step.  One start vector finds every mode, as a band spectrum is simple.
     """
     n = K.n
     if count + _MARGIN >= n:
@@ -323,9 +267,10 @@ def _leading_modes(K, factor, start, count: int):
         """K^-1 on each row of Y: one band solve for the block."""
         return dpbtrs(L, Y.T, lower=1, overwrite_b=1)[0].T
 
-    w, U = _lanczos(lambda X: rt(solve_k(r(X))), start, count)
-    if w is None:
-        return None, None
+    # a fixed start makes repeated solves bitwise equal; a ramp has no
+    # reflection symmetry, so it is not orthogonal to the modes that are
+    # even about x = 1/2, as a constant vector would be
+    w, U = _lanczos(lambda X: rt(solve_k(r(X))), np.linspace(1.0, 2.0, n), count)
     return w, solve_k(r(U)).T * w
 
 
@@ -344,39 +289,40 @@ def _dense_eigh(K, M):
     return w, vecs
 
 
-def generalized_eig(K, M, count: int | None = None) -> Spectrum:
-    """Solve K v = lambda M v for symmetric K and positive definite M.
+def generalized_eig(K: SymBandMatrix, M: SymBandMatrix, count: int | None = None) -> Spectrum:
+    """Solve K v = lambda M v for a band pencil, K symmetric and M positive
+    definite.
 
-    K and M are SymBandMatrix or KroneckerSum operators.  Returns the count
-    smallest modes (all n when count is None or exceeds n).  Their
-    eigenvalues are recomputed as extended-precision Rayleigh quotients of
-    the double-precision eigenvectors, through the operators' longdouble
-    matvec on blocks of _REFINE_BLOCK eigenvectors (one K V and one M V
-    per block, each quotient's two dots taken per column, so bitwise the
-    quotients of single columns), and re-sorted; for well-separated modes
-    this restores the eigenvalues to near working precision of the
-    assembled matrices.
+    K and M are SymBandMatrix operators; a Kronecker pencil raises
+    TypeError, as its spectrum is tensor_spectrum_2d of the 1D one.
+    Returns the count smallest modes (all n when count is None or exceeds
+    n).  Their eigenvalues are recomputed as extended-precision Rayleigh
+    quotients of the double-precision eigenvectors, through the operators'
+    longdouble matvec on blocks of _REFINE_BLOCK eigenvectors (one K V and
+    one M V per block, each quotient's two dots taken per column, so
+    bitwise the quotients of single columns), and re-sorted; for
+    well-separated modes this restores the eigenvalues to near working
+    precision of the assembled matrices.  A band spectrum is simple, so
+    no mode past the count could sort into it, and the count alone is
+    refined.
 
-    Refinement covers the leading count + b - 1 modes (at most n) on both
-    routes, b the size of the Lanczos start block (_start_block).  A band
-    spectrum is simple, as the one-vector start assumes (b = 1); on the
-    square, the tensor sum of the 1D spectrum, a mode (j, k) ties only
-    with its twin (k, j), and b = 2 takes in the twin of a pair the cut
-    splits.  So no mode left out could sort into the first count.
-
-    The mass is factored first, M = R R^T by LAPACK's band Cholesky (a
-    Kronecker mass through its 1D factor), and one that is not positive
-    definite in double precision raises IndefiniteMassError, whichever
-    route the pencil takes.  A pencil of order _BANDED_MIN_N or more, with
-    K positive definite, is solved for its leading modes only, by this
-    module's block Lanczos on R^T K^-1 R (K = L L^T, also a band
-    Cholesky); smaller ones, a pencil whose leading modes would take all
-    n, and one whose K is not positive definite, by a dense eigh of the
-    band copies (_dense_eigh).  On the dense side the result is bitwise
-    the leading part of a full solve (count=None); on the Lanczos side the
-    eigenvectors carry different roundoff, so refined eigenvalues may
-    differ from the dense ones in the last digits of longdouble.
+    The mass is factored first, M = R R^T by LAPACK's band Cholesky, and
+    one that is not positive definite in double precision raises
+    IndefiniteMassError, whichever route the pencil takes.  A pencil of
+    order _BANDED_MIN_N or more, with K positive definite, is solved for
+    its leading modes only, by this module's Lanczos on R^T K^-1 R
+    (K = L L^T, also a band Cholesky); smaller ones, a pencil whose
+    leading modes would take all n, and one whose K is not positive
+    definite, by a dense eigh of the band copies (_dense_eigh).  On the
+    dense side the result is bitwise the leading part of a full solve
+    (count=None); on the Lanczos side the eigenvectors carry different
+    roundoff, so refined eigenvalues may differ from the dense ones in the
+    last digits of longdouble.
     """
+    for op in (K, M):
+        if not isinstance(op, SymBandMatrix):
+            raise TypeError(f"generalized_eig solves band pencils, not a {type(op).__name__}; "
+                            "a Kronecker pencil's spectrum is tensor_spectrum_2d of the 1D one")
     if not LONGDOUBLE_IS_WIDE:
         raise PrecisionError("numpy longdouble is not wider than float64 here: "
                              "refined eigenvalues would sit at the float64 floor")
@@ -387,20 +333,18 @@ def generalized_eig(K, M, count: int | None = None) -> Spectrum:
     factor = _mass_factor(M)
     if factor is None:
         raise IndefiniteMassError("the mass matrix is not positive definite")
-    start = _start_block(K)
     w = None
     if n >= _BANDED_MIN_N:
-        w, vecs = _leading_modes(K, factor, start, count)
+        w, vecs = _leading_modes(K, factor, count)
     if w is None:
         w, vecs = _dense_eigh(K, M)
-    stop = min(count + len(start) - 1, n)
-    refined = np.empty(stop, dtype=np.longdouble)
-    for lo in range(0, stop, _REFINE_BLOCK):
-        V = vecs[:, lo: min(stop, lo + _REFINE_BLOCK)].astype(np.longdouble)
+    refined = np.empty(count, dtype=np.longdouble)
+    for lo in range(0, count, _REFINE_BLOCK):
+        V = vecs[:, lo: min(count, lo + _REFINE_BLOCK)].astype(np.longdouble)
         KV, MV = K.matvec(V), M.matvec(V)
         for j in range(V.shape[1]):
             refined[lo + j] = (V[:, j] @ KV[:, j]) / (V[:, j] @ MV[:, j])
-    order = np.argsort(refined, kind="stable")[:count]
+    order = np.argsort(refined, kind="stable")
     return Spectrum(refined[order], vecs[:, order])
 
 

@@ -241,24 +241,20 @@ def test_kronecker_2d_agrees_with_element_loop(p, N):
     rule = gauss_legendre(p + 1)
     pair = assemble_2d(assemble_1d(space, rule))
     K2, M2 = _dense_2d_by_element_loop(space, rule)
-    assert np.max(np.abs(eigensolve._dense(pair.stiffness.to_bands()) - K2)) < 1e-11
-    assert np.max(np.abs(eigensolve._dense(pair.mass.to_bands()) - M2)) < 1e-13
+    assert np.max(np.abs(dense(pair.stiffness) - K2)) < 1e-11
+    assert np.max(np.abs(dense(pair.mass) - M2)) < 1e-13
 
 
-# (2, 4) has 4 unknowns a side for half-band 2, so two Kronecker offsets
-# share a band row
 @pytest.mark.parametrize("p,N", [(1, 5), (2, 4), (3, 6)])
 def test_kronecker_operator_products_and_copies_agree(p, N):
+    # the operator's product against the longdouble np.kron sum of the
+    # dense 1D copies
     pair = assemble_2d(assemble_1d_dmm(BSplineSpace(p, N)))
     x = np.random.default_rng(7).standard_normal(pair.mass.n).astype(np.longdouble)
     for op in (pair.stiffness, pair.mass):
         full = dense(op, np.longdouble)
         scale = float(np.max(np.abs(full)))
         assert float(np.max(np.abs(op.matvec(x) - full @ x))) < 1e-17 * scale * op.n
-        bands = op.to_bands()
-        assert bands.shape == (p * (N + p - 2) + p + 1, op.n)
-        assert np.array_equal(dense_from_bands(bands, op.n), full.astype(np.float64))
-        assert np.array_equal(eigensolve._dense(bands), full.astype(np.float64))
     bands = sum(m.bands.nbytes for m in pair.stiffness.terms[0])
     assert pair.stiffness.nbytes == bands and pair.mass.nbytes == bands // 2
 
@@ -266,9 +262,8 @@ def test_kronecker_operator_products_and_copies_agree(p, N):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_the_dense_solve_reads_the_band_copies_bit_for_bit(p):
     # the dense eigh reads _dense(op.to_bands()): for each study label it is
-    # the 1D bands expanded, and on the square the longdouble np.kron sum of
-    # the 1D matrices, rounded once; at N = 2 and 3 the Kronecker half-band
-    # p n1 + p reaches the order n
+    # the 1D bands expanded, rounded once; at N = 2 the half-band p equals
+    # the order n
     checked = 0
     for label in cli._STUDY_RULES:
         for N in (2, 3, 4, 5, 8):
@@ -276,13 +271,12 @@ def test_the_dense_solve_reads_the_band_copies_bit_for_bit(p):
                 pair = cli._pair(BSplineSpace(p, N), label)
             except DegenerateBlendError:  # blend:lr at p = 1
                 continue
-            square = assemble_2d(pair)
-            for op in (pair.stiffness, pair.mass, square.stiffness, square.mass):
+            for op in (pair.stiffness, pair.mass):
                 got = eigensolve._dense(op.to_bands())
                 assert got.dtype == np.float64, (label, N)
                 assert np.array_equal(got, dense(op)), (label, N, op.n)
                 checked += 1
-    assert checked == 4 * 5 * (len(cli._STUDY_RULES) - (p == 1))
+    assert checked == 2 * 5 * (len(cli._STUDY_RULES) - (p == 1))
 
 
 def test_band_matvec_takes_a_block_column_by_column():
@@ -328,8 +322,7 @@ def test_2d_guard_rejects_a_large_mesh_before_any_assembly(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Kronecker product or solve before the size check")
 
-    for module, name in ((np, "kron"), (assembly.KroneckerSum, "to_bands"),
-                         (eigensolve, "_lanczos"), (eigensolve, "_dense_eigh")):
+    for module, name in ((np, "kron"), (eigensolve, "_lanczos"), (eigensolve, "_dense_eigh")):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ValueError, match="2D dimension 16900 exceeds limit 16384"):
         assemble_2d(pairs[0])

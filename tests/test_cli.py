@@ -562,31 +562,25 @@ def test_kron_check_line(capsys):
     assert float(line.rsplit(" ", 1)[1]) < 1e-10
 
 
-def test_kron_cross_check_forms_no_large_dense_pencil(monkeypatch):
-    # from _BANDED_MIN_N unknowns on, the 2D pencil is only ever applied
-    # through 1D band products and solved on its band Cholesky factors: no
-    # band copy is expanded to a dense array of that order
-    n0 = eigensolve._BANDED_MIN_N
-    kron, dense = np.kron, eigensolve._dense
-    orders = []
+def test_kron_cross_check_solves_only_the_1d_pair(monkeypatch):
+    # one solve, of the 1D pair, and the 2D operators applied to a block of
+    # tensor pairs of its modes: no np.kron product, no 2D solve
+    solved = []
+    generalized_eig = eigensolve.generalized_eig
 
-    def small_kron(a, b):
-        assert np.shape(a)[0] * np.shape(b)[0] < n0, "dense Kronecker product"
-        return kron(a, b)
+    def recorded(K, M, count=None):
+        solved.append((K, M, count))
+        return generalized_eig(K, M, count)
 
-    def small_dense(ab):
-        orders.append(ab.shape[1])
-        assert ab.shape[1] < n0, "dense copy of a large pencil"
-        return dense(ab)
-
-    monkeypatch.setattr(np, "kron", small_kron)
-    monkeypatch.setattr(eigensolve, "_dense", small_dense)
+    monkeypatch.setattr(eigensolve, "generalized_eig", recorded)
+    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron product"))
     assert 0 < cli.kron_cross_check(2, 24, "dmm") < 1e-17
-    # the dense 1D solve and the triangles of the 1D mass factor
-    assert orders and max(orders) < n0
-    with pytest.raises(AssertionError, match="dense"):
-        eigensolve._dense(assembly.assemble_2d(cli._pair(BSplineSpace(2, 13), "dmm"))
-                          .mass.to_bands())
+    (K, M, count), = solved
+    pair = cli._pair(BSplineSpace(2, 24), "dmm")
+    assert isinstance(K, assembly.SymBandMatrix) and isinstance(M, assembly.SymBandMatrix)
+    assert np.array_equal(K.bands, pair.stiffness.bands)
+    assert np.array_equal(M.bands, pair.mass.bands)
+    assert count == 12
 
 
 @pytest.mark.parametrize("out", ["--json", "--csv"])
@@ -1084,7 +1078,7 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
                   ["dispersion", "-p", "2", "--rule", "dmm", "--fit", "--coefficient", "6"],
                   ["verify", "--p-max", "3"]]
     # pencil orders below and above eigensolve._BANDED_MIN_N: dense eigh, then
-    # Lanczos in 1D and on the Kronecker pencil of order 256 at N = 16
+    # Lanczos; the Kronecker check at N = 16 solves its 1D pencil densely
     dense = ["study-1d", "-p", "2", "--meshes", "32,64", "--modes", "8"]
     lanczos = ["study-1d", "-p", "2", "--meshes", "192,256", "--modes", "8"]
     kron = ["study-2d", "-p", "2", "--meshes", "4,8", "--rules", "dmm", "--modes", "1,2",
@@ -1109,7 +1103,7 @@ def test_only_a_solve_loads_scipy_and_the_output_does_not_depend_on_it():
     assert _streams(lazy) == _streams(preload)
 
 
-# a fresh interpreter that runs a dense, a 1D Lanczos and a Kronecker study
+# a fresh interpreter that runs a dense, a Lanczos and a Kronecker-checked study
 # through cli.main, then imports scipy.linalg and scipy.sparse.linalg (or
 # imports them first, with argv[1] "before"), and prints as JSON which of
 # the scipy and scipy.linalg packages were loaded for the studies, whether

@@ -42,6 +42,35 @@ def test_each_differing_job_and_moved_cell_is_listed():
     assert diff_outputs.compare(jobs, parent, parent) == []
 
 
+def test_a_moved_kron_deviation_is_listed_under_its_job_and_is_no_cell(monkeypatch, capsys):
+    assert diff_outputs.kron_deviation(_STUDY) == "2.81167e-19"
+    assert diff_outputs.kron_deviation("p,N,rule,mode,rel_ev_error,ef_energy_error\n") is None
+    moved = _STUDY.replace("2.81167e-19", "1.08080e-19")
+    both = moved.replace("1.55239e-01", "1.55240e-01")
+    jobs = [["kron"], ["both"], ["gone"]]
+    parent = [_result(_STUDY)] * 3
+    change = [_result(moved), _result(both), _result(_STUDY.split("# kron")[0])]
+    lines = [
+        "differs (out): kron",
+        "  kron-vs-tensor: 2.81167e-19 -> 1.08080e-19",
+        "differs (out): both",
+        "  cell 2,8,gauss,2: 5.99916e-04,1.55239e-01 -> 5.99916e-04,1.55240e-01",
+        "  kron-vs-tensor: 2.81167e-19 -> 1.08080e-19",
+        "differs (out): gone",
+        "  kron-vs-tensor: 2.81167e-19 -> None",
+    ]
+    assert diff_outputs.compare(jobs, parent, change) == lines
+    # the summary counts the moved study cells only
+    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: jobs)
+    monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(diff_outputs, "_run_tree",
+                        lambda tree, jobs: change if tree == diff_outputs.ROOT else parent)
+    assert diff_outputs.main(["--parent", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(lines)] == lines
+    assert out[-1] == "3 jobs against 000000000000: 3 differ, 1 study cells moved"
+
+
 def test_the_largest_move_of_each_column_is_summarized_with_its_cell(monkeypatch, capsys):
     small = _STUDY.replace("3.41278e-05", "3.41279e-05").replace("1.55239e-01", "1.55240e-01")
     large = _STUDY.replace("3.41278e-05", "3.41288e-05").replace("1.83882e-02", "1.83883e-02")

@@ -11,7 +11,6 @@ import dense_reference
 from basis_reference import reference_basis
 from igadmm import eigensolve, quadrature
 from igadmm.assembly import (
-    KroneckerSum,
     SymBandMatrix,
     assemble_1d,
     assemble_1d_dmm,
@@ -127,96 +126,22 @@ def test_leading_modes_are_bitwise_those_of_the_full_solve(p, label, N):
         pair.stiffness, pair.mass, (1, 3, n - 1, n, n + 5))
 
 
-def _assert_cuts(eigenvalues, split, between):
-    """Each cut in split falls inside a pair of equal modes, each one in
-    between falls between two modes at least 1e-3 apart, relative."""
-    for count in split + between:
-        below, above = (float(v) for v in eigenvalues[count - 1:count + 1])
-        tied = abs(above - below) < 1e-12 * below
-        assert tied if count in split else above - below > 1e-3 * below, count
-
-
-def test_leading_modes_of_a_kronecker_pencil_cut_inside_degenerate_pairs(monkeypatch):
-    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 8)))
-    full = generalized_eig(pair.stiffness, pair.mass)
-    # each split cut falls inside a pair of modes (j,k)/(k,j) equal up to
-    # roundoff, whose refined order may differ from their double order; the
-    # cut at 12 is the one kron_cross_check makes, inside the (2,4)/(4,2)
-    # pair.  The other cuts fall between pairs: the one mode refined past
-    # them is an untied neighbour
-    split, between = (2, 9, 12, 16), (1, 3, 4)
-    counts = split + between
-    _assert_cuts(full.eigenvalues, split, between)
-    _assert_leading_modes_are_the_full_solve(pair.stiffness, pair.mass, counts)
-    # from _BANDED_MIN_N on, the Lanczos solve must find both modes of each
-    # pair: its refined eigenvalues are the pairwise sums of the 1D ones
-    pair1 = assemble_1d_dmm(BSplineSpace(2, 16))
-    pair = assemble_2d(pair1)
-    assert pair.stiffness.n == 256 >= eigensolve._BANDED_MIN_N
-    tensor = tensor_spectrum_2d(generalized_eig(pair1.stiffness, pair1.mass).eigenvalues)
-    _assert_cuts(tensor, split, between)
-    calls = _count_solver_calls(monkeypatch)
-    for count in counts:
-        got = generalized_eig(pair.stiffness, pair.mass, count)
-        assert len(got) == count and got.vectors.shape == (256, count)
-        rel = np.abs(got.eigenvalues - tensor[:count]) / tensor[:count]
-        assert float(np.max(rel)) < 1e-15, count
-    assert calls == ["_lanczos"] * len(counts)
-
-
-@pytest.mark.parametrize("p,N", [(2, 24), (3, 16)])
-def test_lanczos_finds_both_modes_of_each_pair_at_the_cross_checked_pencils(monkeypatch, p, N):
-    # the two Kronecker pencils the kron-2d cross-checks solve, of orders 576
-    # and 289: each swap-symmetric pair (j,k)/(k,j) is a double eigenvalue,
-    # and the refined spectrum is the pairwise sums of the 1D one
-    pair1 = assemble_1d_dmm(BSplineSpace(p, N))
-    pair = assemble_2d(pair1)
-    assert pair.stiffness.n == (N + p - 2) ** 2 >= eigensolve._BANDED_MIN_N
-    tensor = tensor_spectrum_2d(generalized_eig(pair1.stiffness, pair1.mass).eigenvalues, 12)
-    calls = _count_solver_calls(monkeypatch)
-    got = generalized_eig(pair.stiffness, pair.mass, 12)
-    assert calls == ["_lanczos"]
-    rel = np.abs(got.eigenvalues - tensor) / tensor
-    assert float(np.max(rel)) <= 1e-15
-
-
-def test_band_pencils_start_from_one_vector_and_kronecker_ones_from_two(monkeypatch):
-    runs = _record_lanczos(monkeypatch)
-    band = _study_pair(3, 256, "dmm")
-    kron = assemble_2d(_study_pair(3, 16, "dmm"))
-    generalized_eig(band.stiffness, band.mass, 4)
-    generalized_eig(kron.stiffness, kron.mass, 4)
-    assert [start for start, _ in runs] == [(1, band.stiffness.n), (2, kron.stiffness.n)]
-
-
-def test_a_kronecker_mass_is_factored_through_its_1d_factor(monkeypatch):
-    # M (x) M = (R R^T) (x) (R R^T): the products with R (x) R, lower
-    # triangular, and with its transpose give back M, and only the stiffness
-    # is copied to band storage
-    small = assemble_2d(assemble_1d_dmm(BSplineSpace(2, 4)))
-    r, rt = eigensolve._mass_factor(small.mass)
-    identity = np.eye(small.mass.n)
-    R = rt(identity)  # row i is R^T e_i
-    assert np.array_equal(r(identity), R.T) and not np.any(np.triu(R, 1))
-    full = dense_reference.dense(small.mass)
-    assert np.max(np.abs(r(rt(identity)) - full)) <= 1e-15 * np.max(np.abs(full))
-    copied = []
-    to_bands = KroneckerSum.to_bands
-
-    def recorded(op):
-        copied.append(op)
-        return to_bands(op)
-
-    monkeypatch.setattr(KroneckerSum, "to_bands", recorded)
-    pair = assemble_2d(assemble_1d_dmm(BSplineSpace(3, 16)))
-    generalized_eig(pair.stiffness, pair.mass, 4)
-    assert [op is pair.stiffness for op in copied] == [True]
-
-
 def test_generalized_eig_needs_a_positive_count():
     pair = assemble_1d(BSplineSpace(2, 6), gauss_legendre(3))
     with pytest.raises(ValueError):
         generalized_eig(pair.stiffness, pair.mass, 0)
+
+
+def test_a_kronecker_operator_is_refused_at_entry(monkeypatch):
+    # the 2D spectrum is the tensor sums of the 1D one: generalized_eig
+    # solves band pencils only, and says so before any factor or copy
+    pair = _study_pair(2, 8, "dmm")
+    square = assemble_2d(pair)
+    monkeypatch.setattr(eigensolve, "_f2py", lambda name: pytest.fail(f"{name} loaded"))
+    for K, M in ((square.stiffness, square.mass), (pair.stiffness, square.mass),
+                 (square.stiffness, pair.mass)):
+        with pytest.raises(TypeError, match="KroneckerSum.*tensor_spectrum_2d"):
+            generalized_eig(K, M, 4)
 
 
 def _count_solver_calls(monkeypatch):
@@ -231,20 +156,6 @@ def _count_solver_calls(monkeypatch):
 
         monkeypatch.setattr(eigensolve, name, counted)
     return calls
-
-
-def _record_lanczos(monkeypatch):
-    """Record (start block shape, modes returned) for every Lanczos run."""
-    runs = []
-    lanczos = eigensolve._lanczos
-
-    def recorded(apply_c, start, count):
-        w, U = lanczos(apply_c, start, count)
-        runs.append((start.shape, len(w)))
-        return w, U
-
-    monkeypatch.setattr(eigensolve, "_lanczos", recorded)
-    return runs
 
 
 def _dense_solve(monkeypatch, K, M, count):
@@ -314,45 +225,38 @@ def test_band_pencil_counts_near_n(monkeypatch, offset):
 
 
 def _record_refined_widths(monkeypatch):
-    """Record (operator type, block width) for every product of an
-    operator with a block of columns; the 1D products inside a Kronecker
-    one take three-axis arrays and are left out."""
+    """Record the block width of every product of a band operator with a
+    block of columns."""
     widths = []
-    for cls in (SymBandMatrix, KroneckerSum):
+    matvec = SymBandMatrix.matvec
 
-        def recorded(op, x, _matvec=cls.matvec):
-            if np.ndim(x) == 2:
-                widths.append((type(op).__name__, x.shape[1]))
-            return _matvec(op, x)
+    def recorded(op, x):
+        if np.ndim(x) == 2:
+            widths.append(x.shape[1])
+        return matvec(op, x)
 
-        monkeypatch.setattr(cls, "matvec", recorded)
+    monkeypatch.setattr(SymBandMatrix, "matvec", recorded)
     return widths
 
 
-@pytest.mark.parametrize("N,side", [(16, 4), (256, 16)])
-def test_a_band_solve_refines_count_modes_and_a_kronecker_solve_one_more(monkeypatch,
-                                                                        N, side):
-    # 1D: n = 17 and 257; 2D: n = 25 and 289, the dense route and the
-    # Lanczos one.  The refinement's K V and M V are the only products with
-    # the operators, one block each
+@pytest.mark.parametrize("N", [16, 256])
+def test_a_band_solve_refines_count_modes(monkeypatch, N):
+    # n = 17 and 257: the dense route and the Lanczos one.  The
+    # refinement's K V and M V are the only products with the operators,
+    # one block each
     band = _study_pair(3, N, "dmm")
-    kron = assemble_2d(_study_pair(3, side, "dmm"))
     calls = _count_solver_calls(monkeypatch)
     widths = _record_refined_widths(monkeypatch)
     for count in (1, 4, 9):
         assert len(generalized_eig(band.stiffness, band.mass, count)) == count
-        assert widths == [("SymBandMatrix", count)] * 2, count
-        widths.clear()
-        assert len(generalized_eig(kron.stiffness, kron.mass, count)) == count
-        assert widths == [("KroneckerSum", count + 1)] * 2, count
+        assert widths == [count] * 2, count
         widths.clear()
     route = "_lanczos" if N >= eigensolve._BANDED_MIN_N else "_dense_eigh"
-    assert calls == [route] * 6
+    assert calls == [route] * 3
     # all modes: the count caps at n, in blocks of _REFINE_BLOCK columns
-    n, block = kron.stiffness.n, eigensolve._REFINE_BLOCK
-    assert len(generalized_eig(kron.stiffness, kron.mass)) == n
-    assert widths == [("KroneckerSum", min(block, n - lo))
-                      for lo in range(0, n, block) for _ in "KM"]
+    n, block = band.stiffness.n, eigensolve._REFINE_BLOCK
+    assert len(generalized_eig(band.stiffness, band.mass)) == n
+    assert widths == [min(block, n - lo) for lo in range(0, n, block) for _ in "KM"]
 
 
 # every label a study accepts, without the aliases G, L and R
@@ -390,11 +294,13 @@ def test_the_leading_1d_spectra_are_simple(monkeypatch, N):
 @pytest.mark.parametrize("p,N", [(2, 24), (3, 16), (2, 8), (3, 6)]
                          + [(p, 14) for p in range(1, 7)])
 def test_the_leading_2d_ties_are_twin_pairs(monkeypatch, p, N):
-    # a Kronecker solve refines one mode past the cut: among the first 20
-    # pairwise sums of each 1D spectrum, at the meshes the kron-2d
-    # cross-checks, the 2D goldens and the output sweep solve, every near
-    # tie is a (j, k)/(k, j) pair, so no three sums tie (the smallest gap
-    # between sums that are not twins is 1.1e-3, at p = 1, N = 14, gp)
+    # a 2D study cell pairs the m-th pairwise sum of the 1D spectrum with
+    # the m-th exact value (j^2 + k^2) pi^2, and --verify-kron pairs it with
+    # the 1D modes behind it: among the first 20 sums, at the meshes the
+    # kron-2d cross-checks, the 2D goldens and the output sweep read, every
+    # near tie is a (j, k)/(k, j) pair, as in the exact spectrum, so no
+    # three sums tie (the smallest gap between sums that are not twins is
+    # 1.1e-3, at p = 1, N = 14, gp)
     for label, w in _study_spectra(monkeypatch, p, N, 20).items():
         sums = sorted((w[j] + w[k], min(j, k), max(j, k))
                       for j in range(len(w)) for k in range(len(w)))[:20]
@@ -404,15 +310,15 @@ def test_the_leading_2d_ties_are_twin_pairs(monkeypatch, p, N):
 
 
 def _record_copies(monkeypatch):
-    """Record each band or Kronecker operator whose band copy is taken."""
+    """Record each band operator whose band copy is taken."""
     copied = []
-    for cls in (SymBandMatrix, KroneckerSum):
+    to_bands = SymBandMatrix.to_bands
 
-        def recorded(op, _to_bands=cls.to_bands):
-            copied.append(op)
-            return _to_bands(op)
+    def recorded(op):
+        copied.append(op)
+        return to_bands(op)
 
-        monkeypatch.setattr(cls, "to_bands", recorded)
+    monkeypatch.setattr(SymBandMatrix, "to_bands", recorded)
     return copied
 
 
@@ -428,22 +334,6 @@ def test_an_indefinite_mass_is_refused_on_either_route(monkeypatch, N):
         generalized_eig(pair.stiffness, pair.mass, 4)
     assert calls == []
     assert [op is pair.mass for op in copied] == [True]
-
-
-def test_an_indefinite_kronecker_mass_is_refused(monkeypatch):
-    # 4 elements a side take the dense solve, 16 the Lanczos one; on both,
-    # the factor of the 1D mass refuses M (x) M before any solve and before
-    # any copy of a Kronecker operator
-    for N in (4, 16):
-        pair1 = assemble_1d(BSplineSpace(3, N), optimal_blend(3, "gr"))
-        pair = assemble_2d(pair1)
-        with monkeypatch.context() as patch:
-            calls, copied = _count_solver_calls(patch), _record_copies(patch)
-            with pytest.raises(eigensolve.IndefiniteMassError):
-                generalized_eig(pair.stiffness, pair.mass, 4)
-        assert calls == [], N
-        assert [op is pair1.mass for op in copied] == [True], N
-    assert pair.mass.n >= eigensolve._BANDED_MIN_N > 25
 
 
 def test_a_definite_mass_is_factored_once_on_the_dense_route(monkeypatch):
@@ -539,9 +429,8 @@ def test_a_missing_extension_module_is_an_import_error_that_names_it():
 
 
 def _ritz_pencils():
-    """A band pencil of order 256 and a Kronecker one of order 289: both take
-    the Lanczos solve."""
-    return [_study_pair(2, 256, "gauss"), assemble_2d(_study_pair(3, 16, "dmm"))]
+    """Band pencils of orders 256 and 289: both take the Lanczos solve."""
+    return [_study_pair(2, 256, "gauss"), _study_pair(3, 288, "dmm")]
 
 
 def test_no_solve_calls_numpys_lapack(monkeypatch, no_numpy_lapack):
@@ -606,12 +495,8 @@ def test_a_failed_ritz_check_raises(monkeypatch):
         generalized_eig(pair.stiffness, pair.mass, 4)
 
 
-@pytest.mark.parametrize("p,N,two_d", [(3, 512, False), (3, 16, True)])
-def test_lanczos_vectors_are_mass_orthonormal(monkeypatch, p, N, two_d):
-    # on the square, p = 3 and N = 16 give a Kronecker pencil of order 289
-    pair = _study_pair(p, N, "dmm")
-    if two_d:
-        pair = assemble_2d(pair)
+def test_lanczos_vectors_are_mass_orthonormal(monkeypatch):
+    pair = _study_pair(3, 512, "dmm")
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, 12)
     assert calls == ["_lanczos"]
@@ -635,6 +520,27 @@ def test_tensor_spectrum_is_the_pairwise_sum():
     assert float(tensor_spectrum_2d(e, count=1)[0]) == 2.0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_the_kronecker_spectrum_is_the_tensor_sum_of_the_1d_one(p):
+    # the theorem behind the tensor route and --verify-kron, by a dense
+    # solve: scipy's eigh of (K (x) M + M (x) K, M (x) M), each the
+    # longdouble np.kron sum rounded once, gives every pairwise sum of the
+    # refined 1D spectrum, multiplicity kept, to float64 roundoff (at most
+    # 7.0e-14 relative here, at p = 4)
+    import scipy.linalg
+
+    for label in ("gauss", "radau", "dmm", "blend:gg"):
+        for N in (2, 3, 6):
+            pair = _study_pair(p, N, label)
+            square = assemble_2d(pair)
+            want = tensor_spectrum_2d(generalized_eig(pair.stiffness, pair.mass).eigenvalues)
+            got = scipy.linalg.eigh(dense_reference.dense(square.stiffness),
+                                    dense_reference.dense(square.mass), eigvals_only=True)
+            assert len(got) == len(want) == square.stiffness.n, (label, N)
+            rel = np.abs(got - want) / want
+            assert float(np.max(rel)) < 1e-12, (label, N)
+
+
 def test_relative_errors_and_pairing_guard():
     exact = np.asarray(exact_spectrum(5), dtype=np.longdouble)
     fake = Spectrum(exact * (1 + 1e-6), np.eye(5))
@@ -647,16 +553,12 @@ def test_relative_errors_and_pairing_guard():
     assert np.allclose(errs2, 2e-7, rtol=1e-6)
 
 
-@pytest.mark.parametrize("p,N,kron,count", [
-    (2, 100, False, None),  # dense, all 100 modes: two refinement blocks
-    (3, 300, False, 6),  # Lanczos
-    (2, 10, True, None),  # dense Kronecker, 100 modes
-    (2, 14, True, 5),  # Lanczos Kronecker, order 196
+@pytest.mark.parametrize("p,N,count", [
+    (2, 100, None),  # dense, all 100 modes: two refinement blocks
+    (3, 300, 6),  # Lanczos
 ])
-def test_refined_eigenvalues_are_the_per_column_rayleigh_quotients(p, N, kron, count):
+def test_refined_eigenvalues_are_the_per_column_rayleigh_quotients(p, N, count):
     pair = assemble_1d_dmm(BSplineSpace(p, N))
-    if kron:
-        pair = assemble_2d(pair)
     K, M = pair.stiffness, pair.mass
     spectrum = generalized_eig(K, M, count)
     assert len(spectrum) == (count or K.n)

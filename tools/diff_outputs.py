@@ -10,10 +10,11 @@ imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
 job of the benchmark workloads (perfbench/workloads.py) and the fixed
 sweep below, capturing each job's exit code, standard output and standard
 error.  The report lists each job whose exit code, output or error
-differs, and each study cell (p, N, rule, mode) whose printed numbers
-moved; then, when any did, one line with the largest move per column
-(absolute for rel_ev_error, relative for ef_energy_error) and its cell;
-then the line counts of src/igadmm/*.py in both trees.  The exit
+differs, each study cell (p, N, rule, mode) whose printed numbers moved,
+and a moved ``# kron-vs-tensor`` deviation of a --verify-kron job; then,
+when any cell moved, one line with the largest move per column (absolute
+for rel_ev_error, relative for ef_energy_error) and its cell; then the
+line counts of src/igadmm/*.py in both trees.  The exit
 code is 1 on any difference and 0 when every byte of every job is the
 same.
 """
@@ -186,6 +187,14 @@ def cells(out: str) -> dict[str, str]:
     return rows
 
 
+def kron_deviation(out: str) -> str | None:
+    """The deviation on a job's ``# kron-vs-tensor`` line, None without one."""
+    for line in out.splitlines():
+        if line.startswith("# kron-vs-tensor"):
+            return line.rsplit(": ", 1)[1]
+    return None
+
+
 def moved_cells(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
     """(cell, parent's errors, change's errors) of each study cell whose
     printed errors differ between two results of one job; None where a
@@ -196,7 +205,8 @@ def moved_cells(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
 
 
 def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per differing job, then one per moved cell of that job."""
+    """One line per differing job, then one per moved cell of that job and
+    one for its moved kron-vs-tensor deviation."""
     lines = []
     for argv, a, b in zip(jobs, parent, change):
         parts = [key for key in ("rc", "out", "err") if a[key] != b[key]]
@@ -205,6 +215,9 @@ def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> li
         lines.append(f"differs ({', '.join(parts)}): {' '.join(argv)}")
         for key, old, new in moved_cells(a, b):
             lines.append(f"  cell {key}: {old} -> {new}")
+        old, new = kron_deviation(a["out"]), kron_deviation(b["out"])
+        if old != new:
+            lines.append(f"  kron-vs-tensor: {old} -> {new}")
     return lines
 
 
@@ -257,8 +270,8 @@ def main(argv=None) -> int:
         print(moves)
     print(f"src/igadmm/*.py lines: {parent_lines} -> {line_count(ROOT)}")
     differ = sum(not line.startswith(" ") for line in lines)
-    print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, "
-          f"{len(lines) - differ} study cells moved")
+    moved = sum(line.startswith("  cell ") for line in lines)
+    print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, {moved} study cells moved")
     return 1 if lines else 0
 
 
