@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from igadmm.dispersion import error_expansion
 from igadmm.stencils import (
     IdentityCheck,
     IdentityReport,
@@ -30,7 +29,8 @@ def dmm_stencil(p: int) -> tuple:
     """Exact dispersion-minimized mass row for degree p.
 
     Entry k is B_k + c_2p G_p[k], with B the exact mass row, c_2p =
-    error_expansion(p, A, B)[0] for the exact stiffness row A, and
+    2 (-1)^{p+1} M_{p+1}(A, B) the leading dispersion coefficient
+    (dispersion.error_expansion) for the exact stiffness row A, and
     G_p[k] = (-1)^k C(2p, p+k).  G_p is the 2p-th central difference, so
     its row sum and its moments sum_k k^{2m-2}/(2m-2)! G_p[k] of orders
     m = 2..p vanish, while its order-(p+1) moment is (-1)^p/2.  Adding
@@ -42,7 +42,7 @@ def dmm_stencil(p: int) -> tuple:
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     mass = mass_stencil(p)
-    c = error_expansion(p, stiffness_stencil(p), mass)[0]
+    c = 2 * (-1) ** (p + 1) * dispersion_moment(stiffness_stencil(p), mass, p + 1)
     return tuple(mass[k] + c * (-1) ** k * comb(2 * p, p + k) for k in range(p + 1))
 
 

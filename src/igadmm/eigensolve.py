@@ -4,16 +4,17 @@ eigenproblem on [0, 1] (Dirichlet) and its tensor square.
 Eigenpairs of a band pencil come from a double-precision solver that
 reads it only through the LAPACK lower band copies of its operators
 (to_bands), after the band Cholesky factor of M, the one check that M is
-positive definite: for pencils of order _BANDED_MIN_N and up, a Lanczos
-run of this module (_lanczos) computes only the leading modes, in
-standard form on R^T K^-1 R with M = R R^T and K = L L^T; smaller pencils
-go to LAPACK's dense symmetric-definite dsygvd of the band copies
-expanded (_dense), the call scipy.linalg.eigh makes.  Every LAPACK and
-BLAS routine, the Lanczos Ritz checks' dsyevd included, comes from
-scipy's f2py extension modules scipy.linalg._flapack and _fblas, loaded
-at the first solve by _f2py without running the __init__ of scipy or of
-scipy.linalg: scipy/linalg/__init__.py takes about 0.25 s and 22 MB more,
-and no command needs it, nor scipy's sparse package.  So a solve runs on
+positive definite: for pencils of order _BANDED_MIN_N and up asked for
+fewer than all their modes, a Lanczos run of this module (_lanczos)
+converges exactly the leading count, in standard form on R^T K^-1 R with
+M = R R^T and K = L L^T; every other pencil goes to LAPACK's dense
+symmetric-definite dsygvd of the band copies expanded (_dense), the
+call scipy.linalg.eigh makes.  Every LAPACK and BLAS routine, the
+Lanczos Ritz checks' dsyevd included, comes from scipy's f2py extension
+modules scipy.linalg._flapack and _fblas, loaded at the first solve by
+_f2py without running the __init__ of scipy or of scipy.linalg:
+scipy/linalg/__init__.py takes about 0.25 s and 22 MB more, and no
+command needs it, nor scipy's sparse package.  So a solve runs on
 one LAPACK, scipy's, and never on the one numpy bundles.  The leading
 eigenvalues a caller asks for are then refined, through the operators'
 longdouble products on blocks of eigenvectors, one K V and one M V per
@@ -72,16 +73,13 @@ PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 _SQRT2_LD = np.sqrt(np.longdouble(2))
 
 # smallest pencil order solved by Lanczos.  One BLAS thread on a 2-vCPU
-# x86-64 VM, p = 2, four modes, dense vs Lanczos: 3.5 vs 1.6 ms at
-# n = 128, 5.3 vs 1.8 ms at n = 160, 8.0 vs 1.9 ms at n = 192, 518 vs
-# 4.0 ms at n = 1024.  Lanczos wins below 160 too, but the smaller
-# pencils keep the dense solve, so that their study cells, and the golden
-# outputs that print them, stay bitwise as they are
+# x86-64 VM, p = 2, four modes, dense vs Lanczos, medians of five
+# processes: 2.1 vs 0.55 ms at n = 128, 3.4 vs 0.66 ms at n = 160, 5.2
+# vs 0.70 ms at n = 192, 379 vs 1.7 ms at n = 1024.  Lanczos wins below
+# 160 too, but the smaller pencils keep the dense solve, so that their
+# study cells, and the golden outputs that print them, stay bitwise as
+# they are
 _BANDED_MIN_N = 160
-
-# modes the Lanczos solve converges past the requested count, none of
-# which refinement reads
-_MARGIN = 2
 
 # columns per block product of the Rayleigh refinement: K V and M V take
 # one band product per operator for the block, and a refinement of all n
@@ -177,21 +175,24 @@ def _mass_factor(M: SymBandMatrix):
 
 def _lanczos(apply_c, start, count: int):
     """(w, U): w = 1 / theta ascending and the unit Ritz vectors as rows
-    of U, for the count + _MARGIN largest Ritz values theta, or all n, of
-    a symmetric positive definite C of order n, which apply_c applies to
-    each row of a block.
+    of U, for the count largest Ritz values theta of a symmetric positive
+    definite C of order n > count, which apply_c applies to each row of a
+    block.
 
     Lanczos from the vector start, each new vector orthogonalized twice
     against the whole basis Q, kept in rows, whose projections give the
     projected matrix Q C Q^T a column a step.  With beta q the remainder of
     a step, q of unit norm, the Ritz pair (theta, Q^T s) has the residual
-    norm beta |s_m|, s_m the last entry of s; the leading k have converged
-    when each is at most eps theta, ARPACK's own test.  The check is
-    scipy's LAPACK dsyevd on the upper triangle of the projected matrix,
-    which costs as much as a step or more, so the next one waits as many
-    steps as the worst residual has decades above its tolerance: these
-    runs gain at most about one decade a step.  A basis that reaches n
-    returns the exact Ritz pairs of the whole space.
+    norm beta |s_m|, s_m the last entry of s; the leading count have
+    converged when each is at most eps theta, ARPACK's own test.  A band
+    spectrum is simple, so the count-th pair converges as the others do
+    and no pair past it is converged as a guard.  The check is scipy's
+    LAPACK dsyevd on the upper triangle of the projected matrix, which
+    costs as much as a step or more, so the first one comes at m = count
+    and the next waits as many steps as the worst residual has decades
+    above its tolerance: these runs gain at most about one decade a step.
+    A basis that reaches n returns the leading exact Ritz pairs of the
+    whole space.
     """
     dsyevd = _f2py("_flapack").dsyevd
 
@@ -207,8 +208,8 @@ def _lanczos(apply_c, start, count: int):
         return theta, np.ascontiguousarray(S)
 
     n = len(start)
-    k = check = count + _MARGIN
-    Q = np.empty((min(n, 6 * k), n))
+    check = count  # the first Ritz check: no fewer steps can converge count pairs
+    Q = np.empty((min(n, 6 * count), n))
     H = np.zeros((len(Q), len(Q)))
     Q[0] = start / np.sqrt(start @ start)
     m = 1
@@ -221,18 +222,15 @@ def _lanczos(apply_c, start, count: int):
         q -= again @ basis
         h += again
         H[:m, m - 1] = h
-        if m == n:
-            theta, S = ritz(H)
-            return 1.0 / theta[::-1], S[:, ::-1].T @ Q
         beta = np.sqrt(q @ q)
-        q /= beta
         if m >= check:
             theta, S = ritz(H[:m, :m])
-            theta, S = theta[:-k - 1:-1], S[:, :-k - 1:-1]
+            theta, S = theta[:-count - 1:-1], S[:, :-count - 1:-1]
             worst = np.max(beta * np.abs(S[m - 1]) / theta) / np.finfo(np.float64).eps
-            if worst <= 1:
+            if worst <= 1 or m == n:
                 return 1.0 / theta, S.T @ basis
-            check = m + math.ceil(np.log10(worst))
+            check = min(n, m + math.ceil(np.log10(worst)))
+        q /= beta
         if m == len(Q):
             grown = min(n, 2 * len(Q))
             Q = np.concatenate([Q, np.empty((grown - len(Q), n))])
@@ -242,10 +240,11 @@ def _lanczos(apply_c, start, count: int):
 
 
 def _leading_modes(K: SymBandMatrix, factor, count: int):
-    """Double-precision (eigenvalues, vectors) of the count + _MARGIN or
-    more smallest modes of a band pencil, with vectors M-normalized;
-    (None, None) when that needs all n or K is not positive definite.
-    factor holds the products with R and R^T of M = R R^T (_mass_factor).
+    """Double-precision (eigenvalues, vectors) of the count smallest modes
+    of a band pencil of order n > count, with vectors M-normalized: the
+    modes generalized_eig refines; (None, None) when K is not positive
+    definite.  factor holds the products with R and R^T of M = R R^T
+    (_mass_factor).
 
     With M = R R^T and K = L L^T factored once each, Lanczos (_lanczos)
     runs in standard form on C = R^T K^-1 R, whose eigenvalues are
@@ -255,8 +254,6 @@ def _leading_modes(K: SymBandMatrix, factor, count: int):
     step.  One start vector finds every mode, as a band spectrum is simple.
     """
     n = K.n
-    if count + _MARGIN >= n:
-        return None, None
     L = _band_cholesky(K)
     if L is None:
         return None, None
@@ -308,16 +305,16 @@ def generalized_eig(K: SymBandMatrix, M: SymBandMatrix, count: int | None = None
 
     The mass is factored first, M = R R^T by LAPACK's band Cholesky, and
     one that is not positive definite in double precision raises
-    IndefiniteMassError, whichever route the pencil takes.  A pencil of
-    order _BANDED_MIN_N or more, with K positive definite, is solved for
-    its leading modes only, by this module's Lanczos on R^T K^-1 R
-    (K = L L^T, also a band Cholesky); smaller ones, a pencil whose
-    leading modes would take all n, and one whose K is not positive
-    definite, by a dense eigh of the band copies (_dense_eigh).  On the
-    dense side the result is bitwise the leading part of a full solve
-    (count=None); on the Lanczos side the eigenvectors carry different
-    roundoff, so refined eigenvalues may differ from the dense ones in the
-    last digits of longdouble.
+    IndefiniteMassError, whichever route the pencil takes.  The route is
+    one test: a pencil of order _BANDED_MIN_N or more asked for fewer
+    than all n modes is solved for those count modes only, by this
+    module's Lanczos on R^T K^-1 R (K = L L^T, also a band Cholesky);
+    every other pencil, and one whose K is not positive definite, by a
+    dense eigh of the band copies (_dense_eigh).  On the dense side the
+    result is bitwise the leading part of a full solve (count=None); on
+    the Lanczos side the eigenvectors carry different roundoff, so
+    refined eigenvalues may differ from the dense ones in the last digits
+    of longdouble.
     """
     for op in (K, M):
         if not isinstance(op, SymBandMatrix):
@@ -334,7 +331,7 @@ def generalized_eig(K: SymBandMatrix, M: SymBandMatrix, count: int | None = None
     if factor is None:
         raise IndefiniteMassError("the mass matrix is not positive definite")
     w = None
-    if n >= _BANDED_MIN_N:
+    if n >= _BANDED_MIN_N and count < n:
         w, vecs = _leading_modes(K, factor, count)
     if w is None:
         w, vecs = _dense_eigh(K, M)
@@ -448,14 +445,16 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
 
 def convergence_rate(errors, meshes) -> float:
     """Average convergence rate in the element count over a refinement
-    sequence: the mean of log(e_i / e_{i+1}) / log(N_{i+1} / N_i)."""
+    sequence: the mean of log(e_i / e_{i+1}) / log(N_{i+1} / N_i); nan
+    when an error is not positive, as a cell that rounds to 0 has no
+    logarithm and so gives the series no rate."""
     e = np.asarray([float(v) for v in errors])
     n = np.asarray([float(v) for v in meshes])
     if e.size < 2 or n.size != e.size:
         raise ValueError("need at least two errors, one per mesh")
-    if np.any(e <= 0):
-        raise ValueError("errors must be positive")
     if np.any(n[1:] <= n[:-1]):
         raise ValueError("meshes must increase strictly")
+    if np.any(e <= 0):
+        return math.nan
     steps = np.log2(e[:-1] / e[1:]) / np.log2(n[1:] / n[:-1])
     return float(np.mean(steps))

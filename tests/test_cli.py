@@ -540,6 +540,30 @@ def test_study_rows_render_to_csv_and_json(monkeypatch, capsys):
     assert report["rates"] == [{"rule": "gauss", "mode": 1, "rate": "4.02000e+00"}]
 
 
+def test_a_study_cell_that_rounds_to_0_gives_a_nan_rate(monkeypatch, capsys, schema):
+    # a cell exactly 0, as 6,144,gp,4 of a p = 6 ladder reads at one BLAS
+    # thread, has no logarithm: its series' rate is nan, and the study
+    # exits 0 with a report that validates
+    relative_ev_errors, solved = eigensolve.relative_ev_errors, []
+
+    def zero_on_the_second_mesh(*args):
+        errs = relative_ev_errors(*args)
+        solved.append(args)
+        if len(solved) == 2:
+            errs[0] = 0
+        return errs
+
+    monkeypatch.setattr(eigensolve, "relative_ev_errors", zero_on_the_second_mesh)
+    rc, out, err = _run(capsys, ["study-1d", "-p", "2", "--meshes", "8,16,32",
+                                 "--modes", "1,2", "--rules", "gauss", "--json", "-"])
+    assert (rc, err) == (0, "")
+    assert "2,16,gauss,1,0.00000e+00," in out.splitlines()
+    report = json.loads(out[out.index("{"):])
+    jsonschema.validate(report, schema)
+    rates = [r["rate"] for r in report["rates"]]
+    assert rates[0] == "nan" and 3.5 < float(rates[1]) < 4.5
+
+
 def test_study_csv_contents(tmp_path, capsys):
     path = tmp_path / "study.csv"
     rc = main(["study-1d", "-p", "2", "--meshes", "8,16", "--modes", "1",

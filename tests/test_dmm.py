@@ -1,5 +1,7 @@
 """Dispersion-minimized mass rows against the paper's moment system."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -125,3 +127,16 @@ def test_minimized_rows_in_closed_form():
         got = [d - m for d, m in zip(dmm_stencil(p), mass_stencil(p))]
         assert got == [gamma * (-1) ** k * comb(2 * p, p + k) for k in range(p + 1)], p
     assert abs(B[12]) / factorial(12) == Fraction(691, 1307674368000)
+
+
+def test_the_closed_form_row_loads_no_mpmath():
+    # c_2p is one exact moment of the stencils module: the row needs
+    # neither the dispersion module nor its mpmath
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from igadmm import dmm_stencil; row = dmm_stencil(3); "
+         "print(row[-1], 'mpmath' in sys.modules, 'igadmm.dispersion' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1/6048", "False", "False"]

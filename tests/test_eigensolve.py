@@ -189,16 +189,22 @@ def test_band_pencils_from_the_crossover_on_take_the_lanczos_solve(monkeypatch):
 
 @pytest.mark.parametrize("p,N,label", [
     (2, 256, "gauss"), (2, 512, "dmm"), (3, 256, "radau"), (3, 1024, "dmm"),
-    (4, 256, "lobatto"), (5, 300, "gp"),
+    (4, 256, "lobatto"), (5, 300, "gp"), (1, 400, "gauss"), (6, 233, "dmm"),
+    (8, 200, "blend:gg"),
 ])
 def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label):
-    # six modes: three even about x = 1/2 (j odd), three odd (j even)
+    # the Lanczos run tests the count pairs asked for and no pair past
+    # it, so the count-th mode is the last one its test covers; six
+    # modes: three even about x = 1/2 (j odd), three odd (j even)
     pair = _study_pair(p, N, label)
     calls = _count_solver_calls(monkeypatch)
-    band = generalized_eig(pair.stiffness, pair.mass, 6)
-    dense = _dense_solve(monkeypatch, pair.stiffness, pair.mass, 6)
-    assert calls == ["_lanczos", "_dense_eigh"]
-    _assert_same_modes(band, dense, pair.mass)
+    dense = _dense_solve(monkeypatch, pair.stiffness, pair.mass, 20)
+    for count in (1, 6, 20):
+        band = generalized_eig(pair.stiffness, pair.mass, count)
+        # the dense route's leading modes are bitwise those of a longer solve
+        _assert_same_modes(band, Spectrum(dense.eigenvalues[:count], dense.vectors[:, :count]),
+                           pair.mass)
+    assert calls == ["_dense_eigh"] + ["_lanczos"] * 3
 
 
 def test_band_solves_are_repeatable():
@@ -211,14 +217,14 @@ def test_band_solves_are_repeatable():
     assert np.array_equal(first.vectors, again.vectors)
 
 
-@pytest.mark.parametrize("offset", [eigensolve._MARGIN + 1, eigensolve._MARGIN, 1, 0, -5])
+@pytest.mark.parametrize("offset", [3, 2, 1, 0, -5])
 def test_band_pencil_counts_near_n(monkeypatch, offset):
-    # count + margin below n is still a Lanczos solve; from there on dense
+    # every count below n is a Lanczos solve, n - 1 too; n and above dense
     pair = _study_pair(2, eigensolve._BANDED_MIN_N, "gauss")
     n = pair.stiffness.n
     calls = _count_solver_calls(monkeypatch)
     got = generalized_eig(pair.stiffness, pair.mass, n - offset)
-    assert calls == (["_lanczos"] if offset > eigensolve._MARGIN else ["_dense_eigh"])
+    assert calls == (["_lanczos"] if offset > 0 else ["_dense_eigh"])
     assert len(got) == min(n - offset, n) and got.vectors.shape == (n, len(got))
     _assert_same_modes(got, _dense_solve(monkeypatch, pair.stiffness, pair.mass, n - offset),
                        pair.mass)
@@ -795,8 +801,17 @@ def test_convergence_rate_fits_dyadic_sequences():
     assert abs(convergence_rate(mixed, [4, 8, 16]) - 2.5) < 1e-12
     with pytest.raises(ValueError):
         convergence_rate([1.0], [8])
+
+
+def test_a_series_with_a_cell_that_is_not_positive_has_no_rate():
+    # a cell that rounds to 0 gives nan, not an error; length and mesh
+    # order are still checked first
+    for errs in ([1.0, 0.0], [0.0, 1e-3, 1e-5], [1e-3, -1e-5, 1e-7]):
+        assert math.isnan(convergence_rate(errs, [8, 16, 32][:len(errs)])), errs
     with pytest.raises(ValueError):
-        convergence_rate([1.0, 0.0], [8, 16])
+        convergence_rate([1.0, 0.0], [16, 8])
+    with pytest.raises(ValueError):
+        convergence_rate([0.0], [8])
 
 
 def test_convergence_rate_divides_by_the_mesh_ratio():
