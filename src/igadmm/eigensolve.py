@@ -5,7 +5,8 @@ Eigenpairs of a band pencil come from a double-precision solver that
 reads it only through the LAPACK lower band copies of its operators
 (to_bands), after the band Cholesky factor of M, the one check that M is
 positive definite: for pencils of order _BANDED_MIN_N and up asked for
-fewer than all their modes, a Lanczos run of this module (_lanczos)
+fewer than all their modes (the order from which Lanczos costs less than
+the dense solve, measured), a Lanczos run of this module (_lanczos)
 converges exactly the leading count, in standard form on R^T K^-1 R with
 M = R R^T and K = L L^T; every other pencil goes to LAPACK's dense
 symmetric-definite dsygvd of the band copies expanded (_dense), the
@@ -72,14 +73,31 @@ PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
 
-# smallest pencil order solved by Lanczos.  One BLAS thread on a 2-vCPU
-# x86-64 VM, p = 2, four modes, dense vs Lanczos, medians of five
-# processes: 2.1 vs 0.55 ms at n = 128, 3.4 vs 0.66 ms at n = 160, 5.2
-# vs 0.70 ms at n = 192, 379 vs 1.7 ms at n = 1024.  Lanczos wins below
-# 160 too, but the smaller pencils keep the dense solve, so that their
-# study cells, and the golden outputs that print them, stay bitwise as
-# they are
-_BANDED_MIN_N = 160
+# smallest pencil order solved by Lanczos: the smallest order of the grid
+# below (n = 64..160 in steps of 8) from which Lanczos wins at every p and
+# count.  generalized_eig for the leading 4 and 8 modes of the gauss
+# pencil, dense vs Lanczos in ms, one BLAS thread on a 2-vCPU x86-64 VM,
+# best of 7 in a process, median of 9 fresh processes (in-process
+# timings are bimodal from process to process):
+#
+#   p, count       64         80         88         96        128        160
+#   1, 4    0.54/0.51  0.79/0.53  0.93/0.54  1.09/0.56  2.10/0.63  3.20/0.70
+#   1, 8    0.56/0.83  0.83/0.87  0.97/0.89  1.11/0.90  2.15/1.00  3.28/1.10
+#   2, 4    0.56/0.53  0.83/0.56  0.96/0.57  1.11/0.59  2.14/0.67  3.25/0.74
+#   2, 8    0.61/0.86  0.86/0.89  1.01/0.93  1.15/0.94  2.19/1.04  3.33/1.17
+#   3, 4    0.59/0.55  0.86/0.59  1.00/0.61  1.15/0.61  2.19/0.71  3.25/0.78
+#   3, 8    0.63/0.90  0.91/0.95  1.05/0.98  1.20/1.00  2.27/1.13  3.38/1.24
+#   4, 4    0.62/0.58  0.88/0.63  1.02/0.64  1.17/0.63  1.99/0.74  3.33/0.83
+#   4, 8    0.67/0.93  0.94/0.97  1.09/1.03  1.24/1.04  2.07/1.17  3.41/1.32
+#   5, 4    0.65/0.62  0.92/0.65  1.05/0.67  1.19/0.67  1.99/0.77  3.30/0.88
+#   5, 8    0.70/0.95  0.98/1.04  1.13/1.07  1.28/1.09  2.11/1.23  3.46/1.39
+#   6, 4    0.67/0.63  0.94/0.68  1.09/0.70  1.23/0.71  2.29/0.84  3.34/0.93
+#   6, 8    0.74/1.00  1.03/1.08  1.17/1.11  1.35/1.15  2.40/1.32  3.57/1.46
+#
+# At 80 the dense solve still wins for 8 modes at p = 1 and 6.  The two
+# routes' refined eigenvalues differ by less than their rounding floor
+# (tests/test_eigensolve.py); the Lanczos vectors are the better ones
+_BANDED_MIN_N = 88
 
 # columns per block product of the Rayleigh refinement: K V and M V take
 # one band product per operator for the block, and a refinement of all n
@@ -306,15 +324,17 @@ def generalized_eig(K: SymBandMatrix, M: SymBandMatrix, count: int | None = None
     The mass is factored first, M = R R^T by LAPACK's band Cholesky, and
     one that is not positive definite in double precision raises
     IndefiniteMassError, whichever route the pencil takes.  The route is
-    one test: a pencil of order _BANDED_MIN_N or more asked for fewer
-    than all n modes is solved for those count modes only, by this
-    module's Lanczos on R^T K^-1 R (K = L L^T, also a band Cholesky);
+    one test: a pencil of order _BANDED_MIN_N or more, the measured
+    crossover of the two routes' costs, asked for fewer than all n modes
+    is solved for those count modes only, by this module's Lanczos on
+    R^T K^-1 R (K = L L^T, also a band Cholesky);
     every other pencil, and one whose K is not positive definite, by a
     dense eigh of the band copies (_dense_eigh).  On the dense side the
     result is bitwise the leading part of a full solve (count=None); on
     the Lanczos side the eigenvectors carry different roundoff, so
     refined eigenvalues may differ from the dense ones in the last digits
-    of longdouble.
+    of longdouble, within their rounding floor, and the Lanczos vectors
+    are the closer to the converged ones.
     """
     for op in (K, M):
         if not isinstance(op, SymBandMatrix):

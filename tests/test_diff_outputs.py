@@ -1,9 +1,11 @@
 """The output comparison of tools/diff_outputs.py on fixed job results."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
+from igadmm import eigensolve
 from igadmm.splines import _ELEMENT_BLOCK
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
@@ -68,7 +70,65 @@ def test_a_moved_kron_deviation_is_listed_under_its_job_and_is_no_cell(monkeypat
     assert diff_outputs.main(["--parent", "HEAD"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:len(lines)] == lines
-    assert out[-1] == "3 jobs against 000000000000: 3 differ, 1 study cells moved"
+    assert out[-1] == ("3 jobs against 000000000000: 3 differ, 1 study cells moved, "
+                       "0 printed on one side only, 0 rates moved")
+
+
+def _stub_main(monkeypatch, parent, change):
+    """main on stub job results, one job per result."""
+    monkeypatch.setattr(diff_outputs, "all_jobs", lambda: [[str(i)] for i in range(len(parent))])
+    monkeypatch.setattr(diff_outputs, "_export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(diff_outputs, "_run_tree",
+                        lambda tree, jobs: change if tree == diff_outputs.ROOT else parent)
+
+
+def test_cells_printed_on_one_side_only_are_counted_apart_from_moved_ones(monkeypatch, capsys):
+    # a mesh the change prints and the parent does not (and the reverse)
+    # is listed as a cell, with None on the side that lacks it, but it did
+    # not move: the summary counts it apart
+    one_sided = _STUDY.replace("2,8,gauss,2", "2,9,gauss,2")
+    moved = _STUDY.replace("1.55239e-01", "1.55240e-01")
+    parent, change = [_result(_STUDY)] * 2, [_result(one_sided), _result(moved)]
+    assert diff_outputs.compare([["one"], ["moved"]], parent, change) == [
+        "differs (out): one",
+        "  cell 2,8,gauss,2: 5.99916e-04,1.55239e-01 -> None",
+        "  cell 2,9,gauss,2: None -> 5.99916e-04,1.55239e-01",
+        "differs (out): moved",
+        "  cell 2,8,gauss,2: 5.99916e-04,1.55239e-01 -> 5.99916e-04,1.55240e-01",
+    ]
+    _stub_main(monkeypatch, parent, change)
+    assert diff_outputs.main(["--parent", "HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 jobs against 000000000000: 2 differ, 1 study cells moved, "
+        "2 printed on one side only, 0 rates moved")
+
+
+def _report(rates, comment=""):
+    """A study job's output: its CSV rows, its JSON report with the rates
+    given as (rule, mode, rate), and a --verify-kron comment line."""
+    report = {"kind": "study", "rows": [],
+              "rates": [{"mode": mode, "rate": rate, "rule": rule} for rule, mode, rate in rates]}
+    return _STUDY.split("# kron")[0] + json.dumps(report, indent=2, sort_keys=True) + "\n" + comment
+
+
+def test_a_moved_rate_is_listed_under_its_job(monkeypatch, capsys):
+    before = [("gp", 1, "-6.07076e-02"), ("gp", 4, "nan"), ("dmm", 1, "6.00505e+00")]
+    after = [("gp", 1, "-1.22158e-02"), ("gp", 4, "4.29761e+00"), ("dmm", 1, "6.00505e+00")]
+    kron = "# kron-vs-tensor max rel deviation at N=6: 2.81167e-19\n"
+    assert diff_outputs.rates(_report(before, kron)) == {
+        "gp,1": "-6.07076e-02", "gp,4": "nan", "dmm,1": "6.00505e+00"}
+    assert diff_outputs.rates(_STUDY) == {}
+    parent, change = [_result(_report(before, kron))], [_result(_report(after, kron))]
+    assert diff_outputs.compare([["ladder"]], parent, change) == [
+        "differs (out): ladder",
+        "  rate gp,1: -6.07076e-02 -> -1.22158e-02",
+        "  rate gp,4: nan -> 4.29761e+00",
+    ]
+    _stub_main(monkeypatch, parent, change)
+    assert diff_outputs.main(["--parent", "HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 jobs against 000000000000: 1 differ, 0 study cells moved, "
+        "0 printed on one side only, 2 rates moved")
 
 
 def test_the_largest_move_of_each_column_is_summarized_with_its_cell(monkeypatch, capsys):
@@ -113,11 +173,13 @@ def test_exit_code_is_1_on_any_difference(monkeypatch, capsys):
     runs[False] = runs[True] = [_result("x"), _result(_STUDY)]
     assert diff_outputs.main(["--parent", "HEAD"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "2 jobs against 000000000000: 0 differ, 0 study cells moved")
+        "2 jobs against 000000000000: 0 differ, 0 study cells moved, "
+        "0 printed on one side only, 0 rates moved")
     runs[True] = [_result("x"), _result(_STUDY.replace("3.41278e-05", "3.41279e-05"))]
     assert diff_outputs.main(["--parent", "HEAD"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "2 jobs against 000000000000: 1 differ, 1 study cells moved")
+        "2 jobs against 000000000000: 1 differ, 1 study cells moved, "
+        "0 printed on one side only, 0 rates moved")
 
 
 def test_sweep_covers_every_report_with_its_json():
@@ -150,6 +212,13 @@ def test_sweep_covers_every_report_with_its_json():
             and argv[argv.index("--meshes") + 1] == "3,4"
             and argv[argv.index("--modes") + 1] == ",".join(map(str, range(1, int(argv[2]) + 2)))}
     assert tiny == {(str(p), rule) for p in range(1, 7) for rule in diff_outputs.SWEEP_RULES}
+    # an energy ladder whose two pencils are the last dense one and the
+    # first Lanczos one, orders N + p - 2 = _BANDED_MIN_N - 1 and
+    # _BANDED_MIN_N, with gauss and dmm
+    switch = eigensolve._BANDED_MIN_N
+    assert any([int(N) + int(argv[2]) - 2 for N in argv[argv.index("--meshes") + 1].split(",")]
+               == [switch - 1, switch] and argv[argv.index("--rules") + 1] == "gauss,dmm"
+               for argv in jobs if argv[0] == "study-1d" and "--energy" in argv)
     # an energy ladder one element short of the block the assembly reads the
     # basis in, one past it and one past two blocks
     block = _ELEMENT_BLOCK
@@ -191,4 +260,5 @@ def test_line_counts_of_both_trees_precede_the_summary(monkeypatch, capsys, tmp_
     assert count > 1000
     assert capsys.readouterr().out.splitlines() == [
         f"src/igadmm/*.py lines: 3 -> {count}",
-        "1 jobs against 000000000000: 0 differ, 0 study cells moved"]
+        "1 jobs against 000000000000: 0 differ, 0 study cells moved, "
+        "0 printed on one side only, 0 rates moved"]

@@ -12,6 +12,7 @@ from basis_reference import reference_basis
 from igadmm import eigensolve, quadrature
 from igadmm.assembly import (
     SymBandMatrix,
+    _assemble_full,
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
@@ -29,7 +30,7 @@ from igadmm.eigensolve import (
     tensor_spectrum_2d,
 )
 from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau, optimal_blend
-from igadmm.splines import BSplineSpace
+from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
 
 
 def test_exact_spectra():
@@ -94,15 +95,21 @@ def test_generalized_eig_matches_reference_on_random_pencil():
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
+def _study_rule(p, label):
+    """The quadrature rule a study label assembles both forms with."""
+    if label == "dmm":
+        return optimal_blend(p, "gl")  # assemble_1d_dmm's rule
+    if label.startswith("blend:"):
+        return optimal_blend(p, label[len("blend:"):])
+    return {"gauss": gauss_legendre(p + 1), "gp": gauss_legendre(p),
+            "lobatto": gauss_lobatto(p + 1), "radau": gauss_radau(p)}[label]
+
+
 def _study_pair(p, N, label):
     space = BSplineSpace(p, N)
     if label == "dmm":
         return assemble_1d_dmm(space)
-    if label.startswith("blend:"):
-        return assemble_1d(space, optimal_blend(p, label[len("blend:"):]))
-    rule = {"gauss": gauss_legendre(p + 1), "gp": gauss_legendre(p),
-            "lobatto": gauss_lobatto(p + 1), "radau": gauss_radau(p)}[label]
-    return assemble_1d(space, rule)
+    return assemble_1d(space, _study_rule(p, label))
 
 
 def _assert_leading_modes_are_the_full_solve(K, M, counts):
@@ -205,6 +212,77 @@ def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label)
         _assert_same_modes(band, Spectrum(dense.eigenvalues[:count], dense.vectors[:, :count]),
                            pair.mass)
     assert calls == ["_dense_eigh"] + ["_lanczos"] * 3
+
+
+def _absolute_pair(p, N, label):
+    """The Dirichlet band operators whose entries are the sums of the
+    absolute quadrature terms of the study pencil's: |w h| times |dphi_a
+    dphi_b| for the stiffness, |phi_a phi_b| for the mass, assembled as
+    assemble_1d assembles, so the |w| of a blend's signed weights, and
+    with it the amplification of its ratio, enters too."""
+    space = BSplineSpace(p, N)
+    nodes, weights = _study_rule(p, label).as_longdouble()
+    wh = np.abs(weights * (np.longdouble(1) / N))
+    K = np.zeros((p + 1, N + p), dtype=np.longdouble)
+    M = np.zeros_like(K)
+    for lo in range(0, N, _ELEMENT_BLOCK):
+        _, values, derivatives = basis_table(space, nodes, slice(lo, lo + _ELEMENT_BLOCK))
+        _assemble_full(K, wh, np.abs(derivatives), lo)
+        _assemble_full(M, wh, np.abs(values), lo)
+    return SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1])
+
+
+def _rounding_floor(K, M, K_abs, M_abs, V):
+    """The first-order bound on the relative rounding error of the
+    longdouble Rayleigh quotient of each column v of V:
+    eps_ld (|v|^T K_abs |v| / v^T K v + |v|^T M_abs |v| / v^T M v)."""
+    V = V.astype(np.longdouble)
+    A = np.abs(V)
+    ratio = (np.sum(A * K_abs.matvec(A), axis=0) / np.sum(V * K.matvec(V), axis=0)
+             + np.sum(A * M_abs.matvec(A), axis=0) / np.sum(V * M.matvec(V), axis=0))
+    return np.finfo(np.longdouble).eps * ratio
+
+
+def _residuals(K, M, spectrum):
+    """||K v - lambda M v|| / (||K v|| + lambda ||M v||) of each refined
+    pair, in longdouble."""
+    V = spectrum.vectors.astype(np.longdouble)
+    KV, MV = K.matvec(V), M.matvec(V)
+    norm = lambda X: np.sqrt(np.sum(X * X, axis=0))  # noqa: E731
+    return norm(KV - spectrum.eigenvalues * MV) / (norm(KV) + spectrum.eigenvalues * norm(MV))
+
+
+# pencil orders from the switch up to 159, four a degree
+_SWITCH_ORDERS = np.linspace(eigensolve._BANDED_MIN_N, 159, 4).round().astype(int)
+
+
+def test_the_route_switch_stays_within_the_rounding_floor_with_better_vectors(monkeypatch):
+    # the pencils of order _BANDED_MIN_N to 159 are those the measured
+    # crossover sends to Lanczos and a switch at 160 kept on the dense
+    # solve, so their cells are the ones it moves.  For the 7 leading modes
+    # of each, p = 1..6 and every rule of the diff_outputs sweep (840
+    # eigenvalues, 784 of which move), the Lanczos eigenvalue moves from
+    # the dense one by at most the floor of its Rayleigh quotient (at most
+    # 0.33 of it, at p = 6, n = 88, radau, mode 7), so the switch moves no
+    # eigenvalue cell by more than the arithmetic that prints it can
+    # resolve.  A Rayleigh quotient is second order in its vector, so the
+    # eigenfunction cells are gated by the vectors themselves: each Lanczos
+    # pair's residual is at most the dense one's (at most 0.29 of it, 0.033
+    # in the median)
+    for p in range(1, 7):
+        for n in _SWITCH_ORDERS:
+            for label in ("gauss", "radau", "dmm", "lobatto", "gp"):
+                pair = _study_pair(p, n - p + 2, label)
+                K, M = pair.stiffness, pair.mass
+                assert K.n == n
+                lanczos = generalized_eig(K, M, 7)
+                dense = _dense_solve(monkeypatch, K, M, 7)
+                floor = _rounding_floor(K, M, *_absolute_pair(p, n - p + 2, label),
+                                        lanczos.vectors)
+                move = np.abs(lanczos.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+                assert np.all(move <= floor), (p, n, label, move / floor)
+                better = _residuals(K, M, lanczos) / _residuals(K, M, dense)
+                assert np.all(better <= 1), (p, n, label, better)
 
 
 def test_band_solves_are_repeatable():
@@ -714,8 +792,10 @@ def _energy_error_mp(space, vector, mode):
     # the golden cells 3,64,gauss,1 and 3,64,dmm,1 of study1d_p3_energy_json.txt
     (3, 64, "gauss", "2.13816e-06"),
     (3, 64, "dmm", "2.13816e-06"),
-    # the cancelling identity returned 0.0 here
-    (4, 128, "gauss", "1.03008e-09"),
+    # the cancelling identity returned 0.0 here.  The Lanczos vector's
+    # error is 1.030074622e-09, the converged value: five steps of 40-digit
+    # inverse iteration on the longdouble bands give the same ten digits
+    (4, 128, "gauss", "1.03007e-09"),
     # a mesh that is not a power of two: the cell 3,48,gauss,1 of
     # study-1d -p 3 --rules gauss --meshes 24,48 --energy
     (3, 48, "gauss", "5.07068e-06"),

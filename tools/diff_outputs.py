@@ -10,13 +10,15 @@ imports that tree's ``igadmm`` and runs through ``igadmm.cli.main`` every
 job of the benchmark workloads (perfbench/workloads.py) and the fixed
 sweep below, capturing each job's exit code, standard output and standard
 error.  The report lists each job whose exit code, output or error
-differs, each study cell (p, N, rule, mode) whose printed numbers moved,
-and a moved ``# kron-vs-tensor`` deviation of a --verify-kron job; then,
-when any cell moved, one line with the largest move per column (absolute
-for rel_ev_error, relative for ef_energy_error) and its cell; then the
-line counts of src/igadmm/*.py in both trees.  The exit
-code is 1 on any difference and 0 when every byte of every job is the
-same.
+differs, each study cell (p, N, rule, mode) whose printed numbers moved
+or that is printed on one side only, each moved convergence rate of its
+JSON report, and a moved ``# kron-vs-tensor`` deviation of a
+--verify-kron job; then, when any cell moved, one line with the largest
+move per column (absolute for rel_ev_error, relative for
+ef_energy_error) and its cell; then the line counts of src/igadmm/*.py
+in both trees; then a summary that counts the moved cells, the cells
+printed on one side only and the moved rates apart.  The exit code is 1
+on any difference and 0 when every byte of every job is the same.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ def sweep() -> list[list[str]]:
     orthogonal to their sines, where a sign rule could flip a cell), and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
     cross-check at each degree, and a ladder across the assembly's element
-    block; then every subcommand's report, text and
-    JSON: verify, rows of both forms (exact, minimized, rule-induced,
-    blended and point-rule labels, fractions and floats, and every label
-    but the point rules at p = 7..10), blend ratios with the degenerate p = 1 lr pair, the
+    block, and one whose two pencils sit on either side of the switch,
+    orders _BANDED_MIN_N - 1 and _BANDED_MIN_N; then every subcommand's
+    report, text and JSON: verify, rows of both forms (exact, minimized,
+    rule-induced, blended and point-rule labels, fractions and floats, and
+    every label but the point rules at p = 7..10), blend ratios with the
+    degenerate p = 1 lr pair, the
     float-only p = 8 ratios and p = 10..12, the rules of each family at 4
     and 12 points, dispersion curves with their fit and coefficient (each
     mass row at p = 6 and 7) and a study, both with --csv -, and one
@@ -79,6 +83,10 @@ def sweep() -> list[list[str]]:
                      "--modes", "1,2,4", "--verify-kron", "14", "--json", "-"])
     # meshes on both sides of the assembly's element block (256 elements)
     jobs.append(["study-1d", "-p", "4", "--energy", "--meshes", "255,257,513",
+                 "--rules", "gauss,dmm", "--modes", "1,2", "--json", "-"])
+    # p = 3 pencils of order N + 1 = 87 and 88: the last dense one and the
+    # first Lanczos one (eigensolve._BANDED_MIN_N = 88)
+    jobs.append(["study-1d", "-p", "3", "--energy", "--meshes", "86,87",
                  "--rules", "gauss,dmm", "--modes", "1,2", "--json", "-"])
     reports = [["verify", "--p-max", "4", "--fg-p-max", "6", "--fg-m-max", "6"],
                ["stencil", "-p", "4", "--dmm"],
@@ -195,18 +203,42 @@ def kron_deviation(out: str) -> str | None:
     return None
 
 
-def moved_cells(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
-    """(cell, parent's errors, change's errors) of each study cell whose
-    printed errors differ between two results of one job; None where a
-    side has no such cell."""
-    old, new = cells(a["out"]), cells(b["out"])
+def _differing(old: dict, new: dict) -> list[tuple[str, str | None, str | None]]:
+    """(key, old value, new value) of each key whose value differs between
+    two dicts, in key order; None where a dict has no such key."""
     return [(key, old.get(key), new.get(key)) for key in sorted(old.keys() | new.keys())
             if old.get(key) != new.get(key)]
 
 
+def moved_cells(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
+    """(cell, parent's errors, change's errors) of each study cell whose
+    printed errors differ between two results of one job; None where a
+    side has no such cell."""
+    return _differing(cells(a["out"]), cells(b["out"]))
+
+
+def rates(out: str) -> dict[str, str]:
+    """Convergence rates of a job's JSON study report: "rule,mode" to the
+    printed rate; empty for a job without one.  The report is the JSON
+    object that starts at the first line that is "{", after the text
+    lines; a --verify-kron comment line may follow it."""
+    lines = out.splitlines()
+    if "{" not in lines:
+        return {}
+    report, _ = json.JSONDecoder().raw_decode("\n".join(lines[lines.index("{"):]))
+    return {f"{r['rule']},{r['mode']}": r["rate"] for r in report.get("rates", [])}
+
+
+def moved_rates(a: dict, b: dict) -> list[tuple[str, str | None, str | None]]:
+    """(rule and mode, parent's rate, change's rate) of each rate whose
+    printed value differs between two results of one job; None where a
+    side has no such rate."""
+    return _differing(rates(a["out"]), rates(b["out"]))
+
+
 def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per differing job, then one per moved cell of that job and
-    one for its moved kron-vs-tensor deviation."""
+    """One line per differing job, then one per moved cell of that job, one
+    per moved rate and one for its moved kron-vs-tensor deviation."""
     lines = []
     for argv, a, b in zip(jobs, parent, change):
         parts = [key for key in ("rc", "out", "err") if a[key] != b[key]]
@@ -215,6 +247,8 @@ def compare(jobs: list[list[str]], parent: list[dict], change: list[dict]) -> li
         lines.append(f"differs ({', '.join(parts)}): {' '.join(argv)}")
         for key, old, new in moved_cells(a, b):
             lines.append(f"  cell {key}: {old} -> {new}")
+        for key, old, new in moved_rates(a, b):
+            lines.append(f"  rate {key}: {old} -> {new}")
         old, new = kron_deviation(a["out"]), kron_deviation(b["out"])
         if old != new:
             lines.append(f"  kron-vs-tensor: {old} -> {new}")
@@ -270,8 +304,12 @@ def main(argv=None) -> int:
         print(moves)
     print(f"src/igadmm/*.py lines: {parent_lines} -> {line_count(ROOT)}")
     differ = sum(not line.startswith(" ") for line in lines)
-    moved = sum(line.startswith("  cell ") for line in lines)
-    print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, {moved} study cells moved")
+    cell_moves = [move for a, b in zip(parent, change) for move in moved_cells(a, b)]
+    one_sided = sum(old is None or new is None for _, old, new in cell_moves)
+    rate_moves = sum(len(moved_rates(a, b)) for a, b in zip(parent, change))
+    print(f"{len(jobs)} jobs against {sha[:12]}: {differ} differ, "
+          f"{len(cell_moves) - one_sided} study cells moved, "
+          f"{one_sided} printed on one side only, {rate_moves} rates moved")
     return 1 if lines else 0
 
 
