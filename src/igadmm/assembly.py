@@ -1,14 +1,17 @@
 """Stiffness and mass assembly for uniform maximum-continuity B-spline
 spaces on [0, 1] (and tensor squares on the unit square).
 
-Quadrature runs in extended precision (numpy longdouble) with any rule
-from the quadrature module, on basis tables of splines._ELEMENT_BLOCK
-elements at a time: one table pass per block gives the values for the
-mass form and the derivatives for the stiffness form, and both forms add
-the block's products into their band arrays, so no table of the whole
-mesh is held.  The band entries are summed element by element, nodes in
-rule order, so they are bitwise those of a scalar element loop, whatever
-the block size.  Homogeneous Dirichlet
+On a uniform open-knot mesh the basis on element e depends only on its
+type (min(e, p), min(N - 1 - e, p)): at most 2p + 1 types, fewer on a
+mesh of under 2p + 1 elements.  A rule from the quadrature module enters
+only through its moments, applied exactly to the integer product
+polynomials of each type's pieces (quadrature._type_basis), and each
+local entry is rounded once to longdouble (numpy's extended precision);
+the local matrices are kept per degree, rule and type set.  Assembly
+adds them into the band arrays by element type, in element order, scaled
+by N for the stiffness and 1/N for the mass, so the bands are those of a
+scalar element loop over the rounded local entries, and no quadrature
+node is built.  Homogeneous Dirichlet
 conditions drop the first and last basis functions.  Matrices are stored
 in symmetric lower band form, which is all the bandwidth these
 discretizations ever need, and a pencil reaches the eigensolver only as
@@ -21,12 +24,18 @@ applies it, to tensor pairs of 1D modes.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from igadmm.quadrature import QuadratureRule, optimal_blend
-from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
+from igadmm.quadrature import (QuadratureRule, _mpf_to_fraction, _times, _type_basis,
+                                optimal_blend)
+from igadmm.splines import BSplineSpace
 
 
 @dataclass(frozen=True)
@@ -73,33 +82,67 @@ class MatrixPair:
     mass: SymBandMatrix | KroneckerSum
 
 
-def _assemble_full(bands: np.ndarray, wh: np.ndarray, table: np.ndarray,
-                   lo: int) -> np.ndarray:
-    """Add the products of elements lo.. lo + len(table) - 1 into the full
-    (no boundary condition) band array of one bilinear form, in place, and
-    return it.
+# significand bits of a longdouble: 64 for x87 extended precision
+_DIGITS = np.finfo(np.longdouble).nmant + 1
 
-    bands has shape (p + 1, N + p); wh holds the rule's weights times h,
-    table[i, k, a] basis function lo + i + a (values for the mass form,
-    physical derivatives for the stiffness form) at node k of element
-    lo + i, as ``basis_table`` gives them for that slice.  Open knot
-    vectors modify the basis near the boundary, so every element has its
-    own table rows; the mesh sizes are small enough that nothing is gained
-    by caching the interior local matrix.
+
+def _round(num: int, den: int) -> np.longdouble:
+    """num / den, den > 0, correctly rounded to longdouble: one mpmath
+    division of the exact integers at the longdouble's significand width,
+    rounding to nearest; numpy converts the integer significand exactly."""
+    sign, man, exp, _ = mpf_div(from_int(num), from_int(den), _DIGITS, round_nearest)
+    value = np.ldexp(np.longdouble(man), exp)
+    return -value if sign else value
+
+
+@lru_cache(maxsize=None)
+def _local_matrices(p: int, rule: QuadratureRule, types: tuple) -> np.ndarray:
+    """The rule's local stiffness and mass matrices of each element type,
+    on the reference element [0, 1] (no h), read-only: entry [0, t, a, b]
+    is the rule applied to phi'_a phi'_b of type types[t], entry
+    [1, t, a, b] to phi_a phi_b, b >= a, each exact and rounded once.
+
+    The rule enters through its moments of u = 2x - 1 alone, as for the
+    induced rows: exact Fractions for the classical families, and a
+    blend's or point rule's mpf moments taken at their exact binary
+    value, all over one common integer denominator, so each entry is one
+    integer dot product with the product of two integer polynomials of
+    quadrature._type_basis.  Kept for the process: a type set is the
+    same for every mesh of 2p + 1 or more elements.
     """
-    count, _, width = table.shape
-    p = width - 1
-    # bands[d, e + a] collects element e's products of functions e + a and
-    # e + a + d.  Looping a downwards and then over the nodes adds into each
-    # entry element by element, nodes in rule order: the order of a scalar
-    # element loop, so the sums are rounded identically; a later block
-    # holds later elements only, so calls in element order keep that order
+    moments = [m if isinstance(m, Fraction) else _mpf_to_fraction(m)
+               for m in rule.moments(2 * p + 1)]
+    scale = math.lcm(*(m.denominator for m in moments))
+    moments = [m.numerator * (scale // m.denominator) for m in moments]
+    local = np.zeros((2, len(types), p + 1, p + 1), dtype=np.longdouble)
+    for t, (left, right) in enumerate(types):
+        den, *forms = _type_basis(p, left, right)
+        for f, basis in enumerate(forms):
+            for a in range(p + 1):
+                for b in range(a, p + 1):
+                    product = _times(basis[a], basis[b])
+                    local[f, t, a, b] = _round(sum(map(operator.mul, product, moments)),
+                                               scale * den * den)
+    local.flags.writeable = False  # shared by every mesh of the type set
+    return local
+
+
+def _assemble_full(bands: np.ndarray, local: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """Add local[types[e]] of every element e into the full (no boundary
+    condition) band array of one bilinear form, in place, and return it.
+
+    bands has shape (p + 1, N + p), local (number of types, p + 1,
+    p + 1), its entries (a, b), b >= a, the form on the functions e + a
+    and e + b of an element of that type; types gives each element's.
+    bands[d, e + a] collects element e's entry (a, a + d).  Looping a
+    downwards adds into each band entry element by element, in element
+    order: the order of a scalar element loop, so the sums are rounded
+    identically.
+    """
+    p, N = len(bands) - 1, len(types)
     for d in range(p + 1):
         for a in range(p - d, -1, -1):
-            contrib = wh * (table[:, :, a] * table[:, :, a + d])
-            entries = bands[d, lo + a: lo + a + count]  # a view: adds land in bands
-            for k in range(len(wh)):
-                entries += contrib[:, k]
+            bands[d, a: a + N] += local[types, a, a + d]
     return bands
 
 
@@ -107,19 +150,17 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     """Assemble the Dirichlet stiffness/mass pair, both forms with one rule.
 
     The rule may be any QuadratureRule, including blends with signed
-    weights.
+    weights; it enters through its moments only (_local_matrices).
     """
-    nodes, weights = rule.as_longdouble()
     p, N = space.p, space.N
-    wh = weights * (np.longdouble(1) / N)
-    K = np.zeros((p + 1, N + p), dtype=np.longdouble)
-    M = np.zeros_like(K)
-    # one table pass per block gives both forms; derivatives are physical
-    # (1/h lives in the basis), so both pick up only the Jacobian h from dx
-    for lo in range(0, N, _ELEMENT_BLOCK):
-        _, values, derivatives = basis_table(space, nodes, slice(lo, lo + _ELEMENT_BLOCK))
-        _assemble_full(K, wh, derivatives, lo)
-        _assemble_full(M, wh, values, lo)
+    # element e has type (min(e, p), min(N - 1 - e, p)), coded (p + 1) l + r
+    left = np.minimum(np.arange(N), p)
+    codes, types = np.unique(left * (p + 1) + left[::-1], return_inverse=True)
+    local = _local_matrices(p, rule, tuple(divmod(int(c), p + 1) for c in codes))
+    # the derivatives carry 1/h twice and dx one h: N for the stiffness,
+    # 1/N for the mass
+    K = _assemble_full(np.zeros((p + 1, N + p), dtype=np.longdouble), local[0] * N, types)
+    M = _assemble_full(np.zeros_like(K), local[1] / N, types)
     # Dirichlet conditions drop the first and last basis functions
     return MatrixPair(space, SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1]))
 

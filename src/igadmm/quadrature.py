@@ -6,6 +6,10 @@ polynomial, the sum of the products of cardinal-spline pieces at offset
 k.  Those polynomials are tabulated once per degree with exact integer
 coefficients in the centred variable u = 2x - 1, so a row costs one set
 of moments of u, each converted once to mpf, and a dot product per offset.
+The assembly applies a rule the same way, to the products of the pieces
+of each element type of an open-knot mesh (_type_basis, of which the
+cardinal pieces are the interior type's), so moments are the one way
+any rule is applied to a spline.
 
 On [-1, 1] the nodes of each classical family are the roots of one
 Legendre series w of at most two terms: P_m for m-point Gauss-Legendre,
@@ -15,8 +19,9 @@ The rule is interpolatory on those roots, so its moments are exact,
 Q(u^j) = 1/2 int_{-1}^{1} (u^j mod w), from integer polynomial division;
 a blend's are the blend of its two rules'.  Rows and blend ratios thus
 need no node.  Nodes and weights are built on first read: by the rules
-report, by a blend's, and by the longdouble view that assembly and the
-energy error integrate with (the module needs no numpy but for it).
+report, by a blend's, and by the longdouble view that the energy error
+integrates with, on its (p + 5)-point Gauss rule (the module needs no
+numpy but for it).
 Float64 Newton iteration on the Legendre recurrence, with the roots
 already found divided out, seeds the free nodes from Chebyshev guesses;
 mpmath Newton iteration on the same recurrence polishes them to 40
@@ -60,10 +65,10 @@ class QuadratureRule:
     precision, not at mpmath's ambient 53 bits, which would round a
     40-digit node.  exactness is the highest polynomial degree integrated
     exactly; the minimizing rules carry 0 because they are not exact
-    beyond constants.  Rows read a rule only through moments(); the
-    classical families and blends, which know their moments exactly,
-    build their nodes on first read.  A rule is equal only to itself, so
-    the caches key on it without building a node.
+    beyond constants.  Rows and assembly read a rule only through
+    moments(); the classical families and blends, which know their
+    moments exactly, build their nodes on first read.  A rule is equal
+    only to itself, so the caches key on it without building a node.
     """
 
     def __init__(self, label: str, nodes, weights, exactness: int):
@@ -97,7 +102,7 @@ class QuadratureRule:
 
     @cached_property
     def _longdouble(self) -> tuple:
-        import numpy as np  # only assembly and the energy error read this view
+        import numpy as np  # only the energy error reads this view
 
         arrays = tuple(np.array([np.longdouble(mp.nstr(v, 25)) for v in values])
                        for values in (self.nodes, self.weights))
@@ -334,6 +339,59 @@ def quadrature_stiffness_stencil(p: int, rule: QuadratureRule,
     return _stencil_from_rule(p, rule, "stiffness")
 
 
+def _times(f, g) -> tuple[int, ...]:
+    """The product of two integer polynomials, coefficients lowest first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _type_basis(p: int, left: int, right: int) -> tuple:
+    """The basis on one element type and its derivative as exact integer
+    polynomials in the element's centred coordinate u = 2x - 1.
+
+    The type of element e of a uniform open-knot mesh of N elements is
+    (left, right) = (min(e, p), min(N - 1 - e, p)): its local knots, in
+    elements from its left end, are k clamped to [-left, right + 1] for
+    k = -p..p + 1.  Returns (den, slopes, values): values[a] holds the
+    coefficients, lowest degree first, of den phi_a and slopes[a] those
+    of den phi'_a, where phi_a is local function a (basis function e + a)
+    on the element, ' is d/dx and den is the least common denominator of
+    the type's basis.  The basis comes from the triangular Cox-de Boor
+    scheme run on integer polynomials in u, on the knots mapped to u
+    (odd integers), each level over one common denominator, so no
+    Fraction arithmetic is done; the pieces are closed polynomials on the
+    element.  The interior type (p, p) gives the cardinal-spline pieces
+    (_piece_products).  Only the basis is kept: the rows and the
+    assembly form the products they integrate.
+    """
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {p}")
+    # the local knots in u, where the element is [s[p], s[p + 1]] = [-1, 1]
+    s = [2 * min(max(k, -left), right + 1) - 1 for k in range(-p, p + 2)]
+    vals, den = [[1]], 1
+    for q in range(1, p + 1):
+        # the q spans under the level-(q - 1) functions; each is positive,
+        # as it covers the element
+        spans = [s[p + r + 1] - s[p + 1 - q + r] for r in range(q)]
+        lcm = math.lcm(*spans)
+        out, saved = [], (0,) * (q + 1)
+        for r in range(q):
+            temp = [a * (lcm // spans[r]) for a in vals[r]]
+            # right_{r+1} = s[p + r + 1] - u, left_{q-r} = u - s[p + 1 - q + r]
+            out.append([a + b for a, b in zip(saved, _times(temp, (s[p + r + 1], -1)))])
+            saved = _times(temp, (-s[p + 1 - q + r], 1))
+        vals, den = out + [saved], den * lcm
+    g = math.gcd(den, *(a for f in vals for a in f))
+    values = tuple(tuple(a // g for a in f) for f in vals)
+    # d/dx = 2 d/du
+    slopes = tuple(tuple(2 * i * f[i] for i in range(1, p + 1)) for f in values)
+    return den // g, slopes, values
+
+
 @lru_cache(maxsize=None)
 def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
     """Span integrands of the induced rows as exact integer polynomials.
@@ -341,33 +399,15 @@ def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
     Row k holds the coefficients, lowest degree first, of (p! 2^p)^2 Q_k
     in u = 2x - 1, where Q_k(x) is the sum over e = k..p of piece e times
     piece e - k of the cardinal spline on one span x in [0, 1] (of its
-    first derivative in x for kind "stiffness").  The pieces come from
-    p! B(e + x) = sum_{i <= e} (-1)^i C(p+1, i) (x + e - i)^p, so in u
-    2^p p! B(e + x) = sum_{i <= e} (-1)^i C(p+1, i) (u + 1 + 2(e - i))^p.
-    Each piece is a closed polynomial on its span.
+    first derivative in x for kind "stiffness"): the sum of the interior
+    element's products at offset k, local function a being piece p - a,
+    whose common denominator is p! 2^p.  Each piece is a closed
+    polynomial on its span.
     """
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    # the x-derivative of (u + c)^p is 2p (u + c)^(p-1) since dx = du / 2
-    deg, scale = (p, 1) if kind == "mass" else (p - 1, 2 * p)
-    pieces = []
-    for e in range(p + 1):
-        coeffs = [0] * (deg + 1)
-        for i in range(e + 1):
-            s = (-1) ** i * scale * math.comb(p + 1, i)
-            c = 1 + 2 * (e - i)
-            for j in range(deg + 1):
-                coeffs[j] += s * math.comb(deg, j) * c ** (deg - j)
-        pieces.append(coeffs)
-    rows = []
-    for k in range(p + 1):
-        q = [0] * (2 * deg + 1)
-        for e in range(k, p + 1):
-            for a, fa in enumerate(pieces[e]):
-                for b, fb in enumerate(pieces[e - k]):
-                    q[a + b] += fa * fb
-        rows.append(tuple(q))
-    return tuple(rows)
+    _, slopes, values = _type_basis(p, p, p)
+    f = values if kind == "mass" else slopes
+    return tuple(tuple(map(sum, zip(*(_times(f[a], f[a + k]) for a in range(p + 1 - k)))))
+                 for k in range(p + 1))
 
 
 @lru_cache(maxsize=None)

@@ -8,15 +8,16 @@ B-spline on integer knots 0..p+1 up to an affine change of variable, which
 is what makes interior Gram rows mesh independent; the rule-induced rows
 build their cardinal-spline pieces in ``quadrature._piece_products``.
 
-The space's basis is evaluated one way: ``basis_table`` gives the values
-and first derivatives at the reference nodes of a range of elements (all
-by default), in longdouble, from one triangular Cox-de Boor pass over the
-range at once; the derivatives come by degree reduction from the level
-below the last.  That is all the assembly, a block of elements at a time,
-and the energy error, on every element, integrate.  The tests hold an
-independent reference: the same recurrence run per point and twice, to
-degree p for the values and to p - 1 for the derivatives, in the point's
-own arithmetic.
+The assembly integrates no basis table: it applies a rule to exact
+products of each element type's pieces (``quadrature._type_basis``),
+which the tests check against this module's basis.  The space's basis is
+evaluated one way: ``basis_table`` gives the values and first
+derivatives at the reference nodes of every element, in longdouble, from
+one triangular Cox-de Boor pass over the mesh at once; the derivatives
+come by degree reduction from the level below the last.  That is what
+the energy error integrates.  The tests hold an independent reference:
+the same recurrence run per point and twice, to degree p for the values
+and to p - 1 for the derivatives, in the point's own arithmetic.
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ def _knots_in(p: int, N: int):
     return knots
 
 
-# elements per array pass of basis_table: the pass holds 3p work arrays of
-# this many rows at once, next to the two tables it fills.  The assembly
-# reads its tables this many elements at a time too, so that it never
-# holds the value and derivative tables of a whole mesh
-_ELEMENT_BLOCK = 256
-
-
 def _cox_de_boor(knots, x, mu, p: int, values, derivatives) -> None:
     """One triangular Cox-de Boor pass for the p+1 degree-p B-splines that
     are nonzero on the knot span [knots[mu], knots[mu+1]] and their first
@@ -115,31 +109,24 @@ def _cox_de_boor(knots, x, mu, p: int, values, derivatives) -> None:
         out[q] = saved
 
 
-def basis_table(space: BSplineSpace, nodes, elements: slice = slice(None)):
+def basis_table(space: BSplineSpace, nodes):
     """Element-pinned basis values and first derivatives at the reference
-    nodes of the elements a slice of 0..N - 1 selects (all by default), in
-    longdouble, from one Cox-de Boor pass.
+    nodes of every element, in longdouble, from one Cox-de Boor pass.
 
-    Returns ``(t, values, derivatives)``: t[i, k] = (e + nodes[k]) h is the
-    physical point, and values[i, k, a] and derivatives[i, k, a] are basis
+    Returns ``(t, values, derivatives)``: t[e, k] = (e + nodes[k]) h is the
+    physical point, and values[e, k, a] and derivatives[e, k, a] are basis
     function e + a (full numbering) and its derivative there, evaluated on
-    the pieces of e, the i-th element selected.  Pinning matters at the
-    endpoint nodes 0 and 1: each element sees the limits of its own
-    polynomials there, which is what per-element quadrature needs (the
-    derivatives jump across knots when p = 1).  Every entry depends on its
-    element and node alone, so a slice gives bitwise those rows of the
-    whole table.
+    the pieces of element e.  Pinning matters at the endpoint nodes 0 and
+    1: each element sees the limits of its own polynomials there, which is
+    what per-element quadrature needs (the derivatives jump across knots
+    when p = 1).
     """
     p, N = space.p, space.N
-    elements = np.arange(N)[elements, None]
+    elements = np.arange(N)[:, None]
     t = (elements + np.asarray(nodes, dtype=np.longdouble)) * (np.longdouble(1) / N)
     values = np.empty(t.shape + (p + 1,), dtype=np.longdouble)
     derivatives = np.empty_like(values)
-    knots = _knots_in(p, N)
-    # blocks of elements bound the pass's work arrays; the function axis
-    # goes first, so that slot a of an output is the view [..., a]
-    for lo in range(0, len(elements), _ELEMENT_BLOCK):
-        rows = slice(lo, lo + _ELEMENT_BLOCK)
-        _cox_de_boor(knots, t[rows], p + elements[rows], p,
-                     np.moveaxis(values[rows], -1, 0), np.moveaxis(derivatives[rows], -1, 0))
+    # the function axis goes first, so that slot a of an output is the view [..., a]
+    _cox_de_boor(_knots_in(p, N), t, p + elements, p,
+                 np.moveaxis(values, -1, 0), np.moveaxis(derivatives, -1, 0))
     return t, values, derivatives

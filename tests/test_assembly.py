@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from basis_reference import reference_basis
 from dense_reference import dense, dense_from_bands
@@ -10,7 +11,6 @@ from igadmm import assembly, cli, eigensolve
 from igadmm.assembly import (
     MatrixPair,
     SymBandMatrix,
-    _assemble_full,
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
@@ -23,7 +23,7 @@ from igadmm.quadrature import (
     gauss_radau,
     optimal_blend,
 )
-from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
+from igadmm.splines import BSplineSpace
 
 
 def _interior_rows(space):
@@ -98,32 +98,109 @@ def test_mass_and_stiffness_are_positive_definite(p):
     np.linalg.cholesky(dense(dmm.mass))
 
 
-def _assemble_full_by_scalar_loop(space, rule, form):
-    """Reference band array: one scalar basis evaluation per element and
-    node, each local outer product added into the bands as it comes."""
-    p, N = space.p, space.N
-    h = np.longdouble(1) / N
-    nodes, weights = rule.as_longdouble()
-    slot = 1 if form == "stiffness" else 0  # derivatives or values
-    bands = np.zeros((p + 1, space.dim_full), dtype=np.longdouble)
-    for e in range(N):
-        for x, w in zip(nodes, weights):
-            v = reference_basis(p, N, (e + x) * h, e)[slot]
-            contrib = (w * h) * np.outer(v, v)
+def _types(p, N):
+    """Element e's type, (min(e, p), min(N - 1 - e, p)), for each e."""
+    return [(min(e, p), min(N - 1 - e, p)) for e in range(N)]
+
+
+def _local(p, N, rule):
+    """{type: (stiffness, mass)} of the local matrices assemble_1d adds,
+    scaled to the mesh: N times the stiffness, the mass over N."""
+    types = sorted(set(_types(p, N)))
+    local = assembly._local_matrices(p, rule, tuple(types))
+    return {t: (local[0, i] * N, local[1, i] / N) for i, t in enumerate(types)}
+
+
+def _bands_by_scalar_loop(p, N, local):
+    """Reference band arrays of the Dirichlet pair: one element at a time,
+    in element order, each entry (a, b), b >= a, of the element type's
+    local matrices added into its band slot as it comes."""
+    bands = [np.zeros((p + 1, N + p), dtype=np.longdouble) for _ in range(2)]
+    for e, t in enumerate(_types(p, N)):
+        for form in range(2):
             for a in range(p + 1):
                 for b in range(a, p + 1):
-                    bands[b - a, e + a] += contrib[a, b]
-    return bands
+                    bands[form][b - a, e + a] += local[t][form][a, b]
+    return [b[:, 1:-1] for b in bands]
 
 
-def _full_bands(space, rule, form):
-    """_assemble_full on the table of the form, from one table pass over the
-    whole mesh, into a band array of zeros."""
-    nodes, weights = rule.as_longdouble()
-    _, values, derivatives = basis_table(space, nodes)
-    table = derivatives if form == "stiffness" else values
-    bands = np.zeros((space.p + 1, space.dim_full), dtype=np.longdouble)
-    return _assemble_full(bands, weights * (np.longdouble(1) / space.N), table, 0)
+def _study_rule(p, label):
+    return optimal_blend(p, "gl") if label == "dmm" else cli._rule(p, label)
+
+
+def _mpf(x):
+    num, den = x.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+def _oracle_local(p, left, right, rule):
+    """The type's local stiffness and mass matrices on [0, 1], entry (a,
+    b), b >= a, the rule applied at 55 digits to the basis at the rule's
+    mpf nodes, with the sum of the absolute terms.  The type's basis is
+    read on element left of a mesh of left + right + 1 elements through
+    the reference basis; its physical derivatives carry the factor N of
+    d/dx."""
+    N = left + right + 1
+    entries = {}
+    with mp.workdps(55):
+        values = [reference_basis(p, N, (left + x) / N, left) for x in rule.nodes]
+        # form 0, the stiffness, reads the derivatives (slot 1 of a value)
+        for form, slot, scale in ((0, 1, mp.mpf(1) / N ** 2), (1, 0, 1)):
+            for a in range(p + 1):
+                for b in range(a, p + 1):
+                    terms = [w * f[slot][a] * f[slot][b] * scale
+                             for w, f in zip(rule.weights, values)]
+                    entries[form, a, b] = (mp.fsum(terms), mp.fsum(map(abs, terms)))
+    return entries
+
+
+def _assert_correctly_rounded(local, oracle):
+    """Each entry of local, (stiffness, mass) of one type, is the oracle's
+    value rounded to the nearest longdouble, up to the oracle's own
+    error: 1e-45 of its absolute terms (a longdouble ulp is 1e-19)."""
+    with mp.workdps(55):
+        for (form, a, b), (value, terms) in oracle.items():
+            got = local[form][a, b]
+            slack = mp.mpf(10) ** -45 * terms
+            err = abs(_mpf(got) - value)
+            for neighbour in (np.nextafter(got, -np.inf), np.nextafter(got, np.inf)):
+                assert err <= abs(_mpf(neighbour) - value) + slack, (form, a, b)
+
+
+_ORACLE_LABELS = ("gauss", "radau", "lobatto", "gp", "dmm", "blend:pr")
+
+
+@pytest.mark.parametrize("label", _ORACLE_LABELS)
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_local_entries_are_the_rule_on_the_type_basis_correctly_rounded(p, label):
+    # the oracle applies the rule at its nodes, not through its moments,
+    # to every type of the meshes of 2, 3, 5, 2p and 2p + 1 elements
+    rule = _study_rule(p, label)
+    types = sorted({t for N in (2, 3, 5, 2 * p, 2 * p + 1) for t in _types(p, N)})
+    local = assembly._local_matrices(p, rule, tuple(types))
+    assert local.dtype == np.longdouble and not local.flags.writeable
+    for i, (left, right) in enumerate(types):
+        _assert_correctly_rounded(local[:, i], _oracle_local(p, left, right, rule))
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in range(1, 7)
+                                 for N in sorted({2, 3, 5, 2 * p, 2 * p + 1})])
+def test_capped_types_assemble_the_oracle_entries(p, N):
+    # below 2p + 1 elements some element has fewer than p elements on each
+    # side, a type capped at both ends, and the mesh has N types; from
+    # 2p + 1 on, the 2p + 1 types of every larger mesh
+    types = sorted(set(_types(p, N)))
+    assert len(types) == min(N, 2 * p + 1)
+    for label in ("gauss", "dmm"):
+        rule = _study_rule(p, label)
+        unscaled = assembly._local_matrices(p, rule, tuple(types))
+        for i, (left, right) in enumerate(types):
+            _assert_correctly_rounded(unscaled[:, i], _oracle_local(p, left, right, rule))
+        local = _local(p, N, rule)
+        pair = assemble_1d(BSplineSpace(p, N), rule)
+        want = _bands_by_scalar_loop(p, N, local)
+        assert np.array_equal(pair.stiffness.bands, want[0]), label
+        assert np.array_equal(pair.mass.bands, want[1]), label
 
 
 @pytest.mark.parametrize("form", ["mass", "stiffness"])
@@ -131,48 +208,39 @@ def _full_bands(space, rule, form):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_band_assembly_is_bitwise_the_scalar_element_loop(p, N, form):
     space = BSplineSpace(p, N)
+    slot = 0 if form == "stiffness" else 1
     for rule in (gauss_legendre(p + 1), gauss_lobatto(p + 1), gauss_radau(p + 1),
                  optimal_blend(p, "gl")):
-        got = _full_bands(space, rule, form)
-        assert got.dtype == np.longdouble
-        want = _assemble_full_by_scalar_loop(space, rule, form)
-        assert np.array_equal(got, want), rule.label
         pair = assemble_1d(space, rule)
         matrix = pair.stiffness if form == "stiffness" else pair.mass
-        assert np.array_equal(matrix.bands, want[:, 1:-1]), rule.label
+        assert matrix.bands.dtype == np.longdouble
+        want = _bands_by_scalar_loop(p, N, _local(p, N, rule))[slot]
+        assert np.array_equal(matrix.bands, want), rule.label
 
 
 @pytest.mark.parametrize("N", [255, 256, 257, 513, 1024])
 @pytest.mark.parametrize("label", ["gauss", "dmm"])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_block_assembly_is_bitwise_one_pass_over_the_whole_mesh(monkeypatch, p, label, N):
-    # assemble_1d reads the basis splines._ELEMENT_BLOCK elements at a time
-    # and adds each block into the bands; the sums keep their order, so the
-    # bands are those of one pass over the whole mesh's tables
+def test_block_assembly_is_bitwise_one_pass_over_the_whole_mesh(p, label, N):
+    # assemble_1d adds each band slot's entries of all elements as one
+    # array block; the sums keep element order, so the bands are those of
+    # one scalar pass over the whole mesh
     space = BSplineSpace(p, N)
     rule = gauss_legendre(p + 1) if label == "gauss" else optimal_blend(p, "gl")
-    rows = []
-
-    def recorded(*args):
-        table = basis_table(*args)
-        rows.append(len(table[0]))
-        return table
-
-    monkeypatch.setattr(assembly, "basis_table", recorded)
     pair = assemble_1d_dmm(space) if label == "dmm" else assemble_1d(space, rule)
-    assert sum(rows) == N and max(rows) <= _ELEMENT_BLOCK
-    for form, matrix in (("stiffness", pair.stiffness), ("mass", pair.mass)):
-        assert np.array_equal(matrix.bands, _full_bands(space, rule, form)[:, 1:-1]), form
+    want = _bands_by_scalar_loop(p, N, _local(p, N, rule))
+    assert np.array_equal(pair.stiffness.bands, want[0])
+    assert np.array_equal(pair.mass.bands, want[1])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_dmm_bands_from_the_cached_blend_are_those_of_a_fresh_one(p):
     space = BSplineSpace(p, 9)
     fresh = optimal_blend.__wrapped__(p, "gl")  # built as if uncached
-    pair = assemble_1d_dmm(space)
-    for form, got in (("stiffness", pair.stiffness), ("mass", pair.mass)):
-        want = _full_bands(space, fresh, form)[:, 1:-1]
-        assert np.array_equal(got.bands, want), form
+    assert fresh is not optimal_blend(p, "gl")
+    want, got = assemble_1d(space, fresh), assemble_1d_dmm(space)
+    assert np.array_equal(got.stiffness.bands, want.stiffness.bands)
+    assert np.array_equal(got.mass.bands, want.mass.bands)
 
 
 def test_reduced_dimensions():

@@ -1028,12 +1028,13 @@ import contextlib, io, json, sys
 import igadmm.cli
 from igadmm import quadrature
 
-calls = {"seeds": 0, "newton": 0}
+calls = {"seeds": 0, "newton": 0, "built": []}
 seeds, series = quadrature._float_roots, quadrature._legendre_series
 
-def counted_seeds(*args):
+def counted_seeds(coeffs, fixed):
     calls["seeds"] += 1
-    return seeds(*args)
+    calls["built"].append([len(coeffs) - 1, list(fixed)])
+    return seeds(coeffs, fixed)
 
 def counted_series(coeffs, x):
     calls["newton"] += type(x).__name__ == "mpf"
@@ -1042,7 +1043,7 @@ def counted_series(coeffs, x):
 quadrature._float_roots, quadrature._legendre_series = counted_seeds, counted_series
 runs = []
 for argv in json.loads(sys.argv[1]):
-    calls.update(seeds=0, newton=0)
+    calls.update(seeds=0, newton=0, built=[])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = igadmm.cli.main(argv)
     runs.append({"rc": rc, **calls})
@@ -1051,19 +1052,27 @@ print(json.dumps(runs))
 
 
 def test_rows_and_ratios_never_build_a_quadrature_node():
+    # rows, ratios and study assembly read rules through their moments
     exact = [["tau", "--p", "8", "--pair", "all"],
              ["stencil", "-p", "6", "--rule", "blend:gl"],
-             ["dispersion", "-p", "5", "--rule", "lobatto", "--fit"]]
-    # the rules report prints the nodes; a study integrates on them
-    nodes = [["rules", "--family", "gauss", "--points", "9"],
-             ["study-1d", "-p", "2", "--meshes", "4,8", "--rules", "gauss"]]
-    proc = subprocess.run([sys.executable, "-c", _NODE_PROBE, json.dumps(exact + nodes)],
+             ["dispersion", "-p", "5", "--rule", "lobatto", "--fit"],
+             ["study-1d", "-p", "2", "--meshes", "4,8", "--rules", "gauss"],
+             ["study-1d", "-p", "3", "--meshes", "4,8", "--rules", "radau,lobatto,gp,dmm"]]
+    # the energy error integrates on the nodes of the (p + 5)-point Gauss
+    # rule alone; the rules report prints the nodes
+    energy = [["study-1d", "-p", "2", "--energy", "--meshes", "4,8",
+               "--rules", "gauss,radau,lobatto,dmm"]]
+    rules = [["rules", "--family", "gauss", "--points", "9"]]
+    proc = subprocess.run([sys.executable, "-c", _NODE_PROBE,
+                           json.dumps(exact + energy + rules)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    assert [run["rc"] for run in runs] == [0] * 5
-    assert all(run["seeds"] == run["newton"] == 0 for run in runs[:3]), runs
-    assert all(run["seeds"] > 0 and run["newton"] > 0 for run in runs[3:]), runs
+    assert [run["rc"] for run in runs] == [0] * 7
+    assert all(run["seeds"] == run["newton"] == 0 for run in runs[:5]), runs
+    # one series of degree 7, P_7, with no fixed root: the 7-point Gauss rule
+    assert runs[5]["built"] == [[7, []]] and runs[5]["newton"] > 0, runs[5]
+    assert runs[6]["built"] == [[9, []]] and runs[6]["newton"] > 0, runs[6]
 
 
 def _streams(report):

@@ -6,7 +6,6 @@ import os
 from pathlib import Path
 
 from igadmm import eigensolve
-from igadmm.splines import _ELEMENT_BLOCK
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
@@ -219,12 +218,15 @@ def test_sweep_covers_every_report_with_its_json():
     assert any([int(N) + int(argv[2]) - 2 for N in argv[argv.index("--meshes") + 1].split(",")]
                == [switch - 1, switch] and argv[argv.index("--rules") + 1] == "gauss,dmm"
                for argv in jobs if argv[0] == "study-1d" and "--energy" in argv)
-    # an energy ladder one element short of the block the assembly reads the
-    # basis in, one past it and one past two blocks
-    block = _ELEMENT_BLOCK
-    assert any({block - 1, block + 1, 2 * block + 1}
-               <= {int(N) for N in argv[argv.index("--meshes") + 1].split(",")}
+    # an energy ladder of meshes over 250 elements, none a power of two
+    assert any(all(int(N) > 250 and int(N) & (int(N) - 1)
+                   for N in argv[argv.index("--meshes") + 1].split(","))
                for argv in jobs if argv[0] == "study-1d" and "--energy" in argv)
+    # at p = 5 and 6, an energy ladder on the meshes of 2p, 2p + 1 and 2p + 2
+    # elements, where the assembly's element types grow from 2p to 2p + 1
+    ladders = {(argv[2], argv[argv.index("--meshes") + 1]) for argv in jobs
+               if argv[0] == "study-1d" and "--energy" in argv}
+    assert all((str(p), f"{2 * p},{2 * p + 1},{2 * p + 2}") in ladders for p in (5, 6))
     csv = [argv[0] for argv in jobs if "--csv" in argv]
     assert "dispersion" in csv and "study-1d" in csv
     assert any({"--fit", "--coefficient"} <= set(argv) for argv in jobs

@@ -12,7 +12,6 @@ from basis_reference import reference_basis
 from igadmm import eigensolve, quadrature
 from igadmm.assembly import (
     SymBandMatrix,
-    _assemble_full,
     assemble_1d,
     assemble_1d_dmm,
     assemble_2d,
@@ -30,7 +29,7 @@ from igadmm.eigensolve import (
     tensor_spectrum_2d,
 )
 from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau, optimal_blend
-from igadmm.splines import _ELEMENT_BLOCK, BSplineSpace, basis_table
+from igadmm.splines import BSplineSpace, basis_table
 
 
 def test_exact_spectra():
@@ -214,21 +213,29 @@ def test_band_solve_pairs_with_the_dense_leading_modes(monkeypatch, p, N, label)
     assert calls == ["_dense_eigh"] + ["_lanczos"] * 3
 
 
+def _absolute_bands(wh, table):
+    """The full band array of sum over elements e and nodes k of wh[k]
+    table[e, k, a] table[e, k, a + d], added element by element."""
+    N, _, width = table.shape
+    bands = np.zeros((width, N + width - 1), dtype=np.longdouble)
+    for d in range(width):
+        for a in range(width - 1 - d, -1, -1):
+            contrib = wh * (table[:, :, a] * table[:, :, a + d])
+            for k in range(len(wh)):
+                bands[d, a: a + N] += contrib[:, k]
+    return bands
+
+
 def _absolute_pair(p, N, label):
     """The Dirichlet band operators whose entries are the sums of the
-    absolute quadrature terms of the study pencil's: |w h| times |dphi_a
-    dphi_b| for the stiffness, |phi_a phi_b| for the mass, assembled as
-    assemble_1d assembles, so the |w| of a blend's signed weights, and
-    with it the amplification of its ratio, enters too."""
-    space = BSplineSpace(p, N)
+    absolute quadrature terms of the study pencil's at the rule's nodes:
+    |w h| times |dphi_a dphi_b| for the stiffness, |phi_a phi_b| for the
+    mass, so the |w| of a blend's signed weights, and with it the
+    amplification of its ratio, enters too."""
     nodes, weights = _study_rule(p, label).as_longdouble()
     wh = np.abs(weights * (np.longdouble(1) / N))
-    K = np.zeros((p + 1, N + p), dtype=np.longdouble)
-    M = np.zeros_like(K)
-    for lo in range(0, N, _ELEMENT_BLOCK):
-        _, values, derivatives = basis_table(space, nodes, slice(lo, lo + _ELEMENT_BLOCK))
-        _assemble_full(K, wh, np.abs(derivatives), lo)
-        _assemble_full(M, wh, np.abs(values), lo)
+    _, values, derivatives = basis_table(BSplineSpace(p, N), nodes)
+    K, M = (_absolute_bands(wh, np.abs(table)) for table in (derivatives, values))
     return SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1])
 
 

@@ -59,9 +59,11 @@ def sweep() -> list[list[str]]:
     once with every mode of the N = 3 space (whose top modes can be nearly
     orthogonal to their sines, where a sign rule could flip a cell), and
     on a ladder that crosses the dense/Lanczos switch, and a Kronecker
-    cross-check at each degree, and a ladder across the assembly's element
-    block, and one whose two pencils sit on either side of the switch,
-    orders _BANDED_MIN_N - 1 and _BANDED_MIN_N; then every subcommand's
+    cross-check at each degree, and a p = 4 ladder of large meshes that are
+    not powers of two, and one whose two pencils sit on either side of the
+    switch, orders _BANDED_MIN_N - 1 and _BANDED_MIN_N, and at p = 5 and 6
+    one across the mesh of 2p + 1 elements, the first with all 2p + 1
+    element types of the assembly; then every subcommand's
     report, text and JSON: verify, rows of both forms (exact, minimized,
     rule-induced, blended and point-rule labels, fractions and floats, and
     every label but the point rules at p = 7..10), blend ratios with the
@@ -81,9 +83,14 @@ def sweep() -> list[list[str]]:
                              "--rules", rule, "--modes", modes, "--json", "-"])
         jobs.append(["study-2d", "-p", str(p), "--meshes", "4,8", "--rules", "dmm",
                      "--modes", "1,2,4", "--verify-kron", "14", "--json", "-"])
-    # meshes on both sides of the assembly's element block (256 elements)
+    # large meshes whose 1/N, the mass scaling of the local matrices, rounds
     jobs.append(["study-1d", "-p", "4", "--energy", "--meshes", "255,257,513",
                  "--rules", "gauss,dmm", "--modes", "1,2", "--json", "-"])
+    # N = 2p, 2p + 1, 2p + 2: 2p, 2p + 1 and 2p + 1 element types
+    for p in (5, 6):
+        jobs.append(["study-1d", "-p", str(p), "--energy",
+                     "--meshes", f"{2 * p},{2 * p + 1},{2 * p + 2}",
+                     "--rules", "gauss,radau,dmm", "--modes", "1,2,7", "--json", "-"])
     # p = 3 pencils of order N + 1 = 87 and 88: the last dense one and the
     # first Lanczos one (eigensolve._BANDED_MIN_N = 88)
     jobs.append(["study-1d", "-p", "3", "--energy", "--meshes", "86,87",
