@@ -2,18 +2,18 @@
 spaces on [0, 1] (and tensor squares on the unit square).
 
 On a uniform open-knot mesh the basis on element e depends only on its
-type (min(e, p), min(N - 1 - e, p)): at most 2p + 1 types, fewer on a
-mesh of under 2p + 1 elements.  A rule from the quadrature module enters
-only through its moments, applied exactly to the integer product
-polynomials of each type's pieces (quadrature._type_basis), and each
-local entry is rounded once to longdouble (numpy's extended precision);
-the local matrices are kept per degree, rule and type set.  Assembly
-adds them into the band arrays by element type, in element order, scaled
-by N for the stiffness and 1/N for the mass, so the bands are those of a
-scalar element loop over the rounded local entries, and no quadrature
-node is built.  Homogeneous Dirichlet
-conditions drop the first and last basis functions.  Matrices are stored
-in symmetric lower band form, which is all the bandwidth these
+type (min(e, p - 1), min(N - 1 - e, p - 1)) (_element_types): at most
+2p - 1 types, fewer on a mesh of under 2p elements.  A rule from the
+quadrature module enters only through its moments, applied exactly to
+the integer product polynomials of each type's pieces
+(quadrature._type_basis), and each local entry is rounded once to
+longdouble (numpy's extended precision); the local matrices are kept per
+degree, rule and type set.  Assembly adds them into the band arrays by
+element type, in element order, scaled by N for the stiffness and 1/N
+for the mass, so the bands are those of a scalar element loop over the
+rounded local entries, and no quadrature node is built.  Homogeneous
+Dirichlet conditions drop the first and last basis functions.  Matrices
+are stored in symmetric lower band form, which is all the bandwidth these
 discretizations ever need, and a pencil reaches the eigensolver only as
 its double-precision copy in LAPACK's lower band storage (to_bands).  The
 2D pair is a sum of Kronecker products of the 1D band pair, applied
@@ -108,7 +108,7 @@ def _local_matrices(p: int, rule: QuadratureRule, types: tuple) -> np.ndarray:
     value, all over one common integer denominator, so each entry is one
     integer dot product with the product of two integer polynomials of
     quadrature._type_basis.  Kept for the process: a type set is the
-    same for every mesh of 2p + 1 or more elements.
+    same for every mesh of 2p or more elements.
     """
     moments = [m if isinstance(m, Fraction) else _mpf_to_fraction(m)
                for m in rule.moments(2 * p + 1)]
@@ -125,6 +125,17 @@ def _local_matrices(p: int, rule: QuadratureRule, types: tuple) -> np.ndarray:
                                                scale * den * den)
     local.flags.writeable = False  # shared by every mesh of the type set
     return local
+
+
+def _element_types(p: int, N: int) -> tuple:
+    """The distinct element types of the mesh, sorted, and each element's
+    index among them.  Element e has type (min(e, p - 1), min(N - 1 - e,
+    p - 1)), coded p l + r: 2p - 1 types on a mesh of 2p or more
+    elements, one per element on a smaller one (quadrature._type_basis
+    has why the cap is p - 1)."""
+    left = np.minimum(np.arange(N), p - 1)
+    codes, index = np.unique(left * p + left[::-1], return_inverse=True)
+    return tuple(divmod(int(c), p) for c in codes), index
 
 
 def _assemble_full(bands: np.ndarray, local: np.ndarray, types: np.ndarray) -> np.ndarray:
@@ -153,14 +164,12 @@ def assemble_1d(space: BSplineSpace, rule: QuadratureRule) -> MatrixPair:
     weights; it enters through its moments only (_local_matrices).
     """
     p, N = space.p, space.N
-    # element e has type (min(e, p), min(N - 1 - e, p)), coded (p + 1) l + r
-    left = np.minimum(np.arange(N), p)
-    codes, types = np.unique(left * (p + 1) + left[::-1], return_inverse=True)
-    local = _local_matrices(p, rule, tuple(divmod(int(c), p + 1) for c in codes))
+    types, index = _element_types(p, N)
+    local = _local_matrices(p, rule, types)
     # the derivatives carry 1/h twice and dx one h: N for the stiffness,
     # 1/N for the mass
-    K = _assemble_full(np.zeros((p + 1, N + p), dtype=np.longdouble), local[0] * N, types)
-    M = _assemble_full(np.zeros_like(K), local[1] / N, types)
+    K = _assemble_full(np.zeros((p + 1, N + p), dtype=np.longdouble), local[0] * N, index)
+    M = _assemble_full(np.zeros_like(K), local[1] / N, index)
     # Dirichlet conditions drop the first and last basis functions
     return MatrixPair(space, SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1]))
 

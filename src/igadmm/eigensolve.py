@@ -35,22 +35,25 @@ Error measures: relative eigenvalue errors against j^2 pi^2 (or
 
     |u_j - u~|_E = sqrt( integral of (u_j' - u~')^2 over [0, 1] ),
 
-integrated directly with the (p + 5)-point Gauss rule on the basis tables
-of all elements, summed one term at a time in element, then node order,
-as a scalar element loop would.  Those tables, and each mode's exact
-slope on their points, depend on neither the rule nor the eigenvector:
-they are built once per space and mode and kept for the process, so
-every rule and study job on a space reads the same arrays.  The L2 norm
-that scales u~ to 1 is a sum on the same table, which is exact for it, a
-degree-2p integrand.  The sign of u~ is that of the energy product
-a(u_j, u~) = integral of u_j' u~', a sum of the two slopes on the same
-table: for u~ in H^1_0, integration by parts gives a(u_j, u~) =
-lambda_j m(u_j, u~), so it is the sign of the L2 overlap with
-sin(j pi x), and the sign that makes the error the smaller one.  The
-integrand of the error is a square, so nothing cancels; the equal
-identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the squared error as a
-difference of numbers of order lambda_j and loses every digit by p = 4,
-N = 128, where the error is 1.03e-9.
+integrated directly with the (p + 5)-point Gauss rule, summed one term
+at a time in element, then node order, as a scalar element loop would.
+The basis at the rule's nodes is each element type's exact polynomials
+(quadrature._type_basis) evaluated once per degree and type set in
+longdouble (_type_tables), each element reading its type's table; a
+space keeps only what depends on N, its points, weights and element type
+indices (_energy_tables), and a mode its exact slope on those points
+(_mode_tables).  None of these depends on the rule or the eigenvector, so
+all are kept for the process and every rule and study job on a space
+reads the same arrays.  The L2 norm that scales u~ to 1 is a sum on the
+same tables, which is exact for it, a degree-2p integrand.  The sign of
+u~ is that of the energy product a(u_j, u~) = integral of u_j' u~', a
+sum of the two slopes on the same tables: for u~ in H^1_0, integration
+by parts gives a(u_j, u~) = lambda_j m(u_j, u~), so it is the sign of
+the L2 overlap with sin(j pi x), and the sign that makes the error the
+smaller one.  The integrand of the error is a square, so nothing cancels;
+the equal identity lambda_j - 2 a(u_j, u~) + a(u~, u~) gets the squared
+error as a difference of numbers of order lambda_j and loses every digit
+by p = 4, N = 128, where the error is 1.03e-9.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from igadmm.assembly import MatrixPair, SymBandMatrix
-from igadmm.quadrature import gauss_legendre
-from igadmm.splines import BSplineSpace, basis_table
+from igadmm.assembly import MatrixPair, SymBandMatrix, _element_types
+from igadmm.quadrature import _type_basis, gauss_legendre
+from igadmm.splines import BSplineSpace
 
 PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
@@ -399,19 +402,46 @@ def relative_ev_errors(spectrum, count: int, exact: np.ndarray | None = None) ->
 
 
 @lru_cache(maxsize=None)
+def _type_tables(p: int, types: tuple) -> np.ndarray:
+    """The basis of each element type at the (p + 5)-point Gauss nodes of
+    the energy integral, read-only: entry [0, t, k, a] is the local slope
+    d phi_a / dx on the reference element [0, 1] (no 1/h) of type
+    types[t] at node k, entry [1, t, k, a] the value phi_a.  Each is the
+    type's exact integer polynomial (quadrature._type_basis) by Horner's
+    rule in longdouble at u = 2x - 1, divided once by its denominator.
+    Kept for the process: a type set is the same for every mesh of 2p or
+    more elements, and holds 32 (p + 5) (p + 1) bytes a type."""
+    nodes = gauss_legendre(p + 5).as_longdouble()[0]
+    u = 2 * nodes - 1
+    tables = np.empty((2, len(types), p + 5, p + 1), dtype=np.longdouble)
+    for t, (left, right) in enumerate(types):
+        den, *forms = _type_basis(p, left, right)
+        for f, basis in enumerate(forms):
+            acc = 0
+            for column in np.array(basis, dtype=np.longdouble).T[::-1]:  # top degree first
+                acc = acc * u + column[:, None]
+            tables[f, t] = (acc / np.longdouble(den)).T
+    tables.flags.writeable = False  # shared by every space of the type set
+    return tables
+
+
+@lru_cache(maxsize=None)
 def _energy_tables(space: BSplineSpace):
-    """Points, weights times h, basis derivatives and values of the energy
-    integral on every element, on the (p + 5)-point Gauss rule, read-only
-    and kept for the process: every rule and job on a space reads them.
-    A space retains N (p + 5) (32 (p + 1) + 16) bytes with a 16-byte
-    longdouble."""
-    nodes, weights = gauss_legendre(space.p + 5).as_longdouble()
-    t, val, der = basis_table(space, nodes)
-    wh = weights * (np.longdouble(1) / space.N)
-    tables = (t, wh, der, val)
+    """The points t[e, k] = (e + x_k) h of the energy integral on every
+    element, on its (p + 5)-point Gauss rule, the weights times h, each
+    element's type index and the type tables (_type_tables) it reads:
+    read-only and kept for the process, as every rule and job on a space
+    reads them.  A space retains N (16 (p + 5) + 8) bytes with a 16-byte
+    longdouble; the type tables are shared."""
+    p, N = space.p, space.N
+    types, index = _element_types(p, N)
+    nodes, weights = gauss_legendre(p + 5).as_longdouble()
+    h = np.longdouble(1) / N
+    t = (np.arange(N)[:, None] + nodes) * h
+    tables = (t, weights * h, index)
     for table in tables:
         table.flags.writeable = False  # shared by every call on this space
-    return tables
+    return tables + (_type_tables(p, types),)
 
 
 @lru_cache(maxsize=None)
@@ -427,12 +457,13 @@ def _mode_tables(space: BSplineSpace, mode: int):
     return slope
 
 
-def _element_dot(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _element_dot(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """u_h at every table point: coefficients of each element's functions
-    dotted with their values, adding in basis order from 0 as np.dot does."""
+    dotted with the values of its type, table[index[e]], adding in basis
+    order from 0 as np.dot does."""
     acc = 0
     for a in range(table.shape[-1]):
-        acc = acc + coeffs[:, a, None] * table[:, :, a]
+        acc = acc + coeffs[:, a, None] * table[index, :, a]
     return acc
 
 
@@ -451,9 +482,10 @@ def energy_error(pair: MatrixPair, spectrum: Spectrum, mode: int) -> float:
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
     c_full[1:-1] = spectrum.vectors[:, mode - 1]
     coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]  # element e: e..e+p
-    _, wh, der, val = _energy_tables(space)
+    _, wh, index, (der, val) = _energy_tables(space)
     slope = _mode_tables(space, mode)
-    uh_prime, uh = _element_dot(coeffs, der), _element_dot(coeffs, val)
+    # the local slopes carry the 1/h of d/dx
+    uh_prime, uh = _element_dot(coeffs, der, index) * N, _element_dot(coeffs, val, index)
     # the L2 norm of u~ and the squared error, each summed one term at a
     # time in element-then-node order: np.sum would add pairwise; only the
     # sign of a(u, u~) is read

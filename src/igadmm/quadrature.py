@@ -19,9 +19,10 @@ The rule is interpolatory on those roots, so its moments are exact,
 Q(u^j) = 1/2 int_{-1}^{1} (u^j mod w), from integer polynomial division;
 a blend's are the blend of its two rules'.  Rows and blend ratios thus
 need no node.  Nodes and weights are built on first read: by the rules
-report, by a blend's, and by the longdouble view that the energy error
-integrates with, on its (p + 5)-point Gauss rule (the module needs no
-numpy but for it).
+report, by a blend's, and by the longdouble view of the energy error's
+(p + 5)-point Gauss rule, whose nodes place the error's basis tables and
+points and whose weights weigh them (the module needs no numpy but for
+that view).
 Float64 Newton iteration on the Legendre recurrence, with the roots
 already found divided out, seeds the free nodes from Chebyshev guesses;
 mpmath Newton iteration on the same recurrence polishes them to 40
@@ -354,19 +355,23 @@ def _type_basis(p: int, left: int, right: int) -> tuple:
     polynomials in the element's centred coordinate u = 2x - 1.
 
     The type of element e of a uniform open-knot mesh of N elements is
-    (left, right) = (min(e, p), min(N - 1 - e, p)): its local knots, in
-    elements from its left end, are k clamped to [-left, right + 1] for
-    k = -p..p + 1.  Returns (den, slopes, values): values[a] holds the
-    coefficients, lowest degree first, of den phi_a and slopes[a] those
-    of den phi'_a, where phi_a is local function a (basis function e + a)
-    on the element, ' is d/dx and den is the least common denominator of
-    the type's basis.  The basis comes from the triangular Cox-de Boor
-    scheme run on integer polynomials in u, on the knots mapped to u
-    (odd integers), each level over one common denominator, so no
-    Fraction arithmetic is done; the pieces are closed polynomials on the
-    element.  The interior type (p, p) gives the cardinal-spline pieces
-    (_piece_products).  Only the basis is kept: the rows and the
-    assembly form the products they integrate.
+    (left, right) = (min(e, p - 1), min(N - 1 - e, p - 1)): its local
+    knots, in elements from its left end, are k clamped to [-left,
+    right + 1] for k = -p..p + 1.  The scheme never reads the knots at
+    k = -p and k = p + 1, so left = p gives the basis of left = p - 1, and
+    likewise right: the cap leaves the 2p - 1 distinct bases of a mesh
+    (assembly._element_types).  Returns (den, slopes, values): values[a]
+    holds the coefficients, lowest degree first, of den phi_a and
+    slopes[a] those of den phi'_a, where phi_a is local function a (basis
+    function e + a) on the element, ' is d/dx and den is the least common
+    denominator of the type's basis.  The basis comes from the triangular
+    Cox-de Boor scheme run on integer polynomials in u, on the knots
+    mapped to u (odd integers), each level over one common denominator,
+    so no Fraction arithmetic is done; the pieces are closed polynomials
+    on the element.  The interior type (p - 1, p - 1) gives the
+    cardinal-spline pieces (_piece_products).  Only the basis is kept:
+    the rows and the assembly form the products they integrate, and the
+    energy error evaluates it at its nodes.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
@@ -404,7 +409,7 @@ def _piece_products(p: int, kind: str) -> tuple[tuple[int, ...], ...]:
     whose common denominator is p! 2^p.  Each piece is a closed
     polynomial on its span.
     """
-    _, slopes, values = _type_basis(p, p, p)
+    _, slopes, values = _type_basis(p, p - 1, p - 1)
     f = values if kind == "mass" else slopes
     return tuple(tuple(map(sum, zip(*(_times(f[a], f[a + k]) for a in range(p + 1 - k)))))
                  for k in range(p + 1))

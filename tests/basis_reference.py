@@ -1,29 +1,25 @@
 """Reference basis evaluation for the tests: one point at a time, in the
 point's own arithmetic, by two separate runs of the triangular Cox-de Boor
-scheme.  The values come from a run to degree p, the first derivatives by
-degree reduction from a second run to degree p - 1.  ``basis_table`` does
-both in one array pass, so the two must agree bit for bit in longdouble.
-On an interior element the basis is the cardinal B-spline translated, so
+scheme on the open knot vector.  The values come from a run to degree p,
+the first derivatives by degree reduction from a second run to degree
+p - 1.  It shares no code with the package, whose one basis evaluation is
+each element type's exact polynomials (quadrature._type_basis).  On an
+interior element the basis is the cardinal B-spline translated, so
 ``cardinal_pieces`` reads the cardinal spline's pieces off it.
 """
 
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
-
-from igadmm.splines import _knots_in
 
 
 def _knots_like(p, N, x):
     """Open uniform knots in the arithmetic of x: exact for a Fraction,
-    k / N correctly rounded for a float, a longdouble or an mpf (at the
-    working precision)."""
+    k / N correctly rounded for a float or an mpf (at the working
+    precision)."""
     if isinstance(x, Fraction):
         zero, one = Fraction(0), Fraction(1)
         return [zero] * (p + 1) + [Fraction(k, N) for k in range(1, N)] + [one] * (p + 1)
-    if isinstance(x, np.longdouble):
-        return _knots_in(p, N)
     if isinstance(x, float):
         return [0.0] * (p + 1) + [k / N for k in range(1, N)] + [1.0] * (p + 1)
     if isinstance(x, mp.mpf):

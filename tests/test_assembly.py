@@ -99,8 +99,8 @@ def test_mass_and_stiffness_are_positive_definite(p):
 
 
 def _types(p, N):
-    """Element e's type, (min(e, p), min(N - 1 - e, p)), for each e."""
-    return [(min(e, p), min(N - 1 - e, p)) for e in range(N)]
+    """Element e's type, (min(e, p - 1), min(N - 1 - e, p - 1)), for each e."""
+    return [(min(e, p - 1), min(N - 1 - e, p - 1)) for e in range(N)]
 
 
 def _local(p, N, rule):
@@ -186,11 +186,13 @@ def test_local_entries_are_the_rule_on_the_type_basis_correctly_rounded(p, label
 @pytest.mark.parametrize("p,N", [(p, N) for p in range(1, 7)
                                  for N in sorted({2, 3, 5, 2 * p, 2 * p + 1})])
 def test_capped_types_assemble_the_oracle_entries(p, N):
-    # below 2p + 1 elements some element has fewer than p elements on each
-    # side, a type capped at both ends, and the mesh has N types; from
-    # 2p + 1 on, the 2p + 1 types of every larger mesh
+    # below 2p elements at most one element has p - 1 or more elements on
+    # each side, so each has a type of its own and the mesh has N types;
+    # from 2p on, the 2p - 1 types of every larger mesh.  assemble_1d
+    # reads the same ones
     types = sorted(set(_types(p, N)))
-    assert len(types) == min(N, 2 * p + 1)
+    assert len(types) == min(N, 2 * p - 1)
+    assert assembly._element_types(p, N)[0] == tuple(types)
     for label in ("gauss", "dmm"):
         rule = _study_rule(p, label)
         unscaled = assembly._local_matrices(p, rule, tuple(types))

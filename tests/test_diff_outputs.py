@@ -223,7 +223,8 @@ def test_sweep_covers_every_report_with_its_json():
                    for N in argv[argv.index("--meshes") + 1].split(","))
                for argv in jobs if argv[0] == "study-1d" and "--energy" in argv)
     # at p = 5 and 6, an energy ladder on the meshes of 2p, 2p + 1 and 2p + 2
-    # elements, where the assembly's element types grow from 2p to 2p + 1
+    # elements: all 2p - 1 element types, the interior one on 2, 3 and 4
+    # elements
     ladders = {(argv[2], argv[argv.index("--meshes") + 1]) for argv in jobs
                if argv[0] == "study-1d" and "--energy" in argv}
     assert all((str(p), f"{2 * p},{2 * p + 1},{2 * p + 2}") in ladders for p in (5, 6))

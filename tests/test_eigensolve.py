@@ -29,7 +29,7 @@ from igadmm.eigensolve import (
     tensor_spectrum_2d,
 )
 from igadmm.quadrature import gauss_legendre, gauss_lobatto, gauss_radau, optimal_blend
-from igadmm.splines import BSplineSpace, basis_table
+from igadmm.splines import BSplineSpace
 
 
 def test_exact_spectra():
@@ -232,11 +232,25 @@ def _absolute_pair(p, N, label):
     |w h| times |dphi_a dphi_b| for the stiffness, |phi_a phi_b| for the
     mass, so the |w| of a blend's signed weights, and with it the
     amplification of its ratio, enters too."""
-    nodes, weights = _study_rule(p, label).as_longdouble()
-    wh = np.abs(weights * (np.longdouble(1) / N))
-    _, values, derivatives = basis_table(BSplineSpace(p, N), nodes)
+    rule = _study_rule(p, label)
+    wh = np.abs(rule.as_longdouble()[1] * (np.longdouble(1) / N))
+    values, derivatives = _basis_at(p, N, [float(x) for x in rule.nodes])
     K, M = (_absolute_bands(wh, np.abs(table)) for table in (derivatives, values))
     return SymBandMatrix(K[:, 1:-1]), SymBandMatrix(M[:, 1:-1])
+
+
+def _basis_at(p, N, nodes):
+    """Values and derivatives of every element's functions at its points
+    (e + x) / N, x in nodes, as (N, len(nodes), p + 1) arrays: the float
+    reference, once on the first element of each type (min(e, p - 1),
+    min(N - 1 - e, p - 1)), whose basis every element of the type has."""
+    first = {}
+    for e in range(N):
+        first.setdefault((min(e, p - 1), min(N - 1 - e, p - 1)),
+                         [reference_basis(p, N, (e + x) / N, e) for x in nodes])
+    rows = [first[min(e, p - 1), min(N - 1 - e, p - 1)] for e in range(N)]
+    return tuple(np.array([[point[i] for point in row] for row in rows], dtype=np.longdouble)
+                 for i in (0, 1))
 
 
 def _rounding_floor(K, M, K_abs, M_abs, V):
@@ -694,29 +708,32 @@ def test_energy_error_equals_direct_integration():
 
 
 def _energy_error_by_scalar_loop(pair, spectrum, mode):
-    """Reference energy error: scalar basis evaluations on the (p + 5)-point
-    Gauss rule, one point at a time, accumulated in element-then-node order;
+    """Reference energy error: the type tables of the (p + 5)-point Gauss
+    rule read one point at a time, element e's from its type (min(e,
+    p - 1), min(N - 1 - e, p - 1)), accumulated in element-then-node order;
     a first pass for the L2 norm of u_h and the sign of its overlap with
     sin(mode pi x), then the direct integral of (u' - u_h')^2."""
     space = pair.space
     p, N = space.p, space.N
     h = np.longdouble(1) / N
     nodes, weights = gauss_legendre(p + 5).as_longdouble()
+    types = sorted({(min(e, p - 1), min(N - 1 - e, p - 1)) for e in range(N)})
+    slopes, values = eigensolve._type_tables(p, tuple(types))
     jpi = mode * PI_LD
     c_full = np.zeros(space.dim_full, dtype=np.longdouble)
     c_full[1:-1] = spectrum.vectors[:, mode - 1]
-    points = [(e, x, w * h, (e + x) * h) for e in range(N) for x, w in zip(nodes, weights)]
+    points = [(e, k, types.index((min(e, p - 1), min(N - 1 - e, p - 1))), w * h, (e + x) * h)
+              for e in range(N) for k, (x, w) in enumerate(zip(nodes, weights))]
     mass = overlap = np.longdouble(0)
-    for e, x, wh, t in points:
-        val, _ = reference_basis(p, N, t, e)
-        uh = np.dot(c_full[e: e + p + 1], val)
+    for e, k, i, wh, t in points:
+        uh = np.dot(c_full[e: e + p + 1], values[i, k])
         mass += wh * uh * uh
         overlap += wh * (_SQRT2_LD * np.sin(jpi * t)) * uh
     scale = -np.sqrt(mass) if overlap < 0 else np.sqrt(mass)
     err2 = np.longdouble(0)
-    for e, x, wh, t in points:
-        _, der = reference_basis(p, N, t, e)
-        uh_prime = np.dot(c_full[e: e + p + 1], der) / scale
+    for e, k, i, wh, t in points:
+        # the local slopes carry the 1/h of d/dx
+        uh_prime = np.dot(c_full[e: e + p + 1], slopes[i, k]) * N / scale
         diff = _SQRT2_LD * jpi * np.cos(jpi * t) - uh_prime
         err2 += wh * diff * diff
     return float(np.sqrt(err2))
@@ -742,7 +759,7 @@ def test_the_energy_product_has_the_sign_of_the_longdouble_overlap(p, N):
     # Where the overlap is roundoff (the outlier modes of a mesh coarser
     # than about 2p) either sign prints the same six digits
     space = BSplineSpace(p, N)
-    t, wh, der, val = eigensolve._energy_tables(space)
+    t, wh, index, (der, val) = eigensolve._energy_tables(space)
     for label in ("gauss", "radau", "dmm"):
         pair = _study_pair(p, N, label)
         spectrum = generalized_eig(pair.stiffness, pair.mass)
@@ -750,7 +767,8 @@ def test_the_energy_product_has_the_sign_of_the_longdouble_overlap(p, N):
             c_full = np.zeros(space.dim_full, dtype=np.longdouble)
             c_full[1:-1] = spectrum.vectors[:, mode - 1]
             coeffs = c_full[np.arange(N)[:, None] + np.arange(p + 1)]
-            uh, uh_prime = (eigensolve._element_dot(coeffs, table) for table in (val, der))
+            uh = eigensolve._element_dot(coeffs, val, index)
+            uh_prime = eigensolve._element_dot(coeffs, der, index) * N
             norm = np.sqrt(np.cumsum(wh * uh * uh)[-1])
             overlap = np.cumsum(wh * (_SQRT2_LD * np.sin(mode * PI_LD * t)) * uh)[-1] / norm
             slope = eigensolve._mode_tables(space, mode)
@@ -817,6 +835,7 @@ def test_energy_error_matches_a_40_digit_integral(p, N, label, printed):
 
 
 def _clear_energy_caches():
+    eigensolve._type_tables.cache_clear()
     eigensolve._energy_tables.cache_clear()
     eigensolve._mode_tables.cache_clear()
 
@@ -824,7 +843,8 @@ def _clear_energy_caches():
 def test_energy_tables_are_kept_per_space_and_reused_bitwise():
     # every rule and job on a space reads one set of tables and one slope
     # per mode: spaces A, B, A in turn, then radau and dmm on A,
-    # give the bits of a cold cache, with one table build per space
+    # give the bits of a cold cache, with one table build per space and
+    # one type-table build for both, whose meshes share their type set
     jobs = [(8, "gauss"), (12, "gauss"), (8, "gauss"), (8, "radau"), (8, "dmm")]
     solved = {}
     for N, label in jobs:
@@ -841,12 +861,19 @@ def test_energy_tables_are_kept_per_space_and_reused_bitwise():
         for mode in (1, 2, 3):
             assert energy_error(pair, spectrum, mode) == cold[key, mode], (key, mode)
     assert eigensolve._energy_tables.cache_info().misses == 2
+    assert eigensolve._type_tables.cache_info().misses == 1
+    assert eigensolve._energy_tables(BSplineSpace(2, 8))[3] is \
+        eigensolve._energy_tables(BSplineSpace(2, 12))[3]
     assert eigensolve._mode_tables.cache_info().misses == 2 * 3
 
 
 def test_the_shared_energy_tables_are_read_only():
+    # a space's points, weights times h and element type indices, the type
+    # tables its type set shares, and a mode's slopes
     space = BSplineSpace(3, 8)
-    for table in eigensolve._energy_tables(space) + (eigensolve._mode_tables(space, 2),):
+    tables = eigensolve._energy_tables(space) + (eigensolve._mode_tables(space, 2),)
+    assert len(tables) == 5
+    for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
 

@@ -1,28 +1,42 @@
-"""B-spline space and basis evaluation, against the cardinal spline inside."""
+"""B-spline space and its one basis evaluation: each element type's exact
+integer polynomials (quadrature._type_basis), checked exactly against
+the cardinal spline and the reference recurrence, and the energy
+error's longdouble tables of them (eigensolve._type_tables)."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from mpmath import mp
 
 from basis_reference import cardinal_pieces, reference_basis
-from igadmm.splines import BSplineSpace, _knots_in, basis_table
+from igadmm import eigensolve
+from igadmm.assembly import _element_types
+from igadmm.quadrature import _type_basis, gauss_legendre
+from igadmm.splines import BSplineSpace
+
+_DEGREES = range(1, 9)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("N", [2, 3, 7, 129, 1024])
-def test_float_knots_are_the_rounded_fractions(p, N):
-    # the open knot vector, 0 and 1 repeated p + 1 times around the interior
-    # knots k / N, each the longdouble nearest to the exact Fraction k / N
-    longs = _knots_in(p, N)
-    assert longs.dtype == np.longdouble and len(longs) == N + 2 * p + 1
-    assert list(longs[: p + 1]) == [0] * (p + 1) and list(longs[-(p + 1):]) == [1] * (p + 1)
-    for k in range(1, N):
-        x, exact = longs[p + k], Fraction(k, N)
-        neighbours = (np.nextafter(x, np.longdouble(0)), np.nextafter(x, np.longdouble(1)))
-        assert all(abs(_fraction(x) - exact) <= abs(_fraction(y) - exact) for y in neighbours)
+def _types(p):
+    """Every element type (left, right) of degree p: each end capped at
+    p - 1, each the type of element left of a mesh of left + right + 1
+    elements."""
+    return [(left, right) for left in range(p) for right in range(p)]
+
+
+def _at(poly, u):
+    """An integer polynomial, coefficients lowest first, at u."""
+    return sum(c * u ** i for i, c in enumerate(poly))
+
+
+def _basis_at(p, left, right, x):
+    """(values, slopes) of the type's functions at the local x, exactly:
+    phi_a and d phi_a / dx on the reference element [0, 1]."""
+    den, slopes, values = _type_basis(p, left, right)
+    u = 2 * Fraction(x) - 1
+    return ([Fraction(_at(f, u), den) for f in values],
+            [Fraction(_at(f, u), den) for f in slopes])
 
 
 def test_space_rejects_bad_degree_and_mesh():
@@ -38,162 +52,193 @@ def test_space_dimensions():
     assert space.dim == 8 + 3 - 2  # homogeneous Dirichlet drops the ends
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(min_value=1, max_value=4),
-    N=st.sampled_from([3, 5, 8]),
-    x=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
-def test_partition_of_unity(p, N, x):
-    # x is a reference node: the table holds the point (e + x) / N of
-    # every element e
-    _, vals, ders = basis_table(BSplineSpace(p, N), [x])
-    assert vals.shape == (N, 1, p + 1)
-    assert np.all(abs(vals.sum(axis=-1) - 1) < 1e-13)
-    # derivative of the constant 1; scale by N since slopes grow like 1/h
-    assert np.all(abs(ders.sum(axis=-1)) < 1e-10 * N)
+def test_partition_of_unity():
+    # on every type the functions sum to 1 as polynomials: the values'
+    # coefficients to den and 0, the slopes' to 0
+    for p in _DEGREES:
+        for left, right in _types(p):
+            den, slopes, values = _type_basis(p, left, right)
+            assert [sum(c) for c in zip(*values)] == [den] + [0] * p, (p, left, right)
+            assert [sum(c) for c in zip(*slopes)] == [0] * p, (p, left, right)
+
+
+def test_the_type_cap_drops_no_basis():
+    # the scheme never reads the knots p + 1 elements out, so an element
+    # p elements from an end has the basis of one p - 1 from it
+    for p in _DEGREES:
+        for side in range(p + 1):
+            assert _type_basis(p, p, side) == _type_basis(p, p - 1, side), (p, side)
+            assert _type_basis(p, side, p) == _type_basis(p, side, p - 1), (p, side)
 
 
 def test_interior_basis_is_cardinal_translate():
     # away from the boundary the basis is the cardinal spline translated:
-    # on every element e with p <= e < N - p the values, and the derivatives
-    # over N, are its pieces exactly, and the longdouble table rounds them
-    p, N = 3, 10
+    # on the interior type, function a is piece p - a, values and slopes
     xs = (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(999, 1024), Fraction(1))
-    _, table, _ = basis_table(BSplineSpace(p, N), [float(x) for x in xs])
-    for k, x in enumerate(xs):
-        pieces, slopes = cardinal_pieces(p, x)
-        for e in range(p, N - p):
-            # function e + a is piece p - a on element e
-            vals, ders = reference_basis(p, N, (e + x) / N, e)
-            assert vals == pieces[::-1] and [d / N for d in ders] == slopes[::-1], (e, x)
-            assert [float(v) for v in table[e, k]] == pytest.approx(
-                [float(v) for v in vals], rel=0, abs=1e-16)
+    for p in _DEGREES:
+        for x in xs:
+            pieces, slopes = cardinal_pieces(p, x)
+            assert _basis_at(p, p - 1, p - 1, x) == (pieces[::-1], slopes[::-1]), (p, x)
 
 
 def test_cardinal_value_exact_points():
-    # at a knot and at mid-element, an interior element holds the cardinal
+    # at a knot and at mid-element, the interior type holds the cardinal
     # spline's values at the integers and at the half-integers
-    N = 9
     for p, x, want in ((1, 0, (1, 0)), (2, 0, (Fraction(1, 2), Fraction(1, 2), 0)),
                        (3, 0, (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6), 0)),
-                       (3, 0.5, (Fraction(1, 48), Fraction(23, 48), Fraction(23, 48),
-                                 Fraction(1, 48)))):
-        _, vals, _ = basis_table(BSplineSpace(p, N), [x])
-        for e in range(p, N - p):
-            assert [float(v) for v in vals[e, 0]] == pytest.approx(
-                [float(w) for w in want], rel=0, abs=1e-16)
+                       (3, Fraction(1, 2), (Fraction(1, 48), Fraction(23, 48),
+                                            Fraction(23, 48), Fraction(1, 48)))):
+        assert _basis_at(p, p - 1, p - 1, x)[0] == list(want), (p, x)
 
 
-@settings(max_examples=40, deadline=None)
-@given(p=st.integers(min_value=1, max_value=5),
-       x=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_cardinal_symmetry(p, x):
-    # the cardinal spline is even about the middle of its support, and the
-    # open knot vector about 1/2: the table at x, read from the last element
-    # and the last function back, is the table at 1 - x
-    N = 2 * p + 1
-    _, vals, _ = basis_table(BSplineSpace(p, N), [x, 1 - x])
-    assert np.allclose(vals[::-1, 1, ::-1], vals[:, 0], rtol=0, atol=1e-13)
+def test_cardinal_symmetry():
+    # the open knot vector is even about 1/2: type (left, right) is type
+    # (right, left) under u -> -u, read from the last function back, and
+    # d/dx changes sign
+    def flip(f, sign):
+        return tuple(sign * (-1) ** i * c for i, c in enumerate(f))
+
+    for p in _DEGREES:
+        for left, right in _types(p):
+            den, slopes, values = _type_basis(p, left, right)
+            assert _type_basis(p, right, left) == (
+                den, tuple(flip(f, -1) for f in slopes[::-1]),
+                tuple(flip(f, 1) for f in values[::-1])), (p, left, right)
 
 
 def test_cardinal_derivative_is_difference_of_lower_degree():
-    # B'_p(t) = B_{p-1}(t) - B_{p-1}(t - 1): on an interior element the
-    # derivative of function e + a is N times the degree-(p-1) functions
-    # e + a - 1 less e + a, slots a - 1 and a of the lower table there
-    N, nodes = 10, [0.3, 0.7]
-    for p in (2, 3, 4):
-        _, _, ders = basis_table(BSplineSpace(p, N), nodes)
-        _, lower, _ = basis_table(BSplineSpace(p - 1, N), nodes)
-        pad = np.zeros(lower.shape[:-1] + (1,), dtype=lower.dtype)
-        lower = np.concatenate([pad, lower, pad], axis=-1)
-        want = N * (lower[..., :-1] - lower[..., 1:])
-        assert np.allclose(ders[p:N - p], want[p:N - p], rtol=0, atol=1e-14 * N)
+    # B'_p(t) = B_{p-1}(t) - B_{p-1}(t - 1): on the interior type the
+    # slope of function a is the degree-(p - 1) functions a - 1 less a
+    for p in range(2, 9):
+        den, slopes, _ = _type_basis(p, p - 1, p - 1)
+        low, _, lower = _type_basis(p - 1, p - 2, p - 2)
+        pad = ((0,) * p,)  # the functions -1 and p of degree p - 1
+        lower = pad + lower + pad
+        for a in range(p + 1):
+            want = [x - y for x, y in zip(lower[a], lower[a + 1])]
+            assert [c * low for c in slopes[a]] == [c * den for c in want], (p, a)
 
 
 def test_cardinal_piece_left_limits_at_breakpoints():
-    # at an interior knot the two neighbouring elements agree in value, and
-    # in slope from p = 2 on, but at p = 1 each keeps the slope of its own
-    # piece (the kink): function e + 1 climbs on element e, falls on e + 1
-    N = 8
-    _, _, ders = basis_table(BSplineSpace(1, N), [0, 1])
-    assert np.allclose(ders[:-1, 1, 1].astype(float), N, rtol=1e-15, atol=0)
-    assert np.allclose(ders[1:, 0, 0].astype(float), -N, rtol=1e-15, atol=0)
-    for p in (2, 3):
-        _, vals, ders = basis_table(BSplineSpace(p, N), [0, 1])
-        for table in (vals, ders):
-            assert np.allclose(table[:-1, 1, 1:], table[1:, 0, :-1], rtol=0, atol=1e-12)
+    # at an interior knot two neighbouring elements agree in slope from
+    # p = 2 on, but at p = 1 each keeps the slope of its own piece (the
+    # kink): function e + 1 climbs on element e and falls on e + 1.  Local
+    # function a + 1 of element e is local function a of element e + 1
+    for p in _DEGREES:
+        for N in (2, 3, 2 * p, 2 * p + 3):
+            types, index = _element_types(p, N)
+            for e in range(N - 1):
+                _, end = _basis_at(p, *types[index[e]], 1)
+                _, start = _basis_at(p, *types[index[e + 1]], 0)
+                if p == 1:
+                    assert (end[1], start[0]) == (1, -1), (N, e)
+                else:
+                    assert end[1:] == start[:-1] and end[0] == start[-1] == 0, (p, N, e)
 
 
 def test_element_pinning_keeps_values_consistent():
-    # evaluating a knot on its left or right element must not change the
-    # global function values, only the local piece used
-    p, N = 2, 8
-    space = BSplineSpace(p, N)
-    t, vals, _ = basis_table(space, [0, 1])
-    for e in range(N - 1):
-        assert t[e, 1] == t[e + 1, 0]  # the knot (e + 1) / N
-        dense_l = np.zeros(space.dim_full)
-        dense_r = np.zeros(space.dim_full)
-        dense_l[e: e + p + 1] = vals[e, 1]
-        dense_r[e + 1: e + p + 2] = vals[e + 1, 0]
-        assert np.allclose(dense_l, dense_r, atol=1e-13), e
+    # the global function values at a knot are the same read from the
+    # element on its left as from the one on its right, the types of each
+    # as the mesh assigns them
+    for p in _DEGREES:
+        for N in (2, 3, 2 * p, 2 * p + 3):
+            types, index = _element_types(p, N)
+            for e in range(N - 1):
+                dense_l, dense_r = [0] * (N + p), [0] * (N + p)
+                dense_l[e: e + p + 1] = _basis_at(p, *types[index[e]], 1)[0]
+                dense_r[e + 1: e + p + 2] = _basis_at(p, *types[index[e + 1]], 0)[0]
+                assert dense_l == dense_r, (p, N, e)
 
 
 def test_derivatives_scale_with_mesh():
-    # basis derivatives are physical: the hat function climbs with slope N
-    # on every element, endpoints included
-    _, _, ders = basis_table(BSplineSpace(1, 10), [0, 0.5, 1])
-    assert np.allclose(np.sort(ders, axis=-1).astype(float),
-                       np.broadcast_to([-10.0, 10.0], ders.shape), rtol=1e-15, atol=0)
+    # the hat function climbs with local slope 1 on every element, so with
+    # physical slope N; the energy error's tables hold the local slopes
+    # exactly and its sum scales them by N
+    den, slopes, _ = _type_basis(1, 0, 0)
+    assert slopes == ((-den,), (den,))
+    der = eigensolve._energy_tables(BSplineSpace(1, 10))[3][0]
+    assert der.shape == (1, 6, 2)
+    assert np.array_equal(der, np.broadcast_to(np.array([-1, 1], dtype=np.longdouble), der.shape))
 
 
-# reference nodes in longdouble, endpoints included: the endpoint nodes are
-# where element pinning matters
-_TABLE_NODES = np.array([np.longdouble(0), np.longdouble(1) / 3,
-                         np.longdouble("0.788675134594812882254574390250978727823800875635063438009"),
-                         np.longdouble(1)])
+def _horner(poly, u):
+    """poly at the longdouble u one coefficient at a time, from the top."""
+    acc = np.longdouble(poly[-1])
+    for c in poly[-2::-1]:
+        acc = acc * u + np.longdouble(c)
+    return acc
 
 
 @pytest.mark.parametrize("derivative", [False, True])
 @pytest.mark.parametrize("N", [2, 3, 7, 64])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_basis_table_is_bitwise_the_scalar_evaluation(p, N, derivative):
-    # one call gives both tables; derivative picks the one checked here
-    # against the test-side reference, run one point at a time
+    # the energy tables of a mesh: its points, and each element's type
+    # table, against Horner's rule run on the type's polynomials one point
+    # at a time; derivative picks the form checked
     space = BSplineSpace(p, N)
-    t, values, derivatives = basis_table(space, _TABLE_NODES)
-    assert t.shape == (N, len(_TABLE_NODES)) and t.dtype == np.longdouble
-    table = derivatives if derivative else values
-    assert table.shape == (N, len(_TABLE_NODES), p + 1)
-    assert table.dtype == np.longdouble
+    t, wh, index, tables = eigensolve._energy_tables(space)
+    nodes, weights = gauss_legendre(p + 5).as_longdouble()
+    assert t.shape == (N, p + 5) and t.dtype == np.longdouble
+    assert tables.shape == (2, min(N, 2 * p - 1), p + 5, p + 1)
+    assert tables.dtype == np.longdouble
     h = np.longdouble(1) / N
+    assert np.array_equal(wh, weights * h)
+    types = sorted({(min(e, p - 1), min(N - 1 - e, p - 1)) for e in range(N)})
     for e in range(N):
-        for k, x in enumerate(_TABLE_NODES):
+        kind = (min(e, p - 1), min(N - 1 - e, p - 1))
+        assert index[e] == types.index(kind)
+        den, *forms = _type_basis(p, *kind)
+        for k, x in enumerate(nodes):
             assert t[e, k] == (e + x) * h
-            want = reference_basis(p, N, t[e, k], e)[1 if derivative else 0]
-            assert np.array_equal(np.array(want, dtype=np.longdouble), table[e, k])
-
-
-def _fraction(x):
-    return Fraction(*x.as_integer_ratio())
+            want = [_horner(f, 2 * x - 1) / np.longdouble(den) for f in forms[1 - derivative]]
+            assert np.array_equal(np.array(want, dtype=np.longdouble),
+                                  tables[1 - derivative, index[e], k])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
 def test_one_pass_is_bitwise_the_two_separate_recurrences(p):
-    # the table's one pass rounds as the reference's two runs do, and both
-    # round the exact values (the same two runs in Fraction arithmetic) to
-    # a few longdouble ulps: 7 ulps, 3.5 eps, at most on these points
-    N, eps = 7, np.finfo(np.longdouble).eps
-    nodes = (np.longdouble(0), np.longdouble(2) / 7, np.longdouble("0.61803398874989484820"),
-             np.longdouble(1))
-    t, values, derivatives = basis_table(BSplineSpace(p, N), nodes)
-    for e in range(N):
-        for k in range(len(nodes)):
-            vals, ders = reference_basis(p, N, t[e, k], e)
-            assert {type(v) for v in vals + ders} == {np.longdouble}
-            assert list(values[e, k]) == vals and list(derivatives[e, k]) == ders, (e, k)
-            exact = reference_basis(p, N, _fraction(t[e, k]), e)
-            for got, want in zip((vals, ders), exact):
-                scale = max(abs(w) for w in want)
-                assert max(abs(_fraction(g) - w) for g, w in zip(got, want)) < 16 * eps * scale
+    # the one integer scheme gives values and slopes exactly as the
+    # reference's two runs do in Fraction arithmetic, values to degree p
+    # and slopes by degree reduction from p - 1, on the element left of a
+    # mesh of left + right + 1 elements, whose slopes carry N
+    xs = (Fraction(0), Fraction(2, 7), Fraction(618, 1000), Fraction(1))
+    for left, right in _types(p):
+        N = left + right + 1
+        for x in xs:
+            values, slopes = reference_basis(p, N, (left + x) / N, left)
+            assert _basis_at(p, left, right, x) == (values, [d / N for d in slopes]), \
+                (left, right, x)
+
+
+def _mpf(x):
+    """A longdouble's exact value as an mpf (at the working precision)."""
+    num, den = x.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+@pytest.mark.parametrize("p", _DEGREES)
+def test_the_energy_tables_round_the_basis_within_the_horner_bound(p):
+    # every entry of the longdouble tables, on every type, against the
+    # reference at 55 digits at the rule's mpf nodes, within (p + 2) eps
+    # times the sum of |c_i u^i| / den that Horner's rule rounds: p eps
+    # for its p steps, the rest for the division and the longdouble node,
+    # up to the reference's own error, 1e-45 (it is 1e-56 where an exact
+    # zero is summed).  At most 3.8 eps of it (values, p = 8); at most
+    # 1.8e-18 absolute on the slopes and 1.6e-19 on the values
+    eps, slack = _mpf(np.finfo(np.longdouble).eps), mp.mpf(10) ** -45
+    types = tuple(_types(p))
+    tables = eigensolve._type_tables(p, types)
+    rule = gauss_legendre(p + 5)
+    with mp.workdps(55):
+        for t, (left, right) in enumerate(types):
+            den, *forms = _type_basis(p, left, right)
+            N = left + right + 1
+            for k, x in enumerate(rule.nodes):
+                values, slopes = reference_basis(p, N, (left + x) / N, left)
+                u = 2 * x - 1
+                for f, want in ((0, [d / N for d in slopes]), (1, values)):
+                    for a, poly in enumerate(forms[f]):
+                        got = _mpf(tables[f, t, k, a])
+                        scale = sum(abs(c) * abs(u) ** i for i, c in enumerate(poly)) / den
+                        assert abs(got - want[a]) <= (p + 2) * eps * scale + slack, (t, k, f, a)

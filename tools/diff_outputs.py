@@ -62,8 +62,9 @@ def sweep() -> list[list[str]]:
     cross-check at each degree, and a p = 4 ladder of large meshes that are
     not powers of two, and one whose two pencils sit on either side of the
     switch, orders _BANDED_MIN_N - 1 and _BANDED_MIN_N, and at p = 5 and 6
-    one across the mesh of 2p + 1 elements, the first with all 2p + 1
-    element types of the assembly; then every subcommand's
+    one from the mesh of 2p elements, each with all 2p - 1 element types
+    of the assembly and the energy tables, the interior one on two
+    elements and more; then every subcommand's
     report, text and JSON: verify, rows of both forms (exact, minimized,
     rule-induced, blended and point-rule labels, fractions and floats, and
     every label but the point rules at p = 7..10), blend ratios with the
@@ -86,7 +87,8 @@ def sweep() -> list[list[str]]:
     # large meshes whose 1/N, the mass scaling of the local matrices, rounds
     jobs.append(["study-1d", "-p", "4", "--energy", "--meshes", "255,257,513",
                  "--rules", "gauss,dmm", "--modes", "1,2", "--json", "-"])
-    # N = 2p, 2p + 1, 2p + 2: 2p, 2p + 1 and 2p + 1 element types
+    # N = 2p, 2p + 1, 2p + 2: all 2p - 1 element types, the interior one on
+    # 2, 3 and 4 elements
     for p in (5, 6):
         jobs.append(["study-1d", "-p", str(p), "--energy",
                      "--meshes", f"{2 * p},{2 * p + 1},{2 * p + 2}",
